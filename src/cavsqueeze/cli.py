@@ -9,9 +9,9 @@ design          operating-point report from a config file
 sweep           (S, eta) grid scan of limits, optima and regimes
 
 Exit codes: 0 success, 1 usage/config error, 2 validation-suite failure.
-All data outputs are byte-identical for identical invocation + seed,
-regardless of worker count; the run manifest (wall time) is the only
-exception.
+All data outputs are byte-identical for identical invocation + seed; the
+Monte Carlo streams are keyed by (seed, chunk of 512 trajectories).  The run
+manifest (wall time) is the only exception.
 """
 
 import argparse
@@ -71,7 +71,6 @@ def build_parser():
     p.add_argument("--steps", type=int, default=4, help="lag intervals across the pulse")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "gaussian"), default="exact")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--corr-csv", action="store_true", help="also write the per-lag correlation CSV")
     p.add_argument("--out", default="out")
 
@@ -102,7 +101,7 @@ def _outdir(args):
 
 def cmd_fig2(args, argv):
     out = _outdir(args)
-    manifest = RunManifest(command=["fig2"] + argv)
+    manifest = RunManifest(command=argv)
     if args.qmin <= 0 or args.qmax <= args.qmin or args.qpoints < 2:
         print("fig2: need 0 < qmin < qmax and qpoints >= 2", file=sys.stderr)
         return 1
@@ -124,7 +123,7 @@ def cmd_fig2(args, argv):
 
 def cmd_validate_oracle(args, argv):
     out = _outdir(args)
-    manifest = RunManifest(command=["validate-oracle"] + argv)
+    manifest = RunManifest(command=argv)
     rows = []
     n_fail = 0
     for s in [s for s in _ORACLE_S_GRID if s <= args.smax]:
@@ -149,12 +148,12 @@ def cmd_validate_oracle(args, argv):
 
 def cmd_raman_mc(args, argv):
     out = _outdir(args)
-    manifest = RunManifest(command=["raman-mc"] + argv, seed=args.seed)
-    spec = EnsembleSpec(total_spin=args.S)
-    process = RamanProcess(r=args.r, pulse_time=1.0, n_atoms=spec.atom_count)
+    manifest = RunManifest(command=argv, seed=args.seed)
     try:
+        spec = EnsembleSpec(total_spin=args.S)
+        process = RamanProcess(r=args.r, pulse_time=1.0, n_atoms=spec.atom_count)
         stats = sample_trajectories(process, spec.total_spin, args.traj, args.steps,
-                                    seed=args.seed, mode=args.mode, workers=args.workers)
+                                    seed=args.seed, mode=args.mode)
     except ValueError as exc:
         print(f"raman-mc: {exc}", file=sys.stderr)
         return 1
@@ -193,7 +192,7 @@ def cmd_design(args, argv):
     except (OSError, ValueError) as exc:
         print(f"design: {exc}", file=sys.stderr)
         return 1
-    manifest = RunManifest(command=["design"] + argv, config=cfg)
+    manifest = RunManifest(command=argv, config=cfg)
     from .design import DesignTargets
 
     targets = DesignTargets(max_excited_pop=args.eps_max, q_target=args.q_target)
@@ -212,7 +211,7 @@ def cmd_design(args, argv):
 
 def cmd_sweep(args, argv):
     out = _outdir(args)
-    manifest = RunManifest(command=["sweep"] + argv)
+    manifest = RunManifest(command=argv)
     s_grid = np.geomspace(args.s_min, args.s_max, args.s_points)
     eta_grid = np.geomspace(args.eta_min, args.eta_max, args.eta_points)
     header = ["S", "eta", "s_eta5", "regime", "near_boundary",

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from .cavity import kappa_t_required, validate_regime
 from .params import DrivePulse, RegimeThresholds
-from .raman import modified_min_variance
+from .raman import modified_min_variance, raman_modified_moments
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -203,7 +203,9 @@ class SqueezeReport:
     limiting_regime: str
     near_boundary: bool
     q_recommended: float
-    sigma_recommended_sq: float
+    sigma_recommended_sq: float  # raw sigma^2, normalized to S/2
+    contrast_sq: float  # C^2 = |<S~_+>|^2 / S^2 at the recommended point
+    xi_recommended_sq: float  # sigma_recommended_sq / contrast_sq, what the floors bound
     r_recommended: float
     spin_shortening_flag: bool  # r beyond ~0.1: neglected vector shortening suspect
     p0_required: float
@@ -222,6 +224,8 @@ class SqueezeReport:
             "near_boundary": self.near_boundary,
             "q_recommended": self.q_recommended,
             "sigma_recommended_sq": self.sigma_recommended_sq,
+            "contrast_sq": self.contrast_sq,
+            "xi_recommended_sq": self.xi_recommended_sq,
             "r_recommended": self.r_recommended,
             "spin_shortening_flag": self.spin_shortening_flag,
             "p0_required": self.p0_required,
@@ -236,7 +240,8 @@ def design_report(ensemble, params, pulse_time, targets=None):
 
     The recommended Q is min(full-curve minimizer, Q_curv); a q_target of
     zero is rejected ("no shearing requested"), any other positive value
-    overrides the recommendation.
+    overrides the recommendation.  The report gives the raw sigma^2 there and
+    the contrast-normalized xi^2 = sigma^2 / C^2, which the floors bound.
     """
     targets = targets if targets is not None else DesignTargets()
     s = ensemble.total_spin
@@ -250,12 +255,12 @@ def design_report(ensemble, params, pulse_time, targets=None):
         if targets.q_target <= 0.0:
             raise ValueError("no shearing requested: q_target must be positive")
         q_rec = float(targets.q_target)
-        sigma_rec = modified_min_variance(s, eta, q_rec)
     else:
-        q_full, sigma_full = full_curve_minimum(s, eta)
+        q_full, _ = full_curve_minimum(s, eta)
         q_rec = min(q_full, q_curv)
-        sigma_rec = modified_min_variance(s, eta, q_rec)
+    sigma_rec = modified_min_variance(s, eta, q_rec)
     r_rec = q_rec / (4.0 * s * eta)
+    contrast_sq = abs(raman_modified_moments(s, q_rec, r_rec).mean_sp) ** 2 / (s * s)
 
     p0_required = q_rec / (s * (2.0 * params.omega_shift / params.kappa) ** 2)
     drive = DrivePulse.from_shearing(q_rec, pulse_time, ensemble, params)
@@ -295,6 +300,8 @@ def design_report(ensemble, params, pulse_time, targets=None):
         near_boundary=classification.near_boundary,
         q_recommended=q_rec,
         sigma_recommended_sq=sigma_rec,
+        contrast_sq=contrast_sq,
+        xi_recommended_sq=sigma_rec / contrast_sq,
         r_recommended=r_rec,
         spin_shortening_flag=r_rec > 0.1,
         p0_required=p0_required,

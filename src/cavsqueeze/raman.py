@@ -28,22 +28,21 @@ small-r regime the minimum variance reduces to 1/Q + 4r/3 with r = Q/(4 S eta).
 The Monte Carlo model simulates the telegraph process directly: exact
 per-event jumps Delta S_z = +-1 for modest atom numbers, or an
 Ornstein-Uhlenbeck aggregate (exact joint sampling of S_z and its running
-integral) for large ones.  Trajectories draw from counter-based Philox
-substreams keyed by (seed, trajectory index), so results are bit-identical
-for any worker count.
+integral) for large ones.  Trajectories run as arrays in fixed chunks of
+_CHUNK, and each chunk draws from one counter-based Philox stream keyed by
+(seed, chunk index), so a seed and a trajectory count fix the output bits.
 """
 
 import cmath
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .feedback import MomentSet, _cos_power, extremal_variances, g_factor
 
-# Trajectories per scheduling chunk; fixed so the work split never depends
-# on the worker count.
+# Trajectories per chunk: one array pass and one Philox stream each.  The
+# value is part of the stream layout, so changing it changes seeded output.
 _CHUNK = 512
 
 
@@ -164,6 +163,8 @@ class RamanProcess:
     def __post_init__(self):
         if self.r < 0.0:
             raise ValueError("r must be nonnegative")
+        if not math.isfinite(self.r):
+            raise ValueError("r must be finite")
         if self.pulse_time <= 0.0:
             raise ValueError("pulse_time must be positive")
         if self.n_atoms < 1:
@@ -178,9 +179,11 @@ class TrajectoryStats:
     corr[l] estimates 2 <S_z(0) S_z(lag_l)> / S on the lag grid; the target
     is e^{-2 r lag / t}.  mean_sz_bar_sq and cov_bar_final estimate
     <Sbar_z^2> and <Sbar_z S_z(t)> (raw spin units, target (S/2) c_bar_*).
+    n_events is the number of jumps simulated (0 in gaussian mode).
     """
 
     n_trajectories: int
+    n_events: int
     mean_sz_bar_sq: float
     mean_sz_bar_sq_se: float
     cov_bar_final: float
@@ -192,6 +195,7 @@ class TrajectoryStats:
     def as_dict(self):
         return {
             "n_trajectories": self.n_trajectories,
+            "n_events": self.n_events,
             "mean_sz_bar_sq": self.mean_sz_bar_sq,
             "mean_sz_bar_sq_se": self.mean_sz_bar_sq_se,
             "cov_bar_final": self.cov_bar_final,
@@ -202,76 +206,88 @@ class TrajectoryStats:
         }
 
 
-def _trajectory_rng(seed, index):
-    # counter-based substream: stream identity = (key=seed, counter hi-word=index)
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index]))
+def _simulate_exact(rng, process, s, lag_times, m):
+    """m trajectories of exact per-event jumps, stepped in lockstep.
 
-
-def _simulate_exact(rng, process, s, lag_times):
-    """One trajectory of exact per-event jumps; returns (sz at lags, sbar)."""
+    The N atoms jump at the total rate N lambda whatever the state, so each
+    step draws one exponential waiting time and one uniform atom pick per
+    trajectory (a down-flip with probability n_up / N).  A trajectory whose
+    next event falls past t holds its level while the others finish.
+    Returns (S_z at the lags, Sbar_z, number of jumps).
+    """
     n = process.n_atoms
     t = process.pulse_time
-    n_up = int(rng.binomial(n, 0.5))
-    sz0 = n_up - s
-    total_rate = process.flip_rate * n
-    n_events = int(rng.poisson(total_rate * t)) if total_rate > 0.0 else 0
-    if n_events == 0:
-        return np.full(len(lag_times), sz0), sz0
-    times = np.sort(rng.random(n_events)) * t
-    pick = rng.random(n_events)
-    sz_levels = np.empty(n_events + 1)
-    sz_levels[0] = sz0
-    for i in range(n_events):
-        # a uniformly chosen atom flips; down-flip with probability n_up/N
-        if pick[i] * n < n_up:
-            n_up -= 1
-        else:
-            n_up += 1
-        sz_levels[i + 1] = n_up - s
-    bounds = np.concatenate(([0.0], times, [t]))
-    sbar = float(sz_levels @ np.diff(bounds)) / t
-    idx = np.searchsorted(times, lag_times, side="right")
-    return sz_levels[idx], sbar
+    rate = process.flip_rate * n
+    sz = rng.binomial(n, 0.5, size=m) - s
+    samples = np.repeat(sz[:, None], len(lag_times), axis=1)
+    if rate == 0.0:
+        return samples, sz, 0
+    now = np.zeros(m)
+    integral = np.zeros(m)
+    n_events = 0
+    while True:
+        nxt = now + rng.standard_exponential(m) / rate
+        end = np.minimum(nxt, t)
+        integral += sz * (end - now)
+        # S_z at a lag is the level held over [now, next event)
+        held = (lag_times >= now[:, None]) & (lag_times < nxt[:, None])
+        np.copyto(samples, sz[:, None], where=held)
+        jump = nxt < t
+        n_jumps = int(np.count_nonzero(jump))
+        if n_jumps == 0:
+            return samples, integral / t, n_events
+        n_events += n_jumps
+        down = rng.random(m) * n < sz + s
+        sz = sz + jump * np.where(down, -1.0, 1.0)
+        now = end
 
 
-def _simulate_gaussian(rng, process, s, lag_times):
-    """One Ornstein-Uhlenbeck aggregate trajectory with exact joint sampling.
+def _simulate_gaussian(rng, process, s, lag_times, m):
+    """m Ornstein-Uhlenbeck aggregate trajectories with exact joint sampling.
 
     theta = 2 lambda, stationary variance S/2; per step the pair
-    (S_z(end), integral of S_z) is drawn from its exact joint Gaussian.
+    (S_z(end), integral of S_z) is drawn from its exact joint Gaussian, whose
+    coefficients are scalars shared by the whole chunk.
     """
     t = process.pulse_time
     theta = 2.0 * process.flip_rate
     var_st = s / 2.0
-    z = rng.normal(0.0, math.sqrt(var_st))
-    samples = np.empty(len(lag_times))
-    samples[0] = z
-    integral = 0.0
+    z = rng.normal(0.0, math.sqrt(var_st), size=m)
+    samples = np.empty((m, len(lag_times)))
+    samples[:, 0] = z
+    integral = np.zeros(m)
     for i in range(1, len(lag_times)):
         h = lag_times[i] - lag_times[i - 1]
         if theta == 0.0:
             integral += z * h
-            samples[i] = z
+            samples[:, i] = z
             continue
         decay = math.exp(-theta * h)
-        mean_z = z * decay
-        mean_i = z * (1.0 - decay) / theta
         var_z = var_st * (1.0 - decay * decay)
         var_i = (2.0 * var_st / theta) * (
             h - 2.0 * (1.0 - decay) / theta + (1.0 - decay * decay) / (2.0 * theta)
         )
         cov_zi = var_st * (1.0 - decay) ** 2 / theta
-        x1 = rng.standard_normal()
-        x2 = rng.standard_normal()
         sd_z = math.sqrt(var_z)
-        z = mean_z + sd_z * x1
         resid = max(var_i - cov_zi * cov_zi / var_z, 0.0)
-        integral += mean_i + (cov_zi / sd_z) * x1 + math.sqrt(resid) * x2
-        samples[i] = z
-    return samples, integral / t
+        x1, x2 = rng.standard_normal((2, m))
+        integral += z * ((1.0 - decay) / theta) + (cov_zi / sd_z) * x1 + math.sqrt(resid) * x2
+        z = z * decay + sd_z * x1
+        samples[:, i] = z
+    return samples, integral / t, 0
 
 
-def sample_trajectories(process, total_spin, n_traj, time_steps, seed, mode="exact", workers=1):
+def _mean_se(values):
+    """Mean and standard error with compensated summation."""
+    n = len(values)
+    mean = math.fsum(values.tolist()) / n
+    if n < 2:
+        return mean, float("inf")
+    var = math.fsum(((values - mean) ** 2).tolist()) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
+def sample_trajectories(process, total_spin, n_traj, time_steps, seed, mode="exact"):
     """Monte Carlo statistics of the telegraph-driven collective S_z.
 
     Parameters
@@ -283,8 +299,8 @@ def sample_trajectories(process, total_spin, n_traj, time_steps, seed, mode="exa
         Trajectory count (>= 1) and number of lag intervals (>= 1); S_z is
         sampled at time_steps + 1 uniform times spanning [0, t].
     seed : int
-        Base seed, required; trajectory k uses the (seed, k) Philox
-        substream, so results do not depend on `workers`.
+        Base seed, required; trajectories run in chunks of _CHUNK, chunk c
+        drawing from the (seed, c) Philox stream.
     mode : {"exact", "gaussian"}
     """
     if seed is None:
@@ -304,48 +320,26 @@ def sample_trajectories(process, total_spin, n_traj, time_steps, seed, mode="exa
 
     sz_samples = np.empty((n_traj, time_steps + 1))
     sbar = np.empty(n_traj)
-
-    def run_chunk(start):
+    n_events = 0
+    for chunk, start in enumerate(range(0, n_traj, _CHUNK)):
         stop = min(start + _CHUNK, n_traj)
-        for k in range(start, stop):
-            rng = _trajectory_rng(seed, k)
-            sz_samples[k], sbar[k] = simulate(rng, process, s, lag_times)
+        # counter-based stream: identity = (key=seed, counter hi-word=chunk)
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, chunk]))
+        sz_samples[start:stop], sbar[start:stop], events = simulate(rng, process, s, lag_times, stop - start)
+        n_events += events
 
-    starts = range(0, n_traj, _CHUNK)
-    if workers <= 1:
-        for start in starts:
-            run_chunk(start)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, starts))
-
-    # reduction in trajectory order with exact (compensated) summation, so
-    # the result is independent of how chunks were scheduled
-    def mean_se(values):
-        n = len(values)
-        mean = math.fsum(values) / n
-        if n < 2:
-            return mean, float("inf")
-        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-        return mean, math.sqrt(var / n)
-
-    sbar_sq, sbar_sq_se = mean_se(sbar * sbar)
-    covf, covf_se = mean_se(sbar * sz_samples[:, -1])
-    corr = np.empty(time_steps + 1)
-    corr_se = np.empty(time_steps + 1)
+    sbar_sq, sbar_sq_se = _mean_se(sbar * sbar)
+    covf, covf_se = _mean_se(sbar * sz_samples[:, -1])
+    lag_stats = np.array([_mean_se(sz_samples[:, 0] * col) for col in sz_samples.T])
     scale = 2.0 / s
-    for l in range(time_steps + 1):
-        m, se = mean_se(sz_samples[:, 0] * sz_samples[:, l])
-        corr[l] = scale * m
-        corr_se[l] = scale * se
-
     return TrajectoryStats(
         n_trajectories=n_traj,
+        n_events=n_events,
         mean_sz_bar_sq=sbar_sq,
         mean_sz_bar_sq_se=sbar_sq_se,
         cov_bar_final=covf,
         cov_bar_final_se=covf_se,
         lags=lag_times,
-        corr=corr,
-        corr_se=corr_se,
+        corr=scale * lag_stats[:, 0],
+        corr_se=scale * lag_stats[:, 1],
     )

@@ -213,6 +213,23 @@ class TestDesignReport:
         assert payload["t_constraints"]["kappa_t_actual"] == pytest.approx(
             params.kappa * 400e-6, rel=1e-12)
 
+    def test_xi_squared_respects_binding_floor(self):
+        # at (S, eta) = (1e3, 0.1) the raw sigma^2 falls under the scattering
+        # floor; the report's xi^2 = sigma^2 / C^2, which the floors bound, does not
+        ensemble = EnsembleSpec(total_spin=1e3)
+        params = CavityAtomParams.from_hz(g_hz=1e5, kappa_hz=1e5, gamma_hz=4e6, delta_over_gamma=500.0)
+        assert params.eta == pytest.approx(0.1, rel=1e-12)
+        report = design_report(ensemble, params, 400e-6)
+        floor = max(report.sigma_scatt_sq, report.sigma_curv_sq)
+        assert report.sigma_recommended_sq < floor
+        assert report.xi_recommended_sq >= floor
+        assert 0.0 < report.contrast_sq < 1.0
+        assert report.xi_recommended_sq * report.contrast_sq == pytest.approx(
+            report.sigma_recommended_sq, rel=1e-14)
+        payload = report.as_dict()
+        assert payload["contrast_sq"] == report.contrast_sq
+        assert payload["xi_recommended_sq"] == report.xi_recommended_sq
+
     def test_regime_flags_surface_not_raise(self):
         # hopeless parameters must produce a report with failing flags
         ensemble = EnsembleSpec(total_spin=10.0)

@@ -191,6 +191,9 @@ class TestRamanProcess:
     def test_validation(self):
         with pytest.raises(ValueError):
             RamanProcess(r=-1.0, pulse_time=1.0, n_atoms=10)
+        for r in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                RamanProcess(r=r, pulse_time=1.0, n_atoms=10)
         with pytest.raises(ValueError):
             RamanProcess(r=0.1, pulse_time=0.0, n_atoms=10)
         with pytest.raises(ValueError):
@@ -227,16 +230,38 @@ class TestMonteCarlo:
         assert abs(stats.cov_bar_final - (s / 2.0) * c_fin) <= 3.0 * stats.cov_bar_final_se
 
     def test_deterministic_and_worker_independent(self):
+        # streams are keyed by (seed, chunk), so the seed alone fixes the bits
         a = self._run(seed=7)
         b = self._run(seed=7)
-        c = self._run(seed=7, workers=3)
-        for x, y in [(a, b), (a, c)]:
-            assert x.mean_sz_bar_sq == y.mean_sz_bar_sq
-            assert x.cov_bar_final == y.cov_bar_final
-            assert np.array_equal(x.corr, y.corr)
-            assert np.array_equal(x.corr_se, y.corr_se)
+        assert a.mean_sz_bar_sq == b.mean_sz_bar_sq
+        assert a.cov_bar_final == b.cov_bar_final
+        assert a.n_events == b.n_events
+        assert np.array_equal(a.corr, b.corr)
+        assert np.array_equal(a.corr_se, b.corr_se)
         d = self._run(seed=8)
         assert d.mean_sz_bar_sq != a.mean_sz_bar_sq
+
+    @pytest.mark.parametrize("r, s, n_traj", [
+        (0.1, 50.0, 513),  # the last chunk holds one trajectory
+        (0.3, 2.5, 4000),  # half-integer spin: five atoms
+        (0.05, 0.5, 4000),  # one atom: most trajectories of a chunk never jump
+    ])
+    def test_chunk_edge_cases_match_telegraph_kernel(self, r, s, n_traj):
+        stats = self._run(r=r, s=s, n_traj=n_traj, seed=11)
+        assert stats.n_trajectories == n_traj
+        assert 0 < stats.n_events < 3.0 * r * round(2 * s) * n_traj
+        for lag, c, se in zip(stats.lags, stats.corr, stats.corr_se):
+            target = math.exp(-2.0 * r * lag)
+            assert abs(c - target) <= 3.0 * max(se, 1e-12), (s, lag)
+
+    def test_event_count(self):
+        # jumps arrive at the total rate r N per pulse; gaussian mode has none
+        r, s, n_traj = 0.1, 50.0, 4000
+        stats = self._run(r=r, s=s, n_traj=n_traj)
+        mean = r * 2.0 * s * n_traj
+        assert abs(stats.n_events - mean) <= 4.0 * math.sqrt(mean)
+        assert self._run(r=r, s=s, n_traj=100, mode="gaussian").n_events == 0
+        assert self._run(r=0.0, s=s, n_traj=100).n_events == 0
 
     def test_input_validation(self):
         process = RamanProcess(r=0.1, pulse_time=1.0, n_atoms=100)
