@@ -34,7 +34,6 @@ from .feedback import (
     rotated_variance,
 )
 from .oracle import (
-    OracleMoments,
     apply_feedback_channel,
     brute_force_min_variance,
     channel_moments,
@@ -87,7 +86,6 @@ __all__ = [
     "g_factor",
     "large_s_variance",
     "rotated_variance",
-    "OracleMoments",
     "apply_feedback_channel",
     "brute_force_min_variance",
     "channel_moments",

@@ -109,10 +109,11 @@ def cmd_fig2(args, argv):
         q_grid = np.geomspace(args.qmin, args.qmax, args.qpoints)
     else:
         q_grid = np.linspace(args.qmin, args.qmax, args.qpoints)
-    rows = []
-    for eta in args.eta:
-        for q, sig, sig_curv, sig_ideal in fig2_curve(args.S, eta, q_grid):
-            rows.append((eta, q, sig, sig_curv, sig_ideal))
+    try:
+        rows = [(eta, *row) for eta in args.eta for row in fig2_curve(args.S, eta, q_grid)]
+    except ValueError as exc:  # Q_eff / S past the G-factor branch
+        print(f"fig2: {exc}", file=sys.stderr)
+        return 1
     path = out / "fig2.csv"
     write_csv(path, ("eta", "Q", "sigma_min_sq", "sigma_curv_sq", "sigma_ideal_sq"), rows)
     manifest.add_output(path.name)

@@ -4,12 +4,11 @@ Index convention (used everywhere in this package): vectors and matrices in
 the S_z eigenbasis are indexed by m = +S down to -S, i.e. row/column 0 holds
 m = +S.  This fixes the sign conventions of sy and of the y-z covariance.
 
-Coherent-spin-state amplitudes are binomial, sqrt(C(2S, S+m)) 2^-S, and are
-computed in log space (lgamma) so ensembles up to S ~ 1e6 construct without
-overflow.
+Coherent-spin-state amplitudes are binomial, sqrt(C(2S, S+m)) 2^-S, built in
+log space so ensembles up to S ~ 1e6 construct without overflow.  The spin
+operators are stored as their three bands, so applying one is O(S).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,15 +43,30 @@ class DickeState:
 
 
 @dataclass(frozen=True)
+class Tridiagonal:
+    """Tridiagonal operator; upper[i] is element (i, i+1), lower[i] is (i+1, i)."""
+
+    lower: np.ndarray
+    diag: np.ndarray
+    upper: np.ndarray
+
+    def __matmul__(self, v):
+        out = self.diag * v
+        out[:-1] += self.upper * v[1:]
+        out[1:] += self.lower * v[:-1]
+        return out
+
+
+@dataclass(frozen=True)
 class SpinOperators:
-    """Dense collective spin matrices of dimension (2S+1) x (2S+1)."""
+    """Collective spin operators as complex tridiagonal bands of length ~2S+1."""
 
     total_spin: float
-    sz: np.ndarray
-    sp: np.ndarray
-    sm: np.ndarray
-    sx: np.ndarray
-    sy: np.ndarray
+    sz: Tridiagonal
+    sp: Tridiagonal
+    sm: Tridiagonal
+    sx: Tridiagonal
+    sy: Tridiagonal
 
 
 def build_operators(spec, dim_cap=STATE_DIM_CAP):
@@ -67,24 +81,32 @@ def build_operators(spec, dim_cap=STATE_DIM_CAP):
         raise ValueError(f"Dicke dimension {dim} exceeds cap {dim_cap}")
     s = spec.total_spin
     m = m_values(s)
-    sz = np.diag(m).astype(complex)
     # raising operator: |m> -> |m+1> moves one row up in m-descending storage
-    c = np.sqrt((s - m[1:]) * (s + m[1:] + 1.0))
-    sp = np.zeros((dim, dim), dtype=complex)
-    sp[np.arange(dim - 1), np.arange(1, dim)] = c
-    sm = sp.conj().T.copy()
-    sx = (sp + sm) / 2.0
-    sy = (sp - sm) / 2j
-    return SpinOperators(total_spin=s, sz=sz, sp=sp, sm=sm, sx=sx, sy=sy)
+    c = np.sqrt((s - m[1:]) * (s + m[1:] + 1.0)).astype(complex)
+    off, diag = np.zeros(dim - 1, dtype=complex), np.zeros(dim, dtype=complex)
+    return SpinOperators(
+        total_spin=s,
+        sz=Tridiagonal(off, m.astype(complex), off),
+        sp=Tridiagonal(off, diag, c),
+        sm=Tridiagonal(c, diag, off),
+        sx=Tridiagonal(c / 2.0, diag, c / 2.0),
+        sy=Tridiagonal(-c / 2j, diag, c / 2j),
+    )
 
 
-def css_log_amplitudes(total_spin):
-    """log of the CSS(+x) amplitudes, ordered m = +S..-S."""
+def css_amplitudes(total_spin):
+    """Normalised float64 CSS(+x) amplitudes sqrt(C(2S, S+m)) 2^-S.
+
+    log C(2S, k) is a cumulative sum of log((2S-k)/(k+1)) from the centre
+    out, mirrored by k <-> 2S-k, so either order of m reads the same.
+    """
     two_s = round(2.0 * total_spin)
-    k = two_s - np.arange(two_s + 1)  # k = S + m in storage order
-    lg = math.lgamma(two_s + 1)
-    log_binom = lg - np.array([math.lgamma(kk + 1) + math.lgamma(two_s - kk + 1) for kk in k])
-    return 0.5 * log_binom - total_spin * math.log(2.0)
+    half = two_s // 2
+    k = np.arange(two_s - half, two_s)
+    right = np.concatenate(([0.0], np.cumsum(np.log((two_s - k) / (k + 1.0)))))
+    log_binom = np.concatenate((right[::-1][:two_s - half], right))
+    a = np.exp(0.5 * log_binom)
+    return a / np.sqrt(np.sum(a * a))
 
 
 def make_css(spec, axis="+x"):
@@ -96,17 +118,14 @@ def make_css(spec, axis="+x"):
     if axis not in ("+x", "-x"):
         raise ValueError(f"axis must be '+x' or '-x', got {axis!r}")
     s = spec.total_spin
-    amps = np.exp(css_log_amplitudes(s)).astype(complex)
-    # lgamma roundoff leaves the norm off by ~S*eps at large S; renormalize
-    amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+    amps = css_amplitudes(s).astype(complex)
     if axis == "-x":
-        signs = np.where(np.arange(spec.dicke_dim) % 2 == 0, 1.0, -1.0)  # (-1)^(S-m)
-        amps = amps * signs
+        amps[1::2] *= -1.0  # (-1)^(S-m): S - m is the storage index
     return DickeState(total_spin=s, amplitudes=amps)
 
 
 def expectation(state, op):
-    """<psi|op|psi> for a DickeState and a dense operator."""
+    """<psi|op|psi> for a DickeState and any operator that supports op @ v."""
     v = state.amplitudes
     return complex(v.conj() @ (op @ v))
 

@@ -13,15 +13,16 @@ Two independent numerical routes to the same moments:
 Numerical care: for S <= 200 the binomial weights are exact integers and
 the oscillatory phases are evaluated in extended precision (long double),
 which keeps the sums' cancellation error ~1e-12 relative even at Q = S/2;
-beyond that a log-space (lgamma) path covers ensembles up to S ~ 1e5.
+beyond that the same sums run in float64 on the normalised amplitudes of
+dicke.css_amplitudes, up to S ~ 1e5.  Every sum and trace is O(S).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DENSITY_DIM_CAP, build_operators, m_values, make_css
+from .dicke import DENSITY_DIM_CAP, build_operators, css_amplitudes, m_values, make_css
+from .feedback import MomentSet
 from .params import EnsembleSpec
 
 # Longest amplitude sum we allow (S <= 1e5); far beyond the matrix caps.
@@ -29,41 +30,22 @@ ORACLE_SUM_CAP = 200_001
 # Exact integer-binomial weights stay inside float range up to 2S = 400.
 _EXACT_WEIGHT_MAX_TWO_S = 400
 
-_LD = np.longdouble
-
-
-@dataclass(frozen=True)
-class OracleMoments:
-    """Moments of one sheared state obtained by brute force."""
-
-    total_spin: float
-    shearing_q: float
-    mean_sp: complex
-    mean_sp2: complex
-    var_y: float
-    var_z: float
-    cov_w: float
-
-
 def _sum_complex(weights, phases):
-    """sum(w * e^{i phi}) with longdouble accumulation, returned as complex."""
+    """sum(w * e^{i phi}) accumulated in the dtype of the inputs, returned as complex."""
     re = float(np.sum(weights * np.cos(phases)))
     im = float(np.sum(weights * np.sin(phases)))
     return complex(re, im)
 
 
 def _css_weights(total_spin):
-    """Amplitudes (long double) of the +x CSS, ordered by k = S + m ascending."""
+    """+x CSS amplitudes by k = S + m: exact binomials in long double up to 2S = 400, else float64."""
     two_s = round(2.0 * total_spin)
-    if two_s <= _EXACT_WEIGHT_MAX_TWO_S:
-        binoms = [math.comb(two_s, k) for k in range(two_s + 1)]
-        a = np.array([math.sqrt(float(b)) for b in binoms], dtype=_LD)
-        return a * _LD(2.0) ** _LD(-float(total_spin))
-    lg = math.lgamma(two_s + 1)
-    log_binom = lg - np.array(
-        [math.lgamma(k + 1) + math.lgamma(two_s - k + 1) for k in range(two_s + 1)]
-    )
-    return np.exp(_LD(0.5) * log_binom.astype(_LD) - _LD(total_spin) * _LD(math.log(2.0)))
+    if two_s > _EXACT_WEIGHT_MAX_TWO_S:
+        return css_amplitudes(total_spin)
+    k = np.arange(1, two_s + 1, dtype=object)
+    binoms = np.concatenate(([1], np.cumprod(two_s + 1 - k) // np.cumprod(k)))
+    a = np.sqrt(binoms.astype(float)).astype(np.longdouble)
+    return a * np.longdouble(2.0) ** np.longdouble(-float(total_spin))
 
 
 def oracle_moments_sum(total_spin, q, dim_cap=ORACLE_SUM_CAP):
@@ -83,29 +65,24 @@ def oracle_moments_sum(total_spin, q, dim_cap=ORACLE_SUM_CAP):
         raise ValueError("shearing strength must be nonnegative")
 
     a = _css_weights(s)
-    k = np.arange(two_s + 1)
-    m = k.astype(_LD) - _LD(s)
-    u = _LD(q) / _LD(s)
+    f = a.dtype.type  # long double on the exact-weight path, float64 beyond
+    k = np.arange(two_s + 1).astype(f)
+    m = k - f(s)
+    u = f(q) / f(s)
 
     # first coherence: a_{m+1} a_m sqrt((S-m)(S+m+1)) e^{iQ(m+1)/S}
-    kk = k[:-1].astype(_LD)
-    c1 = np.sqrt((_LD(two_s) - kk) * (kk + _LD(1.0)))
+    c1 = np.sqrt((f(two_s) - k[:-1]) * (k[:-1] + f(1.0)))
     w1 = a[1:] * a[:-1] * c1
-    ph1 = u * (m[:-1] + _LD(1.0))
+    ph1 = u * (m[:-1] + f(1.0))
     mean_sp = _sum_complex(w1, ph1)
-    cov_w = float(np.sum(w1 * (2.0 * m[:-1] + _LD(1.0)) * np.sin(ph1)))
+    cov_w = float(np.sum(w1 * (2.0 * m[:-1] + f(1.0)) * np.sin(ph1)))
 
     # second coherence: a_{m+2} a_m c_m c_{m+1} e^{2iQ(m+2)/S}, then the
     # S_z-independent photon shot-noise factor e^{-(1+i)Q/S}
-    kk2 = k[:-2].astype(_LD)
-    c2 = np.sqrt(
-        (_LD(two_s) - kk2)
-        * (kk2 + _LD(1.0))
-        * (_LD(two_s) - kk2 - _LD(1.0))
-        * (kk2 + _LD(2.0))
-    )
+    k2 = k[:-2]
+    c2 = np.sqrt((f(two_s) - k2) * (k2 + f(1.0)) * (f(two_s) - k2 - f(1.0)) * (k2 + f(2.0)))
     w2 = a[2:] * a[:-2] * c2
-    ph2 = 2.0 * u * (m[:-2] + _LD(2.0))
+    ph2 = 2.0 * u * (m[:-2] + f(2.0))
     raw_sp2 = _sum_complex(w2, ph2)
     shot = complex(math.exp(-q / s)) * complex(math.cos(q / s), -math.sin(q / s))
     mean_sp2 = raw_sp2 * shot
@@ -114,18 +91,11 @@ def oracle_moments_sum(total_spin, q, dim_cap=ORACLE_SUM_CAP):
     second_y = (s * (s + 1.0) - sz_sq) / 2.0 - mean_sp2.real / 2.0
     var_y = second_y - mean_sp.imag ** 2
 
-    return OracleMoments(
-        total_spin=s,
-        shearing_q=float(q),
-        mean_sp=mean_sp,
-        mean_sp2=mean_sp2,
-        var_y=var_y,
-        var_z=s / 2.0,
-        cov_w=cov_w,
-    )
+    return MomentSet(total_spin=s, shearing_q=float(q), mean_sp=mean_sp, mean_sp2=mean_sp2,
+                     var_y=var_y, var_z=s / 2.0, cov_w=cov_w)
 
 
-def channel_factors(total_spin, q, dim=None):
+def channel_factors(total_spin, q):
     """Element-wise coherence factors of the feedback map.
 
     <m|rho|m'> with n = m' - m > 0 picks up exp(-(n^2-n)(1+i)Q/(2S)) times
@@ -134,8 +104,6 @@ def channel_factors(total_spin, q, dim=None):
     sign/ordering bug and raises.
     """
     s = float(total_spin)
-    if dim is None:
-        dim = round(2.0 * s) + 1
     m = m_values(s)
     m_row = m[:, None]
     m_col = m[None, :]
@@ -160,7 +128,7 @@ def apply_feedback_channel(rho, total_spin, q):
     dim = round(2.0 * total_spin) + 1
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix must be {dim}x{dim} for S = {total_spin}")
-    return channel_factors(total_spin, q, dim) * rho
+    return channel_factors(total_spin, q) * rho
 
 
 def validate_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-10):
@@ -190,35 +158,34 @@ def css_density_matrix(total_spin):
 
 
 def channel_moments(total_spin, q):
-    """Moments via the density-matrix channel, assembled from matrix traces.
+    """Moments via the density-matrix channel, traced on the diagonals of rho.
 
-    Fully matrix-based (operators from build_operators, traces of products),
-    so it shares no arithmetic with oracle_moments_sum beyond the CSS
-    amplitudes; the two routes cross-validate each other.
+    rho comes from apply_feedback_channel on the dense CSS, so this route
+    shares no arithmetic with oracle_moments_sum beyond the CSS amplitudes.
+    Every operator is banded, so each trace tr(rho A) takes the populations
+    and the -2..+1 diagonals of rho times the ladder coefficients c_m of
+    build_operators; <S_y^2> goes through the diagonal S_+S_- + S_-S_+.
     """
-    spec = EnsembleSpec(total_spin=total_spin)
     rho = apply_feedback_channel(css_density_matrix(total_spin), total_spin, q)
-    ops = build_operators(spec, dim_cap=DENSITY_DIM_CAP)
+    ops = build_operators(EnsembleSpec(total_spin=total_spin), dim_cap=DENSITY_DIM_CAP)
+    c = ops.sp.upper.real
+    m = ops.sz.diag.real
+    pop = np.diagonal(rho).real
 
-    def tr(op):
-        return complex(np.trace(rho @ op))
-
-    mean_sp = tr(ops.sp)
-    mean_sp2 = tr(ops.sp @ ops.sp)
-    mean_y = tr(ops.sy).real
-    mean_z = tr(ops.sz).real
-    var_y = tr(ops.sy @ ops.sy).real - mean_y * mean_y
-    var_z = tr(ops.sz @ ops.sz).real - mean_z * mean_z
-    cov_w = tr(ops.sy @ ops.sz + ops.sz @ ops.sy).real
-    return OracleMoments(
-        total_spin=float(total_spin),
-        shearing_q=float(q),
-        mean_sp=mean_sp,
-        mean_sp2=mean_sp2,
-        var_y=var_y,
-        var_z=var_z,
-        cov_w=cov_w,
-    )
+    below = np.diagonal(rho, -1)
+    mean_sp = complex(np.sum(below * c))
+    mean_sp2 = complex(np.sum(np.diagonal(rho, -2) * c[:-1] * c[1:]))
+    # rho_{i+1,i} <i|S_y|i+1> + rho_{i,i+1} <i+1|S_y|i>, term by term
+    sy_terms = (below - np.diagonal(rho, 1)) * c / 2j
+    mean_y = float(np.sum(sy_terms).real)
+    ladder = float(np.sum((pop[:-1] + pop[1:]) * c * c))  # <S_+S_- + S_-S_+>
+    var_y = (ladder - 2.0 * mean_sp2.real) / 4.0 - mean_y * mean_y
+    mean_z = float(np.sum(pop * m))
+    var_z = float(np.sum(pop * m * m)) - mean_z * mean_z
+    # {S_y, S_z} has the S_y bands times m_i + m_{i+1}
+    cov_w = float(np.sum(sy_terms * (m[:-1] + m[1:])).real)
+    return MomentSet(total_spin=float(total_spin), shearing_q=float(q), mean_sp=mean_sp,
+                     mean_sp2=mean_sp2, var_y=var_y, var_z=var_z, cov_w=cov_w)
 
 
 def _quadrature_variance(moments, alpha):

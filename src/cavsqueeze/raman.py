@@ -45,6 +45,11 @@ from .feedback import MomentSet, _cos_power, extremal_variances, g_factor
 # value is part of the stream layout, so changing it changes seeded output.
 _CHUNK = 512
 
+# Refusal limits from costs measured on a 2-vCPU host: ~60 us per exact lockstep
+# event on a full chunk at 4 lags (~30 s); 8 B and ~220 ns per sample (256 MiB, ~7 s).
+MAX_EXACT_LOCKSTEP = 500_000  # ceil(n_traj / _CHUNK) * r N
+MAX_SAMPLE_ELEMENTS = 2 ** 25  # n_traj * (time_steps + 1)
+
 
 def correlation_integrals(r):
     """Normalized moments (c_bar_sq, c_bar_final) of the time-averaged S_z.
@@ -302,6 +307,8 @@ def sample_trajectories(process, total_spin, n_traj, time_steps, seed, mode="exa
         Base seed, required; trajectories run in chunks of _CHUNK, chunk c
         drawing from the (seed, c) Philox stream.
     mode : {"exact", "gaussian"}
+        Exact mode refuses runs of more than MAX_EXACT_LOCKSTEP lockstep events,
+        both modes more than MAX_SAMPLE_ELEMENTS samples (ValueError, no work done).
     """
     if seed is None:
         raise ValueError("seed is required for reproducible Monte Carlo")
@@ -314,6 +321,14 @@ def sample_trajectories(process, total_spin, n_traj, time_steps, seed, mode="exa
     s = float(total_spin)
     if round(2.0 * s) != process.n_atoms:
         raise ValueError("total_spin must equal n_atoms / 2")
+    elements = n_traj * (time_steps + 1)
+    if elements > MAX_SAMPLE_ELEMENTS:
+        raise ValueError(f"{elements} S_z samples (trajectories x (steps + 1)) exceed the limit "
+                         f"MAX_SAMPLE_ELEMENTS = {MAX_SAMPLE_ELEMENTS}; use fewer trajectories or steps")
+    lockstep = math.ceil(n_traj / _CHUNK) * process.r * process.n_atoms
+    if mode == "exact" and lockstep > MAX_EXACT_LOCKSTEP:
+        raise ValueError(f"exact mode would step ~{lockstep:.4g} events in lockstep (chunks x r N), above "
+                         f"the limit MAX_EXACT_LOCKSTEP = {MAX_EXACT_LOCKSTEP}; use --mode gaussian")
 
     lag_times = np.linspace(0.0, process.pulse_time, time_steps + 1)
     simulate = _simulate_exact if mode == "exact" else _simulate_gaussian

@@ -1,5 +1,7 @@
 import math
 
+import numpy as np
+
 
 def rel_err(a, b):
     """Relative difference with a zero-safe scale."""
@@ -19,3 +21,8 @@ def angle_dist_mod_pi(a, b):
     if d < 0.0:
         d += math.pi
     return min(d, math.pi - d)
+
+
+def dense_matrix(op):
+    """The (2S+1) x (2S+1) matrix of a tridiagonal operator, from its bands."""
+    return np.diag(op.diag) + np.diag(op.upper, 1) + np.diag(op.lower, -1)

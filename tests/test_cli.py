@@ -27,12 +27,25 @@ def test_raman_mc_same_seed_same_bytes(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["raman-mc", "--S", "50", "--r", "-1", "--seed", "1"], "r must be nonnegative"),
     (["raman-mc", "--S", "-5", "--r", "0.1", "--seed", "1"], "positive half-integer"),
+    # refused before any trajectory runs: r N = 1e6 lockstep events, 6.5e7 samples
+    (["raman-mc", "--S", "50", "--r", "1e4", "--traj", "1", "--seed", "1"], "--mode gaussian"),
+    (["raman-mc", "--S", "50", "--r", "0.1", "--traj", "1000000", "--steps", "64", "--seed", "1"],
+     "MAX_SAMPLE_ELEMENTS"),
 ])
 def test_raman_mc_bad_input_exits_1_with_message(tmp_path, capsys, argv, message):
     assert _run(argv, tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("raman-mc: ")
     assert message in err
+
+
+def test_fig2_outside_g_factor_domain_exits_1_with_message(tmp_path, capsys):
+    # Q_eff / S passes pi/2 on this grid: past the principal branch of the G factor
+    assert _run(["fig2", "--S", "100", "--eta", "100", "--qmax", "1000"], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fig2: ")
+    assert "principal branch" in err
+    assert not (tmp_path / "fig2.csv").exists()
 
 
 def test_workers_flag_is_gone(tmp_path):

@@ -1,14 +1,23 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+
+from conftest import dense_matrix
 
 from cavsqueeze import EnsembleSpec, build_operators, make_css
 from cavsqueeze.dicke import DickeState, STATE_DIM_CAP, expectation, variance
 
 
+def _dense_ops(spec):
+    ops = build_operators(spec)
+    names = ("sz", "sp", "sm", "sx", "sy")
+    return SimpleNamespace(**{name: dense_matrix(getattr(ops, name)) for name in names})
+
+
 def _ops(s):
-    return build_operators(EnsembleSpec(total_spin=s))
+    return _dense_ops(EnsembleSpec(total_spin=s))
 
 
 def test_spin_half_matrices_are_half_paulis():
@@ -30,7 +39,7 @@ def test_operator_invariants_sweep():
     for two_s in range(1, 201):
         s = two_s / 2.0
         spec = EnsembleSpec(total_spin=s)
-        ops = build_operators(spec)
+        ops = _dense_ops(spec)
         eye = np.eye(spec.dicke_dim)
         # matmul roundoff grows as S^2 eps, so the 1e-12 budget scales with S
         comm_tol = 1e-12 * max(1.0, s)
@@ -81,6 +90,31 @@ def test_css_large_spin_log_space():
     css = make_css(EnsembleSpec(1e4))
     total = float(np.sum(np.abs(css.amplitudes) ** 2))
     assert abs(total - 1.0) < 1e-12
+
+
+def test_bands_match_dense_products():
+    # op @ v on the bands equals the assembled matrix times v
+    rng = np.random.default_rng(3)
+    spec = EnsembleSpec(7.5)
+    ops = build_operators(spec)
+    v = rng.normal(size=spec.dicke_dim) + 1j * rng.normal(size=spec.dicke_dim)
+    for name in ("sz", "sp", "sm", "sx", "sy"):
+        op = getattr(ops, name)
+        assert np.max(np.abs(op @ v - dense_matrix(op) @ v)) < 1e-13, name
+
+
+def test_band_invariants_large_spin():
+    # [S+, S-] v = 2 S_z v on a random vector and <S_x> = S on the CSS, at
+    # S = 2000 where the dense matrices would take five 4001^2 arrays
+    s = 2000.0
+    spec = EnsembleSpec(s)
+    ops = build_operators(spec)
+    v = np.random.default_rng(5).normal(size=spec.dicke_dim)
+    comm = ops.sp @ (ops.sm @ v) - ops.sm @ (ops.sp @ v)
+    assert np.max(np.abs(comm - 2.0 * (ops.sz @ v))) < 1e-12 * s * s
+    css = make_css(spec)
+    assert expectation(css, ops.sx).real == pytest.approx(s, rel=1e-12)
+    assert variance(css, ops.sz) == pytest.approx(s / 2.0, rel=1e-12)
 
 
 def test_dimension_cap():

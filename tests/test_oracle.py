@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import angle_dist_mod_pi, floored_rel_err, rel_err
+from conftest import angle_dist_mod_pi, dense_matrix, floored_rel_err, rel_err
 
 from cavsqueeze import (
     EnsembleSpec,
@@ -54,8 +55,43 @@ def test_closed_forms_match_oracle_full_grid():
     assert worst < 1e-10
 
 
+def moments_disagreement(a, b, s):
+    """Largest floored relative difference: floor S/2, and S^2/2 for <S_+^2>."""
+    half = s / 2.0
+    return max(
+        floored_rel_err(a.var_y, b.var_y, half),
+        floored_rel_err(a.cov_w, b.cov_w, half),
+        floored_rel_err(a.mean_sp, b.mean_sp, half),
+        floored_rel_err(a.mean_sp2, b.mean_sp2, s * half),
+    )
+
+
+@pytest.mark.parametrize("s", [1e4, 1e5])
+def test_float64_sum_matches_closed_forms_at_large_spin(s):
+    # var_y cancels S^2/2-sized moments against S(S+1)/2, so a log-weight
+    # error of 5e-10 with no normalisation costs ~1e-5 at S = 1e5
+    for q in (1.0, 3.0, 10.0, math.sqrt(s), 2.0 * math.sqrt(s)):
+        err = moments_disagreement(oracle_moments_sum(s, q), analytic_moments(s, q), s)
+        assert err <= 1e-9, (s, q, err)
+
+
+# The worst disagreement over these 100 examples is 2.7e-11 (S = 71199,
+# Q ~ 0, float64 sums); the bound is about ten times that.
+PROPERTY_TOL = 3e-10
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(two_s=st.integers(1, 200_000), frac=st.floats(0.0, 1.0))
+def test_closed_forms_match_oracle_property(two_s, frac):
+    # random S = n/2 up to 1e5, half-integers included, Q <= min(2 sqrt(S), S/2)
+    s = two_s / 2.0
+    q = frac * min(2.0 * math.sqrt(s), s / 2.0)
+    err = moments_disagreement(analytic_moments(s, q), oracle_moments_sum(s, q), s)
+    assert err <= PROPERTY_TOL, (s, q, err)
+
+
 def test_large_spin_log_space_sum():
-    # S = 1e4 at Q = 50 through the lgamma path
+    # S = 1e4 at Q = 50 through the float64 sums on normalised amplitudes
     s, q = 1e4, 50.0
     oracle = oracle_moments_sum(s, q)
     second_closed = sheared_y_second_moment(s, q)
@@ -121,6 +157,25 @@ class TestChannel:
         assert rel_err(direct.mean_sp, chained.mean_sp) < 1e-10
         assert rel_err(direct.mean_sp2, chained.mean_sp2) < 1e-10
         assert chained.var_z == pytest.approx(25.0, abs=1e-9)
+
+    def test_diagonal_traces_match_dense_traces(self):
+        # reference: dense operators assembled from the bands, tr(rho A) of products
+        for s in (0.5, 1.0, 2.5, 10.0, 37.5, 50.0):
+            ops = build_operators(EnsembleSpec(total_spin=s))
+            sp, sy, sz = (dense_matrix(op) for op in (ops.sp, ops.sy, ops.sz))
+            for q in q_grid(s):
+                rho = apply_feedback_channel(css_density_matrix(s), s, q)
+
+                def tr(a):
+                    return complex(np.trace(rho @ a))
+
+                got = channel_moments(s, q)
+                mean_y, mean_z = tr(sy).real, tr(sz).real
+                assert abs(got.mean_sp - tr(sp)) < 1e-13 * s, (s, q)
+                assert abs(got.mean_sp2 - tr(sp @ sp)) < 1e-13 * s * s, (s, q)
+                assert abs(got.var_y - (tr(sy @ sy).real - mean_y ** 2)) < 1e-13 * s, (s, q)
+                assert abs(got.var_z - (tr(sz @ sz).real - mean_z ** 2)) < 1e-13 * s, (s, q)
+                assert abs(got.cov_w - tr(sy @ sz + sz @ sy).real) < 1e-13 * s, (s, q)
 
     def test_two_oracle_paths_agree_on_grid(self):
         for s in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0):
