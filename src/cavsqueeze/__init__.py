@@ -58,51 +58,3 @@ from .design import (
     golden_section_min,
     scattering_optimum,
 )
-
-__all__ = [
-    "TWO_PI",
-    "DEFAULT_GAMMA",
-    "EnsembleSpec",
-    "CavityAtomParams",
-    "DrivePulse",
-    "RegimeThresholds",
-    "load_config",
-    "system_from_config",
-    "DickeState",
-    "SpinOperators",
-    "build_operators",
-    "make_css",
-    "RegimeReport",
-    "cavity_field_photon_number",
-    "kappa_t_required",
-    "validate_regime",
-    "CoherenceCoefficient",
-    "MomentSet",
-    "RotatedVariance",
-    "analytic_moments",
-    "coherence_coefficient",
-    "curvature_corrected_min",
-    "extremal_variances",
-    "g_factor",
-    "large_s_variance",
-    "rotated_variance",
-    "apply_feedback_channel",
-    "brute_force_min_variance",
-    "channel_moments",
-    "oracle_moments_sum",
-    "RamanProcess",
-    "TrajectoryStats",
-    "correlation_integrals",
-    "fig2_curve",
-    "modified_min_variance",
-    "raman_modified_moments",
-    "sample_trajectories",
-    "DesignTargets",
-    "SqueezeReport",
-    "classify_regime",
-    "curvature_optimum",
-    "design_report",
-    "full_curve_minimum",
-    "golden_section_min",
-    "scattering_optimum",
-]

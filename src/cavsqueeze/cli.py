@@ -15,8 +15,8 @@ manifest (wall time) is the only exception.
 """
 
 import argparse
-import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -128,15 +128,16 @@ def cmd_validate_oracle(args, argv):
     rows = []
     n_fail = 0
     for s in [s for s in _ORACLE_S_GRID if s <= args.smax]:
-        for q in (0.0, 0.1, 1.0, 5.0, 0.5 * s):
-            closed = analytic_moments(s, q)
+        qs = (0.0, 0.1, 1.0, 5.0, 0.5 * s)
+        closed = analytic_moments(s, np.array(qs))
+        for q, var_closed, cov_closed in zip(qs, closed.var_y.tolist(), closed.cov_w.tolist()):
             oracle = oracle_moments_sum(s, q)
-            err_v = _relative_error(closed.var_y, oracle.var_y)
-            err_w = _relative_error(closed.cov_w, oracle.cov_w)
+            err_v = _relative_error(var_closed, oracle.var_y)
+            err_w = _relative_error(cov_closed, oracle.cov_w)
             ok = err_v <= args.tol and err_w <= args.tol
             n_fail += 0 if ok else 1
-            rows.append((s, q, closed.var_y, oracle.var_y, err_v,
-                         closed.cov_w, oracle.cov_w, err_w, ok))
+            rows.append((s, q, var_closed, oracle.var_y, err_v,
+                         cov_closed, oracle.cov_w, err_w, ok))
     path = out / "validate_oracle.csv"
     # duplicated rel_err column name is the documented schema
     write_csv(path, ("S", "Q", "var_y_closed", "var_y_oracle", "rel_err",
@@ -213,30 +214,22 @@ def cmd_design(args, argv):
 def cmd_sweep(args, argv):
     out = _outdir(args)
     manifest = RunManifest(command=argv)
-    s_grid = np.geomspace(args.s_min, args.s_max, args.s_points)
-    eta_grid = np.geomspace(args.eta_min, args.eta_max, args.eta_points)
+    s, eta = (g.ravel() for g in np.meshgrid(np.geomspace(args.s_min, args.s_max, args.s_points),
+                                              np.geomspace(args.eta_min, args.eta_max, args.eta_points),
+                                              indexing="ij"))
     header = ["S", "eta", "s_eta5", "regime", "near_boundary",
               "q_curv", "sigma_curv_sq", "q_scatt", "r_opt", "sigma_scatt_sq"]
+    cls = classify_regime(s, eta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        scattering = scattering_optimum(s, eta)
+    columns = [s, eta, cls.s_eta5, cls.regime, cls.near_boundary, *curvature_optimum(np.maximum(s, 1.0)),
+               *scattering]
     if args.full_minimum:
         header += ["q_full", "sigma_full_sq"]
-    rows = []
-    import warnings as _warnings
-
-    for s in s_grid:
-        q_curv, sigma_curv_sq = curvature_optimum(max(s, 1.0))
-        for eta in eta_grid:
-            with _warnings.catch_warnings():
-                _warnings.simplefilter("ignore", RuntimeWarning)
-                q_scatt, r_opt, sigma_scatt_sq = scattering_optimum(s, eta)
-            cls = classify_regime(s, eta)
-            row = [float(s), float(eta), cls.s_eta5, cls.regime, cls.near_boundary,
-                   q_curv, sigma_curv_sq, q_scatt, r_opt, sigma_scatt_sq]
-            if args.full_minimum:
-                q_full, sigma_full = full_curve_minimum(s, eta)
-                row += [q_full, sigma_full]
-            rows.append(tuple(row))
+        columns += full_curve_minimum(s, eta)
     path = out / "sweep.csv"
-    write_csv(path, header, rows)
+    write_csv(path, header, zip(*(np.asarray(c).tolist() for c in columns)))
     manifest.add_output(path.name)
     manifest.write(out / "manifest.json")
     print(f"wrote {path}")

@@ -31,11 +31,22 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .cavity import kappa_t_required, validate_regime
+from .feedback import _scalar
 from .params import DrivePulse, RegimeThresholds
 from .raman import modified_min_variance, raman_modified_moments
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Coarse logarithmic scan of full_curve_minimum before the golden section.
+_SCAN_POINTS = 64
+
+# classify_regime: curvature binds iff S eta^5 >= _REGIME_BOUNDARY (1 by
+# convention); near_boundary within a factor _BOUNDARY_BAND^5 of it.
+_REGIME_BOUNDARY = 1.0
+_BOUNDARY_BAND = 3.0
 
 # Relative slack on the S eta^5 >= boundary test.  S eta^5 evaluated at an
 # eta derived from S (S**-0.2, (1/S)**0.2, exp(-0.2 log S)) lands between
@@ -47,57 +58,60 @@ _BOUNDARY_RTOL = 64.0 * sys.float_info.epsilon
 def golden_section_min(f, lo, hi, tol=1e-12, max_iter=300):
     """Golden-section minimum of a unimodal f on [lo, hi]; returns (x, f(x)).
 
-    tol is the relative width of the final bracket.
+    tol is the relative width of the final bracket.  lo and hi may be arrays
+    for an elementwise f: the brackets then shrink in lockstep, one f call
+    per step, and a converged element is frozen, so each element takes
+    exactly the steps of its own scalar run.
     """
-    a, b = float(lo), float(hi)
+    a, b = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(max_iter):
-        if (b - a) <= tol * (abs(a) + abs(b)) / 2.0:
+        active = (b - a) > tol * (np.abs(a) + np.abs(b)) / 2.0
+        if not active.any():
             break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
+        left = fc < fd  # keep [a, d] and probe a new c; else keep [c, b] and probe a new d
+        new_a, new_b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, new_b - _INV_PHI * (new_b - new_a), new_a + _INV_PHI * (new_b - new_a))
+        fx = f(x)
+        new = (new_a, new_b, np.where(left, x, d), np.where(left, c, x),
+               np.where(left, fx, fd), np.where(left, fc, fx))
+        a, b, c, d, fc, fd = (np.where(active, n, o) for n, o in zip(new, (a, b, c, d, fc, fd)))
     x = (a + b) / 2.0
-    return x, f(x)
+    return _scalar(x), _scalar(f(x))
 
 
 def curvature_optimum(total_spin):
-    """(Q_curv, sigma_curv_sq): closed-form optimum of 1/Q + Q^4/(24 S^2)."""
-    if total_spin < 1.0:
+    """(Q_curv, sigma_curv_sq): closed-form optimum of 1/Q + Q^4/(24 S^2), elementwise."""
+    s = np.asarray(total_spin, dtype=float)
+    if (s < 1.0).any():
         raise ValueError("curvature optimum needs S >= 1")
-    s = float(total_spin)
-    q_curv = 6.0 ** 0.2 * s ** 0.4
-    sigma_curv_sq = 1.25 * 6.0 ** (-0.2) * s ** (-0.4)
-    return q_curv, sigma_curv_sq
+    q_curv = 6.0 ** 0.2 * np.power(s, 0.4)
+    sigma_curv_sq = 1.25 * 6.0 ** (-0.2) * np.power(s, -0.4)
+    return _scalar(q_curv), _scalar(sigma_curv_sq)
 
 
 def scattering_optimum(total_spin, eta):
-    """(Q_scatt, r_opt, sigma_sq): closed-form optimum of 1/Q + Q/(3 S eta).
+    """(Q_scatt, r_opt, sigma_sq): closed-form optimum of 1/Q + Q/(3 S eta), elementwise.
 
     Warns when r_opt >= 0.3, where the small-r expansion behind the
     two-term form stops being trustworthy.
     """
-    s_eta = total_spin * eta
-    if s_eta <= 0.0:
+    s_eta = np.asarray(total_spin, dtype=float) * eta
+    if (s_eta <= 0.0).any():
         raise ValueError("collective cooperativity S*eta must be positive")
-    q_scatt = math.sqrt(3.0 * s_eta)
-    r_opt = math.sqrt(3.0 / (16.0 * s_eta))
-    sigma_sq = 2.0 / math.sqrt(3.0 * s_eta)
-    if r_opt >= 0.3:
+    q_scatt = np.sqrt(3.0 * s_eta)
+    r_opt = np.sqrt(3.0 / (16.0 * s_eta))
+    sigma_sq = 2.0 / np.sqrt(3.0 * s_eta)
+    if (r_opt >= 0.3).any():
         warnings.warn(
-            f"r_opt = {r_opt:.3g} is not small; the low-scattering expansion "
+            f"r_opt = {np.max(r_opt):.3g} is not small; the low-scattering expansion "
             "behind this optimum is unreliable",
             RuntimeWarning,
             stacklevel=2,
         )
-    return q_scatt, r_opt, sigma_sq
+    return _scalar(q_scatt), _scalar(r_opt), _scalar(sigma_sq)
 
 
 @dataclass(frozen=True)
@@ -120,8 +134,8 @@ class RegimeClassification:
         }
 
 
-def classify_regime(total_spin, eta, boundary=1.0, boundary_band=3.0):
-    """Curvature-limited iff S eta^5 >= boundary (exactly 1 by convention).
+def classify_regime(total_spin, eta):
+    """Curvature-limited iff S eta^5 >= 1 (the convention, _REGIME_BOUNDARY), elementwise.
 
     The comparison allows a relative rounding slack of 64 machine epsilons
     (_BOUNDARY_RTOL, about 1.4e-14), so eta = S**-0.2 counts as on the
@@ -129,57 +143,52 @@ def classify_regime(total_spin, eta, boundary=1.0, boundary_band=3.0):
     scattering-limited.
 
     The criterion is an order-of-magnitude rule; points with S eta^5 within
-    a factor boundary_band^5 of the threshold (i.e. eta within a factor
-    boundary_band of the boundary coupling) carry near_boundary = True.
+    a factor _BOUNDARY_BAND^5 of the threshold (i.e. eta within a factor
+    _BOUNDARY_BAND of the boundary coupling) carry near_boundary = True.
     """
-    if total_spin <= 0.0 or eta <= 0.0:
+    s, eta = np.asarray(total_spin, dtype=float), np.asarray(eta, dtype=float)
+    if (s <= 0.0).any() or (eta <= 0.0).any():
         raise ValueError("S and eta must be positive")
-    s_eta5 = total_spin * eta ** 5
-    _, sigma_curv_sq = curvature_optimum(max(total_spin, 1.0))
-    sigma_scatt_sq = 2.0 / math.sqrt(3.0 * total_spin * eta)
-    regime = "curvature" if s_eta5 >= boundary * (1.0 - _BOUNDARY_RTOL) else "scattering"
-    band = boundary_band ** 5
-    near = boundary / band <= s_eta5 <= boundary * band
+    s_eta5 = s * np.power(eta, 5.0)
+    _, sigma_curv_sq = curvature_optimum(np.maximum(s, 1.0))
+    curvature = s_eta5 >= _REGIME_BOUNDARY * (1.0 - _BOUNDARY_RTOL)
+    band = _BOUNDARY_BAND ** 5
     return RegimeClassification(
-        regime=regime,
-        s_eta5=s_eta5,
+        regime=_scalar(np.where(curvature, "curvature", "scattering")),
+        s_eta5=_scalar(s_eta5),
         sigma_curv_sq=sigma_curv_sq,
-        sigma_scatt_sq=sigma_scatt_sq,
-        near_boundary=near,
+        sigma_scatt_sq=_scalar(2.0 / np.sqrt(3.0 * s * eta)),
+        near_boundary=_scalar((_REGIME_BOUNDARY / band <= s_eta5) & (s_eta5 <= _REGIME_BOUNDARY * band)),
     )
 
 
-def full_curve_minimum(total_spin, eta, q_lo=None, q_hi=None, tol=1e-12, scan_points=64):
-    """Numerical minimum over Q of the full scattering-modified curve.
+def full_curve_minimum(total_spin, eta):
+    """Numerical minimum over Q of the full scattering-modified curve, elementwise in (S, eta).
 
-    Returns (q_min, sigma_min_sq).  The default bracket spans the closed-form
-    optima with a wide margin while staying inside the G-factor domain
-    (Q_eff <= Q < (pi/2) S).  A coarse logarithmic scan brackets the minimum
-    first: the curve saturates at sigma^2 = 1 for very large Q, and a plain
-    golden section can lose an interior minimum against that plateau.
+    Returns (q_min, sigma_min_sq).  The bracket spans the closed-form optima
+    with a wide margin while staying inside the G-factor domain
+    (Q_eff <= Q < (pi/2) S); it is fixed, not a parameter.  A coarse
+    logarithmic scan of _SCAN_POINTS values brackets the minimum first (the
+    curve saturates at sigma^2 = 1 for very large Q, and a plain golden
+    section can lose an interior minimum against that plateau), then
+    golden_section_min refines it.  Array inputs take one modified_min_variance
+    call for the scan and one per golden-section step.
 
     The minimized value is the raw sigma^2 normalized to S/2, not the
     contrast-normalized xi^2 = sigma^2 / C^2 that the closed-form floors
     approximate; it can sit below those floors by about C^2 (7% at
     (S, eta) = (1e3, 0.1)), and the xi^2 minimizer lies 5-15% lower in Q.
     """
-    s = float(total_spin)
-    if q_lo is None or q_hi is None:
-        q_curv, _ = curvature_optimum(max(s, 1.0))
-        q_scatt = math.sqrt(3.0 * s * eta)
-        guess = max(q_curv, q_scatt, 10.0)
-        q_lo = q_lo if q_lo is not None else min(0.05 * guess, 1.0)
-        q_hi = q_hi if q_hi is not None else min(4.0 * guess, 1.4 * s)
-
-    def f(q):
-        return modified_min_variance(s, eta, q)
-
-    grid = [q_lo * (q_hi / q_lo) ** (i / (scan_points - 1)) for i in range(scan_points)]
-    values = [f(q) for q in grid]
-    best = min(range(scan_points), key=values.__getitem__)
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, scan_points - 1)]
-    return golden_section_min(f, lo, hi, tol=tol)
+    s, eta = np.asarray(total_spin, dtype=float), np.asarray(eta, dtype=float)
+    q_curv, _ = curvature_optimum(np.maximum(s, 1.0))
+    guess = np.maximum(np.maximum(q_curv, np.sqrt(3.0 * s * eta)), 10.0)
+    q_lo = np.minimum(0.05 * guess, 1.0)[..., None]
+    q_hi = np.minimum(4.0 * guess, 1.4 * s)[..., None]
+    grid = q_lo * np.power(q_hi / q_lo, np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1))
+    best = np.argmin(modified_min_variance(s[..., None], eta[..., None], grid), axis=-1)[..., None]
+    lo = np.take_along_axis(grid, np.maximum(best - 1, 0), axis=-1)[..., 0]
+    hi = np.take_along_axis(grid, np.minimum(best + 1, _SCAN_POINTS - 1), axis=-1)[..., 0]
+    return golden_section_min(lambda q: modified_min_variance(s, eta, q), lo, hi)
 
 
 @dataclass(frozen=True)

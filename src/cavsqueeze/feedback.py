@@ -17,19 +17,23 @@ variance proper subtracts it:  Delta S~_y^2 = <S~_y^2> - <S~_y>^2.  The
 subtraction is O(1/S) relative at large S but matters for exact-oracle
 agreement at small S.
 
+raman.raman_modified_moments evaluates these forms, broadcast over (S, Q, r),
+with the scattering substitution; analytic_moments is its r = 0 case.
+
 The variance of the spin component measured after rotating the state about
 x by -alpha is
 
-    sigma^2(alpha) = (V+ - sqrt(V-^2 + W^2) cos[2(alpha - alpha_0)]) / 2,
+    sigma^2(alpha) = (V+ - V- cos 2alpha - W sin 2alpha) / 2
+                   = (V+ - sqrt(V-^2 + W^2) cos[2(alpha - alpha_0)]) / 2,
 
 V+- = Delta S~_y^2 +- Delta S_z^2, tan(2 alpha_0) = W / V-; the measured
 quadrature at angle alpha is cos(alpha) S_z - sin(alpha) S~_y.
 """
 
-import cmath
-import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 # Direct signed integer cosine powers below this spin (valid for any
 # argument); log-space evaluation above (principal branch only, raises
@@ -37,33 +41,40 @@ from dataclasses import dataclass
 _DIRECT_POWER_MAX_SPIN = 50.0
 
 
+def _scalar(value):
+    """A 0-d result as a Python scalar, so scalar calls keep returning float, complex or bool."""
+    value = np.asarray(value)
+    return value.item() if value.ndim == 0 else value
+
+
 def _cos_power(x, power):
-    """cos(x)**power for integer power >= 0, stable for large powers."""
-    power = int(power)
-    if power < 0:
-        raise ValueError("power must be a nonnegative integer")
-    if power == 0:
-        return 1.0
-    if power <= 2 * _DIRECT_POWER_MAX_SPIN:
-        return math.cos(x) ** power
-    if math.cos(x) <= 0.0:
-        raise ValueError(f"cos({x!r}) <= 0: outside the principal branch of the log-space power")
+    """cos(x)**power elementwise for integer-valued power >= 0, stable for large powers."""
+    cos = np.cos(x)
+    big = power > 2 * _DIRECT_POWER_MAX_SPIN
+    if not big.any():
+        return np.power(cos, power)
+    outside = big & (cos <= 0.0)
+    if outside.any():
+        first = np.broadcast_to(x, outside.shape)[outside][0]
+        raise ValueError(f"cos({float(first)!r}) <= 0: outside the principal branch of the log-space power")
     # ln cos x through 1 - cos x = 2 sin^2(x/2): full relative precision at
     # small x, where cos(x) - 1 would vanish into the last bits of 1.0
-    half_sin = math.sin(x / 2.0)
-    return math.exp(power * math.log1p(-2.0 * half_sin * half_sin))
+    half_sin = np.sin(x / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # direct-power elements past the branch
+        log_form = np.exp(power * np.log1p(-2.0 * half_sin * half_sin))
+    return np.where(big, log_form, np.power(cos, power))
 
 
 def g_factor(total_spin, u):
-    """Binomial coherence factor G(u) = cos^{2S-1}(u/S).
+    """Binomial coherence factor G(u) = cos^{2S-1}(u/S), elementwise.
 
     For S <= 50 the integer power is evaluated directly and stays valid for
     any argument; for larger S the value is exp((2S-1) ln cos(u/S)), which
     requires cos(u/S) > 0 and raises ValueError otherwise.  G(0) = 1 for any
     S, and G == 1 identically at S = 1/2 (exponent zero).
     """
-    s = float(total_spin)
-    return _cos_power(u / s, round(2.0 * s) - 1)
+    s = np.asarray(total_spin, dtype=float)[()]
+    return _scalar(_cos_power(u / s, np.rint(2.0 * s) - 1.0))
 
 
 @dataclass(frozen=True)
@@ -105,7 +116,9 @@ class MomentSet:
 
     var_y is the mean-subtracted Delta S~_y^2, var_z = S/2, cov_w the
     symmetrized <{S~_y, S_z}>.  mean_sp / mean_sp2 are the complex coherence
-    moments behind them.
+    moments behind them.  Scalar inputs give Python scalars; array inputs give
+    arrays that broadcast against each other (total_spin, shearing_q and
+    var_z keep the shape of their own input).
     """
 
     total_spin: float
@@ -117,51 +130,11 @@ class MomentSet:
     cov_w: float
 
 
-def mean_sheared_sp(total_spin, q):
-    """<S~_+> on the CSS: S G(Q/2) e^{i Q/(2S)}."""
-    s = float(total_spin)
-    return s * g_factor(s, q / 2.0) * cmath.exp(1j * q / (2.0 * s))
-
-
-def mean_sheared_sp2(total_spin, q):
-    """<S~_+^2> on the CSS: (S(2S-1)/2) cos^{2S-2}(Q/S) e^{-(Q - iQ)/S}."""
-    s = float(total_spin)
-    two_s = round(2.0 * s)
-    if two_s < 2:
-        return 0j  # S_+^2 vanishes identically on a single spin-1/2
-    mag = (s * (two_s - 1) / 2.0) * _cos_power(q / s, two_s - 2) * math.exp(-q / s)
-    return mag * cmath.exp(1j * q / s)
-
-
-def sheared_y_second_moment(total_spin, q):
-    """<S~_y^2> = S^2/2 + S/4 - (S^2/2 - S/4) e^{-Q/S} G(Q), exact."""
-    s = float(total_spin)
-    return s * s / 2.0 + s / 4.0 - (s * s / 2.0 - s / 4.0) * math.exp(-q / s) * g_factor(s, q)
-
-
-def sheared_cov_w(total_spin, q):
-    """<{S~_y, S_z}> = (2S^2 - S) sin(Q/(2S)) G(Q/2), exact; zero for a CSS."""
-    s = float(total_spin)
-    return (2.0 * s * s - s) * math.sin(q / (2.0 * s)) * g_factor(s, q / 2.0)
-
-
 def analytic_moments(total_spin, q):
-    """Closed-form MomentSet for one (S, Q); Q >= 0, Q/S inside the G domain."""
-    if q < 0.0:
-        raise ValueError("shearing strength must be nonnegative")
-    s = float(total_spin)
-    mean_sp = mean_sheared_sp(s, q)
-    mean_sp2 = mean_sheared_sp2(s, q)
-    var_y = sheared_y_second_moment(s, q) - mean_sp.imag ** 2
-    return MomentSet(
-        total_spin=s,
-        shearing_q=float(q),
-        mean_sp=mean_sp,
-        mean_sp2=mean_sp2,
-        var_y=var_y,
-        var_z=s / 2.0,
-        cov_w=sheared_cov_w(s, q),
-    )
+    """Closed-form MomentSet at (S, Q) without scattering: raman_modified_moments at r = 0."""
+    from .raman import raman_modified_moments  # the one closed-form body; raman imports this module
+
+    return raman_modified_moments(total_spin, q, 0.0)
 
 
 def large_s_variance(total_spin, q):
@@ -188,7 +161,7 @@ class RotatedVariance:
 
 
 def extremal_variances(moments):
-    """Principal axes of the sheared uncertainty ellipse in the y-z plane.
+    """Principal axes of the sheared uncertainty ellipse in the y-z plane, elementwise.
 
     alpha0 = atan2(W, V-)/2, the quadrant-correct branch on which the cosine
     term is subtracted at the minimum.
@@ -196,26 +169,26 @@ def extremal_variances(moments):
     v_plus = moments.var_y + moments.var_z
     v_minus = moments.var_y - moments.var_z
     w = moments.cov_w
-    radius = math.hypot(v_minus, w)
-    degenerate = radius <= 1e-15 * max(v_plus, 1e-300)
-    alpha0 = 0.0 if degenerate else 0.5 * math.atan2(w, v_minus)
+    radius = np.hypot(v_minus, w)
+    degenerate = radius <= 1e-15 * np.maximum(v_plus, 1e-300)
+    alpha0 = np.where(degenerate, 0.0, 0.5 * np.arctan2(w, v_minus))
     half_css = moments.total_spin / 2.0
     return RotatedVariance(
-        alpha0=alpha0,
-        sigma_min_sq=0.5 * (v_plus - radius) / half_css,
-        sigma_max_sq=0.5 * (v_plus + radius) / half_css,
-        v_plus=v_plus,
-        v_minus=v_minus,
-        w=w,
-        degenerate=degenerate,
+        alpha0=_scalar(alpha0),
+        sigma_min_sq=_scalar(0.5 * (v_plus - radius) / half_css),
+        sigma_max_sq=_scalar(0.5 * (v_plus + radius) / half_css),
+        v_plus=_scalar(v_plus),
+        v_minus=_scalar(v_minus),
+        w=_scalar(w),
+        degenerate=_scalar(degenerate),
     )
 
 
 def rotated_variance(moments, alpha):
-    """sigma^2(alpha) in raw spin units; period pi in alpha."""
-    ext = extremal_variances(moments)
-    radius = math.hypot(ext.v_minus, ext.w)
-    return 0.5 * (ext.v_plus - radius * math.cos(2.0 * (alpha - ext.alpha0)))
+    """sigma^2(alpha) = (V+ - V- cos 2alpha - W sin 2alpha) / 2 in raw spin units; period pi in alpha."""
+    v_plus = moments.var_y + moments.var_z
+    v_minus = moments.var_y - moments.var_z
+    return _scalar(0.5 * (v_plus - v_minus * np.cos(2.0 * alpha) - moments.cov_w * np.sin(2.0 * alpha)))
 
 
 def curvature_corrected_min(total_spin, q):

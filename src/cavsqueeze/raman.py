@@ -22,8 +22,9 @@ with xi independent of S_z(t) and Var(xi) = (S/2)(c_bar_sq - c_bar_fin^2).
 The quantum Dicke sums are then evaluated at the reduced coupling
 Q_eff = Q c_bar_fin while xi contributes classical Gaussian dephasing
 exp(-n^2 Q^2 (c_bar_sq - c_bar_fin^2) / (4S)) on the n-th coherence.  At
-r = 0 this reduces exactly to the no-scattering forms, and in the large-S,
-small-r regime the minimum variance reduces to 1/Q + 4r/3 with r = Q/(4 S eta).
+r = 0 this is the no-scattering form (feedback.analytic_moments is this
+body at r = 0), and in the large-S, small-r regime the minimum variance
+reduces to 1/Q + 4r/3 with r = Q/(4 S eta).
 
 The Monte Carlo model simulates the telegraph process directly: exact
 per-event jumps Delta S_z = +-1 for modest atom numbers, or an
@@ -33,94 +34,92 @@ _CHUNK, and each chunk draws from one counter-based Philox stream keyed by
 (seed, chunk index), so a seed and a trajectory count fix the output bits.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .feedback import MomentSet, _cos_power, extremal_variances, g_factor
+from .feedback import MomentSet, _cos_power, _scalar, extremal_variances, g_factor
 
 # Trajectories per chunk: one array pass and one Philox stream each.  The
 # value is part of the stream layout, so changing it changes seeded output.
 _CHUNK = 512
 
-# Refusal limits from costs measured on a 2-vCPU host: ~60 us per exact lockstep
-# event on a full chunk at 4 lags (~30 s); 8 B and ~220 ns per sample (256 MiB, ~7 s).
-MAX_EXACT_LOCKSTEP = 500_000  # ceil(n_traj / _CHUNK) * r N
+# Refusal limits from costs measured on a 2-vCPU host.  One Python-loop pass
+# over a chunk costs ~60 us per exact event on a full chunk at 4 lags (~30 s
+# at the limit) and ~20 us per gaussian step on a one-trajectory chunk (~10 s;
+# full chunks meet the sample limit first); a sample costs 8 B and ~220 ns
+# (256 MiB, ~7 s).
+MAX_LOCKSTEP = 500_000  # ceil(n_traj / _CHUNK) * (r N exact, time_steps gaussian)
 MAX_SAMPLE_ELEMENTS = 2 ** 25  # n_traj * (time_steps + 1)
+
+# Series of the correlation integrals below a = 2r = 0.5:  c_bar_sq =
+# 2 sum_j (-a)^j/(j+2)!,  c_bar_fin = sum_j (-a)^j/(j+1)!.  16 terms leave a
+# remainder under 1e-19; the (c_bar_sq, c_bar_fin) coefficient pairs are
+# listed highest power first for Horner's rule.
+_SERIES = [(2.0 / math.factorial(j + 2), 1.0 / math.factorial(j + 1)) for j in reversed(range(16))]
 
 
 def correlation_integrals(r):
-    """Normalized moments (c_bar_sq, c_bar_final) of the time-averaged S_z.
+    """Normalized moments (c_bar_sq, c_bar_final) of the time-averaged S_z, elementwise.
 
     Closed forms of the exponential-kernel time integrals; a series is used
-    at small r where the closed forms lose digits to cancellation.
+    below 2r = 0.5, where the closed forms lose digits to cancellation.
     """
-    if r < 0.0:
+    r = np.asarray(r, dtype=float)[()]
+    if (r < 0.0).any():
         raise ValueError("r must be nonnegative")
-    if r == 0.0:
-        return 1.0, 1.0
     a = 2.0 * r
-    if a < 0.5:
-        # c_bar_sq = 2 sum_{j>=0} (-a)^j/(j+2)!,  c_bar_fin = sum_{j>=0} (-a)^j/(j+1)!
-        c_sq = 0.0
-        c_fin = 0.0
-        num = 1.0
-        fact1 = 1.0  # (j+1)!
-        fact2 = 2.0  # (j+2)!
-        for j in range(40):
-            c_fin += num / fact1
-            c_sq += 2.0 * num / fact2
-            term = abs(num) / fact1
-            num *= -a
-            fact1 = fact2
-            fact2 *= j + 3
-            if term < 1e-18:
-                break
-        return c_sq, c_fin
-    ea = math.exp(-a)
-    return (a - 1.0 + ea) * 2.0 / (a * a), (1.0 - ea) / a
+    x = -np.minimum(a, 0.5)
+    sq_series = fin_series = 0.0
+    for sq_coef, fin_coef in _SERIES:
+        sq_series = sq_series * x + sq_coef
+        fin_series = fin_series * x + fin_coef
+    a_closed = np.maximum(a, 0.5)
+    ea = np.exp(-a_closed)
+    small = a < 0.5
+    c_sq = np.where(small, sq_series, (a_closed - 1.0 + ea) * 2.0 / (a_closed * a_closed))
+    c_fin = np.where(small, fin_series, (1.0 - ea) / a_closed)
+    return _scalar(c_sq), _scalar(c_fin)
 
 
 def raman_modified_moments(total_spin, q, r):
-    """Closed-form MomentSet with the time-averaged-S_z substitution.
+    """Closed-form MomentSet with the time-averaged-S_z substitution, broadcast over (S, Q, r).
 
-    r = 0 reproduces analytic_moments exactly; var_z stays S/2 (the
-    telegraph process is stationary on the CSS ensemble).
+    This is the one closed-form body: feedback.analytic_moments is its r = 0
+    case by construction.  var_z stays S/2 (the telegraph process is
+    stationary on the CSS ensemble).
     """
-    if q < 0.0 or r < 0.0:
+    # 0-d inputs become numpy scalars, whose arithmetic costs less than 0-d arrays'
+    s, q, r = (np.asarray(v, dtype=float)[()] for v in (total_spin, q, r))
+    if (q < 0.0).any() or (r < 0.0).any():
         raise ValueError("q and r must be nonnegative")
-    s = float(total_spin)
-    two_s = round(2.0 * s)
+    two_s = np.rint(2.0 * s)
     c_sq, c_fin = correlation_integrals(r)
-    xi_var = max(c_sq - c_fin * c_fin, 0.0)  # >= 0 by Cauchy-Schwarz
-    d1 = math.exp(-q * q * xi_var / (4.0 * s))
-    d2 = d1 ** 4
+    xi_var = np.maximum(c_sq - c_fin * c_fin, 0.0)  # >= 0 by Cauchy-Schwarz
+    d1 = np.exp(-q * q * xi_var / (4.0 * s))
     q_eff = q * c_fin
 
-    mean_sp = d1 * s * g_factor(s, q_eff / 2.0) * cmath.exp(1j * q_eff / (2.0 * s))
-    if two_s >= 2:
-        mag = d2 * (s * (two_s - 1) / 2.0) * _cos_power(q_eff / s, two_s - 2) * math.exp(-q / s)
-        mean_sp2 = mag * cmath.exp(1j * (2.0 * q_eff - q) / s)
-    else:
-        mean_sp2 = 0j
+    g_half = g_factor(s, q_eff / 2.0)
+    mean_sp = d1 * s * g_half * np.exp(1j * (q_eff / (2.0 * s)))
+    # the factor 2S - 1 makes <S_+^2> vanish on a single spin-1/2
+    cos_power = _cos_power(q_eff / s, np.maximum(two_s - 2.0, 0.0))
+    mag = np.power(d1, 4.0) * (s * (two_s - 1.0) / 2.0) * cos_power * np.exp(-q / s)
+    mean_sp2 = mag * np.exp(1j * ((2.0 * q_eff - q) / s))
     second_y = (2.0 * s * s + s) / 4.0 - mean_sp2.real / 2.0
-    var_y = second_y - mean_sp.imag ** 2
-    cov_w = d1 * (2.0 * s * s - s) * math.sin(q_eff / (2.0 * s)) * g_factor(s, q_eff / 2.0)
     return MomentSet(
-        total_spin=s,
-        shearing_q=float(q),
-        mean_sp=mean_sp,
-        mean_sp2=mean_sp2,
-        var_y=var_y,
-        var_z=s / 2.0,
-        cov_w=cov_w,
+        total_spin=_scalar(s),
+        shearing_q=_scalar(q),
+        mean_sp=_scalar(mean_sp),
+        mean_sp2=_scalar(mean_sp2),
+        var_y=_scalar(second_y - np.square(mean_sp.imag)),
+        var_z=_scalar(s / 2.0),
+        cov_w=_scalar(d1 * (2.0 * s * s - s) * np.sin(q_eff / (2.0 * s)) * g_half),
     )
 
 
 def modified_min_variance(total_spin, eta, q):
-    """Normalized minimum variance at shearing Q including Raman scattering.
+    """Normalized minimum variance at shearing Q including Raman scattering, elementwise.
 
     The scattered-photon number follows from Q = 4 S eta r; the full
     G-factor forms keep shot noise, feedback and curvature, and the
@@ -131,17 +130,17 @@ def modified_min_variance(total_spin, eta, q):
     closed-form floors of the design module, which are large-S limits of
     xi^2 = sigma^2 / C^2, by about C^2.
     """
-    if q <= 0.0:
+    s, eta, q = (np.asarray(v, dtype=float)[()] for v in (total_spin, eta, q))
+    if (q <= 0.0).any():
         raise ValueError("shearing strength must be positive")
-    if total_spin * eta <= 0.0:
+    if (s * eta <= 0.0).any():
         raise ValueError("collective cooperativity S*eta must be positive")
-    r = q / (4.0 * total_spin * eta)
-    moments = raman_modified_moments(total_spin, q, r)
-    return extremal_variances(moments).sigma_min_sq
+    r = q / (4.0 * s * eta)
+    return extremal_variances(raman_modified_moments(s, q, r)).sigma_min_sq
 
 
 def fig2_curve(total_spin, eta, q_grid):
-    """Pointwise squeezing-vs-Q curve plus the two reference curves.
+    """Squeezing-vs-Q curve plus the two reference curves, from one array call.
 
     Returns a list of rows (q, sigma_min_sq, sigma_curv_sq, sigma_ideal_sq):
     the scattering-degraded minimum, the flat curvature floor
@@ -149,11 +148,9 @@ def fig2_curve(total_spin, eta, q_grid):
     """
     s = float(total_spin)
     sigma_curv_sq = 1.25 * 6.0 ** (-0.2) * s ** (-0.4)
-    rows = []
-    for q in q_grid:
-        q = float(q)
-        rows.append((q, modified_min_variance(s, eta, q), sigma_curv_sq, 1.0 / q))
-    return rows
+    q = np.asarray(q_grid, dtype=float).ravel()
+    sigma = modified_min_variance(s, eta, q)
+    return [(qi, si, sigma_curv_sq, 1.0 / qi) for qi, si in zip(q.tolist(), sigma.tolist())]
 
 
 @dataclass(frozen=True)
@@ -307,8 +304,9 @@ def sample_trajectories(process, total_spin, n_traj, time_steps, seed, mode="exa
         Base seed, required; trajectories run in chunks of _CHUNK, chunk c
         drawing from the (seed, c) Philox stream.
     mode : {"exact", "gaussian"}
-        Exact mode refuses runs of more than MAX_EXACT_LOCKSTEP lockstep events,
-        both modes more than MAX_SAMPLE_ELEMENTS samples (ValueError, no work done).
+        Both modes refuse runs of more than MAX_LOCKSTEP lockstep passes
+        (chunks x r N events in exact mode, chunks x time_steps in gaussian
+        mode) or MAX_SAMPLE_ELEMENTS samples (ValueError, no work done).
     """
     if seed is None:
         raise ValueError("seed is required for reproducible Monte Carlo")
@@ -325,13 +323,16 @@ def sample_trajectories(process, total_spin, n_traj, time_steps, seed, mode="exa
     if elements > MAX_SAMPLE_ELEMENTS:
         raise ValueError(f"{elements} S_z samples (trajectories x (steps + 1)) exceed the limit "
                          f"MAX_SAMPLE_ELEMENTS = {MAX_SAMPLE_ELEMENTS}; use fewer trajectories or steps")
-    lockstep = math.ceil(n_traj / _CHUNK) * process.r * process.n_atoms
-    if mode == "exact" and lockstep > MAX_EXACT_LOCKSTEP:
-        raise ValueError(f"exact mode would step ~{lockstep:.4g} events in lockstep (chunks x r N), above "
-                         f"the limit MAX_EXACT_LOCKSTEP = {MAX_EXACT_LOCKSTEP}; use --mode gaussian")
+    exact = mode == "exact"
+    lockstep = math.ceil(n_traj / _CHUNK) * (process.r * process.n_atoms if exact else time_steps)
+    if lockstep > MAX_LOCKSTEP:
+        per_chunk, advice = (("r N events", "use --mode gaussian") if exact
+                             else ("steps", "use fewer trajectories or steps"))
+        raise ValueError(f"{mode} mode would take ~{lockstep:.4g} lockstep passes (chunks x {per_chunk}), "
+                         f"above the limit MAX_LOCKSTEP = {MAX_LOCKSTEP}; {advice}")
 
     lag_times = np.linspace(0.0, process.pulse_time, time_steps + 1)
-    simulate = _simulate_exact if mode == "exact" else _simulate_gaussian
+    simulate = _simulate_exact if exact else _simulate_gaussian
 
     sz_samples = np.empty((n_traj, time_steps + 1))
     sbar = np.empty(n_traj)

@@ -31,6 +31,9 @@ def test_raman_mc_same_seed_same_bytes(tmp_path):
     (["raman-mc", "--S", "50", "--r", "1e4", "--traj", "1", "--seed", "1"], "--mode gaussian"),
     (["raman-mc", "--S", "50", "--r", "0.1", "--traj", "1000000", "--steps", "64", "--seed", "1"],
      "MAX_SAMPLE_ELEMENTS"),
+    # 3e7 + 1 samples pass MAX_SAMPLE_ELEMENTS, but 3e7 OU steps on one chunk would take ~10 minutes
+    (["raman-mc", "--S", "50", "--r", "0.1", "--traj", "1", "--steps", "30000000", "--mode", "gaussian",
+      "--seed", "1"], "MAX_LOCKSTEP"),
 ])
 def test_raman_mc_bad_input_exits_1_with_message(tmp_path, capsys, argv, message):
     assert _run(argv, tmp_path) == 1

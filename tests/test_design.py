@@ -163,6 +163,16 @@ class TestFullCurveMinimum:
                 assert xi_min < min(_xi_sq(s, eta, q_lo), _xi_sq(s, eta, q_hi)), (s, eta)
                 assert xi_min >= floor * (1.0 - 0.05), (s, eta)
 
+    def test_array_call_equals_scalar_calls(self):
+        # the golden section runs in lockstep over the (S, eta) grid, each
+        # element taking exactly the steps of its own scalar run
+        s = np.array([1e2, 3e3, 1e5])[:, None]
+        eta = np.array([1e-3, 0.1, 10.0])[None, :]
+        q_batch, sigma_batch = full_curve_minimum(s, eta)
+        assert q_batch.shape == sigma_batch.shape == (3, 3)
+        for i, j in np.ndindex(q_batch.shape):
+            assert (q_batch[i, j], sigma_batch[i, j]) == full_curve_minimum(s[i, 0], eta[0, j]), (i, j)
+
     def test_asymptotic_location_agreement(self):
         # full-curve minimum vs asymptotic Q_scatt at the reference point
         q_full, _ = full_curve_minimum(1e4, 0.1)

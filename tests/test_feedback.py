@@ -20,7 +20,6 @@ from cavsqueeze import (
     oracle_moments_sum,
     rotated_variance,
 )
-from cavsqueeze.feedback import mean_sheared_sp, sheared_y_second_moment
 
 
 class TestGFactor:
@@ -121,9 +120,11 @@ class TestAnalyticMoments:
         assert m.var_y == pytest.approx(large_s_variance(1e4, 10.0), rel=0.01)
 
     def test_second_moment_nondecreasing_in_q(self):
+        # <S~_y^2> = Delta S~_y^2 + <S~_y>^2
         for s in (0.5, 2.0, 10.0, 200.0):
             qs = np.linspace(0.0, s, 40)
-            vals = [sheared_y_second_moment(s, q) for q in qs]
+            m = analytic_moments(s, qs)
+            vals = (m.var_y + m.mean_sp.imag ** 2).tolist()
             assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:])), s
 
     def test_variance_nondecreasing_in_q_moderate_spin(self):
@@ -247,12 +248,12 @@ class TestResidualMeanRotation:
     def test_mean_rotates_by_q_over_2s(self):
         # the sheared mean picks up the half-step phase Q/(2S)
         s, q = 200.0, 4.0
-        mean = mean_sheared_sp(s, q)
+        mean = analytic_moments(s, q).mean_sp
         assert cmath.phase(mean) == pytest.approx(q / (2.0 * s), rel=1e-12)
 
     def test_spin_half_pure_rotation(self):
         # a single spin-1/2 only precesses: |<S~_+>| stays 1/2
         for q in (0.3, 1.0, 2.0):
-            assert abs(mean_sheared_sp(0.5, q)) == pytest.approx(0.5, rel=1e-14)
             m = analytic_moments(0.5, q)
+            assert abs(m.mean_sp) == pytest.approx(0.5, rel=1e-14)
             assert m.var_y == pytest.approx(0.25 - 0.25 * math.sin(q) ** 2, rel=1e-12)

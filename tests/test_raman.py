@@ -66,13 +66,15 @@ class TestCorrelationIntegrals:
 
 
 class TestModifiedMoments:
-    def test_reduces_to_unmodified_at_zero_r(self):
+    def test_continuous_at_zero_r(self):
+        # r = 0 runs through the same series as small r > 0; the moments move
+        # at first order in r (Q_eff = Q (1 - r + ...)), so r = 1e-14 must
+        # agree with r = 0 to 1e-13
         for s, q in [(10.0, 2.0), (1e4, 40.0)]:
-            plain = analytic_moments(s, q)
-            modified = raman_modified_moments(s, q, 0.0)
-            assert modified.var_y == pytest.approx(plain.var_y, rel=1e-14)
-            assert modified.cov_w == pytest.approx(plain.cov_w, rel=1e-14)
-            assert modified.mean_sp == pytest.approx(plain.mean_sp, rel=1e-14)
+            at_zero = raman_modified_moments(s, q, 0.0)
+            near_zero = raman_modified_moments(s, q, 1e-14)
+            for name in ("var_y", "cov_w", "mean_sp", "mean_sp2"):
+                assert rel_err(getattr(near_zero, name), getattr(at_zero, name)) < 1e-13, (s, q, name)
 
     def test_var_z_stationary(self):
         m = raman_modified_moments(100.0, 5.0, 0.3)
@@ -112,6 +114,41 @@ class TestModifiedMoments:
             modified_min_variance(10.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             modified_min_variance(10.0, 0.1, 0.0)
+
+
+# Spins covering both power branches (direct up to 2S = 101, log space above)
+# and half-integers; r straddles the series/closed-form seam at 2r = 0.5.
+ARRAY_SPINS = np.array([0.5, 2.5, 50.0, 50.5, 1e4])
+ARRAY_R = np.array([0.0, 1e-9, 0.1, 0.2499, 0.25, 0.2501, 0.7, 3.0])
+
+
+class TestArrayCalls:
+    def test_moments_equal_scalar_calls_bitwise(self):
+        s = ARRAY_SPINS[:, None, None]
+        q = np.array([0.0, 0.01, 0.2, 0.5, 1.2])[None, :, None] * np.maximum(s, 1.0)
+        r = ARRAY_R[None, None, :]
+        batch = raman_modified_moments(s, q, r)
+        shape = np.broadcast_shapes(s.shape, q.shape, r.shape)
+        for idx in np.ndindex(shape):
+            one = raman_modified_moments(s[idx[0], 0, 0], q[idx[0], idx[1], 0], r[0, 0, idx[2]])
+            for name in ("var_y", "cov_w", "mean_sp", "mean_sp2"):
+                assert np.broadcast_to(getattr(batch, name), shape)[idx] == getattr(one, name), (idx, name)
+
+    def test_min_variance_equals_scalar_calls_bitwise(self):
+        # Q = 4 S eta r: each (S, Q) pairs with an eta putting r on the ARRAY_R grid
+        s = ARRAY_SPINS[:, None]
+        q = 0.3 * np.maximum(s, 1.0)
+        eta = q / (4.0 * s * ARRAY_R[None, 1:])
+        batch = modified_min_variance(s, eta, q)
+        for i, j in np.ndindex(batch.shape):
+            assert batch[i, j] == modified_min_variance(s[i, 0], eta[i, j], q[i, 0]), (i, j)
+
+    def test_one_element_past_the_branch_raises(self):
+        # S = 100: Q_eff / S = 2 > pi/2 in one element of the array
+        with pytest.raises(ValueError, match="principal branch"):
+            raman_modified_moments(100.0, np.array([10.0, 200.0, 20.0]), 0.0)
+        with pytest.raises(ValueError, match="principal branch"):
+            modified_min_variance(np.array([60.0, 100.0]), 1e3, np.array([10.0, 200.0]))
 
 
 class TestModifiedMinimum:
