@@ -55,6 +55,5 @@ from .design import (
     curvature_optimum,
     design_report,
     full_curve_minimum,
-    golden_section_min,
     scattering_optimum,
 )

@@ -40,11 +40,24 @@ import numpy as np
 # outside it).  cos^19999 underflows in naive evaluation, hence the split.
 _DIRECT_POWER_MAX_SPIN = 50.0
 
+# The G-factor domain |Q_eff / S| < pi/2: the principal branch, on which
+# every cosine behind the G factors stays positive.
+_G_DOMAIN = np.pi / 2.0
+
 
 def _scalar(value):
     """A 0-d result as a Python scalar, so scalar calls keep returning float, complex or bool."""
     value = np.asarray(value)
     return value.item() if value.ndim == 0 else value
+
+
+def _check_g_domain(x, where=True):
+    """Raise ValueError where `where` holds and x = Q_eff / S leaves the G-factor domain |x| < pi/2."""
+    outside = (np.abs(x) >= _G_DOMAIN) & where
+    if outside.any():
+        first = np.broadcast_to(x, outside.shape)[outside][0]
+        raise ValueError(f"Q_eff / S = {float(first)!r}: outside the principal branch |Q_eff / S| < pi/2 "
+                         "of the G factor")
 
 
 def _cos_power(x, power):
@@ -53,10 +66,7 @@ def _cos_power(x, power):
     big = power > 2 * _DIRECT_POWER_MAX_SPIN
     if not big.any():
         return np.power(cos, power)
-    outside = big & (cos <= 0.0)
-    if outside.any():
-        first = np.broadcast_to(x, outside.shape)[outside][0]
-        raise ValueError(f"cos({float(first)!r}) <= 0: outside the principal branch of the log-space power")
+    _check_g_domain(x, big)
     # ln cos x through 1 - cos x = 2 sin^2(x/2): full relative precision at
     # small x, where cos(x) - 1 would vanish into the last bits of 1.0
     half_sin = np.sin(x / 2.0)
@@ -69,9 +79,12 @@ def g_factor(total_spin, u):
     """Binomial coherence factor G(u) = cos^{2S-1}(u/S), elementwise.
 
     For S <= 50 the integer power is evaluated directly and stays valid for
-    any argument; for larger S the value is exp((2S-1) ln cos(u/S)), which
-    requires cos(u/S) > 0 and raises ValueError otherwise.  G(0) = 1 for any
-    S, and G == 1 identically at S = 1/2 (exponent zero).
+    any argument (the exact moments at small S use that); for larger S the
+    value is exp((2S-1) ln cos(u/S)), which requires |u/S| < pi/2, the
+    G-factor domain, and raises ValueError otherwise.  The squeezing curve,
+    raman.modified_min_variance, refuses Q_eff / S past the domain for
+    every S.  G(0) = 1 for any S, and G == 1 identically at S = 1/2
+    (exponent zero).
     """
     s = np.asarray(total_spin, dtype=float)[()]
     return _scalar(_cos_power(u / s, np.rint(2.0 * s) - 1.0))

@@ -10,11 +10,10 @@ Two independent numerical routes to the same moments:
     exp(-(n^2-n)(1+i)Q/(2S)) exp(i n Q m'/S), the unique matrix-element
     assignment that reproduces those sums on arbitrary states.
 
-Numerical care: for S <= 200 the binomial weights are exact integers and
-the oscillatory phases are evaluated in extended precision (long double),
-which keeps the sums' cancellation error ~1e-12 relative even at Q = S/2;
-beyond that the same sums run in float64 on the normalised amplitudes of
-dicke.css_amplitudes, up to S ~ 1e5.  Every sum and trace is O(S).
+Numerical care: the sums run in float64 on the normalised amplitudes of
+dicke.css_amplitudes, up to S ~ 1e5; their cancellation error stays ~1e-12
+relative even at Q = S/2 on the validate-oracle grid (S <= 200).  Every sum
+and trace is O(S).
 """
 
 import math
@@ -27,25 +26,13 @@ from .params import EnsembleSpec
 
 # Longest amplitude sum we allow (S <= 1e5); far beyond the matrix caps.
 ORACLE_SUM_CAP = 200_001
-# Exact integer-binomial weights stay inside float range up to 2S = 400.
-_EXACT_WEIGHT_MAX_TWO_S = 400
+
 
 def _sum_complex(weights, phases):
     """sum(w * e^{i phi}) accumulated in the dtype of the inputs, returned as complex."""
     re = float(np.sum(weights * np.cos(phases)))
     im = float(np.sum(weights * np.sin(phases)))
     return complex(re, im)
-
-
-def _css_weights(total_spin):
-    """+x CSS amplitudes by k = S + m: exact binomials in long double up to 2S = 400, else float64."""
-    two_s = round(2.0 * total_spin)
-    if two_s > _EXACT_WEIGHT_MAX_TWO_S:
-        return css_amplitudes(total_spin)
-    k = np.arange(1, two_s + 1, dtype=object)
-    binoms = np.concatenate(([1], np.cumprod(two_s + 1 - k) // np.cumprod(k)))
-    a = np.sqrt(binoms.astype(float)).astype(np.longdouble)
-    return a * np.longdouble(2.0) ** np.longdouble(-float(total_spin))
 
 
 def oracle_moments_sum(total_spin, q, dim_cap=ORACLE_SUM_CAP):
@@ -64,25 +51,24 @@ def oracle_moments_sum(total_spin, q, dim_cap=ORACLE_SUM_CAP):
     if q < 0.0:
         raise ValueError("shearing strength must be nonnegative")
 
-    a = _css_weights(s)
-    f = a.dtype.type  # long double on the exact-weight path, float64 beyond
-    k = np.arange(two_s + 1).astype(f)
-    m = k - f(s)
-    u = f(q) / f(s)
+    a = css_amplitudes(s)
+    k = np.arange(two_s + 1, dtype=float)
+    m = k - s
+    u = q / s
 
     # first coherence: a_{m+1} a_m sqrt((S-m)(S+m+1)) e^{iQ(m+1)/S}
-    c1 = np.sqrt((f(two_s) - k[:-1]) * (k[:-1] + f(1.0)))
+    c1 = np.sqrt((two_s - k[:-1]) * (k[:-1] + 1.0))
     w1 = a[1:] * a[:-1] * c1
-    ph1 = u * (m[:-1] + f(1.0))
+    ph1 = u * (m[:-1] + 1.0)
     mean_sp = _sum_complex(w1, ph1)
-    cov_w = float(np.sum(w1 * (2.0 * m[:-1] + f(1.0)) * np.sin(ph1)))
+    cov_w = float(np.sum(w1 * (2.0 * m[:-1] + 1.0) * np.sin(ph1)))
 
     # second coherence: a_{m+2} a_m c_m c_{m+1} e^{2iQ(m+2)/S}, then the
     # S_z-independent photon shot-noise factor e^{-(1+i)Q/S}
     k2 = k[:-2]
-    c2 = np.sqrt((f(two_s) - k2) * (k2 + f(1.0)) * (f(two_s) - k2 - f(1.0)) * (k2 + f(2.0)))
+    c2 = np.sqrt((two_s - k2) * (k2 + 1.0) * (two_s - k2 - 1.0) * (k2 + 2.0))
     w2 = a[2:] * a[:-2] * c2
-    ph2 = 2.0 * u * (m[:-2] + f(2.0))
+    ph2 = 2.0 * u * (m[:-2] + 2.0)
     raw_sp2 = _sum_complex(w2, ph2)
     shot = complex(math.exp(-q / s)) * complex(math.cos(q / s), -math.sin(q / s))
     mean_sp2 = raw_sp2 * shot

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feedback import MomentSet, _cos_power, _scalar, extremal_variances, g_factor
+from .feedback import MomentSet, _check_g_domain, _cos_power, _scalar, extremal_variances, g_factor
 
 # Trajectories per chunk: one array pass and one Philox stream each.  The
 # value is part of the stream layout, so changing it changes seeded output.
@@ -129,6 +129,10 @@ def modified_min_variance(total_spin, eta, q):
     squared contrast C^2 = |<S~_+>|^2 / S^2, so it can fall below the
     closed-form floors of the design module, which are large-S limits of
     xi^2 = sigma^2 / C^2, by about C^2.
+
+    Q must keep Q_eff / S = 2 eta (1 - e^{-2r}) inside the G-factor domain
+    (below pi/2, so every Q is allowed for eta <= pi/4); any element outside
+    it raises ValueError before the moments are evaluated, for every S.
     """
     s, eta, q = (np.asarray(v, dtype=float)[()] for v in (total_spin, eta, q))
     if (q <= 0.0).any():
@@ -136,6 +140,7 @@ def modified_min_variance(total_spin, eta, q):
     if (s * eta <= 0.0).any():
         raise ValueError("collective cooperativity S*eta must be positive")
     r = q / (4.0 * s * eta)
+    _check_g_domain(-2.0 * eta * np.expm1(-2.0 * r))
     return extremal_variances(raman_modified_moments(s, q, r)).sigma_min_sq
 
 

@@ -16,6 +16,8 @@ SCHEMA_VERSION = "1.0"
 
 def format_value(value):
     """Shortest round-trip text for one CSV cell."""
+    if type(value) is float:  # most cells: skip the isinstance chain
+        return repr(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -29,7 +31,7 @@ def write_csv(path, header, rows):
     """Write rows with a fixed column order and round-trip float format."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
+        lines.append(",".join(map(format_value, row)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -43,12 +43,16 @@ def test_raman_mc_bad_input_exits_1_with_message(tmp_path, capsys, argv, message
 
 
 def test_fig2_outside_g_factor_domain_exits_1_with_message(tmp_path, capsys):
-    # Q_eff / S passes pi/2 on this grid: past the principal branch of the G factor
-    assert _run(["fig2", "--S", "100", "--eta", "100", "--qmax", "1000"], tmp_path) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("fig2: ")
-    assert "principal branch" in err
-    assert not (tmp_path / "fig2.csv").exists()
+    # Q_eff / S passes pi/2 on these grids: past the principal branch of the G
+    # factor, refused on the log-space branch (S = 100) and the direct-power
+    # one (S = 10) alike
+    for s, qmax in (("100", "1000"), ("10", "200")):
+        out = tmp_path / s
+        assert _run(["fig2", "--S", s, "--eta", "100", "--qmax", qmax], out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fig2: ")
+        assert "principal branch" in err
+        assert not (out / "fig2.csv").exists()
 
 
 def test_workers_flag_is_gone(tmp_path):

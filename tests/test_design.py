@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rel_err
+from conftest import golden_section_min, rel_err
 
 from cavsqueeze import (
     CavityAtomParams,
@@ -14,10 +14,11 @@ from cavsqueeze import (
     design_report,
     extremal_variances,
     full_curve_minimum,
-    golden_section_min,
+    modified_min_variance,
     raman_modified_moments,
     scattering_optimum,
 )
+from cavsqueeze import design
 from cavsqueeze.design import DesignTargets
 
 WORKED = dict(g_hz=0.4e6, kappa_hz=1e6, gamma_hz=6.07e6, delta_over_gamma=500.0)
@@ -133,6 +134,18 @@ class TestClassifyRegime:
         assert agree / total >= 0.95
 
 
+# the default sweep grid: 9 x 11 (S, eta) points, flattened
+SWEEP_GRID = tuple(g.ravel() for g in np.meshgrid(np.geomspace(1e2, 1e6, 9), np.geomspace(1e-4, 10.0, 11),
+                                                  indexing="ij"))
+
+
+def _search_bracket(s, eta):
+    """The Q bracket documented in full_curve_minimum."""
+    q_curv, _ = curvature_optimum(max(s, 1.0))
+    guess = max(q_curv, math.sqrt(3.0 * s * eta), 10.0)
+    return min(0.05 * guess, 1.0), min(4.0 * guess, 1.4 * s)
+
+
 def _xi_sq(s, eta, q):
     """Contrast-normalized squeezing xi^2 = sigma_min^2 / C^2 at shearing q."""
     moments = raman_modified_moments(s, q, q / (4.0 * s * eta))
@@ -164,14 +177,59 @@ class TestFullCurveMinimum:
                 assert xi_min >= floor * (1.0 - 0.05), (s, eta)
 
     def test_array_call_equals_scalar_calls(self):
-        # the golden section runs in lockstep over the (S, eta) grid, each
-        # element taking exactly the steps of its own scalar run
+        # every rescan narrows each element's own bracket elementwise, so an
+        # element of an array call takes exactly the grids of its scalar run
         s = np.array([1e2, 3e3, 1e5])[:, None]
         eta = np.array([1e-3, 0.1, 10.0])[None, :]
         q_batch, sigma_batch = full_curve_minimum(s, eta)
         assert q_batch.shape == sigma_batch.shape == (3, 3)
         for i, j in np.ndindex(q_batch.shape):
             assert (q_batch[i, j], sigma_batch[i, j]) == full_curve_minimum(s[i, 0], eta[0, j]), (i, j)
+
+    def test_at_most_five_curve_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return modified_min_variance(*args)
+
+        monkeypatch.setattr(design, "modified_min_variance", counted)
+        full_curve_minimum(1e4, 0.1)
+        assert 0 < len(calls) <= 5
+        calls.clear()
+        full_curve_minimum(*SWEEP_GRID)
+        assert 0 < len(calls) <= 5
+
+    def test_no_higher_than_golden_section_on_the_scan_bracket(self):
+        # reference: the 64-point scan of the documented bracket, then the
+        # scalar golden section on the two scan steps around its best point
+        pairs = [(1e2, 0.05), (1e3, 0.1), (1e4, 0.1), (3e4, 2.0), (2e5, 1e-3), (1e6, 0.1), (1e6, 7.0)]
+        for s, eta in [*zip(*SWEEP_GRID), *pairs]:
+            lo, hi = _search_bracket(s, eta)
+            grid = np.geomspace(lo, hi, 64)
+            best = int(np.argmin(modified_min_variance(s, eta, grid)))
+            _, sigma_ref = golden_section_min(lambda q: modified_min_variance(s, eta, q),
+                                              grid[max(best - 1, 0)], grid[min(best + 1, 63)])
+            q_full, sigma_full = full_curve_minimum(s, eta)
+            assert modified_min_variance(s, eta, q_full) == sigma_full, (s, eta)
+            assert sigma_full <= (1.0 + 1e-9) * sigma_ref, (s, eta)
+
+    def test_sweep_minima_are_local_minima_on_the_bracket(self):
+        # f(q_full (1 +- 1e-3)), clamped to the bracket, is no lower (up to
+        # 1e-9 relative, the benchmark's sweep rule); a minimum on a bracket
+        # edge must have the curve still falling beyond that edge, which
+        # happens at 8 grid points, all at S eta <= 0.32
+        edges = []
+        for s, eta, q, sigma in zip(*SWEEP_GRID, *full_curve_minimum(*SWEEP_GRID)):
+            lo, hi = _search_bracket(s, eta)
+            assert lo <= q <= hi, (s, eta)
+            for edge, neighbour in ((lo, q * (1.0 - 1e-3)), (hi, q * (1.0 + 1e-3))):
+                f1 = modified_min_variance(s, eta, min(max(neighbour, lo), hi))
+                assert f1 >= sigma * (1.0 - 1e-9), (s, eta, neighbour)
+                if abs(q - edge) <= 1e-12 * edge:
+                    assert modified_min_variance(s, eta, neighbour) < sigma, (s, eta, neighbour)
+                    edges.append(s * eta)
+        assert len(edges) == 8 and max(edges) <= 0.32
 
     def test_asymptotic_location_agreement(self):
         # full-curve minimum vs asymptotic Q_scatt at the reference point

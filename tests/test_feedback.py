@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import rel_err
+from conftest import golden_section_min, rel_err
 
 from cavsqueeze import (
     CavityAtomParams,
@@ -15,7 +15,6 @@ from cavsqueeze import (
     curvature_corrected_min,
     extremal_variances,
     g_factor,
-    golden_section_min,
     large_s_variance,
     oracle_moments_sum,
     rotated_variance,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conftest import rel_err
+from conftest import golden_section_min, rel_err
 
 from cavsqueeze import (
     RamanProcess,
@@ -13,7 +13,6 @@ from cavsqueeze import (
     extremal_variances,
     fig2_curve,
     full_curve_minimum,
-    golden_section_min,
     modified_min_variance,
     raman_modified_moments,
     sample_trajectories,
@@ -149,6 +148,9 @@ class TestArrayCalls:
             raman_modified_moments(100.0, np.array([10.0, 200.0, 20.0]), 0.0)
         with pytest.raises(ValueError, match="principal branch"):
             modified_min_variance(np.array([60.0, 100.0]), 1e3, np.array([10.0, 200.0]))
+        # the direct-power branch (S <= 50) refuses the same domain
+        with pytest.raises(ValueError, match="principal branch"):
+            modified_min_variance(10.0, 100.0, np.array([1.0, 200.0]))
 
 
 class TestModifiedMinimum:
