@@ -31,7 +31,11 @@ per-event jumps Delta S_z = +-1 for modest atom numbers, or an
 Ornstein-Uhlenbeck aggregate (exact joint sampling of S_z and its running
 integral) for large ones.  Trajectories run as arrays in fixed chunks of
 _CHUNK, and each chunk draws from one counter-based Philox stream keyed by
-(seed, chunk index), so a seed and a trajectory count fix the output bits.
+(seed, chunk index).  Exact mode draws a chunk's events in blocks of _BLOCK
+per trajectory: the waiting times and atom picks of a block are arrays, and
+only the +-1 chain of the up-atom count steps event by event.  _CHUNK and
+_BLOCK fix the stream layout, so a seed and a trajectory count fix the
+output bits.
 """
 
 import math
@@ -41,15 +45,17 @@ import numpy as np
 
 from .feedback import MomentSet, _check_g_domain, _cos_power, _scalar, extremal_variances, g_factor
 
-# Trajectories per chunk: one array pass and one Philox stream each.  The
-# value is part of the stream layout, so changing it changes seeded output.
+# Trajectories per chunk: one array pass and one Philox stream each; exact
+# mode draws the events of a chunk in blocks of _BLOCK per trajectory.  Both
+# values are part of the stream layout, so changing either changes seeded output.
 _CHUNK = 512
+_BLOCK = 32
 
-# Refusal limits from costs measured on a 2-vCPU host.  One Python-loop pass
-# over a chunk costs ~60 us per exact event on a full chunk at 4 lags (~30 s
-# at the limit) and ~20 us per gaussian step on a one-trajectory chunk (~10 s;
-# full chunks meet the sample limit first); a sample costs 8 B and ~220 ns
-# (256 MiB, ~7 s).
+# Refusal limits from costs measured on a 2-vCPU host.  Exact mode costs
+# ~30-35 us per r N event on a full chunk at 4 lags (~17 s at the limit) and
+# ~5 us on a one-trajectory chunk; gaussian mode ~20 us per step on a
+# one-trajectory chunk (~10 s; full chunks meet the sample limit first); a
+# sample costs 8 B and ~220 ns (256 MiB, ~7 s).
 MAX_LOCKSTEP = 500_000  # ceil(n_traj / _CHUNK) * (r N exact, time_steps gaussian)
 MAX_SAMPLE_ELEMENTS = 2 ** 25  # n_traj * (time_steps + 1)
 
@@ -214,12 +220,16 @@ class TrajectoryStats:
 
 
 def _simulate_exact(rng, process, s, lag_times, m):
-    """m trajectories of exact per-event jumps, stepped in lockstep.
+    """m trajectories of exact per-event jumps, drawn in blocks of _BLOCK events.
 
     The N atoms jump at the total rate N lambda whatever the state, so each
-    step draws one exponential waiting time and one uniform atom pick per
-    trajectory (a down-flip with probability n_up / N).  A trajectory whose
-    next event falls past t holds its level while the others finish.
+    event is one exponential waiting time and one uniform atom pick u, a
+    down-flip iff u N < n_up.  A block draws the next _BLOCK waiting times
+    of every trajectory as an (m, _BLOCK) array and the picks as a
+    (_BLOCK, m) array; the only per-event Python step is the +-1 chain of
+    n_up, after which S_z(lag) and the running integral of S_z come from
+    array operations over the block.  Events past t are drawn but not used;
+    blocks repeat until every trajectory's last event time reaches t.
     Returns (S_z at the lags, Sbar_z, number of jumps).
     """
     n = process.n_atoms
@@ -229,24 +239,41 @@ def _simulate_exact(rng, process, s, lag_times, m):
     samples = np.repeat(sz[:, None], len(lag_times), axis=1)
     if rate == 0.0:
         return samples, sz, 0
+    rows = np.arange(m)[:, None]
+    # times clipped at 2t and offset by 4t per row: one searchsorted serves every row
+    offset = (4.0 * t) * rows
+    queries = (lag_times + offset).ravel()
+    n_up = np.empty((_BLOCK + 1, m))  # n_up[k]: atoms up before the block's event k
+    n_up[_BLOCK] = sz + s  # the last row carries into the next block's first
+    step = np.empty(m)
     now = np.zeros(m)
     integral = np.zeros(m)
     n_events = 0
     while True:
-        nxt = now + rng.standard_exponential(m) / rate
-        end = np.minimum(nxt, t)
-        integral += sz * (end - now)
-        # S_z at a lag is the level held over [now, next event)
-        held = (lag_times >= now[:, None]) & (lag_times < nxt[:, None])
-        np.copyto(samples, sz[:, None], where=held)
-        jump = nxt < t
-        n_jumps = int(np.count_nonzero(jump))
-        if n_jumps == 0:
+        times = np.cumsum(rng.standard_exponential((m, _BLOCK)), axis=1)
+        times /= rate
+        times += now[:, None]
+        picks = rng.random((_BLOCK, m)) * n
+        n_up[0] = n_up[_BLOCK]
+        for k in range(_BLOCK):
+            # copysign(1, 0) = +1: a pick on the boundary u N = n_up flips up
+            np.subtract(picks[k], n_up[k], out=step)
+            np.copysign(1.0, step, out=step)
+            np.add(n_up[k], step, out=n_up[k + 1])
+        level = n_up[:_BLOCK] - s  # S_z held from event k - 1 (or now) to event k
+        # a trajectory that finished in an earlier block has now > t: clip the start too
+        held_for = np.diff(np.minimum(times, t), axis=1, prepend=np.minimum(now, t)[:, None])
+        integral += np.einsum("km,mk->m", level, held_for)
+        keys = np.minimum(times, 2.0 * t)
+        keys += offset
+        k_lag = np.searchsorted(keys.ravel(), queries, side="right").reshape(m, -1) - _BLOCK * rows
+        last = times[:, -1]
+        in_block = (lag_times >= now[:, None]) & (lag_times < last[:, None])
+        np.copyto(samples, level[np.minimum(k_lag, _BLOCK - 1), rows], where=in_block)
+        n_events += int(np.count_nonzero(times < t))
+        if (last >= t).all():
             return samples, integral / t, n_events
-        n_events += n_jumps
-        down = rng.random(m) * n < sz + s
-        sz = sz + jump * np.where(down, -1.0, 1.0)
-        now = end
+        now = last
 
 
 def _simulate_gaussian(rng, process, s, lag_times, m):

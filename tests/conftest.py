@@ -52,3 +52,41 @@ def angle_dist_mod_pi(a, b):
 def dense_matrix(op):
     """The (2S+1) x (2S+1) matrix of a tridiagonal operator, from its bands."""
     return np.diag(op.diag) + np.diag(op.upper, 1) + np.diag(op.lower, -1)
+
+
+def lockstep_exact_reference(rng, process, s, lag_times, m):
+    """m trajectories of exact per-event jumps, one event of each per array pass.
+
+    The tests' reference for raman._simulate_exact (same model and return
+    value, different draw order).  The N atoms jump at the total rate
+    N lambda whatever the state, so each step draws one exponential waiting
+    time and one uniform atom pick per trajectory (a down-flip with
+    probability n_up / N).  A trajectory whose next event falls past t holds
+    its level while the others finish.  Returns (S_z at the lags, Sbar_z,
+    number of jumps).
+    """
+    n = process.n_atoms
+    t = process.pulse_time
+    rate = process.flip_rate * n
+    sz = rng.binomial(n, 0.5, size=m) - s
+    samples = np.repeat(sz[:, None], len(lag_times), axis=1)
+    if rate == 0.0:
+        return samples, sz, 0
+    now = np.zeros(m)
+    integral = np.zeros(m)
+    n_events = 0
+    while True:
+        nxt = now + rng.standard_exponential(m) / rate
+        end = np.minimum(nxt, t)
+        integral += sz * (end - now)
+        # S_z at a lag is the level held over [now, next event)
+        held = (lag_times >= now[:, None]) & (lag_times < nxt[:, None])
+        np.copyto(samples, sz[:, None], where=held)
+        jump = nxt < t
+        n_jumps = int(np.count_nonzero(jump))
+        if n_jumps == 0:
+            return samples, integral / t, n_events
+        n_events += n_jumps
+        down = rng.random(m) * n < sz + s
+        sz = sz + jump * np.where(down, -1.0, 1.0)
+        now = end

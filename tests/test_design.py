@@ -303,7 +303,8 @@ class TestDesignReport:
         ensemble = EnsembleSpec(total_spin=10.0)
         params = CavityAtomParams.from_hz(g_hz=1e3, kappa_hz=1e6, gamma_hz=6.07e6,
                                           delta_over_gamma=5.0)
-        report = design_report(ensemble, params, 1e-9)
+        with pytest.warns(RuntimeWarning, match="not small"):
+            report = design_report(ensemble, params, 1e-9)
         assert not report.validity.all_ok
 
     def test_shortening_flag_fires(self):

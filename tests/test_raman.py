@@ -2,9 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
 
-from conftest import golden_section_min, rel_err
+from conftest import golden_section_min, lockstep_exact_reference, rel_err
 
 from cavsqueeze import (
     RamanProcess,
@@ -17,6 +16,7 @@ from cavsqueeze import (
     raman_modified_moments,
     sample_trajectories,
 )
+from cavsqueeze import raman
 
 
 class TestCorrelationIntegrals:
@@ -30,14 +30,14 @@ class TestCorrelationIntegrals:
 
     @pytest.mark.parametrize("r", [0.01, 0.1, 0.25, 0.5, 2.0, 8.0])
     def test_against_quadrature(self, r):
-        # oracle: direct numerical integration of the exponential kernel,
-        # split at the |u - v| kink so the integrand is smooth per panel
-        c_sq_quad, _ = integrate.dblquad(
-            lambda v, u: 2.0 * math.exp(-2.0 * r * (u - v)),
-            0.0, 1.0, 0.0, lambda u: u, epsabs=1e-15, epsrel=1e-14,
-        )
-        c_fin_quad, _ = integrate.quad(lambda u: math.exp(-2.0 * r * (1.0 - u)),
-                                       0.0, 1.0, epsabs=1e-15, epsrel=1e-14)
+        # oracle: 40-point Gauss-Legendre quadrature of the exponential kernel;
+        # v = u s maps the triangle 0 <= v <= u <= 1 onto the unit square,
+        # where the integrand 2 u e^{-2 r u (1 - s)} is smooth
+        x, w = np.polynomial.legendre.leggauss(40)
+        x, w = (x + 1.0) / 2.0, w / 2.0
+        u, s = x[:, None], x[None, :]
+        c_sq_quad = np.sum(w[:, None] * w[None, :] * 2.0 * u * np.exp(-2.0 * r * u * (1.0 - s)))
+        c_fin_quad = np.sum(w * np.exp(-2.0 * r * (1.0 - x)))
         c_sq, c_fin = correlation_integrals(r)
         assert rel_err(c_sq, c_sq_quad) < 1e-12
         assert rel_err(c_fin, c_fin_quad) < 1e-12
@@ -321,3 +321,83 @@ class TestMonteCarlo:
         ga = self._run(r=r, s=s, n_traj=20000, mode="gaussian", seed=43)
         joint = math.hypot(ex.mean_sz_bar_sq_se, ga.mean_sz_bar_sq_se)
         assert abs(ex.mean_sz_bar_sq - ga.mean_sz_bar_sq) <= 4.0 * joint
+
+
+def _philox(key):
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _replay_blocks(rng, process, s, lag_times, m):
+    """The block kernel's draws replayed event by event, one trajectory at a time.
+
+    Draws in the kernel's order (initial binomial, then per block an
+    (m, _BLOCK) exponential array and a (_BLOCK, m) pick array, until every
+    trajectory's last block time reaches t) and steps each trajectory alone;
+    needs r > 0.
+    """
+    n, t = process.n_atoms, process.pulse_time
+    rate = process.flip_rate * n
+    sz0 = rng.binomial(n, 0.5, size=m) - s
+    times, picks = [], []
+    now = np.zeros(m)
+    while (now < t).any():
+        times.append(now[:, None] + np.cumsum(rng.standard_exponential((m, raman._BLOCK)), axis=1) / rate)
+        picks.append((rng.random((raman._BLOCK, m)) * n).T)
+        now = times[-1][:, -1]
+    times, picks = np.concatenate(times, axis=1), np.concatenate(picks, axis=1)
+    samples = np.empty((m, len(lag_times)))
+    sbar = np.empty(m)
+    n_events = 0
+    for j in range(m):
+        levels, edges = [sz0[j]], [0.0]
+        for tau, pick in zip(times[j], picks[j]):
+            if tau >= t:
+                break
+            levels.append(levels[-1] + (-1.0 if pick < levels[-1] + s else 1.0))
+            edges.append(tau)
+        n_events += len(edges) - 1
+        samples[j] = np.array(levels)[np.searchsorted(edges, lag_times, side="right") - 1]
+        sbar[j] = math.fsum(lv * (b - a) for lv, a, b in zip(levels, edges, edges[1:] + [t])) / t
+    return samples, sbar, n_events
+
+
+class TestExactBlockKernel:
+    # pulse_time 0.7 so the per-row offsets of the lag lookup are not integers
+    @pytest.mark.parametrize("s, r, m", [
+        (50.0, 2.0, 1), (50.0, 2.0, 3),  # r N = 200: several blocks per trajectory
+        (2.5, 20.0, 1), (2.5, 20.0, 3),  # half-integer spin, r N = 100
+        (2.5, 0.1, 3),  # r N = 0.5: most trajectories never jump
+    ])
+    def test_block_bookkeeping(self, s, r, m):
+        process = RamanProcess(r=r, pulse_time=0.7, n_atoms=round(2 * s))
+        lag_times = np.linspace(0.0, 0.7, 17)
+        for seed in range(8):
+            samples, sbar, n_events = raman._simulate_exact(_philox(seed), process, s, lag_times, m)
+            assert np.array_equal(samples[:, 0], _philox(seed).binomial(round(2 * s), 0.5, size=m) - s)
+            assert np.array_equal(samples + s, np.rint(samples + s))  # integer numbers of atoms up
+            assert np.all(np.abs(samples) <= s)
+            assert np.all(np.abs(sbar) <= s * (1.0 + 1e-12))  # durations sum to t up to rounding
+            # every jump is +-1, so the summed net change has the parity of the jump count
+            assert (round(np.sum(samples[:, -1] - samples[:, 0])) - n_events) % 2 == 0
+            ref_samples, ref_sbar, ref_events = _replay_blocks(_philox(seed), process, s, lag_times, m)
+            assert np.array_equal(samples, ref_samples)
+            assert np.allclose(sbar, ref_sbar, rtol=0.0, atol=1e-12 * s)
+            assert n_events == ref_events
+
+    @pytest.mark.parametrize("s, r", [(50.0, 1.0), (2.5, 0.3), (0.5, 2.0)])
+    def test_agrees_with_lockstep_reference(self, s, r):
+        # two samples on independent Philox keys: every estimate within 4 joint se
+        m = 8192
+        process = RamanProcess(r=r, pulse_time=1.0, n_atoms=round(2 * s))
+        lag_times = np.linspace(0.0, 1.0, 9)
+        runs = [kernel(_philox(key), process, s, lag_times, m)
+                for kernel, key in ((raman._simulate_exact, 101), (lockstep_exact_reference, 202))]
+        products = []
+        for samples, sbar, _ in runs:
+            products.append([sbar * sbar, sbar * samples[:, -1]] + [samples[:, 0] * col for col in samples.T])
+        for i, (a, b) in enumerate(zip(*products)):
+            joint = math.hypot(a.std(ddof=1), b.std(ddof=1)) / math.sqrt(m)
+            assert abs(a.mean() - b.mean()) <= 4.0 * joint, (s, r, i)
+        # the jump count is Poisson with mean r N per trajectory in both
+        mean = r * round(2 * s) * m
+        assert abs(runs[0][2] - runs[1][2]) <= 4.0 * math.sqrt(2.0 * mean)
