@@ -15,7 +15,9 @@ manifest (wall time) is the only exception.
 """
 
 import argparse
+import importlib
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from .design import classify_regime, curvature_optimum, design_report, full_curv
 from .feedback import analytic_moments
 from .oracle import oracle_moments_sum
 from .params import EnsembleSpec, load_config, system_from_config
-from .raman import RamanProcess, fig2_curve, sample_trajectories
+from .raman import RamanProcess, correlation_integrals, fig2_curve, sample_trajectories
 from .serialize import RunManifest, SCHEMA_VERSION, write_csv, write_json
 
 ORACLE_TOL = 1e-10
@@ -148,17 +150,44 @@ def cmd_validate_oracle(args, argv):
     return 0 if n_fail == 0 else 2
 
 
+def _mc_health(record, total_spin, r, corr_target, elapsed_s):
+    """Events simulated, trajectories per second and the worst |estimate - target| / se.
+
+    The worst z-score runs over the two Sbar_z moments and every lag; an
+    estimate whose standard error is undefined or zero is left out, and the
+    field is null when none is left.
+    """
+    c_sq, c_fin = correlation_integrals(r)
+    estimates = [
+        (record["mean_sz_bar_sq"], record["mean_sz_bar_sq_se"], total_spin / 2.0 * c_sq),
+        (record["cov_bar_final"], record["cov_bar_final_se"], total_spin / 2.0 * c_fin),
+        *zip(record["corr"], record["corr_se"], corr_target),
+    ]
+    return {
+        "n_events": record["n_events"],
+        "trajectories_per_s": record["n_trajectories"] / elapsed_s,
+        "worst_z": max((abs(est - target) / se for est, se, target in estimates if se), default=None),
+    }
+
+
 def cmd_raman_mc(args, argv):
     out = _outdir(args)
     manifest = RunManifest(command=argv, seed=args.seed)
     try:
         spec = EnsembleSpec(total_spin=args.S)
         process = RamanProcess(r=args.r, pulse_time=1.0, n_atoms=spec.atom_count)
+        # numpy imports numpy.random on first use (~13 ms): before the timer, so
+        # that trajectories_per_s measures the simulation alone
+        importlib.import_module("numpy.random")
+        started = time.perf_counter()
         stats = sample_trajectories(process, spec.total_spin, args.traj, args.steps,
                                     seed=args.seed, mode=args.mode)
+        elapsed_s = time.perf_counter() - started
     except ValueError as exc:
         print(f"raman-mc: {exc}", file=sys.stderr)
         return 1
+    record = stats.as_dict()
+    target = np.exp(-2.0 * args.r * stats.lags / process.pulse_time).tolist()
     payload = {
         "schema_version": SCHEMA_VERSION,
         "total_spin": args.S,
@@ -167,20 +196,18 @@ def cmd_raman_mc(args, argv):
         "seed": args.seed,
         "pulse_time_s": process.pulse_time,
         "flip_rate_per_atom": process.flip_rate,
-        "stats": stats.as_dict(),
+        "stats": record,
     }
     path = out / "raman_stats.json"
     write_json(path, payload)
     manifest.add_output(path.name)
     if args.corr_csv:
-        target = np.exp(-2.0 * args.r * stats.lags / process.pulse_time)
-        rows = [
-            (float(lag), float(c), float(se), float(tg))
-            for lag, c, se, tg in zip(stats.lags, stats.corr, stats.corr_se, target)
-        ]
+        # an undefined standard error (one trajectory) is an empty cell
+        rows = zip(record["lags"], record["corr"], record["corr_se"], target)
         cpath = out / "raman_corr.csv"
         write_csv(cpath, ("lag", "corr", "corr_se", "target"), rows)
         manifest.add_output(cpath.name)
+    manifest.mc_health = _mc_health(record, spec.total_spin, args.r, target, elapsed_s)
     manifest.write(out / "manifest.json")
     print(f"wrote {path}")
     return 0

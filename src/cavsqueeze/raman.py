@@ -32,10 +32,10 @@ Ornstein-Uhlenbeck aggregate (exact joint sampling of S_z and its running
 integral) for large ones.  Trajectories run as arrays in fixed chunks of
 _CHUNK, and each chunk draws from one counter-based Philox stream keyed by
 (seed, chunk index).  Exact mode draws a chunk's events in blocks of _BLOCK
-per trajectory: the waiting times and atom picks of a block are arrays, and
-only the +-1 chain of the up-atom count steps event by event.  _CHUNK and
-_BLOCK fix the stream layout, so a seed and a trajectory count fix the
-output bits.
+per trajectory still before t: the waiting times and atom picks of a block
+are arrays, and only the +-1 chain of the up-atom count steps event by
+event.  _CHUNK and _BLOCK fix the stream layout, so a seed and a trajectory
+count fix the output bits.
 """
 
 import math
@@ -52,10 +52,10 @@ _CHUNK = 512
 _BLOCK = 32
 
 # Refusal limits from costs measured on a 2-vCPU host.  Exact mode costs
-# ~30-35 us per r N event on a full chunk at 4 lags (~17 s at the limit) and
-# ~5 us on a one-trajectory chunk; gaussian mode ~20 us per step on a
-# one-trajectory chunk (~10 s; full chunks meet the sample limit first); a
-# sample costs 8 B and ~220 ns (256 MiB, ~7 s).
+# ~25-35 us per r N event on a full chunk at 4 lags (~17 s at the limit) and
+# ~5-6 us on a one-trajectory chunk; gaussian mode ~12-14 us per step on a
+# one-trajectory chunk (~7 s; full chunks meet the sample limit first); a
+# sample costs 8 B and ~75-90 ns with its share of the reduction (256 MiB, ~3 s).
 MAX_LOCKSTEP = 500_000  # ceil(n_traj / _CHUNK) * (r N exact, time_steps gaussian)
 MAX_SAMPLE_ELEMENTS = 2 ** 25  # n_traj * (time_steps + 1)
 
@@ -185,6 +185,11 @@ class RamanProcess:
         object.__setattr__(self, "flip_rate", self.r / self.pulse_time)
 
 
+def _defined(x):
+    """x as a float, or None where it is nan (undefined)."""
+    return None if math.isnan(x) else float(x)
+
+
 @dataclass(frozen=True)
 class TrajectoryStats:
     """Monte Carlo estimates with standard errors.
@@ -192,7 +197,9 @@ class TrajectoryStats:
     corr[l] estimates 2 <S_z(0) S_z(lag_l)> / S on the lag grid; the target
     is e^{-2 r lag / t}.  mean_sz_bar_sq and cov_bar_final estimate
     <Sbar_z^2> and <Sbar_z S_z(t)> (raw spin units, target (S/2) c_bar_*).
-    n_events is the number of jumps simulated (0 in gaussian mode).
+    n_events is the number of jumps simulated (0 in gaussian mode).  A
+    standard error is nan when it is undefined (one trajectory); as_dict
+    gives it as None.
     """
 
     n_trajectories: int
@@ -210,12 +217,12 @@ class TrajectoryStats:
             "n_trajectories": self.n_trajectories,
             "n_events": self.n_events,
             "mean_sz_bar_sq": self.mean_sz_bar_sq,
-            "mean_sz_bar_sq_se": self.mean_sz_bar_sq_se,
+            "mean_sz_bar_sq_se": _defined(self.mean_sz_bar_sq_se),
             "cov_bar_final": self.cov_bar_final,
-            "cov_bar_final_se": self.cov_bar_final_se,
+            "cov_bar_final_se": _defined(self.cov_bar_final_se),
             "lags": [float(x) for x in self.lags],
             "corr": [float(x) for x in self.corr],
-            "corr_se": [float(x) for x in self.corr_se],
+            "corr_se": [_defined(x) for x in self.corr_se.tolist()],
         }
 
 
@@ -224,13 +231,15 @@ def _simulate_exact(rng, process, s, lag_times, m):
 
     The N atoms jump at the total rate N lambda whatever the state, so each
     event is one exponential waiting time and one uniform atom pick u, a
-    down-flip iff u N < n_up.  A block draws the next _BLOCK waiting times
-    of every trajectory as an (m, _BLOCK) array and the picks as a
-    (_BLOCK, m) array; the only per-event Python step is the +-1 chain of
-    n_up, after which S_z(lag) and the running integral of S_z come from
-    array operations over the block.  Events past t are drawn but not used;
-    blocks repeat until every trajectory's last event time reaches t.
-    Returns (S_z at the lags, Sbar_z, number of jumps).
+    down-flip iff u N < n_up.  Only live trajectories draw: those whose last
+    block time is still before t.  A block draws the next _BLOCK waiting
+    times of the k live trajectories as a (k, _BLOCK) array and their picks
+    as a (_BLOCK, k) array; the only per-event Python step is the +-1 chain
+    of n_up, after which S_z(lag) and the running integral of S_z come from
+    array operations over the block, scattered back through the live index.
+    A trajectory leaves once its last block time reaches t, so only its
+    final block holds events past t.  Returns (S_z at the lags, Sbar_z,
+    number of jumps).
     """
     n = process.n_atoms
     t = process.pulse_time
@@ -239,41 +248,49 @@ def _simulate_exact(rng, process, s, lag_times, m):
     samples = np.repeat(sz[:, None], len(lag_times), axis=1)
     if rate == 0.0:
         return samples, sz, 0
-    rows = np.arange(m)[:, None]
-    # times clipped at 2t and offset by 4t per row: one searchsorted serves every row
-    offset = (4.0 * t) * rows
-    queries = (lag_times + offset).ravel()
-    n_up = np.empty((_BLOCK + 1, m))  # n_up[k]: atoms up before the block's event k
-    n_up[_BLOCK] = sz + s  # the last row carries into the next block's first
+    n_up = np.empty((_BLOCK + 1, m))  # n_up[j, :k]: atoms up before the block's event j, live rows
     step = np.empty(m)
-    now = np.zeros(m)
+    clipped = np.empty((m, _BLOCK + 1))  # [:k]: block start, then event times clipped at t
+    held_for = np.empty((m, _BLOCK))
     integral = np.zeros(m)
+    live = np.arange(m)
+    now = np.zeros(m)  # block start of each live trajectory, always before t
+    up = sz + s
     n_events = 0
-    while True:
-        times = np.cumsum(rng.standard_exponential((m, _BLOCK)), axis=1)
+    while live.size:
+        k = live.size
+        # the two draws are the block's only new float arrays; the rest works in place
+        times = rng.standard_exponential((k, _BLOCK))
+        np.cumsum(times, axis=1, out=times)
         times /= rate
         times += now[:, None]
-        picks = rng.random((_BLOCK, m)) * n
-        n_up[0] = n_up[_BLOCK]
-        for k in range(_BLOCK):
+        picks = rng.random((_BLOCK, k))
+        picks *= n
+        live_up, live_step = n_up[:, :k], step[:k]
+        live_up[0] = up
+        for j in range(_BLOCK):
             # copysign(1, 0) = +1: a pick on the boundary u N = n_up flips up
-            np.subtract(picks[k], n_up[k], out=step)
-            np.copysign(1.0, step, out=step)
-            np.add(n_up[k], step, out=n_up[k + 1])
-        level = n_up[:_BLOCK] - s  # S_z held from event k - 1 (or now) to event k
-        # a trajectory that finished in an earlier block has now > t: clip the start too
-        held_for = np.diff(np.minimum(times, t), axis=1, prepend=np.minimum(now, t)[:, None])
-        integral += np.einsum("km,mk->m", level, held_for)
-        keys = np.minimum(times, 2.0 * t)
-        keys += offset
-        k_lag = np.searchsorted(keys.ravel(), queries, side="right").reshape(m, -1) - _BLOCK * rows
-        last = times[:, -1]
-        in_block = (lag_times >= now[:, None]) & (lag_times < last[:, None])
-        np.copyto(samples, level[np.minimum(k_lag, _BLOCK - 1), rows], where=in_block)
+            np.subtract(picks[j], live_up[j], out=live_step)
+            np.copysign(1.0, live_step, out=live_step)
+            np.add(live_up[j], live_step, out=live_up[j + 1])
+        level = live_up[:_BLOCK]  # live_up[_BLOCK] keeps the count carried to the next block
+        level -= s  # S_z held from event j - 1 (or now) to event j
+        clipped[:k, 0] = now
+        np.minimum(times, t, out=clipped[:k, 1:])
+        np.subtract(clipped[:k, 1:], clipped[:k, :-1], out=held_for[:k])
+        integral[live] += np.einsum("jk,kj->k", level, held_for[:k])
         n_events += int(np.count_nonzero(times < t))
-        if (last >= t).all():
-            return samples, integral / t, n_events
-        now = last
+        last = times[:, -1].copy()
+        row, lag = np.nonzero((lag_times >= now[:, None]) & (lag_times < last[:, None]))
+        # times clipped at 2t and offset by 4t per row: one searchsorted serves every row
+        keys = np.minimum(times, 2.0 * t, out=times)
+        keys += (4.0 * t) * np.arange(k)[:, None]
+        passed = np.searchsorted(keys.ravel(), lag_times[lag] + (4.0 * t) * row, side="right") - _BLOCK * row
+        # the offset can round a lag just below the last block time onto it
+        samples[live[row], lag] = level[np.minimum(passed, _BLOCK - 1), row]
+        going = last < t
+        live, now, up = live[going], last[going], live_up[_BLOCK][going]
+    return samples, integral / t, n_events
 
 
 def _simulate_gaussian(rng, process, s, lag_times, m):
@@ -312,13 +329,18 @@ def _simulate_gaussian(rng, process, s, lag_times, m):
 
 
 def _mean_se(values):
-    """Mean and standard error with compensated summation."""
+    """Column means and standard errors of an (n, k) sample array, one pass per moment.
+
+    Overwrites values with the squared deviations.  The standard error is
+    nan (undefined) for n < 2.
+    """
     n = len(values)
-    mean = math.fsum(values.tolist()) / n
+    mean = values.sum(axis=0) / n
     if n < 2:
-        return mean, float("inf")
-    var = math.fsum(((values - mean) ** 2).tolist()) / (n - 1)
-    return mean, math.sqrt(var / n)
+        return mean, np.full_like(mean, np.nan)
+    values -= mean
+    np.square(values, out=values)
+    return mean, np.sqrt(values.sum(axis=0) / (n - 1) / n)
 
 
 def sample_trajectories(process, total_spin, n_traj, time_steps, seed, mode="exact"):
@@ -376,18 +398,19 @@ def sample_trajectories(process, total_spin, n_traj, time_steps, seed, mode="exa
         sz_samples[start:stop], sbar[start:stop], events = simulate(rng, process, s, lag_times, stop - start)
         n_events += events
 
-    sbar_sq, sbar_sq_se = _mean_se(sbar * sbar)
-    covf, covf_se = _mean_se(sbar * sz_samples[:, -1])
-    lag_stats = np.array([_mean_se(sz_samples[:, 0] * col) for col in sz_samples.T])
+    (sbar_sq, covf), (sbar_sq_se, covf_se) = _mean_se(np.stack((sbar * sbar, sbar * sz_samples[:, -1]), axis=1))
+    # a copied column 0: multiplying by a view of it would copy the whole array
+    sz_samples *= sz_samples[:, :1].copy()
+    corr, corr_se = _mean_se(sz_samples)
     scale = 2.0 / s
     return TrajectoryStats(
         n_trajectories=n_traj,
         n_events=n_events,
-        mean_sz_bar_sq=sbar_sq,
-        mean_sz_bar_sq_se=sbar_sq_se,
-        cov_bar_final=covf,
-        cov_bar_final_se=covf_se,
+        mean_sz_bar_sq=float(sbar_sq),
+        mean_sz_bar_sq_se=float(sbar_sq_se),
+        cov_bar_final=float(covf),
+        cov_bar_final_se=float(covf_se),
         lags=lag_times,
-        corr=scale * lag_stats[:, 0],
-        corr_se=scale * lag_stats[:, 1],
+        corr=scale * corr,
+        corr_se=scale * corr_se,
     )

@@ -15,9 +15,11 @@ SCHEMA_VERSION = "1.0"
 
 
 def format_value(value):
-    """Shortest round-trip text for one CSV cell."""
+    """Shortest round-trip text for one CSV cell; None (undefined) is an empty cell."""
     if type(value) is float:  # most cells: skip the isinstance chain
         return repr(value)
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -37,9 +39,10 @@ def write_csv(path, header, rows):
 
 
 def write_json(path, obj):
+    """Write standard JSON: a nan or infinite float raises ValueError before the file is opened."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 @dataclass
@@ -53,6 +56,7 @@ class RunManifest:
     schema_version: str = SCHEMA_VERSION
     tool_version: str = ""
     wall_time_s: float = 0.0
+    mc_health: dict = None
     _started: float = field(default_factory=time.perf_counter, repr=False)
 
     def add_output(self, path):
@@ -63,15 +67,15 @@ class RunManifest:
 
         self.tool_version = self.tool_version or __version__
         self.wall_time_s = time.perf_counter() - self._started
-        write_json(
-            path,
-            {
-                "command": list(self.command),
-                "seed": self.seed,
-                "config": self.config,
-                "outputs": list(self.outputs),
-                "schema_version": self.schema_version,
-                "tool_version": self.tool_version,
-                "wall_time_s": self.wall_time_s,
-            },
-        )
+        record = {
+            "command": list(self.command),
+            "seed": self.seed,
+            "config": self.config,
+            "outputs": list(self.outputs),
+            "schema_version": self.schema_version,
+            "tool_version": self.tool_version,
+            "wall_time_s": self.wall_time_s,
+        }
+        if self.mc_health is not None:
+            record["mc_health"] = dict(self.mc_health)
+        write_json(path, record)

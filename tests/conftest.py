@@ -90,3 +90,17 @@ def lockstep_exact_reference(rng, process, s, lag_times, m):
         down = rng.random(m) * n < sz + s
         sz = sz + jump * np.where(down, -1.0, 1.0)
         now = end
+
+
+def fsum_mean_se_reference(values):
+    """Mean and standard error of a 1-d sample with compensated summation.
+
+    The tests' reference for raman._mean_se: math.fsum over each moment,
+    one sample column at a time.
+    """
+    n = len(values)
+    mean = math.fsum(values.tolist()) / n
+    if n < 2:
+        return mean, float("inf")
+    var = math.fsum(((values - mean) ** 2).tolist()) / (n - 1)
+    return mean, math.sqrt(var / n)

@@ -1,8 +1,15 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cavsqueeze
 from cavsqueeze import cli
+from cavsqueeze.serialize import write_json
 
 MC_ARGV = ["raman-mc", "--S", "20", "--r", "0.5", "--traj", "600", "--steps", "4",
            "--seed", "5", "--corr-csv"]
@@ -53,6 +60,66 @@ def test_fig2_outside_g_factor_domain_exits_1_with_message(tmp_path, capsys):
         assert err.startswith("fig2: ")
         assert "principal branch" in err
         assert not (out / "fig2.csv").exists()
+
+
+def _raise_on_constant(name):
+    raise ValueError(f"non-standard JSON token {name}")
+
+
+def test_raman_mc_one_trajectory_writes_standard_json(tmp_path):
+    # one trajectory: every standard error is undefined, written as null / an empty cell
+    assert _run(["raman-mc", "--S", "20", "--r", "0.5", "--traj", "1", "--seed", "5", "--corr-csv"], tmp_path) == 0
+    for name in ("raman_stats.json", "manifest.json"):
+        json.loads((tmp_path / name).read_text(), parse_constant=_raise_on_constant)
+    stats = json.loads((tmp_path / "raman_stats.json").read_text())["stats"]
+    assert stats["mean_sz_bar_sq_se"] is None and stats["cov_bar_final_se"] is None
+    assert stats["corr_se"] == [None] * 5
+    rows = [line.split(",") for line in (tmp_path / "raman_corr.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 5
+    assert all(row[2] == "" for row in rows)
+    assert all(float(row[1]) == c for row, c in zip(rows, stats["corr"]))
+
+
+def test_write_json_refuses_non_finite(tmp_path):
+    path = tmp_path / "out.json"
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            write_json(path, {"x": bad})
+    assert not path.exists()
+
+
+def test_raman_mc_manifest_reports_mc_health(tmp_path):
+    assert _run(MC_ARGV, tmp_path) == 0
+    health = json.loads((tmp_path / "manifest.json").read_text())["mc_health"]
+    stats = json.loads((tmp_path / "raman_stats.json").read_text())["stats"]
+    assert health["n_events"] == stats["n_events"] > 0
+    assert health["trajectories_per_s"] > 0.0
+    # the worst of the seven z-scores (two Sbar_z moments, five lags); at lag 0 the
+    # estimate is the sample variance of S_z, so its z-score is itself a sample
+    r, s = 0.5, 20.0
+    c_sq, c_fin = cli.correlation_integrals(r)
+    z = [abs(stats["mean_sz_bar_sq"] - s / 2.0 * c_sq) / stats["mean_sz_bar_sq_se"],
+         abs(stats["cov_bar_final"] - s / 2.0 * c_fin) / stats["cov_bar_final_se"]]
+    z += [abs(c - math.exp(-2.0 * r * lag)) / se for lag, c, se in zip(stats["lags"], stats["corr"], stats["corr_se"])]
+    assert health["worst_z"] == pytest.approx(max(z), rel=1e-12)
+    assert health["worst_z"] < 4.0
+    # only raman-mc reports MC health
+    assert _run(["fig2", "--S", "100", "--eta", "0.1", "--qpoints", "5"], tmp_path / "fig2") == 0
+    assert "mc_health" not in json.loads((tmp_path / "fig2" / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (["fig2", "--S", "100", "--eta", "0.1", "--qpoints", "5"], 0, "stdout", "wrote "),
+    (["raman-mc", "--S", "50", "--r", "-1", "--seed", "1"], 1, "stderr", "raman-mc: r must be nonnegative"),
+])
+def test_python_m_entry_point(tmp_path, argv, code, stream, text):
+    # a fresh interpreter through main(), so the exit code is the process's
+    env = dict(os.environ, PYTHONPATH=str(Path(cavsqueeze.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "cavsqueeze", *argv, "--out", str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == code
+    assert getattr(done, stream).startswith(text)
+    assert (tmp_path / "fig2.csv").exists() == (code == 0)
 
 
 def test_workers_flag_is_gone(tmp_path):

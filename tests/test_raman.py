@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import golden_section_min, lockstep_exact_reference, rel_err
+from conftest import fsum_mean_se_reference, golden_section_min, lockstep_exact_reference, rel_err
 
 from cavsqueeze import (
     RamanProcess,
@@ -327,27 +327,65 @@ def _philox(key):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _chunked_samples(process, s, n_traj, time_steps, seed, mode):
+    """S_z samples and Sbar_z of sample_trajectories, from its chunks and (seed, chunk) streams."""
+    lag_times = np.linspace(0.0, process.pulse_time, time_steps + 1)
+    simulate = raman._simulate_exact if mode == "exact" else raman._simulate_gaussian
+    parts = [simulate(np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, chunk])),
+                      process, s, lag_times, min(raman._CHUNK, n_traj - start))
+             for chunk, start in enumerate(range(0, n_traj, raman._CHUNK))]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+class TestReduction:
+    # 513 trajectories: the last chunk holds one row
+    @pytest.mark.parametrize("mode", ["exact", "gaussian"])
+    @pytest.mark.parametrize("s, r, n_traj, steps", [
+        (20.0, 0.5, 600, 4), (50.0, 1.0, 513, 16), (2.5, 0.3, 4096, 8), (1000.0, 0.1, 2048, 64),
+    ])
+    def test_matches_fsum_reference(self, mode, s, r, n_traj, steps):
+        process = RamanProcess(r=r, pulse_time=1.0, n_atoms=round(2 * s))
+        for seed in (3, 4):
+            stats = sample_trajectories(process, s, n_traj, steps, seed=seed, mode=mode)
+            samples, sbar = _chunked_samples(process, s, n_traj, steps, seed, mode)
+            ref = [fsum_mean_se_reference(sbar * sbar), fsum_mean_se_reference(sbar * samples[:, -1])]
+            got = [(stats.mean_sz_bar_sq, stats.mean_sz_bar_sq_se), (stats.cov_bar_final, stats.cov_bar_final_se)]
+            for col, c, se in zip(samples.T, stats.corr, stats.corr_se):
+                mean, ref_se = fsum_mean_se_reference(samples[:, 0] * col)
+                ref.append((2.0 / s * mean, 2.0 / s * ref_se))
+                got.append((c, se))
+                if mode == "exact":  # sums of quarter-integers: exact in both
+                    assert c == 2.0 / s * mean, (seed, col)
+            for (mean, se), (ref_mean, ref_se) in zip(got, ref):
+                assert rel_err(mean, ref_mean) <= 1e-13, (seed, mean, ref_mean)
+                assert rel_err(se, ref_se) <= 1e-13, (seed, se, ref_se)
+
+
 def _replay_blocks(rng, process, s, lag_times, m):
     """The block kernel's draws replayed event by event, one trajectory at a time.
 
-    Draws in the kernel's order (initial binomial, then per block an
-    (m, _BLOCK) exponential array and a (_BLOCK, m) pick array, until every
-    trajectory's last block time reaches t) and steps each trajectory alone;
-    needs r > 0.
+    Draws in the kernel's order (initial binomial, then per block a
+    (k, _BLOCK) exponential array and a (_BLOCK, k) pick array for the k
+    trajectories whose last block time is still before t) and steps each
+    trajectory alone; needs r > 0.  Also returns the number of blocks each
+    trajectory drew.
     """
     n, t = process.n_atoms, process.pulse_time
     rate = process.flip_rate * n
     sz0 = rng.binomial(n, 0.5, size=m) - s
-    times, picks = [], []
-    now = np.zeros(m)
-    while (now < t).any():
-        times.append(now[:, None] + np.cumsum(rng.standard_exponential((m, raman._BLOCK)), axis=1) / rate)
-        picks.append((rng.random((raman._BLOCK, m)) * n).T)
-        now = times[-1][:, -1]
-    times, picks = np.concatenate(times, axis=1), np.concatenate(picks, axis=1)
+    times, picks = [[] for _ in range(m)], [[] for _ in range(m)]
+    live = list(range(m))
+    while live:
+        block_times = np.cumsum(rng.standard_exponential((len(live), raman._BLOCK)), axis=1) / rate
+        block_picks = rng.random((raman._BLOCK, len(live))) * n
+        for i, j in enumerate(live):
+            times[j].extend((block_times[i] + (times[j][-1] if times[j] else 0.0)).tolist())
+            picks[j].extend(block_picks[:, i].tolist())
+        live = [j for j in live if times[j][-1] < t]
     samples = np.empty((m, len(lag_times)))
     sbar = np.empty(m)
     n_events = 0
+    blocks = [len(times[j]) // raman._BLOCK for j in range(m)]
     for j in range(m):
         levels, edges = [sz0[j]], [0.0]
         for tau, pick in zip(times[j], picks[j]):
@@ -358,7 +396,7 @@ def _replay_blocks(rng, process, s, lag_times, m):
         n_events += len(edges) - 1
         samples[j] = np.array(levels)[np.searchsorted(edges, lag_times, side="right") - 1]
         sbar[j] = math.fsum(lv * (b - a) for lv, a, b in zip(levels, edges, edges[1:] + [t])) / t
-    return samples, sbar, n_events
+    return samples, sbar, n_events, blocks
 
 
 class TestExactBlockKernel:
@@ -367,10 +405,12 @@ class TestExactBlockKernel:
         (50.0, 2.0, 1), (50.0, 2.0, 3),  # r N = 200: several blocks per trajectory
         (2.5, 20.0, 1), (2.5, 20.0, 3),  # half-integer spin, r N = 100
         (2.5, 0.1, 3),  # r N = 0.5: most trajectories never jump
+        (50.0, 6.0, 3),  # r N = 600: ~19 blocks, rows of the chunk leave in different blocks
     ])
     def test_block_bookkeeping(self, s, r, m):
         process = RamanProcess(r=r, pulse_time=0.7, n_atoms=round(2 * s))
         lag_times = np.linspace(0.0, 0.7, 17)
+        staggered = 0  # seeds on which the rows drew different numbers of blocks
         for seed in range(8):
             samples, sbar, n_events = raman._simulate_exact(_philox(seed), process, s, lag_times, m)
             assert np.array_equal(samples[:, 0], _philox(seed).binomial(round(2 * s), 0.5, size=m) - s)
@@ -379,10 +419,13 @@ class TestExactBlockKernel:
             assert np.all(np.abs(sbar) <= s * (1.0 + 1e-12))  # durations sum to t up to rounding
             # every jump is +-1, so the summed net change has the parity of the jump count
             assert (round(np.sum(samples[:, -1] - samples[:, 0])) - n_events) % 2 == 0
-            ref_samples, ref_sbar, ref_events = _replay_blocks(_philox(seed), process, s, lag_times, m)
+            ref_samples, ref_sbar, ref_events, blocks = _replay_blocks(_philox(seed), process, s, lag_times, m)
             assert np.array_equal(samples, ref_samples)
             assert np.allclose(sbar, ref_sbar, rtol=0.0, atol=1e-12 * s)
             assert n_events == ref_events
+            staggered += len(set(blocks)) > 1
+        # several blocks per row: finished rows must drop out while the others draw on
+        assert (staggered > 0) == (m > 1 and r * round(2 * s) > raman._BLOCK)
 
     @pytest.mark.parametrize("s, r", [(50.0, 1.0), (2.5, 0.3), (0.5, 2.0)])
     def test_agrees_with_lockstep_reference(self, s, r):
