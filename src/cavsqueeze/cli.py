@@ -8,7 +8,8 @@ raman-mc        telegraph-jump Monte Carlo of the time-averaged S_z
 design          operating-point report from a config file
 sweep           (S, eta) grid scan of limits, optima and regimes
 
-Exit codes: 0 success, 1 usage/config error, 2 validation-suite failure.
+Exit codes: 0 success, 1 usage/config error (any ValueError or OSError, printed
+to stderr as "<subcommand>: <message>"), 2 validation-suite failure.
 All data outputs are byte-identical for identical invocation + seed; the
 Monte Carlo streams are keyed by (seed, chunk of 512 trajectories).  The run
 manifest (wall time) is the only exception.
@@ -24,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .design import classify_regime, curvature_optimum, design_report, full_curve_minimum, scattering_optimum
+from .design import (DesignTargets, classify_regime, curvature_optimum, design_report, full_curve_minimum,
+                     scattering_optimum)
 from .feedback import analytic_moments
 from .oracle import oracle_moments_sum
 from .params import EnsembleSpec, load_config, system_from_config
@@ -33,6 +35,12 @@ from .serialize import RunManifest, SCHEMA_VERSION, write_csv, write_json
 
 ORACLE_TOL = 1e-10
 _ORACLE_S_GRID = (0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 200.0)
+
+# Grid-size limits, checked before any grid is built.  Peak memory measured
+# on a 2-vCPU host: fig2 ~580 B per (Q, eta) point (~150 MB at the limit);
+# sweep ~1.1 kB per (S, eta) point, ~12 kB with --full-minimum (~200 MB).
+MAX_FIG2_POINTS = 2 ** 18  # qpoints x number of --eta values
+MAX_SWEEP_POINTS = 2 ** 14  # s-points x eta-points
 
 
 def _relative_error(a, b):
@@ -102,20 +110,20 @@ def _outdir(args):
 
 
 def cmd_fig2(args, argv):
-    out = _outdir(args)
     manifest = RunManifest(command=argv)
+    spec = EnsembleSpec(total_spin=args.S)
     if args.qmin <= 0 or args.qmax <= args.qmin or args.qpoints < 2:
-        print("fig2: need 0 < qmin < qmax and qpoints >= 2", file=sys.stderr)
-        return 1
+        raise ValueError("need 0 < qmin < qmax and qpoints >= 2")
+    if args.qpoints * len(args.eta) > MAX_FIG2_POINTS:
+        raise ValueError(f"{args.qpoints} Q points x {len(args.eta)} eta values exceed the limit "
+                         f"MAX_FIG2_POINTS = {MAX_FIG2_POINTS}")
+    out = _outdir(args)
     if args.log_grid:
         q_grid = np.geomspace(args.qmin, args.qmax, args.qpoints)
     else:
         q_grid = np.linspace(args.qmin, args.qmax, args.qpoints)
-    try:
-        rows = [(eta, *row) for eta in args.eta for row in fig2_curve(args.S, eta, q_grid)]
-    except ValueError as exc:  # Q_eff / S past the G-factor branch
-        print(f"fig2: {exc}", file=sys.stderr)
-        return 1
+    # raises ValueError where Q_eff / S passes the G-factor branch
+    rows = [(eta, *row) for eta in args.eta for row in fig2_curve(spec.total_spin, eta, q_grid)]
     path = out / "fig2.csv"
     write_csv(path, ("eta", "Q", "sigma_min_sq", "sigma_curv_sq", "sigma_ideal_sq"), rows)
     manifest.add_output(path.name)
@@ -125,11 +133,14 @@ def cmd_fig2(args, argv):
 
 
 def cmd_validate_oracle(args, argv):
-    out = _outdir(args)
     manifest = RunManifest(command=argv)
+    spins = [s for s in _ORACLE_S_GRID if s <= args.smax]
+    if not spins:
+        raise ValueError(f"--smax {args.smax:g} is below the smallest grid spin {_ORACLE_S_GRID[0]:g}")
+    out = _outdir(args)
     rows = []
     n_fail = 0
-    for s in [s for s in _ORACLE_S_GRID if s <= args.smax]:
+    for s in spins:
         qs = (0.0, 0.1, 1.0, 5.0, 0.5 * s)
         closed = analytic_moments(s, np.array(qs))
         for q, var_closed, cov_closed in zip(qs, closed.var_y.tolist(), closed.cov_w.tolist()):
@@ -173,19 +184,15 @@ def _mc_health(record, total_spin, r, corr_target, elapsed_s):
 def cmd_raman_mc(args, argv):
     out = _outdir(args)
     manifest = RunManifest(command=argv, seed=args.seed)
-    try:
-        spec = EnsembleSpec(total_spin=args.S)
-        process = RamanProcess(r=args.r, pulse_time=1.0, n_atoms=spec.atom_count)
-        # numpy imports numpy.random on first use (~13 ms): before the timer, so
-        # that trajectories_per_s measures the simulation alone
-        importlib.import_module("numpy.random")
-        started = time.perf_counter()
-        stats = sample_trajectories(process, spec.total_spin, args.traj, args.steps,
-                                    seed=args.seed, mode=args.mode)
-        elapsed_s = time.perf_counter() - started
-    except ValueError as exc:
-        print(f"raman-mc: {exc}", file=sys.stderr)
-        return 1
+    spec = EnsembleSpec(total_spin=args.S)
+    process = RamanProcess(r=args.r, pulse_time=1.0, n_atoms=spec.atom_count)
+    # numpy imports numpy.random on first use (~13 ms): before the timer, so
+    # that trajectories_per_s measures the simulation alone
+    importlib.import_module("numpy.random")
+    started = time.perf_counter()
+    stats = sample_trajectories(process, spec.total_spin, args.traj, args.steps,
+                                seed=args.seed, mode=args.mode)
+    elapsed_s = time.perf_counter() - started
     record = stats.as_dict()
     target = np.exp(-2.0 * args.r * stats.lags / process.pulse_time).tolist()
     payload = {
@@ -215,21 +222,11 @@ def cmd_raman_mc(args, argv):
 
 def cmd_design(args, argv):
     out = _outdir(args)
-    try:
-        cfg = load_config(args.config)
-        ensemble, params, drive = system_from_config(cfg)
-    except (OSError, ValueError) as exc:
-        print(f"design: {exc}", file=sys.stderr)
-        return 1
+    cfg = load_config(args.config)
+    ensemble, params, drive = system_from_config(cfg)
     manifest = RunManifest(command=argv, config=cfg)
-    from .design import DesignTargets
-
     targets = DesignTargets(max_excited_pop=args.eps_max, q_target=args.q_target)
-    try:
-        report = design_report(ensemble, params, drive.pulse_time, targets)
-    except ValueError as exc:
-        print(f"design: {exc}", file=sys.stderr)
-        return 1
+    report = design_report(ensemble, params, drive.pulse_time, targets)
     path = out / "design_report.json"
     write_json(path, report.as_dict())
     manifest.add_output(path.name)
@@ -239,8 +236,13 @@ def cmd_design(args, argv):
 
 
 def cmd_sweep(args, argv):
-    out = _outdir(args)
     manifest = RunManifest(command=argv)
+    if min(args.s_min, args.s_max, args.eta_min, args.eta_max) <= 0.0 or min(args.s_points, args.eta_points) < 1:
+        raise ValueError("need positive S and eta ranges with at least one point each")
+    if args.s_points * args.eta_points > MAX_SWEEP_POINTS:
+        raise ValueError(f"{args.s_points} x {args.eta_points} grid points exceed the limit "
+                         f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}")
+    out = _outdir(args)
     s, eta = (g.ravel() for g in np.meshgrid(np.geomspace(args.s_min, args.s_max, args.s_points),
                                               np.geomspace(args.eta_min, args.eta_max, args.eta_points),
                                               indexing="ij"))
@@ -286,7 +288,11 @@ def run(argv=None):
         parser.print_usage(sys.stderr)
         print("cavsqueeze: a subcommand is required", file=sys.stderr)
         return 1
-    return _HANDLERS[args.command](args, argv)
+    try:
+        return _HANDLERS[args.command](args, argv)
+    except (ValueError, OSError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 def main():

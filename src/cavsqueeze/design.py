@@ -31,13 +31,13 @@ the precision to which the flat, rounded curve defines its minimum.
 
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cavity import kappa_t_required, validate_regime
+from .cavity import RegimeReport, kappa_t_required, validate_regime
 from .feedback import _scalar
-from .params import DrivePulse, RegimeThresholds
+from .params import DrivePulse
 from .raman import modified_min_variance, raman_modified_moments
 
 # full_curve_minimum: points of each logarithmic scan, and the rescans of
@@ -100,15 +100,6 @@ class RegimeClassification:
     sigma_curv_sq: float
     sigma_scatt_sq: float
     near_boundary: bool
-
-    def as_dict(self):
-        return {
-            "regime": self.regime,
-            "s_eta5": self.s_eta5,
-            "sigma_curv_sq": self.sigma_curv_sq,
-            "sigma_scatt_sq": self.sigma_scatt_sq,
-            "near_boundary": self.near_boundary,
-        }
 
 
 def classify_regime(total_spin, eta):
@@ -186,7 +177,6 @@ class DesignTargets:
 
     max_excited_pop: float = 1e-5
     q_target: float = None  # None: recommend from the full-curve minimum
-    thresholds: RegimeThresholds = field(default_factory=RegimeThresholds)
 
 
 @dataclass(frozen=True)
@@ -208,29 +198,12 @@ class SqueezeReport:
     spin_shortening_flag: bool  # r beyond ~0.1: neglected vector shortening suspect
     p0_required: float
     t_constraints: dict
-    validity: object  # RegimeReport
+    validity: RegimeReport
     provenance: dict
 
     def as_dict(self):
-        return {
-            "q_curv": self.q_curv,
-            "sigma_curv_sq": self.sigma_curv_sq,
-            "q_scatt": self.q_scatt,
-            "r_opt": self.r_opt,
-            "sigma_scatt_sq": self.sigma_scatt_sq,
-            "limiting_regime": self.limiting_regime,
-            "near_boundary": self.near_boundary,
-            "q_recommended": self.q_recommended,
-            "sigma_recommended_sq": self.sigma_recommended_sq,
-            "contrast_sq": self.contrast_sq,
-            "xi_recommended_sq": self.xi_recommended_sq,
-            "r_recommended": self.r_recommended,
-            "spin_shortening_flag": self.spin_shortening_flag,
-            "p0_required": self.p0_required,
-            "t_constraints": dict(self.t_constraints),
-            "validity": self.validity.as_dict(),
-            "provenance": dict(self.provenance),
-        }
+        """Nested plain dicts, the validity report and its thresholds included."""
+        return asdict(self)
 
 
 def design_report(ensemble, params, pulse_time, targets=None):
@@ -262,10 +235,10 @@ def design_report(ensemble, params, pulse_time, targets=None):
 
     p0_required = q_rec / (s * (2.0 * params.omega_shift / params.kappa) ** 2)
     drive = DrivePulse.from_shearing(q_rec, pulse_time, ensemble, params)
-    validity = validate_regime(ensemble, params, drive, targets.thresholds)
+    validity = validate_regime(ensemble, params, drive)
 
     kt_saturation = kappa_t_required(ensemble, params, q_rec, targets.max_excited_pop)
-    kt_resolve = targets.thresholds.min_kappa_t
+    kt_resolve = validity.thresholds.min_kappa_t
     kt_actual = params.kappa * pulse_time
     t_constraints = {
         "kappa_t_actual": kt_actual,

@@ -30,7 +30,6 @@ V+- = Delta S~_y^2 +- Delta S_z^2, tan(2 alpha_0) = W / V-; the measured
 quadrature at angle alpha is cos(alpha) S_z - sin(alpha) S~_y.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,39 +90,6 @@ def g_factor(total_spin, u):
 
 
 @dataclass(frozen=True)
-class CoherenceCoefficient:
-    """Evolution rate f_n of the n-th spin coherence <S_+^n> (rad/s).
-
-    Complex: Re accumulates phase, Im damps.  At S_z = 0 the damping part is
-    Im f_n = n^2 Omega^2 |beta|^2 / kappa.
-    """
-
-    n: int
-    value: complex
-
-
-def coherence_coefficient(n, sz, params, drive):
-    """f_n(S_z) = n Omega |beta|^2 (1 + n(i-1) Omega/kappa + 2(Omega/kappa) S_z).
-
-    Valid to lowest order in (Omega/kappa)|S_z| and for n up to ~sqrt(S);
-    out-of-regime inputs warn rather than raise.
-    """
-    if n < 1:
-        raise ValueError("coherence order n must be a positive integer")
-    omega = params.omega_shift
-    ratio = omega / params.kappa
-    if ratio * abs(sz) >= 1.0:
-        warnings.warn(
-            f"(Omega/kappa)|S_z| = {ratio * abs(sz):.3g} is not small; "
-            "the linearized coherence rate is unreliable here",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    value = n * omega * drive.drive_rate * (1.0 + n * (1j - 1.0) * ratio + 2.0 * ratio * sz)
-    return CoherenceCoefficient(n=int(n), value=complex(value))
-
-
-@dataclass(frozen=True)
 class MomentSet:
     """Second moments of one sheared state, in raw spin units.
 
@@ -148,11 +114,6 @@ def analytic_moments(total_spin, q):
     from .raman import raman_modified_moments  # the one closed-form body; raman imports this module
 
     return raman_modified_moments(total_spin, q, 0.0)
-
-
-def large_s_variance(total_spin, q):
-    """Large-ensemble limit (S/2)(1 + Q + Q^2): CSS + shot noise + feedback."""
-    return (total_spin / 2.0) * (1.0 + q + q * q)
 
 
 @dataclass(frozen=True)
@@ -195,22 +156,3 @@ def extremal_variances(moments):
         w=_scalar(w),
         degenerate=_scalar(degenerate),
     )
-
-
-def rotated_variance(moments, alpha):
-    """sigma^2(alpha) = (V+ - V- cos 2alpha - W sin 2alpha) / 2 in raw spin units; period pi in alpha."""
-    v_plus = moments.var_y + moments.var_z
-    v_minus = moments.var_y - moments.var_z
-    return _scalar(0.5 * (v_plus - v_minus * np.cos(2.0 * alpha) - moments.cov_w * np.sin(2.0 * alpha)))
-
-
-def curvature_corrected_min(total_spin, q):
-    """Two-term normalized minimum 1/Q + Q^4/(24 S^2).
-
-    Shot-noise floor plus the leading Bloch-sphere curvature penalty; its
-    minimizer is Q = 6^{1/5} S^{2/5}.
-    """
-    if q <= 0.0:
-        raise ValueError("shearing strength must be positive")
-    s = float(total_spin)
-    return 1.0 / q + q ** 4 / (24.0 * s * s)

@@ -35,7 +35,7 @@ def _sum_complex(weights, phases):
     return complex(re, im)
 
 
-def oracle_moments_sum(total_spin, q, dim_cap=ORACLE_SUM_CAP):
+def oracle_moments_sum(total_spin, q):
     """Sheared-state moments on a CSS by explicit Dicke sums.
 
     Computes <e^{iQ S_z/S} S_+>, e^{-(1+i)Q/S} <e^{2iQ S_z/S} S_+^2> and the
@@ -46,8 +46,8 @@ def oracle_moments_sum(total_spin, q, dim_cap=ORACLE_SUM_CAP):
     """
     s = float(total_spin)
     two_s = round(2.0 * s)
-    if two_s + 1 > dim_cap:
-        raise ValueError(f"Dicke dimension {two_s + 1} exceeds oracle cap {dim_cap}")
+    if two_s + 1 > ORACLE_SUM_CAP:
+        raise ValueError(f"Dicke dimension {two_s + 1} exceeds oracle cap {ORACLE_SUM_CAP}")
     if q < 0.0:
         raise ValueError("shearing strength must be nonnegative")
 
@@ -91,11 +91,9 @@ def channel_factors(total_spin, q):
     """
     s = float(total_spin)
     m = m_values(s)
-    m_row = m[:, None]
-    m_col = m[None, :]
-    n = m_col - m_row
+    n = m[None, :] - m[:, None]  # m' - m, with m along rows and m' along columns
     n_abs = np.abs(n)
-    m_big = np.maximum(m_row, m_col)
+    m_big = np.maximum.outer(m, m)
     damp = np.exp(-(n_abs * n_abs - n_abs) * q / (2.0 * s))
     phase = n * q * m_big / s - np.sign(n) * (n_abs * n_abs - n_abs) * q / (2.0 * s)
     factors = damp * np.exp(1j * phase)
@@ -115,23 +113,6 @@ def apply_feedback_channel(rho, total_spin, q):
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix must be {dim}x{dim} for S = {total_spin}")
     return channel_factors(total_spin, q) * rho
-
-
-def validate_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-12, eig_floor=-1e-10):
-    """Raise ValueError unless rho is Hermitian, unit-trace and near-PSD."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density matrix must be square")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > herm_tol:
-        raise ValueError(f"not Hermitian: max |rho - rho^dag| = {herm:.3e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace is {tr!r}, expected 1")
-    eigmin = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)))
-    if eigmin < eig_floor:
-        raise ValueError(f"negative eigenvalue {eigmin:.3e}")
-    return rho
 
 
 def css_density_matrix(total_spin):
@@ -172,38 +153,3 @@ def channel_moments(total_spin, q):
     cov_w = float(np.sum(sy_terms * (m[:-1] + m[1:])).real)
     return MomentSet(total_spin=float(total_spin), shearing_q=float(q), mean_sp=mean_sp,
                      mean_sp2=mean_sp2, var_y=var_y, var_z=var_z, cov_w=cov_w)
-
-
-def _quadrature_variance(moments, alpha):
-    """Var(cos(a) S_z - sin(a) S~_y) from oracle moments."""
-    sa, ca = math.sin(alpha), math.cos(alpha)
-    return ca * ca * moments.var_z + sa * sa * moments.var_y - sa * ca * moments.cov_w
-
-
-def brute_force_min_variance(total_spin, q, grid_points=720):
-    """Minimum normalized quadrature variance by grid scan plus refinement.
-
-    Scans alpha over [0, pi) on a uniform grid (sigma^2(alpha) is a pure
-    cosine in 2 alpha, so the grid guards against branch errors), then
-    ternary-searches the bracketing interval down to 1e-10 rad.  Returns
-    (alpha_min, sigma_min_sq) with the variance normalized to S/2.
-    """
-    moments = oracle_moments_sum(total_spin, q)
-    alphas = np.linspace(0.0, math.pi, grid_points, endpoint=False)
-    values = [_quadrature_variance(moments, a) for a in alphas]
-    best = int(np.argmin(values))
-    step = math.pi / grid_points
-    lo = alphas[best] - step
-    hi = alphas[best] + step
-    while hi - lo > 1e-10:
-        third = (hi - lo) / 3.0
-        m1, m2 = lo + third, hi - third
-        if _quadrature_variance(moments, m1) <= _quadrature_variance(moments, m2):
-            hi = m2
-        else:
-            lo = m1
-    alpha_min = math.fmod((lo + hi) / 2.0, math.pi)
-    if alpha_min < 0.0:
-        alpha_min += math.pi
-    sigma_min_sq = _quadrature_variance(moments, alpha_min) / (total_spin / 2.0)
-    return alpha_min, sigma_min_sq

@@ -26,7 +26,7 @@ DEFAULT_GAMMA = TWO_PI * 6.07e6
 
 def _two_s(total_spin):
     two_s = 2.0 * total_spin
-    if two_s < 1.0 or two_s != round(two_s):
+    if not (1.0 <= two_s < math.inf) or two_s != round(two_s):
         raise ValueError(f"total spin must be a positive half-integer, got {total_spin!r}")
     return round(two_s)
 
@@ -44,10 +44,6 @@ class EnsembleSpec:
         object.__setattr__(self, "total_spin", float(self.total_spin))
         object.__setattr__(self, "atom_count", two_s)
         object.__setattr__(self, "dicke_dim", two_s + 1)
-
-    @classmethod
-    def from_atom_count(cls, n_atoms):
-        return cls(total_spin=n_atoms / 2.0)
 
 
 @dataclass(frozen=True)
@@ -157,14 +153,6 @@ class RegimeThresholds:
     min_kappa_t: float = 10.0           # resolve the cavity line, kappa t >> 1
     max_linearity_ratio: float = 0.1    # Omega sqrt(S/2) / kappa small
     min_detuning_margin: float = 10.0   # |Delta| >> kappa, Gamma, g
-
-    def as_dict(self):
-        return {
-            "max_excited_pop": self.max_excited_pop,
-            "min_kappa_t": self.min_kappa_t,
-            "max_linearity_ratio": self.max_linearity_ratio,
-            "min_detuning_margin": self.min_detuning_margin,
-        }
 
 
 # Config file schema: flat "key = value" lines, '#' comments.  Frequencies in

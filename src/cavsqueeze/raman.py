@@ -174,10 +174,8 @@ class RamanProcess:
     flip_rate: float = 0.0  # per atom, derived: r / pulse_time
 
     def __post_init__(self):
-        if self.r < 0.0:
-            raise ValueError("r must be nonnegative")
-        if not math.isfinite(self.r):
-            raise ValueError("r must be finite")
+        if not 0.0 <= self.r < math.inf:
+            raise ValueError("r must be nonnegative and finite")
         if self.pulse_time <= 0.0:
             raise ValueError("pulse_time must be positive")
         if self.n_atoms < 1:

@@ -11,6 +11,8 @@ import json
 import time
 from dataclasses import dataclass, field
 
+from . import __version__
+
 SCHEMA_VERSION = "1.0"
 
 
@@ -24,8 +26,6 @@ def format_value(value):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(float(value))
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 
@@ -53,9 +53,6 @@ class RunManifest:
     seed: int = None
     config: dict = None
     outputs: list = field(default_factory=list)
-    schema_version: str = SCHEMA_VERSION
-    tool_version: str = ""
-    wall_time_s: float = 0.0
     mc_health: dict = None
     _started: float = field(default_factory=time.perf_counter, repr=False)
 
@@ -63,18 +60,14 @@ class RunManifest:
         self.outputs.append(str(path))
 
     def write(self, path):
-        from . import __version__
-
-        self.tool_version = self.tool_version or __version__
-        self.wall_time_s = time.perf_counter() - self._started
         record = {
             "command": list(self.command),
             "seed": self.seed,
             "config": self.config,
             "outputs": list(self.outputs),
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
-            "wall_time_s": self.wall_time_s,
+            "schema_version": SCHEMA_VERSION,
+            "tool_version": __version__,
+            "wall_time_s": time.perf_counter() - self._started,
         }
         if self.mc_health is not None:
             record["mc_health"] = dict(self.mc_health)

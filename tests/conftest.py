@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 
+from cavsqueeze.oracle import oracle_moments_sum
+
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -104,3 +106,39 @@ def fsum_mean_se_reference(values):
         return mean, float("inf")
     var = math.fsum(((values - mean) ** 2).tolist()) / (n - 1)
     return mean, math.sqrt(var / n)
+
+
+def _quadrature_variance(moments, alpha):
+    """Var(cos(a) S_z - sin(a) S~_y) from oracle moments."""
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    return ca * ca * moments.var_z + sa * sa * moments.var_y - sa * ca * moments.cov_w
+
+
+def brute_force_min_variance(total_spin, q, grid_points=720):
+    """Minimum normalized quadrature variance by grid scan plus refinement.
+
+    The tests' reference for feedback.extremal_variances.  Scans alpha over
+    [0, pi) on a uniform grid of the oracle-sum moments (sigma^2(alpha) is a
+    pure cosine in 2 alpha, so the grid guards against branch errors), then
+    ternary-searches the bracketing interval down to 1e-10 rad.  Returns
+    (alpha_min, sigma_min_sq) with the variance normalized to S/2.
+    """
+    moments = oracle_moments_sum(total_spin, q)
+    alphas = np.linspace(0.0, math.pi, grid_points, endpoint=False)
+    values = [_quadrature_variance(moments, a) for a in alphas]
+    best = int(np.argmin(values))
+    step = math.pi / grid_points
+    lo = alphas[best] - step
+    hi = alphas[best] + step
+    while hi - lo > 1e-10:
+        third = (hi - lo) / 3.0
+        m1, m2 = lo + third, hi - third
+        if _quadrature_variance(moments, m1) <= _quadrature_variance(moments, m2):
+            hi = m2
+        else:
+            lo = m1
+    alpha_min = math.fmod((lo + hi) / 2.0, math.pi)
+    if alpha_min < 0.0:
+        alpha_min += math.pi
+    sigma_min_sq = _quadrature_variance(moments, alpha_min) / (total_spin / 2.0)
+    return alpha_min, sigma_min_sq

@@ -1,19 +1,25 @@
-import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from cavsqueeze import (
-    CavityAtomParams,
-    DrivePulse,
-    EnsembleSpec,
-    RegimeThresholds,
-    cavity_field_photon_number,
-    kappa_t_required,
-    validate_regime,
-)
+from cavsqueeze.cavity import kappa_t_required, validate_regime
+from cavsqueeze.params import CavityAtomParams, DrivePulse, EnsembleSpec, RegimeThresholds
 
 WORKED = dict(g_hz=0.4e6, kappa_hz=1e6, gamma_hz=6.07e6, delta_over_gamma=500.0)
+
+
+def cavity_field_photon_number(params, drive, sz_value):
+    """Mean photon number transmitted over the pulse at fixed S_z: p0 L(S_z).
+
+    The drive sits half a linewidth above the bare cavity, whose resonance
+    the atoms pull to omega_c + Omega S_z, so the Lorentzian transmission
+    factor is L(S_z) = (kappa^2/2) / ((kappa/2)^2 + (Omega S_z - kappa/2)^2),
+    normalized so L(0) = 1 and d L/d S_z |_0 = 2 Omega / kappa.
+    """
+    half_kappa = params.kappa / 2.0
+    detune = params.omega_shift * sz_value - half_kappa
+    return drive.p0 * (params.kappa ** 2 / 2.0) / (half_kappa ** 2 + detune ** 2)
 
 
 def _worked_system(s=1e4, p0=100.0, t=400e-6):
@@ -100,13 +106,13 @@ def test_flags_fire_under_tight_thresholds():
     report = validate_regime(spec, params, drive, thr)
     assert not any(report.flags.values())
     assert not report.all_ok
-    d = report.as_dict()
+    d = asdict(report)
     assert d["flags"]["kappa_t"] is False
     assert d["thresholds"]["min_kappa_t"] == 1e3
 
 
 def test_report_serializable():
     spec, params, drive = _worked_system()
-    d = validate_regime(spec, params, drive).as_dict()
+    d = asdict(validate_regime(spec, params, drive))
     assert set(d) >= {"ratio_linearity", "excited_pop", "kappa_t",
                       "detuning_margin", "flags", "identity_rel_err"}

@@ -62,6 +62,31 @@ def test_fig2_outside_g_factor_domain_exits_1_with_message(tmp_path, capsys):
         assert not (out / "fig2.csv").exists()
 
 
+# refused before any grid or file is built; the counts sit just above the
+# limits, so a missing check would cost a few hundred MB at most
+_FIG2_HALF = str(cli.MAX_FIG2_POINTS // 2 + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--s-min", "-1"],
+    ["sweep", "--eta-min", "0"],
+    ["sweep", "--s-points", "0"],
+    ["sweep", "--s-points", "129", "--eta-points", "128"],
+    ["fig2", "--S", "0", "--eta", "0.1"],
+    ["fig2", "--S", "2.3", "--eta", "0.1"],
+    ["fig2", "--S", "100", "--eta", "0.1", "--eta", "0.2", "--qpoints", _FIG2_HALF],
+    ["validate-oracle", "--smax", "0.4"],
+    ["design", "--config", "no-such-file.cfg"],
+], ids=" ".join)
+def test_refused_input_exits_1_with_message_and_no_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert _run(argv, out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{argv[0]}: ")
+    assert "Traceback" not in captured.out + captured.err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def _raise_on_constant(name):
     raise ValueError(f"non-standard JSON token {name}")
 

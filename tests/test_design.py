@@ -6,20 +6,18 @@ import pytest
 
 from conftest import golden_section_min, rel_err
 
-from cavsqueeze import (
-    CavityAtomParams,
-    EnsembleSpec,
+from cavsqueeze import design
+from cavsqueeze.design import (
+    DesignTargets,
     classify_regime,
     curvature_optimum,
     design_report,
-    extremal_variances,
     full_curve_minimum,
-    modified_min_variance,
-    raman_modified_moments,
     scattering_optimum,
 )
-from cavsqueeze import design
-from cavsqueeze.design import DesignTargets
+from cavsqueeze.feedback import extremal_variances
+from cavsqueeze.params import CavityAtomParams, EnsembleSpec
+from cavsqueeze.raman import modified_min_variance, raman_modified_moments
 
 WORKED = dict(g_hz=0.4e6, kappa_hz=1e6, gamma_hz=6.07e6, delta_over_gamma=500.0)
 

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import dense_matrix
 
-from cavsqueeze import EnsembleSpec, build_operators, make_css
-from cavsqueeze.dicke import DickeState, STATE_DIM_CAP, expectation, variance
+from cavsqueeze.dicke import STATE_DIM_CAP, DickeState, build_operators, expectation, make_css, variance
+from cavsqueeze.params import EnsembleSpec
 
 
 def _dense_ops(spec):

@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import angle_dist_mod_pi, dense_matrix, floored_rel_err, rel_err
+from conftest import angle_dist_mod_pi, brute_force_min_variance, dense_matrix, floored_rel_err, rel_err
 
-from cavsqueeze import (
-    EnsembleSpec,
-    analytic_moments,
+from cavsqueeze.dicke import build_operators
+from cavsqueeze.feedback import analytic_moments, extremal_variances
+from cavsqueeze.oracle import (
     apply_feedback_channel,
-    brute_force_min_variance,
-    build_operators,
+    channel_factors,
     channel_moments,
-    extremal_variances,
-    make_css,
+    css_density_matrix,
     oracle_moments_sum,
 )
-from cavsqueeze.oracle import channel_factors, css_density_matrix, validate_density_matrix
+from cavsqueeze.params import EnsembleSpec
 
 GRID_S = (0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 200.0)
 
@@ -189,18 +187,12 @@ class TestChannel:
 
 class TestDensityMatrixValidation:
     def test_accepts_css(self):
-        validate_density_matrix(css_density_matrix(30.0))
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            validate_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
-        with pytest.raises(ValueError, match="trace"):
-            validate_density_matrix(np.eye(2))
-        neg = np.diag([1.5, -0.5]).astype(complex)
-        with pytest.raises(ValueError, match="eigenvalue"):
-            validate_density_matrix(neg)
-        with pytest.raises(ValueError, match="square"):
-            validate_density_matrix(np.zeros((2, 3)))
+        # Hermitian, unit trace and positive semidefinite
+        rho = css_density_matrix(30.0)
+        assert rho.shape == (61, 61)
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+        assert abs(complex(np.trace(rho)) - 1.0) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(rho)) >= -1e-10
 
     def test_density_matrix_cap(self):
         with pytest.raises(ValueError, match="cap"):

@@ -2,24 +2,16 @@ import math
 
 import pytest
 
-from cavsqueeze import (
-    TWO_PI,
-    CavityAtomParams,
-    DrivePulse,
-    EnsembleSpec,
-    load_config,
-    system_from_config,
-)
+from cavsqueeze.params import TWO_PI, CavityAtomParams, DrivePulse, EnsembleSpec, load_config, system_from_config
 
 
 def test_ensemble_derived_quantities():
     spec = EnsembleSpec(total_spin=7.5)
     assert spec.atom_count == 15
     assert spec.dicke_dim == 16
-    assert EnsembleSpec.from_atom_count(20000).total_spin == 10000.0
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, 0.3, 1.25, 0.49])
+@pytest.mark.parametrize("bad", [0.0, -1.0, 0.3, 1.25, 0.49, math.inf, math.nan])
 def test_ensemble_rejects_non_half_integer(bad):
     with pytest.raises(ValueError):
         EnsembleSpec(total_spin=bad)

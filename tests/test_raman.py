@@ -5,18 +5,17 @@ import pytest
 
 from conftest import fsum_mean_se_reference, golden_section_min, lockstep_exact_reference, rel_err
 
-from cavsqueeze import (
+from cavsqueeze import raman
+from cavsqueeze.design import full_curve_minimum
+from cavsqueeze.feedback import analytic_moments, extremal_variances
+from cavsqueeze.raman import (
     RamanProcess,
-    analytic_moments,
     correlation_integrals,
-    extremal_variances,
     fig2_curve,
-    full_curve_minimum,
     modified_min_variance,
     raman_modified_moments,
     sample_trajectories,
 )
-from cavsqueeze import raman
 
 
 class TestCorrelationIntegrals:

@@ -1,0 +1,49 @@
+"""Every public name defined in src/cavsqueeze has a use in the program or the benchmark.
+
+A name counts as used when it occurs as a whole word in a file under src/
+or perfbench/ outside its own definition; tests/ does not count, so a helper
+kept alive only by its tests is reported.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cavsqueeze"
+USERS = (ROOT / "src", ROOT / "perfbench")
+
+
+def public_definitions(tree):
+    """(qualified name, node) of the public top-level functions, classes and constants, and their methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [(node.name, node)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        if isinstance(node, ast.ClassDef):
+            names += [(f"{node.name}.{item.name}", item) for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+        yield from ((name, item) for name, item in names if not name.rpartition(".")[2].startswith("_"))
+
+
+def unused_names(package=PACKAGE, users=USERS):
+    """Qualified public names of package with no whole-word occurrence outside their definition."""
+    lines = {path: path.read_text(encoding="utf-8").splitlines()
+             for root in users for path in sorted(root.rglob("*.py"))}
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        for name, node in public_definitions(ast.parse("\n".join(lines[path]))):
+            word = re.compile(rf"\b{re.escape(name.rpartition('.')[2])}\b")
+            elsewhere = (line for src, text in lines.items() for i, line in enumerate(text, 1)
+                         if src != path or not node.lineno <= i <= node.end_lineno)
+            if not any(map(word.search, elsewhere)):
+                unused.append(f"{path.stem}.{name}")
+    return unused
+
+
+def test_every_public_name_has_a_use():
+    assert unused_names() == []
