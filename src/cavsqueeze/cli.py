@@ -8,8 +8,10 @@ raman-mc        telegraph-jump Monte Carlo of the time-averaged S_z
 design          operating-point report from a config file
 sweep           (S, eta) grid scan of limits, optima and regimes
 
-Exit codes: 0 success, 1 usage/config error (any ValueError or OSError, printed
-to stderr as "<subcommand>: <message>"), 2 validation-suite failure.
+Exit codes: 0 success, 1 usage/config error (any ValueError or OSError, a
+nan or infinite number included, printed to stderr as "<subcommand>:
+<message>"), 2 validation-suite failure (a closed form off the oracle by
+more than ORACLE_TOL).
 All data outputs are byte-identical for identical invocation + seed; the
 Monte Carlo streams are keyed by (seed, chunk of 512 trajectories).  The run
 manifest (wall time) is the only exception.
@@ -17,6 +19,7 @@ manifest (wall time) is the only exception.
 
 import argparse
 import importlib
+import math
 import sys
 import time
 import warnings
@@ -27,13 +30,13 @@ import numpy as np
 from . import __version__
 from .design import (DesignTargets, classify_regime, curvature_optimum, design_report, full_curve_minimum,
                      scattering_optimum)
-from .feedback import analytic_moments
+from .feedback import analytic_moments, correlation_integrals
 from .oracle import oracle_moments_sum
 from .params import EnsembleSpec, load_config, system_from_config
-from .raman import RamanProcess, correlation_integrals, fig2_curve, sample_trajectories
+from .raman import RamanProcess, fig2_curve, sample_trajectories
 from .serialize import RunManifest, SCHEMA_VERSION, write_csv, write_json
 
-ORACLE_TOL = 1e-10
+ORACLE_TOL = 1e-10  # validate-oracle's relative-error gate, exit 2 beyond it
 _ORACLE_S_GRID = (0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 200.0)
 
 # Grid-size limits, checked before any grid is built.  Peak memory measured
@@ -64,14 +67,11 @@ def build_parser():
     p.add_argument("--qmin", type=float, default=1.0)
     p.add_argument("--qmax", type=float, default=1000.0)
     p.add_argument("--qpoints", type=int, default=200)
-    p.add_argument("--log-grid", action="store_true", default=True,
-                   help="logarithmic Q grid (default)")
-    p.add_argument("--linear-grid", dest="log_grid", action="store_false")
+    p.add_argument("--linear-grid", action="store_true", help="evenly spaced Q grid (default logarithmic)")
     p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("validate-oracle", help="closed forms vs brute-force sums (CSV)")
     p.add_argument("--smax", type=float, default=200.0, help="largest S of the grid")
-    p.add_argument("--tol", type=float, default=ORACLE_TOL, help="relative-error tolerance")
     p.add_argument("--out", default="out")
 
     p = sub.add_parser("raman-mc", help="telegraph Monte Carlo statistics (JSON + optional CSV)")
@@ -118,10 +118,7 @@ def cmd_fig2(args, argv):
         raise ValueError(f"{args.qpoints} Q points x {len(args.eta)} eta values exceed the limit "
                          f"MAX_FIG2_POINTS = {MAX_FIG2_POINTS}")
     out = _outdir(args)
-    if args.log_grid:
-        q_grid = np.geomspace(args.qmin, args.qmax, args.qpoints)
-    else:
-        q_grid = np.linspace(args.qmin, args.qmax, args.qpoints)
+    q_grid = (np.linspace if args.linear_grid else np.geomspace)(args.qmin, args.qmax, args.qpoints)
     # raises ValueError where Q_eff / S passes the G-factor branch
     rows = [(eta, *row) for eta in args.eta for row in fig2_curve(spec.total_spin, eta, q_grid)]
     path = out / "fig2.csv"
@@ -147,7 +144,7 @@ def cmd_validate_oracle(args, argv):
             oracle = oracle_moments_sum(s, q)
             err_v = _relative_error(var_closed, oracle.var_y)
             err_w = _relative_error(cov_closed, oracle.cov_w)
-            ok = err_v <= args.tol and err_w <= args.tol
+            ok = err_v <= ORACLE_TOL and err_w <= ORACLE_TOL
             n_fail += 0 if ok else 1
             rows.append((s, q, var_closed, oracle.var_y, err_v,
                          cov_closed, oracle.cov_w, err_w, ok))
@@ -157,7 +154,7 @@ def cmd_validate_oracle(args, argv):
                      "cov_closed", "cov_oracle", "rel_err", "pass"), rows)
     manifest.add_output(path.name)
     manifest.write(out / "manifest.json")
-    print(f"{len(rows) - n_fail}/{len(rows)} grid points within {args.tol:g}; wrote {path}")
+    print(f"{len(rows) - n_fail}/{len(rows)} grid points within {ORACLE_TOL:g}; wrote {path}")
     return 0 if n_fail == 0 else 2
 
 
@@ -190,8 +187,7 @@ def cmd_raman_mc(args, argv):
     # that trajectories_per_s measures the simulation alone
     importlib.import_module("numpy.random")
     started = time.perf_counter()
-    stats = sample_trajectories(process, spec.total_spin, args.traj, args.steps,
-                                seed=args.seed, mode=args.mode)
+    stats = sample_trajectories(process, args.traj, args.steps, seed=args.seed, mode=args.mode)
     elapsed_s = time.perf_counter() - started
     record = stats.as_dict()
     target = np.exp(-2.0 * args.r * stats.lags / process.pulse_time).tolist()
@@ -274,6 +270,14 @@ _HANDLERS = {
 }
 
 
+def _refuse_non_finite(args):
+    """Raise ValueError for a nan or infinite float option, which every later range check would let through."""
+    for dest, value in vars(args).items():
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"--{dest.replace('_', '-')} must be finite, got {v!r}")
+
+
 def run(argv=None):
     """Entry point returning the process exit code (0/1/2)."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
@@ -289,6 +293,7 @@ def run(argv=None):
         print("cavsqueeze: a subcommand is required", file=sys.stderr)
         return 1
     try:
+        _refuse_non_finite(args)
         return _HANDLERS[args.command](args, argv)
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

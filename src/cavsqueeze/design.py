@@ -27,6 +27,14 @@ forms reported alongside.  full_curve_minimum scans a fixed logarithmic
 bracket and rescans the neighbourhood of the best point four times, five
 array calls of the curve in all, which places Q to ~1e-7 relative: about
 the precision to which the flat, rounded curve defines its minimum.
+
+The dispersive readout: the drive, at omega = omega_c + kappa/2 (half a
+linewidth above the bare cavity), sees a resonance pulled by the atomic
+index of refraction to omega_c + Omega S_z, so the transmitted photon
+number has the relative slope 2 Omega / kappa at S_z = 0.  validate_regime
+checks the treatment's conditions (linear in S_z, adiabatic in the cavity
+field, low saturation) against the limits below and the one settable
+limit, DesignTargets.max_excited_pop.
 """
 
 import sys
@@ -35,10 +43,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cavity import RegimeReport, kappa_t_required, validate_regime
-from .feedback import _scalar
+from . import __version__
+from .feedback import _scalar, raman_modified_moments
 from .params import DrivePulse
-from .raman import modified_min_variance, raman_modified_moments
+from .raman import modified_min_variance
+from .serialize import SCHEMA_VERSION
 
 # full_curve_minimum: points of each logarithmic scan, and the rescans of
 # the two grid steps around the best point that follow the first scan.
@@ -57,6 +66,12 @@ _BOUNDARY_BAND = 3.0
 # 1 - 22 eps and 1 + 14 eps (eps = machine epsilon) for S in [1, 1e9];
 # 64 eps absorbs that rounding and is far too narrow to act as a band.
 _BOUNDARY_RTOL = 64.0 * sys.float_info.epsilon
+
+# validate_regime: pass/fail limits of the operating conditions besides low
+# saturation, whose limit is DesignTargets.max_excited_pop
+MIN_KAPPA_T = 10.0  # resolve the cavity line, kappa t >> 1
+MAX_LINEARITY_RATIO = 0.1  # Omega sqrt(S/2) / kappa small
+MIN_DETUNING_MARGIN = 10.0  # |Delta| >> kappa, Gamma, g
 
 
 def curvature_optimum(total_spin):
@@ -175,8 +190,83 @@ def full_curve_minimum(total_spin, eta):
 class DesignTargets:
     """Experiment-design constraints and optional overrides."""
 
-    max_excited_pop: float = 1e-5
+    max_excited_pop: float = 1e-5  # low saturation, epsilon <= this
     q_target: float = None  # None: recommend from the full-curve minimum
+
+
+def kappa_t_required(ensemble, params, shearing_q, max_excited_pop):
+    """Minimum kappa*t so the excited-state population stays below the cap.
+
+    From epsilon * kappa * t = (kappa/g)^2 Q / (8 S): at fixed Q the pulse
+    must stretch as (kappa/g)^2 / epsilon_max.
+    """
+    if max_excited_pop <= 0.0:
+        raise ValueError("max_excited_pop must be positive")
+    return (params.kappa / params.g) ** 2 * shearing_q / (8.0 * ensemble.total_spin * max_excited_pop)
+
+
+@dataclass(frozen=True)
+class RegimeReport:
+    """Validity checks of the dispersive, linearized, adiabatic treatment.
+
+    excited_pop is epsilon = <c^dag c> g^2 / Delta^2 at S_z = 0;
+    ratio_linearity is Omega sqrt(S/2) / kappa; identity_rel_err records how
+    well epsilon kappa t = (kappa/g)^2 Q/(8S) closes numerically; thresholds
+    holds the four limits the flags were checked against.
+    """
+
+    ratio_linearity: float
+    excited_pop: float
+    kappa_t: float
+    detuning_margin: float
+    shearing_q: float
+    flags: dict
+    all_ok: bool  # every flag passes
+    identity_rel_err: float
+    thresholds: dict
+
+
+def validate_regime(ensemble, params, drive, max_excited_pop):
+    """Evaluate the low-saturation / adiabaticity / linearity conditions.
+
+    max_excited_pop is the low-saturation limit, DesignTargets.max_excited_pop
+    in a design report; the other limits are the module constants.  Never
+    raises for out-of-regime inputs; all failures are carried as flags.
+    """
+    s = ensemble.total_spin
+
+    # epsilon at S_z = 0: intracavity <c^dag c> = |beta|^2 = 2 p0/(kappa t),
+    # which is exactly the stored drive_rate
+    excited_pop = drive.drive_rate * (params.g / params.delta) ** 2
+
+    kappa_t = params.kappa * drive.pulse_time
+    ratio_linearity = params.omega_shift * (s / 2.0) ** 0.5 / params.kappa
+    detuning_margin = abs(params.delta) / max(params.kappa, params.gamma, params.g)
+
+    # internal identity: epsilon kappa t = (kappa/g)^2 Q / (8S)
+    lhs = excited_pop * kappa_t
+    rhs = (params.kappa / params.g) ** 2 * drive.shearing_q / (8.0 * s)
+    scale = max(abs(lhs), abs(rhs))
+    identity_rel_err = abs(lhs - rhs) / scale if scale > 0.0 else 0.0
+
+    flags = {
+        "excited_pop": excited_pop <= max_excited_pop,
+        "kappa_t": kappa_t >= MIN_KAPPA_T,
+        "linearity": ratio_linearity <= MAX_LINEARITY_RATIO,
+        "detuning_margin": detuning_margin >= MIN_DETUNING_MARGIN,
+    }
+    return RegimeReport(
+        ratio_linearity=ratio_linearity,
+        excited_pop=excited_pop,
+        kappa_t=kappa_t,
+        detuning_margin=detuning_margin,
+        shearing_q=drive.shearing_q,
+        flags=flags,
+        all_ok=all(flags.values()),
+        identity_rel_err=identity_rel_err,
+        thresholds={"max_excited_pop": max_excited_pop, "min_kappa_t": MIN_KAPPA_T,
+                    "max_linearity_ratio": MAX_LINEARITY_RATIO, "min_detuning_margin": MIN_DETUNING_MARGIN},
+    )
 
 
 @dataclass(frozen=True)
@@ -202,7 +292,7 @@ class SqueezeReport:
     provenance: dict
 
     def as_dict(self):
-        """Nested plain dicts, the validity report and its thresholds included."""
+        """Nested plain dicts, the validity report included."""
         return asdict(self)
 
 
@@ -233,23 +323,18 @@ def design_report(ensemble, params, pulse_time, targets=None):
     r_rec = q_rec / (4.0 * s * eta)
     contrast_sq = abs(raman_modified_moments(s, q_rec, r_rec).mean_sp) ** 2 / (s * s)
 
-    p0_required = q_rec / (s * (2.0 * params.omega_shift / params.kappa) ** 2)
     drive = DrivePulse.from_shearing(q_rec, pulse_time, ensemble, params)
-    validity = validate_regime(ensemble, params, drive)
+    validity = validate_regime(ensemble, params, drive, targets.max_excited_pop)
 
     kt_saturation = kappa_t_required(ensemble, params, q_rec, targets.max_excited_pop)
-    kt_resolve = validity.thresholds.min_kappa_t
     kt_actual = params.kappa * pulse_time
     t_constraints = {
         "kappa_t_actual": kt_actual,
-        "kappa_t_min_resolve": kt_resolve,
+        "kappa_t_min_resolve": MIN_KAPPA_T,
         "kappa_t_min_saturation": kt_saturation,
-        "t_min_seconds": max(kt_saturation, kt_resolve) / params.kappa,
-        "satisfied": kt_actual >= max(kt_saturation, kt_resolve),
+        "t_min_seconds": max(kt_saturation, MIN_KAPPA_T) / params.kappa,
+        "satisfied": kt_actual >= max(kt_saturation, MIN_KAPPA_T),
     }
-
-    from . import __version__
-    from .serialize import SCHEMA_VERSION
 
     provenance = {
         "schema_version": SCHEMA_VERSION,
@@ -275,7 +360,7 @@ def design_report(ensemble, params, pulse_time, targets=None):
         xi_recommended_sq=sigma_rec / contrast_sq,
         r_recommended=r_rec,
         spin_shortening_flag=r_rec > 0.1,
-        p0_required=p0_required,
+        p0_required=drive.p0,
         t_constraints=t_constraints,
         validity=validity,
         provenance=provenance,

@@ -109,19 +109,10 @@ def css_amplitudes(total_spin):
     return a / np.sqrt(np.sum(a * a))
 
 
-def make_css(spec, axis="+x"):
-    """Coherent spin state along +x or -x, satisfying <S_x> = +-S.
-
-    Amplitude at m is sqrt(C(2S, S+m)) 2^-S, with a (-1)^(S-m) sign for the
-    -x state.
-    """
-    if axis not in ("+x", "-x"):
-        raise ValueError(f"axis must be '+x' or '-x', got {axis!r}")
+def make_css(spec):
+    """Coherent spin state along +x, satisfying <S_x> = S; amplitude sqrt(C(2S, S+m)) 2^-S at m."""
     s = spec.total_spin
-    amps = css_amplitudes(s).astype(complex)
-    if axis == "-x":
-        amps[1::2] *= -1.0  # (-1)^(S-m): S - m is the storage index
-    return DickeState(total_spin=s, amplitudes=amps)
+    return DickeState(total_spin=s, amplitudes=css_amplitudes(s).astype(complex))
 
 
 def expectation(state, op):

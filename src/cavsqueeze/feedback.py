@@ -17,8 +17,19 @@ variance proper subtracts it:  Delta S~_y^2 = <S~_y^2> - <S~_y>^2.  The
 subtraction is O(1/S) relative at large S but matters for exact-oracle
 agreement at small S.
 
-raman.raman_modified_moments evaluates these forms, broadcast over (S, Q, r),
-with the scattering substitution; analytic_moments is its r = 0 case.
+raman_modified_moments evaluates these forms, broadcast over (S, Q, r), with
+the Raman-scattering substitution below; analytic_moments is its r = 0 case.
+
+Substitution recipe: Raman flips make the spin precess with the time
+average Sbar_z (the raman module has the telegraph model), whose normalized
+moments c_bar_sq and c_bar_fin come from correlation_integrals.  In the
+large-S limit (Sbar_z, S_z(t)) is jointly Gaussian, so Sbar_z =
+c_bar_fin S_z(t) + xi with xi independent of S_z(t) and Var(xi) =
+(S/2)(c_bar_sq - c_bar_fin^2).  The Dicke sums are then evaluated at the
+reduced coupling Q_eff = Q c_bar_fin while xi contributes classical Gaussian
+dephasing exp(-n^2 Q^2 (c_bar_sq - c_bar_fin^2) / (4S)) on the n-th
+coherence.  In the large-S, small-r regime the minimum variance reduces to
+1/Q + 4r/3 with r = Q/(4 S eta).
 
 The variance of the spin component measured after rotating the state about
 x by -alpha is
@@ -30,18 +41,20 @@ V+- = Delta S~_y^2 +- Delta S_z^2, tan(2 alpha_0) = W / V-; the measured
 quadrature at angle alpha is cos(alpha) S_z - sin(alpha) S~_y.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# Direct signed integer cosine powers below this spin (valid for any
-# argument); log-space evaluation above (principal branch only, raises
-# outside it).  cos^19999 underflows in naive evaluation, hence the split.
-_DIRECT_POWER_MAX_SPIN = 50.0
-
 # The G-factor domain |Q_eff / S| < pi/2: the principal branch, on which
 # every cosine behind the G factors stays positive.
 _G_DOMAIN = np.pi / 2.0
+
+# Series of the correlation integrals below a = 2r = 0.5:  c_bar_sq =
+# 2 sum_j (-a)^j/(j+2)!,  c_bar_fin = sum_j (-a)^j/(j+1)!.  16 terms leave a
+# remainder under 1e-19; the (c_bar_sq, c_bar_fin) coefficient pairs are
+# listed highest power first for Horner's rule.
+_SERIES = [(2.0 / math.factorial(j + 2), 1.0 / math.factorial(j + 1)) for j in reversed(range(16))]
 
 
 def _scalar(value):
@@ -50,43 +63,58 @@ def _scalar(value):
     return value.item() if value.ndim == 0 else value
 
 
-def _check_g_domain(x, where=True):
-    """Raise ValueError where `where` holds and x = Q_eff / S leaves the G-factor domain |x| < pi/2."""
-    outside = (np.abs(x) >= _G_DOMAIN) & where
-    if outside.any():
-        first = np.broadcast_to(x, outside.shape)[outside][0]
-        raise ValueError(f"Q_eff / S = {float(first)!r}: outside the principal branch |Q_eff / S| < pi/2 "
-                         "of the G factor")
-
-
 def _cos_power(x, power):
-    """cos(x)**power elementwise for integer-valued power >= 0, stable for large powers."""
-    cos = np.cos(x)
-    big = power > 2 * _DIRECT_POWER_MAX_SPIN
-    if not big.any():
-        return np.power(cos, power)
-    _check_g_domain(x, big)
+    """cos(x)**power elementwise for integer-valued power >= 0 and any argument.
+
+    exp(power ln cos x) inside the G-factor domain, which keeps full precision
+    at large powers (cos^19999 at S = 1e4); the signed integer power past it.
+    """
     # ln cos x through 1 - cos x = 2 sin^2(x/2): full relative precision at
     # small x, where cos(x) - 1 would vanish into the last bits of 1.0
     half_sin = np.sin(x / 2.0)
-    with np.errstate(divide="ignore", invalid="ignore"):  # direct-power elements past the branch
+    inside = np.abs(x) < _G_DOMAIN
+    with np.errstate(divide="ignore", invalid="ignore"):  # ln of cos x <= 0 past the branch, discarded
         log_form = np.exp(power * np.log1p(-2.0 * half_sin * half_sin))
-    return np.where(big, log_form, np.power(cos, power))
+    if inside.all():
+        return log_form
+    return np.where(inside, log_form, np.power(np.cos(x), power))
 
 
 def g_factor(total_spin, u):
     """Binomial coherence factor G(u) = cos^{2S-1}(u/S), elementwise.
 
-    For S <= 50 the integer power is evaluated directly and stays valid for
-    any argument (the exact moments at small S use that); for larger S the
-    value is exp((2S-1) ln cos(u/S)), which requires |u/S| < pi/2, the
-    G-factor domain, and raises ValueError otherwise.  The squeezing curve,
-    raman.modified_min_variance, refuses Q_eff / S past the domain for
-    every S.  G(0) = 1 for any S, and G == 1 identically at S = 1/2
-    (exponent zero).
+    Finite for every finite argument at every S: exp((2S-1) ln cos(u/S))
+    inside the G-factor domain |u/S| < pi/2, the signed integer power past
+    it (the exact moments use both).  The squeezing curve,
+    raman.modified_min_variance, is what refuses Q_eff / S past the domain.
+    G(0) = 1 for any S, and G == 1 identically at S = 1/2 (exponent zero).
     """
     s = np.asarray(total_spin, dtype=float)[()]
     return _scalar(_cos_power(u / s, np.rint(2.0 * s) - 1.0))
+
+
+def correlation_integrals(r):
+    """Normalized moments (c_bar_sq, c_bar_final) of the time-averaged S_z, elementwise.
+
+    Closed forms of the exponential-kernel time integrals (the raman module
+    derives them); a series is used below 2r = 0.5, where the closed forms
+    lose digits to cancellation.
+    """
+    r = np.asarray(r, dtype=float)[()]
+    if (r < 0.0).any():
+        raise ValueError("r must be nonnegative")
+    a = 2.0 * r
+    x = -np.minimum(a, 0.5)
+    sq_series = fin_series = 0.0
+    for sq_coef, fin_coef in _SERIES:
+        sq_series = sq_series * x + sq_coef
+        fin_series = fin_series * x + fin_coef
+    a_closed = np.maximum(a, 0.5)
+    ea = np.exp(-a_closed)
+    small = a < 0.5
+    c_sq = np.where(small, sq_series, (a_closed - 1.0 + ea) * 2.0 / (a_closed * a_closed))
+    c_fin = np.where(small, fin_series, (1.0 - ea) / a_closed)
+    return _scalar(c_sq), _scalar(c_fin)
 
 
 @dataclass(frozen=True)
@@ -109,10 +137,43 @@ class MomentSet:
     cov_w: float
 
 
+def raman_modified_moments(total_spin, q, r):
+    """Closed-form MomentSet with the time-averaged-S_z substitution, broadcast over (S, Q, r).
+
+    This is the one closed-form body: analytic_moments is its r = 0 case by
+    construction.  var_z stays S/2 (the telegraph process is stationary on
+    the CSS ensemble).
+    """
+    # 0-d inputs become numpy scalars, whose arithmetic costs less than 0-d arrays'
+    s, q, r = (np.asarray(v, dtype=float)[()] for v in (total_spin, q, r))
+    if (q < 0.0).any() or (r < 0.0).any():
+        raise ValueError("q and r must be nonnegative")
+    two_s = np.rint(2.0 * s)
+    c_sq, c_fin = correlation_integrals(r)
+    xi_var = np.maximum(c_sq - c_fin * c_fin, 0.0)  # >= 0 by Cauchy-Schwarz
+    d1 = np.exp(-q * q * xi_var / (4.0 * s))
+    q_eff = q * c_fin
+
+    g_half = g_factor(s, q_eff / 2.0)
+    mean_sp = d1 * s * g_half * np.exp(1j * (q_eff / (2.0 * s)))
+    # the factor 2S - 1 makes <S_+^2> vanish on a single spin-1/2
+    cos_power = _cos_power(q_eff / s, np.maximum(two_s - 2.0, 0.0))
+    mag = np.power(d1, 4.0) * (s * (two_s - 1.0) / 2.0) * cos_power * np.exp(-q / s)
+    mean_sp2 = mag * np.exp(1j * ((2.0 * q_eff - q) / s))
+    second_y = (2.0 * s * s + s) / 4.0 - mean_sp2.real / 2.0
+    return MomentSet(
+        total_spin=_scalar(s),
+        shearing_q=_scalar(q),
+        mean_sp=_scalar(mean_sp),
+        mean_sp2=_scalar(mean_sp2),
+        var_y=_scalar(second_y - np.square(mean_sp.imag)),
+        var_z=_scalar(s / 2.0),
+        cov_w=_scalar(d1 * (2.0 * s * s - s) * np.sin(q_eff / (2.0 * s)) * g_half),
+    )
+
+
 def analytic_moments(total_spin, q):
     """Closed-form MomentSet at (S, Q) without scattering: raman_modified_moments at r = 0."""
-    from .raman import raman_modified_moments  # the one closed-form body; raman imports this module
-
     return raman_modified_moments(total_spin, q, 0.0)
 
 

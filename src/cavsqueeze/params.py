@@ -136,24 +136,6 @@ class DrivePulse:
         p0 = q / (ensemble.total_spin * (2.0 * params.omega_shift / params.kappa) ** 2)
         return cls.from_photon_budget(p0, pulse_time, ensemble, params)
 
-    def as_dict(self):
-        return {
-            "p0": self.p0,
-            "pulse_time_s": self.pulse_time,
-            "drive_rate_photons_s": self.drive_rate,
-            "shearing_q": self.shearing_q,
-        }
-
-
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Pass/fail thresholds for the operating-regime checks."""
-
-    max_excited_pop: float = 1e-5       # low saturation, epsilon <= this
-    min_kappa_t: float = 10.0           # resolve the cavity line, kappa t >> 1
-    max_linearity_ratio: float = 0.1    # Omega sqrt(S/2) / kappa small
-    min_detuning_margin: float = 10.0   # |Delta| >> kappa, Gamma, g
-
 
 # Config file schema: flat "key = value" lines, '#' comments.  Frequencies in
 # Hz.  Exactly one of delta_over_gamma / delta_hz; gamma_hz optional (default
@@ -180,6 +162,8 @@ def load_config(path):
                 cfg[key] = float(value.strip())
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: value for {key!r} is not a number") from None
+            if not math.isfinite(cfg[key]):
+                raise ValueError(f"{path}:{lineno}: value for {key!r} must be finite, got {cfg[key]!r}")
     missing = [k for k in _REQUIRED_KEYS if k not in cfg]
     if missing:
         raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")

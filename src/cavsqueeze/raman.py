@@ -16,15 +16,9 @@ which fixes the two normalized moments used by the modified variance:
 (double / single time integrals of the exponential kernel; both -> 1 as
 r -> 0, and to first order 1 - 2r/3 and 1 - r).
 
-Substitution recipe for the closed forms: in the large-S limit the pair
-(Sbar_z, S_z(t)) is jointly Gaussian, so Sbar_z = c_bar_fin S_z(t) + xi
-with xi independent of S_z(t) and Var(xi) = (S/2)(c_bar_sq - c_bar_fin^2).
-The quantum Dicke sums are then evaluated at the reduced coupling
-Q_eff = Q c_bar_fin while xi contributes classical Gaussian dephasing
-exp(-n^2 Q^2 (c_bar_sq - c_bar_fin^2) / (4S)) on the n-th coherence.  At
-r = 0 this is the no-scattering form (feedback.analytic_moments is this
-body at r = 0), and in the large-S, small-r regime the minimum variance
-reduces to 1/Q + 4r/3 with r = Q/(4 S eta).
+feedback.correlation_integrals evaluates them and
+feedback.raman_modified_moments substitutes them into the closed forms;
+modified_min_variance and fig2_curve give the resulting squeezing curve.
 
 The Monte Carlo model simulates the telegraph process directly: exact
 per-event jumps Delta S_z = +-1 for modest atom numbers, or an
@@ -43,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feedback import MomentSet, _check_g_domain, _cos_power, _scalar, extremal_variances, g_factor
+from .feedback import _G_DOMAIN, extremal_variances, raman_modified_moments
 
 # Trajectories per chunk: one array pass and one Philox stream each; exact
 # mode draws the events of a chunk in blocks of _BLOCK per trajectory.  Both
@@ -58,70 +52,6 @@ _BLOCK = 32
 # sample costs 8 B and ~75-90 ns with its share of the reduction (256 MiB, ~3 s).
 MAX_LOCKSTEP = 500_000  # ceil(n_traj / _CHUNK) * (r N exact, time_steps gaussian)
 MAX_SAMPLE_ELEMENTS = 2 ** 25  # n_traj * (time_steps + 1)
-
-# Series of the correlation integrals below a = 2r = 0.5:  c_bar_sq =
-# 2 sum_j (-a)^j/(j+2)!,  c_bar_fin = sum_j (-a)^j/(j+1)!.  16 terms leave a
-# remainder under 1e-19; the (c_bar_sq, c_bar_fin) coefficient pairs are
-# listed highest power first for Horner's rule.
-_SERIES = [(2.0 / math.factorial(j + 2), 1.0 / math.factorial(j + 1)) for j in reversed(range(16))]
-
-
-def correlation_integrals(r):
-    """Normalized moments (c_bar_sq, c_bar_final) of the time-averaged S_z, elementwise.
-
-    Closed forms of the exponential-kernel time integrals; a series is used
-    below 2r = 0.5, where the closed forms lose digits to cancellation.
-    """
-    r = np.asarray(r, dtype=float)[()]
-    if (r < 0.0).any():
-        raise ValueError("r must be nonnegative")
-    a = 2.0 * r
-    x = -np.minimum(a, 0.5)
-    sq_series = fin_series = 0.0
-    for sq_coef, fin_coef in _SERIES:
-        sq_series = sq_series * x + sq_coef
-        fin_series = fin_series * x + fin_coef
-    a_closed = np.maximum(a, 0.5)
-    ea = np.exp(-a_closed)
-    small = a < 0.5
-    c_sq = np.where(small, sq_series, (a_closed - 1.0 + ea) * 2.0 / (a_closed * a_closed))
-    c_fin = np.where(small, fin_series, (1.0 - ea) / a_closed)
-    return _scalar(c_sq), _scalar(c_fin)
-
-
-def raman_modified_moments(total_spin, q, r):
-    """Closed-form MomentSet with the time-averaged-S_z substitution, broadcast over (S, Q, r).
-
-    This is the one closed-form body: feedback.analytic_moments is its r = 0
-    case by construction.  var_z stays S/2 (the telegraph process is
-    stationary on the CSS ensemble).
-    """
-    # 0-d inputs become numpy scalars, whose arithmetic costs less than 0-d arrays'
-    s, q, r = (np.asarray(v, dtype=float)[()] for v in (total_spin, q, r))
-    if (q < 0.0).any() or (r < 0.0).any():
-        raise ValueError("q and r must be nonnegative")
-    two_s = np.rint(2.0 * s)
-    c_sq, c_fin = correlation_integrals(r)
-    xi_var = np.maximum(c_sq - c_fin * c_fin, 0.0)  # >= 0 by Cauchy-Schwarz
-    d1 = np.exp(-q * q * xi_var / (4.0 * s))
-    q_eff = q * c_fin
-
-    g_half = g_factor(s, q_eff / 2.0)
-    mean_sp = d1 * s * g_half * np.exp(1j * (q_eff / (2.0 * s)))
-    # the factor 2S - 1 makes <S_+^2> vanish on a single spin-1/2
-    cos_power = _cos_power(q_eff / s, np.maximum(two_s - 2.0, 0.0))
-    mag = np.power(d1, 4.0) * (s * (two_s - 1.0) / 2.0) * cos_power * np.exp(-q / s)
-    mean_sp2 = mag * np.exp(1j * ((2.0 * q_eff - q) / s))
-    second_y = (2.0 * s * s + s) / 4.0 - mean_sp2.real / 2.0
-    return MomentSet(
-        total_spin=_scalar(s),
-        shearing_q=_scalar(q),
-        mean_sp=_scalar(mean_sp),
-        mean_sp2=_scalar(mean_sp2),
-        var_y=_scalar(second_y - np.square(mean_sp.imag)),
-        var_z=_scalar(s / 2.0),
-        cov_w=_scalar(d1 * (2.0 * s * s - s) * np.sin(q_eff / (2.0 * s)) * g_half),
-    )
 
 
 def modified_min_variance(total_spin, eta, q):
@@ -146,7 +76,11 @@ def modified_min_variance(total_spin, eta, q):
     if (s * eta <= 0.0).any():
         raise ValueError("collective cooperativity S*eta must be positive")
     r = q / (4.0 * s * eta)
-    _check_g_domain(-2.0 * eta * np.expm1(-2.0 * r))
+    x = -2.0 * eta * np.expm1(-2.0 * r)  # Q_eff / S
+    outside = np.abs(x) >= _G_DOMAIN
+    if outside.any():
+        raise ValueError(f"Q_eff / S = {float(np.asarray(x)[outside][0])!r}: outside the principal branch "
+                         "|Q_eff / S| < pi/2 of the G factor")
     return extremal_variances(raman_modified_moments(s, q, r)).sigma_min_sq
 
 
@@ -341,14 +275,12 @@ def _mean_se(values):
     return mean, np.sqrt(values.sum(axis=0) / (n - 1) / n)
 
 
-def sample_trajectories(process, total_spin, n_traj, time_steps, seed, mode="exact"):
-    """Monte Carlo statistics of the telegraph-driven collective S_z.
+def sample_trajectories(process, n_traj, time_steps, seed, mode="exact"):
+    """Monte Carlo statistics of the telegraph-driven collective S_z of S = n_atoms / 2.
 
     Parameters
     ----------
     process : RamanProcess
-    total_spin : float
-        Must equal n_atoms / 2.
     n_traj, time_steps : int
         Trajectory count (>= 1) and number of lag intervals (>= 1); S_z is
         sampled at time_steps + 1 uniform times spanning [0, t].
@@ -368,9 +300,7 @@ def sample_trajectories(process, total_spin, n_traj, time_steps, seed, mode="exa
         raise ValueError("invalid step count")
     if mode not in ("exact", "gaussian"):
         raise ValueError(f"unknown mode {mode!r}")
-    s = float(total_spin)
-    if round(2.0 * s) != process.n_atoms:
-        raise ValueError("total_spin must equal n_atoms / 2")
+    s = process.n_atoms / 2.0
     elements = n_traj * (time_steps + 1)
     if elements > MAX_SAMPLE_ELEMENTS:
         raise ValueError(f"{elements} S_z samples (trajectories x (steps + 1)) exceed the limit "

@@ -3,10 +3,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from cavsqueeze.cavity import kappa_t_required, validate_regime
-from cavsqueeze.params import CavityAtomParams, DrivePulse, EnsembleSpec, RegimeThresholds
+from cavsqueeze.design import DesignTargets, kappa_t_required, validate_regime
+from cavsqueeze.params import CavityAtomParams, DrivePulse, EnsembleSpec
 
 WORKED = dict(g_hz=0.4e6, kappa_hz=1e6, gamma_hz=6.07e6, delta_over_gamma=500.0)
+EPS_MAX = DesignTargets().max_excited_pop
 
 
 def cavity_field_photon_number(params, drive, sz_value):
@@ -22,9 +23,9 @@ def cavity_field_photon_number(params, drive, sz_value):
     return drive.p0 * (params.kappa ** 2 / 2.0) / (half_kappa ** 2 + detune ** 2)
 
 
-def _worked_system(s=1e4, p0=100.0, t=400e-6):
+def _worked_system(s=1e4, p0=100.0, t=400e-6, **hz):
     spec = EnsembleSpec(total_spin=s)
-    params = CavityAtomParams.from_hz(**WORKED)
+    params = CavityAtomParams.from_hz(**{**WORKED, **hz})
     drive = DrivePulse.from_photon_budget(p0, t, spec, params)
     return spec, params, drive
 
@@ -60,7 +61,7 @@ def test_photon_number_monotone_up_to_peak():
 def test_worked_example_linearity_ratio():
     # Omega sqrt(S/2)/kappa quoted as 7e-3 for the standard parameters
     spec, params, drive = _worked_system()
-    report = validate_regime(spec, params, drive)
+    report = validate_regime(spec, params, drive, EPS_MAX)
     assert report.ratio_linearity == pytest.approx(7e-3, rel=0.15)
 
 
@@ -68,13 +69,13 @@ def test_excited_pop_identity():
     # eps * kappa * t = (kappa/g)^2 Q / (8S) as an exact identity
     for p0, t in [(10.0, 1e-4), (1234.5, 7e-4), (0.3, 3e-5)]:
         spec, params, drive = _worked_system(p0=p0, t=t)
-        report = validate_regime(spec, params, drive)
+        report = validate_regime(spec, params, drive, EPS_MAX)
         assert report.identity_rel_err <= 1e-10
 
 
 def test_zero_drive_regime():
     spec, params, drive = _worked_system(p0=0.0)
-    report = validate_regime(spec, params, drive)
+    report = validate_regime(spec, params, drive, EPS_MAX)
     assert report.excited_pop == 0.0
     assert report.shearing_q == 0.0
     assert report.flags["excited_pop"]
@@ -100,19 +101,20 @@ def test_kappa_t_requirement_scales_as_inverse_g_squared():
 
 
 def test_flags_fire_under_tight_thresholds():
-    spec, params, drive = _worked_system(p0=1e6, t=1e-8)
-    thr = RegimeThresholds(max_excited_pop=1e-12, min_kappa_t=1e3,
-                           max_linearity_ratio=1e-6, min_detuning_margin=1e6)
-    report = validate_regime(spec, params, drive, thr)
+    # every condition broken at the default limits: |Delta| = 2 Gamma (margin 2,
+    # Omega sqrt(S/2) / kappa ~ 1.9), kappa t ~ 0.06 and epsilon ~ 3e4
+    spec, params, drive = _worked_system(p0=1e6, t=1e-8, delta_over_gamma=2.0)
+    report = validate_regime(spec, params, drive, EPS_MAX)
     assert not any(report.flags.values())
     assert not report.all_ok
     d = asdict(report)
     assert d["flags"]["kappa_t"] is False
-    assert d["thresholds"]["min_kappa_t"] == 1e3
+    assert d["thresholds"] == {"max_excited_pop": 1e-5, "min_kappa_t": 10.0,
+                               "max_linearity_ratio": 0.1, "min_detuning_margin": 10.0}
 
 
 def test_report_serializable():
     spec, params, drive = _worked_system()
-    d = asdict(validate_regime(spec, params, drive))
+    d = asdict(validate_regime(spec, params, drive, EPS_MAX))
     assert set(d) >= {"ratio_linearity", "excited_pop", "kappa_t",
                       "detuning_margin", "flags", "identity_rel_err"}

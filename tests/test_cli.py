@@ -51,8 +51,7 @@ def test_raman_mc_bad_input_exits_1_with_message(tmp_path, capsys, argv, message
 
 def test_fig2_outside_g_factor_domain_exits_1_with_message(tmp_path, capsys):
     # Q_eff / S passes pi/2 on these grids: past the principal branch of the G
-    # factor, refused on the log-space branch (S = 100) and the direct-power
-    # one (S = 10) alike
+    # factor, refused at S = 100 and S = 10 alike
     for s, qmax in (("100", "1000"), ("10", "200")):
         out = tmp_path / s
         assert _run(["fig2", "--S", s, "--eta", "100", "--qmax", qmax], out) == 1
@@ -67,6 +66,16 @@ def test_fig2_outside_g_factor_domain_exits_1_with_message(tmp_path, capsys):
 _FIG2_HALF = str(cli.MAX_FIG2_POINTS // 2 + 1)
 
 
+def test_fig2_q_grid_is_geometric_unless_linear(tmp_path):
+    for flag, spacing in (([], "ratio"), (["--linear-grid"], "step")):
+        out = tmp_path / spacing
+        assert _run(["fig2", "--S", "100", "--eta", "0.1", "--qmin", "1", "--qmax", "81", "--qpoints", "5",
+                     *flag], out) == 0
+        q = [float(line.split(",")[1]) for line in (out / "fig2.csv").read_text().splitlines()[1:]]
+        expected = [1.0, 3.0, 9.0, 27.0, 81.0] if spacing == "ratio" else [1.0, 21.0, 41.0, 61.0, 81.0]
+        assert q == pytest.approx(expected, rel=1e-14)
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--s-min", "-1"],
     ["sweep", "--eta-min", "0"],
@@ -77,12 +86,27 @@ _FIG2_HALF = str(cli.MAX_FIG2_POINTS // 2 + 1)
     ["fig2", "--S", "100", "--eta", "0.1", "--eta", "0.2", "--qpoints", _FIG2_HALF],
     ["validate-oracle", "--smax", "0.4"],
     ["design", "--config", "no-such-file.cfg"],
+    # nan and inf pass every range comparison, so each is refused where it enters
+    ["fig2", "--S", "100", "--eta", "0.1", "--qmin", "nan", "--qpoints", "3"],
+    ["fig2", "--S", "100", "--eta", "nan"],
+    ["fig2", "--S", "100", "--eta", "0.1", "--qmax", "inf"],
+    ["sweep", "--s-min", "nan"],
+    ["design", "--config", "{cfg}", "--eps-max", "nan"],
+    ["design", "--config", "{cfg}", "--q-target", "nan"],
+    ["design", "--config", "{nan_cfg}"],
 ], ids=" ".join)
 def test_refused_input_exits_1_with_message_and_no_output(tmp_path, capsys, argv):
+    non_finite = bool({"nan", "inf", "{nan_cfg}"} & set(argv))
+    config = "S = 1e4\ng_hz = {g}\nkappa_hz = 1e6\ndelta_over_gamma = 500.0\np0 = 100.0\nt_s = 4e-4\n"
+    for name, g in (("cfg", "4e5"), ("nan_cfg", "nan")):
+        (tmp_path / f"{name}.cfg").write_text(config.format(g=g), encoding="utf-8")
+    argv = [a.format(cfg=tmp_path / "cfg.cfg", nan_cfg=tmp_path / "nan_cfg.cfg") for a in argv]
     out = tmp_path / "out"
     assert _run(argv, out) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"{argv[0]}: ")
+    if non_finite:
+        assert "must be finite" in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert not out.exists() or not any(out.iterdir())
 
@@ -166,3 +190,20 @@ def test_manifest_records_argv_once(tmp_path, argv):
     assert cli.run(full) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["command"] == full
+
+
+def test_design_eps_max_is_the_one_excited_population_limit(tmp_path):
+    # a 10 us pulse at the recommended Q puts epsilon between the default 1e-5 and 1e-3
+    cfg = tmp_path / "system.cfg"
+    cfg.write_text("S = 1e4\ng_hz = 4e5\nkappa_hz = 1e6\ndelta_over_gamma = 500.0\n"
+                   "p0 = 100.0\nt_s = 1e-5\n", encoding="utf-8")
+    validity = {}
+    for eps in ("1e-5", "1e-3"):
+        assert _run(["design", "--config", str(cfg), "--eps-max", eps], tmp_path / eps) == 0
+        report = json.loads((tmp_path / eps / "design_report.json").read_text())
+        limits = (report["provenance"]["max_excited_pop"], report["validity"]["thresholds"]["max_excited_pop"])
+        assert limits == (float(eps), float(eps))
+        validity[eps] = report["validity"]
+    assert validity["1e-5"]["excited_pop"] == validity["1e-3"]["excited_pop"]
+    assert 1e-5 < validity["1e-3"]["excited_pop"] < 1e-3
+    assert validity["1e-3"]["flags"]["excited_pop"] and not validity["1e-5"]["flags"]["excited_pop"]

@@ -76,15 +76,6 @@ def test_css_s50_mean_and_variance():
     assert variance(css, ops.sz) == pytest.approx(25.0, abs=1e-9)
 
 
-def test_css_minus_x():
-    spec = EnsembleSpec(7.5)
-    ops = build_operators(spec)
-    css = make_css(spec, axis="-x")
-    assert expectation(css, ops.sx).real == pytest.approx(-7.5, abs=1e-10)
-    with pytest.raises(ValueError):
-        make_css(spec, axis="+z")
-
-
 def test_css_large_spin_log_space():
     # binomial amplitudes must survive S = 1e4 without under/overflow
     css = make_css(EnsembleSpec(1e4))

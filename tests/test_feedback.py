@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import golden_section_min, rel_err
+from conftest import floored_rel_err, golden_section_min, rel_err
 
 from cavsqueeze.feedback import analytic_moments, extremal_variances, g_factor
 from cavsqueeze.oracle import oracle_moments_sum
@@ -64,12 +64,20 @@ class TestGFactor:
                 if (2 * s - 1) * abs(math.log(max(math.cos(u / s), 1e-300))) < 700:
                     assert val > 0.0
 
-    def test_domain_error_beyond_branch_for_large_spin(self):
-        with pytest.raises(ValueError, match="principal branch"):
-            g_factor(100.0, 100.0 * 1.7)
+    def test_signed_power_beyond_branch_at_any_spin(self):
+        # one rule for every S: past |u/S| = pi/2, the signed integer power
+        for s in (50.5, 100.0, 1e3):
+            for x in (1.6, 1.7, 2.0, 2.5, 3.0, 4.0, -2.2):
+                u = x * s
+                direct = math.cos(u / s) ** (round(2 * s) - 1)
+                got = g_factor(s, u)
+                assert math.isfinite(got)
+                if abs(direct) > 1e-300:
+                    assert got == pytest.approx(direct, rel=1e-12), (s, x)
+                else:  # the power underflows
+                    assert abs(got) <= 1e-300, (s, x)
 
     def test_small_spin_signed_power_beyond_branch(self):
-        # integer cosine powers remain defined past pi/2 for S <= 50
         assert g_factor(2.0, 5.0) == pytest.approx(math.cos(2.5) ** 3, rel=1e-14)
 
 
@@ -124,6 +132,17 @@ class TestAnalyticMoments:
                 assert rel_err(closed.var_y, oracle.var_y) < 1e-10, (s, q)
                 assert rel_err(closed.cov_w, oracle.cov_w) < 1e-10, (s, q)
                 assert rel_err(closed.mean_sp, oracle.mean_sp) < 1e-10, (s, q)
+
+    def test_matches_oracle_beyond_branch(self):
+        # past Q/S = pi/2 the closed forms stay the exact sums at every S; the
+        # floor S/2 absorbs the sums' absolute rounding where cov_w is tiny
+        for s in (50.5, 60.0, 100.0, 200.0):
+            q = s * np.array([1.7, 2.0, 2.5])
+            closed = analytic_moments(s, q)
+            for i, qi in enumerate(q.tolist()):
+                oracle = oracle_moments_sum(s, qi)
+                assert floored_rel_err(closed.var_y[i], oracle.var_y, s / 2.0) < 1e-11, (s, qi)
+                assert floored_rel_err(closed.cov_w[i], oracle.cov_w, s / 2.0) < 1e-11, (s, qi)
 
     def test_large_s_shot_noise_plus_feedback(self):
         # S = 1e4, Q = 10: (S/2)(1 + Q + Q^2) within 1%

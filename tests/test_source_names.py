@@ -1,8 +1,10 @@
-"""Every public name defined in src/cavsqueeze has a use in the program or the benchmark.
+"""Structural guards on src/cavsqueeze.
 
-A name counts as used when it occurs as a whole word in a file under src/
+Every public name defined there has a use in the program or the benchmark:
+a name counts as used when it occurs as a whole word in a file under src/
 or perfbench/ outside its own definition; tests/ does not count, so a helper
-kept alive only by its tests is reported.
+kept alive only by its tests is reported.  No import statement sits inside
+a function, and the submodules import each other without a cycle.
 """
 
 import ast
@@ -47,3 +49,50 @@ def unused_names(package=PACKAGE, users=USERS):
 
 def test_every_public_name_has_a_use():
     assert unused_names() == []
+
+
+def _relative_imports(tree):
+    """Submodules the relative imports of tree name; a name of the package itself (__version__) is '__init__'."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module.partition(".")[0]
+            else:
+                yield from (a.name if (PACKAGE / f"{a.name}.py").exists() else "__init__" for a in node.names)
+
+
+def function_imports(package=PACKAGE):
+    """module.function for each import statement inside a function body."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(inner, (ast.Import, ast.ImportFrom)) for inner in ast.walk(node)):
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def import_cycles(package=PACKAGE):
+    """Sorted submodules of package that reach themselves through their relative imports, at any depth."""
+    edges = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        edges[path.stem] = set(_relative_imports(tree)) - {"__init__"}
+    edges.pop("__init__")
+    cyclic = []
+    for start in edges:
+        seen, frontier = set(), set(edges[start])
+        while frontier:
+            seen |= frontier
+            frontier = set().union(*(edges.get(m, ()) for m in frontier)) - seen
+        if start in seen:
+            cyclic.append(start)
+    return sorted(cyclic)
+
+
+def test_no_import_inside_a_function():
+    assert function_imports() == []
+
+
+def test_no_import_cycle_among_submodules():
+    assert import_cycles() == []
