@@ -32,7 +32,7 @@ from .design import (DesignTargets, classify_regime, curvature_optimum, design_r
                      scattering_optimum)
 from .feedback import analytic_moments, correlation_integrals
 from .oracle import oracle_moments_sum
-from .params import EnsembleSpec, load_config, system_from_config
+from .params import EnsembleSpec, load_config, nearest_spin, system_from_config
 from .raman import RamanProcess, fig2_curve, sample_trajectories
 from .serialize import RunManifest, SCHEMA_VERSION, write_csv, write_json
 
@@ -179,7 +179,6 @@ def _mc_health(record, total_spin, r, corr_target, elapsed_s):
 
 
 def cmd_raman_mc(args, argv):
-    out = _outdir(args)
     manifest = RunManifest(command=argv, seed=args.seed)
     spec = EnsembleSpec(total_spin=args.S)
     process = RamanProcess(r=args.r, pulse_time=1.0, n_atoms=spec.atom_count)
@@ -201,6 +200,7 @@ def cmd_raman_mc(args, argv):
         "flip_rate_per_atom": process.flip_rate,
         "stats": record,
     }
+    out = _outdir(args)
     path = out / "raman_stats.json"
     write_json(path, payload)
     manifest.add_output(path.name)
@@ -217,12 +217,12 @@ def cmd_raman_mc(args, argv):
 
 
 def cmd_design(args, argv):
-    out = _outdir(args)
     cfg = load_config(args.config)
     ensemble, params, drive = system_from_config(cfg)
     manifest = RunManifest(command=argv, config=cfg)
     targets = DesignTargets(max_excited_pop=args.eps_max, q_target=args.q_target)
     report = design_report(ensemble, params, drive.pulse_time, targets)
+    out = _outdir(args)
     path = out / "design_report.json"
     write_json(path, report.as_dict())
     manifest.add_output(path.name)
@@ -238,9 +238,9 @@ def cmd_sweep(args, argv):
     if args.s_points * args.eta_points > MAX_SWEEP_POINTS:
         raise ValueError(f"{args.s_points} x {args.eta_points} grid points exceed the limit "
                          f"MAX_SWEEP_POINTS = {MAX_SWEEP_POINTS}")
-    out = _outdir(args)
-    s, eta = (g.ravel() for g in np.meshgrid(np.geomspace(args.s_min, args.s_max, args.s_points),
-                                              np.geomspace(args.eta_min, args.eta_max, args.eta_points),
+    # S rounded to spins before any evaluation, and written rounded
+    spins = nearest_spin(np.geomspace(args.s_min, args.s_max, args.s_points))
+    s, eta = (g.ravel() for g in np.meshgrid(spins, np.geomspace(args.eta_min, args.eta_max, args.eta_points),
                                               indexing="ij"))
     header = ["S", "eta", "s_eta5", "regime", "near_boundary",
               "q_curv", "sigma_curv_sq", "q_scatt", "r_opt", "sigma_scatt_sq"]
@@ -248,11 +248,11 @@ def cmd_sweep(args, argv):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         scattering = scattering_optimum(s, eta)
-    columns = [s, eta, cls.s_eta5, cls.regime, cls.near_boundary, *curvature_optimum(np.maximum(s, 1.0)),
-               *scattering]
+    columns = [s, eta, cls.s_eta5, cls.regime, cls.near_boundary, *curvature_optimum(s), *scattering]
     if args.full_minimum:
         header += ["q_full", "sigma_full_sq"]
         columns += full_curve_minimum(s, eta)
+    out = _outdir(args)
     path = out / "sweep.csv"
     write_csv(path, header, zip(*(np.asarray(c).tolist() for c in columns)))
     manifest.add_output(path.name)

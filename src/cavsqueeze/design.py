@@ -23,10 +23,12 @@ binding iff S eta^5 >= 1; the floors themselves cross at S eta^5 =
 rule and a direct comparison of the floors may disagree only within that
 band.  Both floors are asymptotic, so the recommended operating point comes
 from numerical minimization of the full modified curve, with the closed
-forms reported alongside.  full_curve_minimum scans a fixed logarithmic
-bracket and rescans the neighbourhood of the best point four times, five
-array calls of the curve in all, which places Q to ~1e-7 relative: about
-the precision to which the flat, rounded curve defines its minimum.
+forms reported alongside.  full_curve_minimum scans the logarithmic
+bracket [0.05 min(Q_curv, Q_scatt), min(4 max(Q_curv, Q_scatt), 1.4 S)],
+which holds the minimiser for S >= 3/2 down to S eta = 1e-3 (the 1.4 S cap
+cuts it off at S <= 1 and eta of order 1), and rescans the neighbourhood of
+the best point four times, five array calls of the curve in all: Q to
+~1e-7 relative, the precision to which the flat, rounded curve defines it.
 
 The dispersive readout: the drive, at omega = omega_c + kappa/2 (half a
 linewidth above the bare cavity), sees a resonance pulled by the atomic
@@ -77,8 +79,8 @@ MIN_DETUNING_MARGIN = 10.0  # |Delta| >> kappa, Gamma, g
 def curvature_optimum(total_spin):
     """(Q_curv, sigma_curv_sq): closed-form optimum of 1/Q + Q^4/(24 S^2), elementwise."""
     s = np.asarray(total_spin, dtype=float)
-    if (s < 1.0).any():
-        raise ValueError("curvature optimum needs S >= 1")
+    if (s <= 0.0).any():
+        raise ValueError("S must be positive")
     q_curv = 6.0 ** 0.2 * np.power(s, 0.4)
     sigma_curv_sq = 1.25 * 6.0 ** (-0.2) * np.power(s, -0.4)
     return _scalar(q_curv), _scalar(sigma_curv_sq)
@@ -108,12 +110,10 @@ def scattering_optimum(total_spin, eta):
 
 @dataclass(frozen=True)
 class RegimeClassification:
-    """Which floor binds, with both candidate values for direct comparison."""
+    """Which floor binds by the S eta^5 rule, and whether it is near the boundary."""
 
     regime: str  # "curvature" | "scattering"
     s_eta5: float
-    sigma_curv_sq: float
-    sigma_scatt_sq: float
     near_boundary: bool
 
 
@@ -133,14 +133,11 @@ def classify_regime(total_spin, eta):
     if (s <= 0.0).any() or (eta <= 0.0).any():
         raise ValueError("S and eta must be positive")
     s_eta5 = s * np.power(eta, 5.0)
-    _, sigma_curv_sq = curvature_optimum(np.maximum(s, 1.0))
     curvature = s_eta5 >= _REGIME_BOUNDARY * (1.0 - _BOUNDARY_RTOL)
     band = _BOUNDARY_BAND ** 5
     return RegimeClassification(
         regime=_scalar(np.where(curvature, "curvature", "scattering")),
         s_eta5=_scalar(s_eta5),
-        sigma_curv_sq=sigma_curv_sq,
-        sigma_scatt_sq=_scalar(2.0 / np.sqrt(3.0 * s * eta)),
         near_boundary=_scalar((_REGIME_BOUNDARY / band <= s_eta5) & (s_eta5 <= _REGIME_BOUNDARY * band)),
     )
 
@@ -149,19 +146,19 @@ def full_curve_minimum(total_spin, eta):
     """Numerical minimum over Q of the full scattering-modified curve, elementwise in (S, eta).
 
     Returns (q_min, sigma_min_sq), the best grid point and its value.  The
-    bracket spans the closed-form optima with a wide margin while staying
-    inside the G-factor domain (Q_eff <= Q < (pi/2) S); it is fixed, not a
-    parameter.  A logarithmic scan of _SCAN_POINTS values over it finds the
-    minimum among the coarse steps (the curve saturates at sigma^2 = 1 for
-    very large Q, and a local search alone can lose an interior minimum
-    against that plateau); _REFINE_ROUNDS rescans of the two steps around
+    bracket (module docstring) spans both closed-form optima with a wide
+    margin while staying inside the G-factor domain (Q_eff <= Q < (pi/2) S);
+    it is fixed, not a parameter.  A logarithmic scan of _SCAN_POINTS
+    values over it finds the minimum among the coarse steps (the curve
+    saturates at sigma^2 = 1 for very large Q, and a local search alone can
+    lose an interior minimum against that plateau); _REFINE_ROUNDS rescans of the two steps around
     the best point, with the same number of points, then narrow it 31.5
     times each.  That is _REFINE_ROUNDS + 1 = 5 modified_min_variance calls
     whatever the shape of (S, eta).
 
     Precision: the last grid steps are ln(q_hi / q_lo) (2/63)^4 / 63
-    relative in Q, from 7e-8 to 1.6e-7 over the default sweep grid (bracket
-    ratios up to 2.2e4).  Finer steps would add nothing: near its minimum
+    relative in Q, from 7e-8 to 1.4e-7 over the default sweep grid (bracket
+    ratios 83 to 4.2e3).  Finer steps would add nothing: near its minimum
     the curve is flat to rounding (sigma^2 changes by ~1e-14 relative when
     Q moves by 1e-7 at (S, eta) = (1e3, 0.1)), so Q has about 7 meaningful
     digits, and sigma^2 at the returned point is within rounding of the
@@ -173,9 +170,10 @@ def full_curve_minimum(total_spin, eta):
     (S, eta) = (1e3, 0.1)), and the xi^2 minimizer lies 5-15% lower in Q.
     """
     s, eta = np.asarray(total_spin, dtype=float)[..., None], np.asarray(eta, dtype=float)[..., None]
-    q_curv, _ = curvature_optimum(np.maximum(s, 1.0))
-    guess = np.maximum(np.maximum(q_curv, np.sqrt(3.0 * s * eta)), 10.0)
-    lo, hi = np.minimum(0.05 * guess, 1.0), np.minimum(4.0 * guess, 1.4 * s)
+    q_curv, _ = curvature_optimum(s)
+    q_scatt = np.sqrt(3.0 * s * eta)
+    lo = 0.05 * np.minimum(q_curv, q_scatt)
+    hi = np.minimum(4.0 * np.maximum(q_curv, q_scatt), 1.4 * s)
     for _ in range(_REFINE_ROUNDS + 1):
         grid = lo * np.power(hi / lo, _SCAN_STEPS)
         values = modified_min_variance(s, eta, grid)
@@ -308,7 +306,7 @@ def design_report(ensemble, params, pulse_time, targets=None):
     s = ensemble.total_spin
     eta = params.eta
 
-    q_curv, sigma_curv_sq = curvature_optimum(max(s, 1.0))
+    q_curv, sigma_curv_sq = curvature_optimum(s)
     q_scatt, r_opt, sigma_scatt_sq = scattering_optimum(s, eta)
     classification = classify_regime(s, eta)
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import twice_spin
+
 # Desk-scale memory caps: 4001 (S <= 2000) for state-vector work,
 # 401 (S <= 200) for density matrices.
 STATE_DIM_CAP = 4001
@@ -21,8 +23,7 @@ DENSITY_DIM_CAP = 401
 
 def m_values(total_spin):
     """Eigenvalues of S_z ordered +S..-S (the storage order)."""
-    two_s = round(2.0 * total_spin)
-    return total_spin - np.arange(two_s + 1)
+    return total_spin - np.arange(int(twice_spin(total_spin)) + 1)
 
 
 @dataclass(frozen=True)
@@ -35,7 +36,7 @@ class DickeState:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (round(2.0 * self.total_spin) + 1,):
+        if amps.shape != (int(twice_spin(self.total_spin)) + 1,):
             raise ValueError("amplitude vector length must be 2S+1")
         norm = float(np.sum(np.abs(amps) ** 2))
         if abs(norm - 1.0) > 1e-12:
@@ -100,7 +101,7 @@ def css_amplitudes(total_spin):
     log C(2S, k) is a cumulative sum of log((2S-k)/(k+1)) from the centre
     out, mirrored by k <-> 2S-k, so either order of m reads the same.
     """
-    two_s = round(2.0 * total_spin)
+    two_s = int(twice_spin(total_spin))
     half = two_s // 2
     k = np.arange(two_s - half, two_s)
     right = np.concatenate(([0.0], np.cumsum(np.log((two_s - k) / (k + 1.0)))))

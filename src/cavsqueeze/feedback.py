@@ -46,6 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import twice_spin
+
 # The G-factor domain |Q_eff / S| < pi/2: the principal branch, on which
 # every cosine behind the G factors stays positive.
 _G_DOMAIN = np.pi / 2.0
@@ -81,16 +83,15 @@ def _cos_power(x, power):
 
 
 def g_factor(total_spin, u):
-    """Binomial coherence factor G(u) = cos^{2S-1}(u/S), elementwise.
+    """Binomial coherence factor G(u) = cos^{2S-1}(u/S), elementwise, at half-integer S (params.twice_spin).
 
-    Finite for every finite argument at every S: exp((2S-1) ln cos(u/S))
-    inside the G-factor domain |u/S| < pi/2, the signed integer power past
-    it (the exact moments use both).  The squeezing curve,
-    raman.modified_min_variance, is what refuses Q_eff / S past the domain.
-    G(0) = 1 for any S, and G == 1 identically at S = 1/2 (exponent zero).
+    Finite for every finite argument: exp((2S-1) ln cos(u/S)) inside the
+    G-factor domain |u/S| < pi/2, the signed integer power past it (the
+    exact moments use both); raman.modified_min_variance is what refuses
+    Q_eff / S past the domain.  G(0) = 1, and G == 1 identically at S = 1/2.
     """
     s = np.asarray(total_spin, dtype=float)[()]
-    return _scalar(_cos_power(u / s, np.rint(2.0 * s) - 1.0))
+    return _scalar(_cos_power(u / s, twice_spin(s) - 1.0))
 
 
 def correlation_integrals(r):
@@ -148,13 +149,14 @@ def raman_modified_moments(total_spin, q, r):
     s, q, r = (np.asarray(v, dtype=float)[()] for v in (total_spin, q, r))
     if (q < 0.0).any() or (r < 0.0).any():
         raise ValueError("q and r must be nonnegative")
-    two_s = np.rint(2.0 * s)
     c_sq, c_fin = correlation_integrals(r)
+    q_eff = q * c_fin
+    # g_factor is where S is checked (params.twice_spin), so 2S below is exact
+    g_half = g_factor(s, q_eff / 2.0)
+    two_s = 2.0 * s
     xi_var = np.maximum(c_sq - c_fin * c_fin, 0.0)  # >= 0 by Cauchy-Schwarz
     d1 = np.exp(-q * q * xi_var / (4.0 * s))
-    q_eff = q * c_fin
 
-    g_half = g_factor(s, q_eff / 2.0)
     mean_sp = d1 * s * g_half * np.exp(1j * (q_eff / (2.0 * s)))
     # the factor 2S - 1 makes <S_+^2> vanish on a single spin-1/2
     cos_power = _cos_power(q_eff / s, np.maximum(two_s - 2.0, 0.0))
@@ -177,43 +179,8 @@ def analytic_moments(total_spin, q):
     return raman_modified_moments(total_spin, q, 0.0)
 
 
-@dataclass(frozen=True)
-class RotatedVariance:
-    """Extrema of sigma^2(alpha) over the measurement angle.
-
-    sigma_min_sq / sigma_max_sq are normalized to the CSS variance S/2;
-    v_plus, v_minus and w are the raw intermediates.  degenerate marks the
-    isotropic case V- = W = 0, where alpha0 is returned as 0.
-    """
-
-    alpha0: float
-    sigma_min_sq: float
-    sigma_max_sq: float
-    v_plus: float
-    v_minus: float
-    w: float
-    degenerate: bool = False
-
-
-def extremal_variances(moments):
-    """Principal axes of the sheared uncertainty ellipse in the y-z plane, elementwise.
-
-    alpha0 = atan2(W, V-)/2, the quadrant-correct branch on which the cosine
-    term is subtracted at the minimum.
-    """
+def min_variance(moments):
+    """Minimum over alpha of sigma^2(alpha) / (S/2), elementwise: the short axis (V+ - sqrt(V-^2 + W^2)) / 2."""
     v_plus = moments.var_y + moments.var_z
-    v_minus = moments.var_y - moments.var_z
-    w = moments.cov_w
-    radius = np.hypot(v_minus, w)
-    degenerate = radius <= 1e-15 * np.maximum(v_plus, 1e-300)
-    alpha0 = np.where(degenerate, 0.0, 0.5 * np.arctan2(w, v_minus))
-    half_css = moments.total_spin / 2.0
-    return RotatedVariance(
-        alpha0=_scalar(alpha0),
-        sigma_min_sq=_scalar(0.5 * (v_plus - radius) / half_css),
-        sigma_max_sq=_scalar(0.5 * (v_plus + radius) / half_css),
-        v_plus=_scalar(v_plus),
-        v_minus=_scalar(v_minus),
-        w=_scalar(w),
-        degenerate=_scalar(degenerate),
-    )
+    radius = np.hypot(moments.var_y - moments.var_z, moments.cov_w)
+    return _scalar(0.5 * (v_plus - radius) / (moments.total_spin / 2.0))

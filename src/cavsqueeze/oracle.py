@@ -22,7 +22,7 @@ import numpy as np
 
 from .dicke import DENSITY_DIM_CAP, build_operators, css_amplitudes, m_values, make_css
 from .feedback import MomentSet
-from .params import EnsembleSpec
+from .params import EnsembleSpec, twice_spin
 
 # Longest amplitude sum we allow (S <= 1e5); far beyond the matrix caps.
 ORACLE_SUM_CAP = 200_001
@@ -45,7 +45,7 @@ def oracle_moments_sum(total_spin, q):
     Hermitian conjugates.  var_z = S/2 (S_z is a constant of motion).
     """
     s = float(total_spin)
-    two_s = round(2.0 * s)
+    two_s = int(twice_spin(s))
     if two_s + 1 > ORACLE_SUM_CAP:
         raise ValueError(f"Dicke dimension {two_s + 1} exceeds oracle cap {ORACLE_SUM_CAP}")
     if q < 0.0:
@@ -109,7 +109,7 @@ def apply_feedback_channel(rho, total_spin, q):
     preserved by the conjugate action on the lower triangle.
     """
     rho = np.asarray(rho, dtype=complex)
-    dim = round(2.0 * total_spin) + 1
+    dim = int(twice_spin(total_spin)) + 1
     if rho.shape != (dim, dim):
         raise ValueError(f"density matrix must be {dim}x{dim} for S = {total_spin}")
     return channel_factors(total_spin, q) * rho

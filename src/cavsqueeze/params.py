@@ -4,7 +4,9 @@ Conventions used throughout the package:
 
   * every frequency-like quantity is angular (rad/s); config files and the
     CLI accept plain Hz and the 2*pi is applied here, at the boundary,
-  * the collective spin S describes N = 2S two-level atoms,
+  * the collective spin S describes N = 2S two-level atoms, so S is a positive
+    half-integer: twice_spin alone decides which S is a spin and gives its 2S,
+    for every function that evaluates a spin state (design's optima take S > 0),
   * the dispersive cavity shift per unit S_z is Omega = 2 g^2 / |Delta|
     (single-photon Rabi frequency 2g, detuning Delta),
   * single-atom cooperativity eta = 4 g^2 / (kappa Gamma),
@@ -16,6 +18,8 @@ Conventions used throughout the package:
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 # Rb D2 population decay rate 2*pi * 6.07 MHz.  Worked examples in this
@@ -24,11 +28,19 @@ TWO_PI = 2.0 * math.pi
 DEFAULT_GAMMA = TWO_PI * 6.07e6
 
 
-def _two_s(total_spin):
-    two_s = 2.0 * total_spin
-    if not (1.0 <= two_s < math.inf) or two_s != round(two_s):
-        raise ValueError(f"total spin must be a positive half-integer, got {total_spin!r}")
-    return round(two_s)
+def twice_spin(total_spin):
+    """2S (the atom count) as float, elementwise; ValueError names the first S that is no positive half-integer."""
+    s = np.asarray(total_spin, dtype=float)
+    two_s = 2.0 * s
+    spin = (two_s >= 1.0) & (two_s < math.inf) & (two_s == np.rint(two_s))
+    if not spin.all():
+        raise ValueError(f"total spin must be a positive half-integer, got {s[~spin][0].item()!r}")
+    return two_s[()]
+
+
+def nearest_spin(x):
+    """The half-integer S nearest each element of x; an x that rounds to S = 0 is refused through twice_spin."""
+    return twice_spin(np.rint(2.0 * np.asarray(x, dtype=float)) / 2.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -40,7 +52,7 @@ class EnsembleSpec:
     dicke_dim: int = field(init=False)
 
     def __post_init__(self):
-        two_s = _two_s(self.total_spin)
+        two_s = int(twice_spin(self.total_spin))
         object.__setattr__(self, "total_spin", float(self.total_spin))
         object.__setattr__(self, "atom_count", two_s)
         object.__setattr__(self, "dicke_dim", two_s + 1)

@@ -33,11 +33,11 @@ count fix the output bits.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .feedback import _G_DOMAIN, extremal_variances, raman_modified_moments
+from .feedback import _G_DOMAIN, min_variance, raman_modified_moments
 
 # Trajectories per chunk: one array pass and one Philox stream each; exact
 # mode draws the events of a chunk in blocks of _BLOCK per trajectory.  Both
@@ -81,7 +81,7 @@ def modified_min_variance(total_spin, eta, q):
     if outside.any():
         raise ValueError(f"Q_eff / S = {float(np.asarray(x)[outside][0])!r}: outside the principal branch "
                          "|Q_eff / S| < pi/2 of the G factor")
-    return extremal_variances(raman_modified_moments(s, q, r)).sigma_min_sq
+    return min_variance(raman_modified_moments(s, q, r))
 
 
 def fig2_curve(total_spin, eta, q_grid):
@@ -105,7 +105,7 @@ class RamanProcess:
     r: float
     pulse_time: float
     n_atoms: int
-    flip_rate: float = 0.0  # per atom, derived: r / pulse_time
+    flip_rate: float = field(init=False)  # per atom, derived: r / pulse_time
 
     def __post_init__(self):
         if not 0.0 <= self.r < math.inf:

@@ -43,14 +43,6 @@ def floored_rel_err(a, b, floor):
     return abs(a - b) / max(abs(a), abs(b), floor)
 
 
-def angle_dist_mod_pi(a, b):
-    """Distance between two angles identified modulo pi."""
-    d = math.fmod(a - b, math.pi)
-    if d < 0.0:
-        d += math.pi
-    return min(d, math.pi - d)
-
-
 def dense_matrix(op):
     """The (2S+1) x (2S+1) matrix of a tridiagonal operator, from its bands."""
     return np.diag(op.diag) + np.diag(op.upper, 1) + np.diag(op.lower, -1)
@@ -117,7 +109,7 @@ def _quadrature_variance(moments, alpha):
 def brute_force_min_variance(total_spin, q, grid_points=720):
     """Minimum normalized quadrature variance by grid scan plus refinement.
 
-    The tests' reference for feedback.extremal_variances.  Scans alpha over
+    The tests' reference for feedback.min_variance.  Scans alpha over
     [0, pi) on a uniform grid of the oracle-sum moments (sigma^2(alpha) is a
     pure cosine in 2 alpha, so the grid guards against branch errors), then
     ternary-searches the bracketing interval down to 1e-10 rad.  Returns

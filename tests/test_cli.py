@@ -41,12 +41,15 @@ def test_raman_mc_same_seed_same_bytes(tmp_path):
     # 3e7 + 1 samples pass MAX_SAMPLE_ELEMENTS, but 3e7 OU steps on one chunk would take ~10 minutes
     (["raman-mc", "--S", "50", "--r", "0.1", "--traj", "1", "--steps", "30000000", "--mode", "gaussian",
       "--seed", "1"], "MAX_LOCKSTEP"),
+    (["raman-mc", "--S", "2.3", "--r", "0.1", "--seed", "1"], "positive half-integer, got 2.3"),
 ])
 def test_raman_mc_bad_input_exits_1_with_message(tmp_path, capsys, argv, message):
-    assert _run(argv, tmp_path) == 1
+    out = tmp_path / "out"
+    assert _run(argv, out) == 1
     err = capsys.readouterr().err
     assert err.startswith("raman-mc: ")
     assert message in err
+    assert not out.exists()
 
 
 def test_fig2_outside_g_factor_domain_exits_1_with_message(tmp_path, capsys):
@@ -108,7 +111,23 @@ def test_refused_input_exits_1_with_message_and_no_output(tmp_path, capsys, argv
     if non_finite:
         assert "must be finite" in captured.err
     assert "Traceback" not in captured.out + captured.err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+def test_sweep_below_spin_half_is_refused(tmp_path, capsys):
+    # S = 0.1 and 0.2 round to no spin at all
+    out = tmp_path / "out"
+    argv = ["sweep", "--s-min", "0.1", "--s-max", "0.2", "--s-points", "2", "--eta-points", "2", "--full-minimum"]
+    assert _run(argv, out) == 1
+    assert "sweep: total spin must be a positive half-integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_writes_the_half_integer_spins_it_evaluates(tmp_path):
+    assert _run(["sweep", "--s-points", "9", "--eta-points", "2", "--full-minimum"], tmp_path) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    spins = sorted({float(line.split(",")[0]) for line in lines[1:]})
+    assert spins == [100.0, 316.0, 1000.0, 3162.5, 10000.0, 31623.0, 100000.0, 316228.0, 1000000.0]
 
 
 def _raise_on_constant(name):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import floored_rel_err, golden_section_min, rel_err
 
-from cavsqueeze.feedback import analytic_moments, extremal_variances, g_factor
+from cavsqueeze.feedback import analytic_moments, g_factor, min_variance
 from cavsqueeze.oracle import oracle_moments_sum
 from cavsqueeze.params import CavityAtomParams, DrivePulse, EnsembleSpec
 
@@ -181,15 +181,19 @@ class TestLargeSVariance:
         assert rel_err(large_s_variance(s, q), exact) < 1e-4
 
 
+def max_variance(moments):
+    """Maximum of sigma^2(alpha) over alpha, normalized to S/2: V+ less the minimum, since the two axes sum to V+."""
+    return (moments.var_y + moments.var_z) / (moments.total_spin / 2.0) - min_variance(moments)
+
+
 class TestRotatedVariance:
     def test_extrema_positions(self):
+        # the minimum sits at alpha_0 = atan2(W, V-)/2 (tan 2 alpha_0 = W / V-), the maximum pi/2 away
         m = analytic_moments(40.0, 3.0)
-        ext = extremal_variances(m)
         half = m.total_spin / 2.0
-        assert rotated_variance(m, ext.alpha0) == pytest.approx(ext.sigma_min_sq * half, rel=1e-12)
-        assert rotated_variance(m, ext.alpha0 + math.pi / 2) == pytest.approx(
-            ext.sigma_max_sq * half, rel=1e-12
-        )
+        alpha0 = 0.5 * math.atan2(m.cov_w, m.var_y - m.var_z)
+        assert rotated_variance(m, alpha0) == pytest.approx(min_variance(m) * half, rel=1e-12)
+        assert rotated_variance(m, alpha0 + math.pi / 2) == pytest.approx(max_variance(m) * half, rel=1e-12)
         # period pi
         assert rotated_variance(m, 0.3) == pytest.approx(rotated_variance(m, 0.3 + math.pi), rel=1e-12)
 
@@ -197,46 +201,39 @@ class TestRotatedVariance:
         m = analytic_moments(25.0, 0.0)
         for alpha in np.linspace(0.0, math.pi, 17):
             assert rotated_variance(m, alpha) == pytest.approx(25.0 / 2.0, rel=1e-12)
-        ext = extremal_variances(m)
-        assert ext.degenerate
-        assert ext.alpha0 == 0.0
-        assert ext.sigma_min_sq == pytest.approx(1.0, rel=1e-12)
-        assert ext.sigma_max_sq == pytest.approx(1.0, rel=1e-12)
+        assert min_variance(m) == pytest.approx(1.0, rel=1e-12)
 
     def test_grid_never_beats_minimum(self):
+        # a dense alpha grid never goes under the minimum, and its best point, at most half a
+        # step d from alpha_0, lies above it by at most (max - min) sin^2 d
         for s, q in [(50.0, 2.0), (1e4, 20.0), (7.5, 0.5)]:
             m = analytic_moments(s, q)
-            ext = extremal_variances(m)
             half = s / 2.0
             grid = np.linspace(0.0, math.pi, 1000, endpoint=False)
             vals = np.array([rotated_variance(m, a) for a in grid]) / half
-            assert np.all(vals >= ext.sigma_min_sq - 1e-12)
-            assert np.all(vals <= ext.sigma_max_sq + 1e-12)
-
-    def test_alpha0_solves_tan_identity(self):
-        for s, q in [(100.0, 5.0), (1e4, 30.0)]:
-            ext = extremal_variances(analytic_moments(s, q))
-            assert math.tan(2.0 * ext.alpha0) == pytest.approx(ext.w / ext.v_minus, rel=1e-10)
+            assert np.all(vals >= min_variance(m) - 1e-12)
+            slack = (max_variance(m) - min_variance(m)) * math.sin(math.pi / 2000.0) ** 2
+            assert np.min(vals) <= min_variance(m) + slack + 1e-12
 
 
 class TestAsymptoticExtremes:
     def test_moderate_squeezing_scalings(self):
         # S=1e4, Q=20: sigma_min^2 ~ 1/Q and sigma_max^2 ~ Q^2 within 15%
-        ext = extremal_variances(analytic_moments(1e4, 20.0))
-        assert ext.sigma_min_sq == pytest.approx(1.0 / 20.0, rel=0.15)
-        assert ext.sigma_max_sq == pytest.approx(400.0, rel=0.15)
+        m = analytic_moments(1e4, 20.0)
+        assert min_variance(m) == pytest.approx(1.0 / 20.0, rel=0.15)
+        assert max_variance(m) == pytest.approx(400.0, rel=0.15)
         # uncertainty product ~ sqrt(Q) within 10%
-        product = math.sqrt(ext.sigma_min_sq * ext.sigma_max_sq)
+        product = math.sqrt(min_variance(m) * max_variance(m))
         assert product == pytest.approx(math.sqrt(20.0), rel=0.10)
 
     def test_heisenberg_bound_on_oracle_states(self):
-        # sigma_min^2 sigma_max^2 >= (<S~_x>/S)^4 (contrast-corrected)
+        # Robertson-Schroedinger for S~_y, S_z with [S~_y, S_z] = i S~_x and <S_z> = 0:
+        # var_y var_z - (cov_w / 2)^2 >= (<S~_x> / 2)^2, <S~_x> = Re <S~_+>
         for s in (2.0, 10.0, 60.0):
             for q in (0.2, 1.0, 0.3 * s):
-                o = oracle_moments_sum(s, q)
-                ext = extremal_variances(o)
-                contrast = o.mean_sp.real / s
-                assert ext.sigma_min_sq * ext.sigma_max_sq >= contrast**4 * (1 - 1e-12), (s, q)
+                for m in (oracle_moments_sum(s, q), analytic_moments(s, q)):
+                    det = m.var_y * m.var_z - (m.cov_w / 2.0) ** 2
+                    assert det >= (m.mean_sp.real / 2.0) ** 2 * (1 - 1e-12), (s, q)
 
 
 class TestCurvatureCorrectedMin:
@@ -268,7 +265,7 @@ class TestCurvatureCorrectedMin:
         s = 1e4
 
         def sigma_min(q):
-            return extremal_variances(analytic_moments(s, q)).sigma_min_sq
+            return min_variance(analytic_moments(s, q))
 
         q_star, _ = golden_section_min(sigma_min, 5.0, 500.0, tol=1e-10)
         assert rel_err(q_star, 6.0**0.2 * s**0.4) < 0.05

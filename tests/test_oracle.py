@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import angle_dist_mod_pi, brute_force_min_variance, dense_matrix, floored_rel_err, rel_err
+from conftest import brute_force_min_variance, dense_matrix, floored_rel_err, rel_err
 
 from cavsqueeze.dicke import build_operators
-from cavsqueeze.feedback import analytic_moments, extremal_variances
+from cavsqueeze.feedback import analytic_moments, min_variance
 from cavsqueeze.oracle import (
     apply_feedback_channel,
     channel_factors,
@@ -31,6 +31,25 @@ def test_css_moments_at_zero_shearing():
         assert o.var_y == pytest.approx(s / 2.0, rel=1e-11)
         assert o.cov_w == 0.0
         assert o.var_z == s / 2.0
+
+
+def test_var_y_is_css_variance_at_zero_shearing_for_every_accepted_spin():
+    # random S, half of them off the half-integers: either route refuses a
+    # non-spin, and any S it accepts gives the CSS variance S/2 at Q = 0
+    rng = np.random.default_rng(11)
+    spins = np.exp(rng.uniform(math.log(0.5), math.log(1e5), 40))
+    spins[::2] = np.maximum(np.rint(2.0 * spins[::2]) / 2.0, 0.5)
+    accepted = 0
+    for s in spins.tolist():
+        for route in (analytic_moments, oracle_moments_sum):
+            try:
+                m = route(s, 0.0)
+            except ValueError as exc:
+                assert "positive half-integer" in str(exc) and 2.0 * s != round(2.0 * s), (route, s)
+                continue
+            accepted += 1
+            assert m.var_y == pytest.approx(s / 2.0, rel=1e-9), (route, s)
+    assert accepted == 40
 
 
 def test_closed_forms_match_oracle_full_grid():
@@ -204,12 +223,10 @@ class TestBruteForceMinimum:
         alpha, sig = brute_force_min_variance(10.0, 0.0)
         assert sig == pytest.approx(1.0, rel=1e-12)
 
-    def test_matches_extremal_variances(self):
+    def test_matches_min_variance(self):
         for s, q in [(100.0, 5.0), (30.0, 1.0), (7.5, 0.3)]:
-            alpha, sig = brute_force_min_variance(s, q)
-            ext = extremal_variances(analytic_moments(s, q))
-            assert abs(sig - ext.sigma_min_sq) < 1e-8, (s, q)
-            assert angle_dist_mod_pi(alpha, ext.alpha0) < 1e-6, (s, q)
+            _, sig = brute_force_min_variance(s, q)
+            assert abs(sig - min_variance(analytic_moments(s, q))) < 1e-8, (s, q)
 
     def test_curvature_penalty_at_large_shearing(self):
         # S=100, Q=60: Q^2 >> S, the minimum stays well above 1/Q

@@ -1,8 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 
-from cavsqueeze.params import TWO_PI, CavityAtomParams, DrivePulse, EnsembleSpec, load_config, system_from_config
+from cavsqueeze.design import full_curve_minimum
+from cavsqueeze.dicke import css_amplitudes, m_values
+from cavsqueeze.feedback import analytic_moments, g_factor, raman_modified_moments
+from cavsqueeze.oracle import channel_moments, oracle_moments_sum
+from cavsqueeze.params import (TWO_PI, CavityAtomParams, DrivePulse, EnsembleSpec, load_config, nearest_spin,
+                               system_from_config, twice_spin)
+from cavsqueeze.raman import fig2_curve, modified_min_variance
 
 
 def test_ensemble_derived_quantities():
@@ -15,6 +22,55 @@ def test_ensemble_derived_quantities():
 def test_ensemble_rejects_non_half_integer(bad):
     with pytest.raises(ValueError):
         EnsembleSpec(total_spin=bad)
+
+
+# every public function that reads S, called at S; the array-valued ones also take S as an array
+READS_S = {
+    "twice_spin": lambda s: twice_spin(s),
+    "EnsembleSpec": lambda s: EnsembleSpec(total_spin=s),
+    "g_factor": lambda s: g_factor(s, 0.1),
+    "raman_modified_moments": lambda s: raman_modified_moments(s, 1.0, 0.1),
+    "analytic_moments": lambda s: analytic_moments(s, 1.0),
+    "modified_min_variance": lambda s: modified_min_variance(s, 0.1, 1.0),
+    "full_curve_minimum": lambda s: full_curve_minimum(s, 0.1),
+    "fig2_curve": lambda s: fig2_curve(s, 0.1, [1.0, 2.0]),
+    "oracle_moments_sum": lambda s: oracle_moments_sum(s, 1.0),
+    "channel_moments": lambda s: channel_moments(s, 1.0),
+    "m_values": lambda s: m_values(s),
+    "css_amplitudes": lambda s: css_amplitudes(s),
+}
+ARRAY_VALUED = ("twice_spin", "g_factor", "raman_modified_moments", "analytic_moments", "modified_min_variance",
+                "full_curve_minimum")
+
+
+def _refuses(call, s):
+    try:
+        call(s)
+    except ValueError as exc:
+        return str(exc) == "total spin must be a positive half-integer, got 2.3"
+    return False
+
+
+def test_every_function_that_reads_s_refuses_a_non_spin():
+    for call in READS_S.values():
+        call(2.5)  # a spin passes
+    accepted = [name for name, call in READS_S.items() if not _refuses(call, 2.3)]
+    accepted += [f"{name}([1.5, 2.3])" for name in ARRAY_VALUED if not _refuses(READS_S[name], np.array([1.5, 2.3]))]
+    assert accepted == []
+
+
+def test_twice_spin_is_exact_and_elementwise():
+    assert twice_spin(0.5) == 1.0
+    assert twice_spin(np.array([[0.5], [1e5 + 0.5]])).tolist() == [[1.0], [200001.0]]
+    for bad in (0.0, -0.5, 0.25, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive half-integer"):
+            twice_spin(np.array([1.0, bad]))
+
+
+def test_nearest_spin_rounds_to_half_integers():
+    assert nearest_spin(np.array([0.3, 316.2277660168379, 3162.2776601683795])).tolist() == [0.5, 316.0, 3162.5]
+    with pytest.raises(ValueError, match="positive half-integer, got 0.0"):
+        nearest_spin(np.array([0.2, 1.0]))
 
 
 def test_cavity_params_derived_exact():

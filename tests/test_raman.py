@@ -7,7 +7,7 @@ from conftest import fsum_mean_se_reference, golden_section_min, lockstep_exact_
 
 from cavsqueeze import raman
 from cavsqueeze.design import full_curve_minimum
-from cavsqueeze.feedback import analytic_moments, correlation_integrals, extremal_variances, raman_modified_moments
+from cavsqueeze.feedback import analytic_moments, correlation_integrals, min_variance, raman_modified_moments
 from cavsqueeze.raman import RamanProcess, fig2_curve, modified_min_variance, sample_trajectories
 
 
@@ -85,14 +85,14 @@ class TestModifiedMoments:
     def test_scattering_never_helps(self):
         for s in (100.0, 1e4):
             for q in (1.0, 10.0, 0.002 * s):
-                base = extremal_variances(raman_modified_moments(s, q, 0.0)).sigma_min_sq
+                base = min_variance(raman_modified_moments(s, q, 0.0))
                 for r in (0.01, 0.1, 0.5):
-                    val = extremal_variances(raman_modified_moments(s, q, r)).sigma_min_sq
+                    val = min_variance(raman_modified_moments(s, q, r))
                     assert val >= base - 1e-12, (s, q, r)
 
     def test_monotone_in_r(self):
         s, q = 1e4, 30.0
-        vals = [extremal_variances(raman_modified_moments(s, q, r)).sigma_min_sq
+        vals = [min_variance(raman_modified_moments(s, q, r))
                 for r in np.linspace(0.0, 1.0, 21)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -154,7 +154,7 @@ class TestModifiedMinimum:
         s = 1e4
 
         def no_scatter(q):
-            return extremal_variances(analytic_moments(s, q)).sigma_min_sq
+            return min_variance(analytic_moments(s, q))
 
         q_ns, val_ns = golden_section_min(no_scatter, 5.0, 500.0)
         q_big_eta, val_big_eta = full_curve_minimum(s, 1e9)
@@ -216,6 +216,10 @@ class TestRamanProcess:
     def test_flip_rate_identity(self):
         p = RamanProcess(r=0.25, pulse_time=2.0, n_atoms=100)
         assert p.flip_rate * p.pulse_time == 0.25
+
+    def test_flip_rate_is_derived_not_settable(self):
+        with pytest.raises(TypeError, match="flip_rate"):
+            RamanProcess(r=0.25, pulse_time=2.0, n_atoms=100, flip_rate=99.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

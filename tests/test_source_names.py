@@ -4,7 +4,9 @@ Every public name defined there has a use in the program or the benchmark:
 a name counts as used when it occurs as a whole word in a file under src/
 or perfbench/ outside its own definition; tests/ does not count, so a helper
 kept alive only by its tests is reported.  No import statement sits inside
-a function, and the submodules import each other without a cycle.
+a function, and the submodules import each other without a cycle.  Only
+params rounds twice a value, round(2 * x) or np.rint(2.0 * x): which S is a
+spin, and what its 2S is, is decided there (params.twice_spin) and nowhere else.
 """
 
 import ast
@@ -96,3 +98,28 @@ def test_no_import_inside_a_function():
 
 def test_no_import_cycle_among_submodules():
     assert import_cycles() == []
+
+
+def _is_twice(node):
+    """Whether node is 2 * x or x * 2 (2 or 2.0)."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+        isinstance(side, ast.Constant) and side.value == 2 for side in (node.left, node.right))
+
+
+def spin_roundings(package=PACKAGE):
+    """module:line of each round(...) or rint(...) of twice a value outside params."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "params":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and node.args and _is_twice(node.args[0]):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("round", "rint"):
+                    found.append(f"{path.stem}:{node.lineno}")
+    return found
+
+
+def test_only_params_rounds_a_spin():
+    assert spin_roundings() == []
