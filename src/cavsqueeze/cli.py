@@ -8,13 +8,18 @@ raman-mc        telegraph-jump Monte Carlo of the time-averaged S_z
 design          operating-point report from a config file
 sweep           (S, eta) grid scan of limits, optima and regimes
 
+A handler (cmd_*) validates its options and computes; it writes nothing
+and returns a Result.  run alone creates --out, and only once the handler
+has returned, so a refused run of any subcommand creates no --out.  It then
+writes the files and the manifest, with each warning raised during the run
+as a {"category", "message"} entry, and prints the "wrote" line.
+
 Exit codes: 0 success, 1 usage/config error (any ValueError or OSError, a
 nan or infinite number included, printed to stderr as "<subcommand>:
 <message>"), 2 validation-suite failure (a closed form off the oracle by
-more than ORACLE_TOL).
-All data outputs are byte-identical for identical invocation + seed; the
-Monte Carlo streams are keyed by (seed, chunk of 512 trajectories).  The run
-manifest (wall time) is the only exception.
+more than ORACLE_TOL).  Data files are byte-identical for an identical
+invocation and seed (Monte Carlo streams keyed by seed and chunk of 512
+trajectories); the manifest, with its wall time, is the exception.
 """
 
 import argparse
@@ -23,6 +28,7 @@ import math
 import sys
 import time
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +40,7 @@ from .feedback import analytic_moments, correlation_integrals
 from .oracle import oracle_moments_sum
 from .params import EnsembleSpec, load_config, nearest_spin, system_from_config
 from .raman import RamanProcess, fig2_curve, sample_trajectories
-from .serialize import RunManifest, SCHEMA_VERSION, write_csv, write_json
+from .serialize import SCHEMA_VERSION, write_csv, write_json, write_manifest
 
 ORACLE_TOL = 1e-10  # validate-oracle's relative-error gate, exit 2 beyond it
 _ORACLE_S_GRID = (0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 200.0)
@@ -58,9 +64,10 @@ def build_parser():
         description="Cavity-feedback spin squeezing calculations with machine-readable outputs.",
     )
     parser.add_argument("--version", action="version", version=f"cavsqueeze {__version__}")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fig2", help="squeezing-vs-Q curves (CSV)")
+    p.set_defaults(handler=cmd_fig2)
     p.add_argument("--S", type=float, required=True, help="total spin S")
     p.add_argument("--eta", type=float, action="append", required=True,
                    help="single-atom cooperativity; repeatable")
@@ -68,13 +75,13 @@ def build_parser():
     p.add_argument("--qmax", type=float, default=1000.0)
     p.add_argument("--qpoints", type=int, default=200)
     p.add_argument("--linear-grid", action="store_true", help="evenly spaced Q grid (default logarithmic)")
-    p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("validate-oracle", help="closed forms vs brute-force sums (CSV)")
+    p.set_defaults(handler=cmd_validate_oracle)
     p.add_argument("--smax", type=float, default=200.0, help="largest S of the grid")
-    p.add_argument("--out", default="out")
 
     p = sub.add_parser("raman-mc", help="telegraph Monte Carlo statistics (JSON + optional CSV)")
+    p.set_defaults(handler=cmd_raman_mc)
     p.add_argument("--S", type=float, required=True)
     p.add_argument("--r", type=float, required=True, help="scattered photons per atom over the pulse")
     p.add_argument("--traj", type=int, default=10000)
@@ -82,15 +89,15 @@ def build_parser():
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "gaussian"), default="exact")
     p.add_argument("--corr-csv", action="store_true", help="also write the per-lag correlation CSV")
-    p.add_argument("--out", default="out")
 
     p = sub.add_parser("design", help="operating-point report from a config file (JSON)")
+    p.set_defaults(handler=cmd_design)
     p.add_argument("--config", required=True)
     p.add_argument("--eps-max", type=float, default=1e-5)
     p.add_argument("--q-target", type=float, default=None)
-    p.add_argument("--out", default="out")
 
     p = sub.add_parser("sweep", help="(S, eta) grid scan of limits and regimes (CSV)")
+    p.set_defaults(handler=cmd_sweep)
     p.add_argument("--s-min", type=float, default=1e2)
     p.add_argument("--s-max", type=float, default=1e6)
     p.add_argument("--s-points", type=int, default=9)
@@ -99,44 +106,42 @@ def build_parser():
     p.add_argument("--eta-points", type=int, default=11)
     p.add_argument("--full-minimum", action="store_true",
                    help="also minimize the full modified curve per grid point")
-    p.add_argument("--out", default="out")
+    for p in sub.choices.values():
+        p.add_argument("--out", default="out", help="output directory, created once the results are computed")
     return parser
 
 
-def _outdir(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+@dataclass(frozen=True)
+class Result:
+    """What a handler produced: files by name in write order, (header, rows) for a .csv name and a JSON
+    object otherwise; its manifest fields; its exit code; and the stdout text before "wrote <first file>"."""
+
+    files: dict
+    code: int = 0
+    prefix: str = ""
+    seed: int = None
+    config: dict = None
+    mc_health: dict = None
 
 
-def cmd_fig2(args, argv):
-    manifest = RunManifest(command=argv)
+def cmd_fig2(args):
     spec = EnsembleSpec(total_spin=args.S)
     if args.qmin <= 0 or args.qmax <= args.qmin or args.qpoints < 2:
         raise ValueError("need 0 < qmin < qmax and qpoints >= 2")
     if args.qpoints * len(args.eta) > MAX_FIG2_POINTS:
         raise ValueError(f"{args.qpoints} Q points x {len(args.eta)} eta values exceed the limit "
                          f"MAX_FIG2_POINTS = {MAX_FIG2_POINTS}")
-    out = _outdir(args)
     q_grid = (np.linspace if args.linear_grid else np.geomspace)(args.qmin, args.qmax, args.qpoints)
     # raises ValueError where Q_eff / S passes the G-factor branch
     rows = [(eta, *row) for eta in args.eta for row in fig2_curve(spec.total_spin, eta, q_grid)]
-    path = out / "fig2.csv"
-    write_csv(path, ("eta", "Q", "sigma_min_sq", "sigma_curv_sq", "sigma_ideal_sq"), rows)
-    manifest.add_output(path.name)
-    manifest.write(out / "manifest.json")
-    print(f"wrote {path}")
-    return 0
+    return Result({"fig2.csv": (("eta", "Q", "sigma_min_sq", "sigma_curv_sq", "sigma_ideal_sq"), rows)})
 
 
-def cmd_validate_oracle(args, argv):
-    manifest = RunManifest(command=argv)
+def cmd_validate_oracle(args):
     spins = [s for s in _ORACLE_S_GRID if s <= args.smax]
     if not spins:
         raise ValueError(f"--smax {args.smax:g} is below the smallest grid spin {_ORACLE_S_GRID[0]:g}")
-    out = _outdir(args)
     rows = []
-    n_fail = 0
     for s in spins:
         qs = (0.0, 0.1, 1.0, 5.0, 0.5 * s)
         closed = analytic_moments(s, np.array(qs))
@@ -145,17 +150,12 @@ def cmd_validate_oracle(args, argv):
             err_v = _relative_error(var_closed, oracle.var_y)
             err_w = _relative_error(cov_closed, oracle.cov_w)
             ok = err_v <= ORACLE_TOL and err_w <= ORACLE_TOL
-            n_fail += 0 if ok else 1
-            rows.append((s, q, var_closed, oracle.var_y, err_v,
-                         cov_closed, oracle.cov_w, err_w, ok))
-    path = out / "validate_oracle.csv"
+            rows.append((s, q, var_closed, oracle.var_y, err_v, cov_closed, oracle.cov_w, err_w, ok))
+    n_fail = sum(not row[-1] for row in rows)
     # duplicated rel_err column name is the documented schema
-    write_csv(path, ("S", "Q", "var_y_closed", "var_y_oracle", "rel_err",
-                     "cov_closed", "cov_oracle", "rel_err", "pass"), rows)
-    manifest.add_output(path.name)
-    manifest.write(out / "manifest.json")
-    print(f"{len(rows) - n_fail}/{len(rows)} grid points within {ORACLE_TOL:g}; wrote {path}")
-    return 0 if n_fail == 0 else 2
+    header = ("S", "Q", "var_y_closed", "var_y_oracle", "rel_err", "cov_closed", "cov_oracle", "rel_err", "pass")
+    return Result({"validate_oracle.csv": (header, rows)}, code=0 if n_fail == 0 else 2,
+                  prefix=f"{len(rows) - n_fail}/{len(rows)} grid points within {ORACLE_TOL:g}; ")
 
 
 def _mc_health(record, total_spin, r, corr_target, elapsed_s):
@@ -178,8 +178,7 @@ def _mc_health(record, total_spin, r, corr_target, elapsed_s):
     }
 
 
-def cmd_raman_mc(args, argv):
-    manifest = RunManifest(command=argv, seed=args.seed)
+def cmd_raman_mc(args):
     spec = EnsembleSpec(total_spin=args.S)
     process = RamanProcess(r=args.r, pulse_time=1.0, n_atoms=spec.atom_count)
     # numpy imports numpy.random on first use (~13 ms): before the timer, so
@@ -190,7 +189,7 @@ def cmd_raman_mc(args, argv):
     elapsed_s = time.perf_counter() - started
     record = stats.as_dict()
     target = np.exp(-2.0 * args.r * stats.lags / process.pulse_time).tolist()
-    payload = {
+    files = {"raman_stats.json": {
         "schema_version": SCHEMA_VERSION,
         "total_spin": args.S,
         "r": args.r,
@@ -199,40 +198,24 @@ def cmd_raman_mc(args, argv):
         "pulse_time_s": process.pulse_time,
         "flip_rate_per_atom": process.flip_rate,
         "stats": record,
-    }
-    out = _outdir(args)
-    path = out / "raman_stats.json"
-    write_json(path, payload)
-    manifest.add_output(path.name)
+    }}
     if args.corr_csv:
         # an undefined standard error (one trajectory) is an empty cell
         rows = zip(record["lags"], record["corr"], record["corr_se"], target)
-        cpath = out / "raman_corr.csv"
-        write_csv(cpath, ("lag", "corr", "corr_se", "target"), rows)
-        manifest.add_output(cpath.name)
-    manifest.mc_health = _mc_health(record, spec.total_spin, args.r, target, elapsed_s)
-    manifest.write(out / "manifest.json")
-    print(f"wrote {path}")
-    return 0
+        files["raman_corr.csv"] = (("lag", "corr", "corr_se", "target"), rows)
+    return Result(files, seed=args.seed,
+                  mc_health=_mc_health(record, spec.total_spin, args.r, target, elapsed_s))
 
 
-def cmd_design(args, argv):
+def cmd_design(args):
     cfg = load_config(args.config)
     ensemble, params, drive = system_from_config(cfg)
-    manifest = RunManifest(command=argv, config=cfg)
     targets = DesignTargets(max_excited_pop=args.eps_max, q_target=args.q_target)
     report = design_report(ensemble, params, drive.pulse_time, targets)
-    out = _outdir(args)
-    path = out / "design_report.json"
-    write_json(path, report.as_dict())
-    manifest.add_output(path.name)
-    manifest.write(out / "manifest.json")
-    print(f"wrote {path}")
-    return 0
+    return Result({"design_report.json": report.as_dict()}, config=cfg)
 
 
-def cmd_sweep(args, argv):
-    manifest = RunManifest(command=argv)
+def cmd_sweep(args):
     if min(args.s_min, args.s_max, args.eta_min, args.eta_max) <= 0.0 or min(args.s_points, args.eta_points) < 1:
         raise ValueError("need positive S and eta ranges with at least one point each")
     if args.s_points * args.eta_points > MAX_SWEEP_POINTS:
@@ -245,29 +228,11 @@ def cmd_sweep(args, argv):
     header = ["S", "eta", "s_eta5", "regime", "near_boundary",
               "q_curv", "sigma_curv_sq", "q_scatt", "r_opt", "sigma_scatt_sq"]
     cls = classify_regime(s, eta)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        scattering = scattering_optimum(s, eta)
-    columns = [s, eta, cls.s_eta5, cls.regime, cls.near_boundary, *curvature_optimum(s), *scattering]
+    columns = [s, eta, cls.s_eta5, cls.regime, cls.near_boundary, *curvature_optimum(s), *scattering_optimum(s, eta)]
     if args.full_minimum:
         header += ["q_full", "sigma_full_sq"]
         columns += full_curve_minimum(s, eta)
-    out = _outdir(args)
-    path = out / "sweep.csv"
-    write_csv(path, header, zip(*(np.asarray(c).tolist() for c in columns)))
-    manifest.add_output(path.name)
-    manifest.write(out / "manifest.json")
-    print(f"wrote {path}")
-    return 0
-
-
-_HANDLERS = {
-    "fig2": cmd_fig2,
-    "validate-oracle": cmd_validate_oracle,
-    "raman-mc": cmd_raman_mc,
-    "design": cmd_design,
-    "sweep": cmd_sweep,
-}
+    return Result({"sweep.csv": (header, zip(*(np.asarray(c).tolist() for c in columns)))})
 
 
 def _refuse_non_finite(args):
@@ -279,7 +244,7 @@ def _refuse_non_finite(args):
 
 
 def run(argv=None):
-    """Entry point returning the process exit code (0/1/2)."""
+    """Entry point returning the process exit code (0/1/2); the only code that writes files."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
@@ -288,21 +253,28 @@ def run(argv=None):
         # argparse exits 0 for --help/--version, 2 for usage errors; usage
         # errors are exit code 1 here
         return 0 if exc.code == 0 else 1
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        print("cavsqueeze: a subcommand is required", file=sys.stderr)
-        return 1
+    started = time.perf_counter()
     try:
-        _refuse_non_finite(args)
-        return _HANDLERS[args.command](args, argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _refuse_non_finite(args)
+            result = args.handler(args)
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in result.files.items():
+            if name.endswith(".csv"):
+                write_csv(out / name, *content)
+            else:
+                write_json(out / name, content)
+        write_manifest(out / "manifest.json", argv, list(result.files), started, seed=result.seed,
+                       config=result.config, mc_health=result.mc_health,
+                       warnings=[{"category": w.category.__name__, "message": str(w.message)} for w in caught])
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
+    print(f"{result.prefix}wrote {out / next(iter(result.files))}")
+    return result.code
 
 
 def main():
     sys.exit(run())
-
-
-if __name__ == "__main__":
-    main()

@@ -24,11 +24,13 @@ rule and a direct comparison of the floors may disagree only within that
 band.  Both floors are asymptotic, so the recommended operating point comes
 from numerical minimization of the full modified curve, with the closed
 forms reported alongside.  full_curve_minimum scans the logarithmic
-bracket [0.05 min(Q_curv, Q_scatt), min(4 max(Q_curv, Q_scatt), 1.4 S)],
-which holds the minimiser for S >= 3/2 down to S eta = 1e-3 (the 1.4 S cap
-cuts it off at S <= 1 and eta of order 1), and rescans the neighbourhood of
-the best point four times, five array calls of the curve in all: Q to
-~1e-7 relative, the precision to which the flat, rounded curve defines it.
+bracket [0.05 min(Q_curv, Q_scatt), min(4 max(Q_curv, Q_scatt), Q_edge)],
+Q_edge = -2 S eta ln(1 - pi/(4 eta)) the G-factor domain edge (Q_eff / S =
+pi/2; infinite for eta <= pi/4), which holds the minimiser for every S
+down to S eta = 1e-3 (at S = 1/2 and eta >~ 2 it is Q_edge), and rescans
+the neighbourhood of the best point four times, five array calls of the
+curve in all: Q to ~1e-7 relative, the precision to which the flat,
+rounded curve defines it.
 
 The dispersive readout: the drive, at omega = omega_c + kappa/2 (half a
 linewidth above the bare cavity), sees a resonance pulled by the atomic
@@ -46,7 +48,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .feedback import _scalar, raman_modified_moments
+from .feedback import _G_DOMAIN, _scalar, raman_modified_moments
 from .params import DrivePulse
 from .raman import modified_min_variance
 from .serialize import SCHEMA_VERSION
@@ -147,14 +149,15 @@ def full_curve_minimum(total_spin, eta):
 
     Returns (q_min, sigma_min_sq), the best grid point and its value.  The
     bracket (module docstring) spans both closed-form optima with a wide
-    margin while staying inside the G-factor domain (Q_eff <= Q < (pi/2) S);
-    it is fixed, not a parameter.  A logarithmic scan of _SCAN_POINTS
-    values over it finds the minimum among the coarse steps (the curve
-    saturates at sigma^2 = 1 for very large Q, and a local search alone can
-    lose an interior minimum against that plateau); _REFINE_ROUNDS rescans of the two steps around
-    the best point, with the same number of points, then narrow it 31.5
-    times each.  That is _REFINE_ROUNDS + 1 = 5 modified_min_variance calls
-    whatever the shape of (S, eta).
+    margin and ends just inside the G-factor domain; it is fixed, not a
+    parameter.  At S = 1/2 and eta >~ 2 the minimum is its last point.  A
+    logarithmic scan of _SCAN_POINTS values over it finds the minimum among
+    the coarse steps (the curve saturates at sigma^2 = 1 for very large Q,
+    and a local search alone can lose an interior minimum against that
+    plateau); _REFINE_ROUNDS rescans of the two steps around the best point,
+    with the same number of points, then narrow it 31.5 times each.  That is
+    _REFINE_ROUNDS + 1 = 5 modified_min_variance calls whatever the shape
+    of (S, eta).
 
     Precision: the last grid steps are ln(q_hi / q_lo) (2/63)^4 / 63
     relative in Q, from 7e-8 to 1.4e-7 over the default sweep grid (bracket
@@ -173,7 +176,11 @@ def full_curve_minimum(total_spin, eta):
     q_curv, _ = curvature_optimum(s)
     q_scatt = np.sqrt(3.0 * s * eta)
     lo = 0.05 * np.minimum(q_curv, q_scatt)
-    hi = np.minimum(4.0 * np.maximum(q_curv, q_scatt), 1.4 * s)
+    # Q_edge at Q_eff / S = (1 - 1e-12) pi/2, inf where never reached; a margin on Q
+    # instead would vanish in Q_eff / S as eta -> pi/4, and the edge point be refused
+    with np.errstate(divide="ignore"):
+        q_edge = -2.0 * s * eta * np.log1p(-np.minimum((1.0 - 1e-12) * _G_DOMAIN / (2.0 * eta), 1.0))
+    hi = np.minimum(4.0 * np.maximum(q_curv, q_scatt), q_edge)
     for _ in range(_REFINE_ROUNDS + 1):
         grid = lo * np.power(hi / lo, _SCAN_STEPS)
         values = modified_min_variance(s, eta, grid)

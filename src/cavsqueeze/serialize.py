@@ -2,14 +2,14 @@
 
 Floats are written with Python's shortest round-trip representation
 (repr), so CSV/JSON outputs are byte-stable and parse back exactly.  Every
-CLI run writes a manifest listing its outputs beside them; the manifest
-carries wall time and is the one file excluded from the byte-identical
-reproducibility guarantee.
+CLI run writes a manifest beside its outputs (write_manifest): the argv,
+the outputs in write order, the warnings raised as {"category", "message"}
+entries (an empty list when none) and the wall time, which makes it the
+one file excluded from the byte-identical reproducibility guarantee.
 """
 
 import json
 import time
-from dataclasses import dataclass, field
 
 from . import __version__
 
@@ -45,30 +45,22 @@ def write_json(path, obj):
         fh.write(text + "\n")
 
 
-@dataclass
-class RunManifest:
-    """Record of one CLI invocation and the files it produced."""
+def write_manifest(path, command, outputs, started, seed=None, config=None, mc_health=None, warnings=()):
+    """Write the record of one CLI run: its argv, the files it wrote in order, and the warnings it raised.
 
-    command: list
-    seed: int = None
-    config: dict = None
-    outputs: list = field(default_factory=list)
-    mc_health: dict = None
-    _started: float = field(default_factory=time.perf_counter, repr=False)
-
-    def add_output(self, path):
-        self.outputs.append(str(path))
-
-    def write(self, path):
-        record = {
-            "command": list(self.command),
-            "seed": self.seed,
-            "config": self.config,
-            "outputs": list(self.outputs),
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "wall_time_s": time.perf_counter() - self._started,
-        }
-        if self.mc_health is not None:
-            record["mc_health"] = dict(self.mc_health)
-        write_json(path, record)
+    started is the time.perf_counter() reading at the start of the run;
+    mc_health is written only when given.
+    """
+    record = {
+        "command": list(command),
+        "seed": seed,
+        "config": config,
+        "outputs": list(outputs),
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": __version__,
+        "wall_time_s": time.perf_counter() - started,
+        "warnings": list(warnings),
+    }
+    if mc_health is not None:
+        record["mc_health"] = dict(mc_health)
+    write_json(path, record)

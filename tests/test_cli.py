@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -61,7 +62,7 @@ def test_fig2_outside_g_factor_domain_exits_1_with_message(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("fig2: ")
         assert "principal branch" in err
-        assert not (out / "fig2.csv").exists()
+        assert not out.exists()
 
 
 # refused before any grid or file is built; the counts sit just above the
@@ -194,6 +195,12 @@ def test_workers_flag_is_gone(tmp_path):
     assert _run(MC_ARGV + ["--workers", "2"], tmp_path) == 1
 
 
+_SYSTEM_CFG = "S = {S}\ng_hz = 4e5\nkappa_hz = 1e6\ndelta_over_gamma = 500.0\np0 = 100.0\nt_s = 4e-4\n"
+_MANIFEST_KEYS = {"command", "seed", "config", "outputs", "schema_version", "tool_version", "wall_time_s", "warnings"}
+_OUTPUTS = {"raman-mc": ["raman_stats.json", "raman_corr.csv"], "fig2": ["fig2.csv"],
+            "validate-oracle": ["validate_oracle.csv"], "sweep": ["sweep.csv"], "design": ["design_report.json"]}
+
+
 @pytest.mark.parametrize("argv", [
     MC_ARGV,
     ["fig2", "--S", "100", "--eta", "0.1", "--qpoints", "5"],
@@ -203,12 +210,49 @@ def test_workers_flag_is_gone(tmp_path):
 ])
 def test_manifest_records_argv_once(tmp_path, argv):
     cfg = tmp_path / "system.cfg"
-    cfg.write_text("S = 1e4\ng_hz = 4e5\nkappa_hz = 1e6\ndelta_over_gamma = 500.0\n"
-                   "p0 = 100.0\nt_s = 4e-4\n", encoding="utf-8")
+    cfg.write_text(_SYSTEM_CFG.format(S="1e4"), encoding="utf-8")
     full = [a.format(cfg=cfg) for a in argv] + ["--out", str(tmp_path / "out")]
     assert cli.run(full) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["command"] == full
+    # seed for raman-mc and config for design only; mc_health only for raman-mc
+    assert set(manifest) == _MANIFEST_KEYS | ({"mc_health"} if argv[0] == "raman-mc" else set())
+    assert manifest["seed"] == (5 if argv[0] == "raman-mc" else None)
+    assert (manifest["config"] is not None) == (argv[0] == "design")
+    outputs = _OUTPUTS[argv[0]]
+    assert manifest["outputs"] == outputs
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(outputs + ["manifest.json"])
+
+
+@pytest.mark.parametrize("argv", [["design", "--config", "{cfg}"], ["sweep"]])
+def test_warnings_go_to_the_manifest_not_stderr(tmp_path, capsys, argv):
+    # S eta ~ 1 (design at S = 10) and S eta = 1e-2 (the default sweep's corner) put r_opt past 0.3
+    cfg = tmp_path / "system.cfg"
+    cfg.write_text(_SYSTEM_CFG.format(S="10"), encoding="utf-8")
+    assert _run([a.format(cfg=cfg) for a in argv], tmp_path / "out") == 0
+    assert capsys.readouterr().err == ""
+    entries = json.loads((tmp_path / "out" / "manifest.json").read_text())["warnings"]
+    assert [e["category"] for e in entries] == ["RuntimeWarning"]
+    assert entries[0]["message"].startswith("r_opt = ") and "is not small" in entries[0]["message"]
+
+
+def test_validate_oracle_failure_exits_2_and_writes_everything(tmp_path, capsys, monkeypatch):
+    # the oracle off by 1e-6 relative at one grid point, (S, Q) = (5, 1)
+    oracle = cli.oracle_moments_sum
+
+    def perturbed(total_spin, q):
+        moments = oracle(total_spin, q)
+        if (total_spin, q) == (5.0, 1.0):
+            return dataclasses.replace(moments, var_y=moments.var_y * (1.0 + 1e-6))
+        return moments
+
+    monkeypatch.setattr(cli, "oracle_moments_sum", perturbed)
+    assert _run(["validate-oracle"], tmp_path) == 2
+    assert capsys.readouterr().out.startswith("39/40 grid points within 1e-10; wrote ")
+    rows = [line.split(",") for line in (tmp_path / "validate_oracle.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 40
+    assert [row[:2] for row in rows if row[-1] == "false"] == [["5.0", "1.0"]]
+    assert json.loads((tmp_path / "manifest.json").read_text())["outputs"] == ["validate_oracle.csv"]
 
 
 def test_design_eps_max_is_the_one_excited_population_limit(tmp_path):

@@ -145,11 +145,17 @@ SWEEP_GRID = tuple(g.ravel() for g in np.meshgrid(np.rint(2.0 * np.geomspace(1e2
                                                   np.geomspace(1e-4, 10.0, 11), indexing="ij"))
 
 
+def _domain_edge(s, eta, margin=0.0):
+    """Q at which Q_eff / S = 2 eta (1 - e^{-2r}), r = Q / (4 S eta), reaches (1 - margin) pi/2; inf if never."""
+    reach = (1.0 - margin) * math.pi / (4.0 * eta)
+    return -2.0 * s * eta * math.log1p(-reach) if reach < 1.0 else math.inf
+
+
 def _search_bracket(s, eta):
     """The Q bracket documented in full_curve_minimum."""
     q_curv, _ = curvature_optimum(s)
     q_scatt = math.sqrt(3.0 * s * eta)
-    return 0.05 * min(q_curv, q_scatt), min(4.0 * max(q_curv, q_scatt), 1.4 * s)
+    return 0.05 * min(q_curv, q_scatt), min(4.0 * max(q_curv, q_scatt), _domain_edge(s, eta, 1e-12))
 
 
 def _xi_sq(s, eta, q):
@@ -236,16 +242,26 @@ class TestFullCurveMinimum:
         assert edges == []
 
     def test_within_1e9_of_a_dense_scan(self):
-        # seeded random half-integer S >= 3/2 and S eta in [1e-3, 1e5] (eta <= 10): no
-        # 200,000-point log scan of (0, 1.4 S] finds a value 1e-9 below the minimum,
-        # down to the small-S eta corner where the minimiser falls far below Q = 1
+        # seeded random half-integer S >= 3/2 and S eta in [1e-3, 1e5] (eta <= 10), scanned over
+        # (0, 1.4 S], and S = 1/2 and 1 at eta from 1e-3 to 10, scanned up to just inside the
+        # G-factor domain edge (or 100 S where eta <= pi/4 leaves every Q in the domain): no
+        # 200,000-point log scan finds a value 1e-9 below the minimum, down to the small-S eta
+        # corner where the minimiser falls far below Q = 1
         rng = np.random.default_rng(7)
+        cases = []
         for _ in range(12):
             s = max(round(2.0 * math.exp(rng.uniform(math.log(1.5), math.log(1e6)))) / 2.0, 1.5)
             eta = min(math.exp(rng.uniform(math.log(1e-3), math.log(1e5))) / s, 10.0)
-            scan = np.min(modified_min_variance(s, eta, np.geomspace(1e-6, 1.4 * s, 200_000)))
-            _, sigma_full = full_curve_minimum(s, eta)
+            cases.append((s, eta, 1.4 * s))
+        cases += [(s, eta, min(_domain_edge(s, eta, 1e-9), 100.0 * s))
+                  for s in (0.5, 1.0) for eta in (1e-3, 0.3, 1.0, 3.0, 10.0)]
+        for s, eta, top in cases:
+            scan = np.min(modified_min_variance(s, eta, np.geomspace(1e-6, top, 200_000)))
+            q_full, sigma_full = full_curve_minimum(s, eta)
             assert sigma_full <= scan * (1.0 + 1e-9), (s, eta)
+            if s == 0.5 and eta >= 3.0:
+                # the curve falls all the way to the domain edge
+                assert q_full == pytest.approx(_domain_edge(s, eta), rel=1e-9), (s, eta)
 
     def test_asymptotic_location_agreement(self):
         # full-curve minimum vs asymptotic Q_scatt at the reference point

@@ -7,6 +7,8 @@ kept alive only by its tests is reported.  No import statement sits inside
 a function, and the submodules import each other without a cycle.  Only
 params rounds twice a value, round(2 * x) or np.rint(2.0 * x): which S is a
 spin, and what its 2S is, is decided there (params.twice_spin) and nowhere else.
+In cli, only run writes: no other code there calls write_csv, write_json,
+write_manifest or mkdir, so a subcommand handler only returns its files.
 """
 
 import ast
@@ -123,3 +125,24 @@ def spin_roundings(package=PACKAGE):
 
 def test_only_params_rounds_a_spin():
     assert spin_roundings() == []
+
+
+_WRITERS = {"write_csv", "write_json", "write_manifest", "mkdir"}
+
+
+def cli_writers(path=PACKAGE / "cli.py"):
+    """function:line of each call in cli of a writer, outside run (module level counts as outside)."""
+    found = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef) and node.name == "run":
+            continue
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                func = call.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in _WRITERS:
+                    found.append(f"{getattr(node, 'name', '<module>')}:{call.lineno}")
+    return found
+
+
+def test_only_run_writes_in_cli():
+    assert cli_writers() == []
