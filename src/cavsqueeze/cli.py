@@ -19,7 +19,9 @@ nan or infinite number included, printed to stderr as "<subcommand>:
 <message>"), 2 validation-suite failure (a closed form off the oracle by
 more than ORACLE_TOL).  Data files are byte-identical for an identical
 invocation and seed (Monte Carlo streams keyed by seed and chunk of 512
-trajectories); the manifest, with its wall time, is the exception.
+trajectories); the manifest, with its wall time, is the exception.  raman-mc
+runs in units of the pulse, so its "pulse_time_s" is the constant 1.0 (and
+"flip_rate_per_atom" is r), kept for schema stability.
 """
 
 import argparse
@@ -34,8 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .design import (DesignTargets, classify_regime, curvature_optimum, design_report, full_curve_minimum,
-                     scattering_optimum)
+from .design import classify_regime, curvature_optimum, design_report, full_curve_minimum, scattering_optimum
 from .feedback import analytic_moments, correlation_integrals
 from .oracle import oracle_moments_sum
 from .params import EnsembleSpec, load_config, nearest_spin, system_from_config
@@ -92,7 +93,7 @@ def build_parser():
 
     p = sub.add_parser("design", help="operating-point report from a config file (JSON)")
     p.set_defaults(handler=cmd_design)
-    p.add_argument("--config", required=True)
+    p.add_argument("--config", required=True, help="config file; its p0 is checked but unused: the report picks Q")
     p.add_argument("--eps-max", type=float, default=1e-5)
     p.add_argument("--q-target", type=float, default=None)
 
@@ -180,7 +181,7 @@ def _mc_health(record, total_spin, r, corr_target, elapsed_s):
 
 def cmd_raman_mc(args):
     spec = EnsembleSpec(total_spin=args.S)
-    process = RamanProcess(r=args.r, pulse_time=1.0, n_atoms=spec.atom_count)
+    process = RamanProcess(r=args.r, n_atoms=spec.atom_count)
     # numpy imports numpy.random on first use (~13 ms): before the timer, so
     # that trajectories_per_s measures the simulation alone
     importlib.import_module("numpy.random")
@@ -188,15 +189,15 @@ def cmd_raman_mc(args):
     stats = sample_trajectories(process, args.traj, args.steps, seed=args.seed, mode=args.mode)
     elapsed_s = time.perf_counter() - started
     record = stats.as_dict()
-    target = np.exp(-2.0 * args.r * stats.lags / process.pulse_time).tolist()
+    target = np.exp(-2.0 * args.r * stats.lags).tolist()
     files = {"raman_stats.json": {
         "schema_version": SCHEMA_VERSION,
         "total_spin": args.S,
         "r": args.r,
         "mode": args.mode,
         "seed": args.seed,
-        "pulse_time_s": process.pulse_time,
-        "flip_rate_per_atom": process.flip_rate,
+        "pulse_time_s": 1.0,
+        "flip_rate_per_atom": args.r,
         "stats": record,
     }}
     if args.corr_csv:
@@ -210,8 +211,7 @@ def cmd_raman_mc(args):
 def cmd_design(args):
     cfg = load_config(args.config)
     ensemble, params, drive = system_from_config(cfg)
-    targets = DesignTargets(max_excited_pop=args.eps_max, q_target=args.q_target)
-    report = design_report(ensemble, params, drive.pulse_time, targets)
+    report = design_report(ensemble, params, drive.pulse_time, args.eps_max, args.q_target)
     return Result({"design_report.json": report.as_dict()}, config=cfg)
 
 

@@ -38,7 +38,7 @@ index of refraction to omega_c + Omega S_z, so the transmitted photon
 number has the relative slope 2 Omega / kappa at S_z = 0.  validate_regime
 checks the treatment's conditions (linear in S_z, adiabatic in the cavity
 field, low saturation) against the limits below and the one settable
-limit, DesignTargets.max_excited_pop.
+limit, max_excited_pop.
 """
 
 import sys
@@ -72,7 +72,7 @@ _BOUNDARY_BAND = 3.0
 _BOUNDARY_RTOL = 64.0 * sys.float_info.epsilon
 
 # validate_regime: pass/fail limits of the operating conditions besides low
-# saturation, whose limit is DesignTargets.max_excited_pop
+# saturation, whose limit is the max_excited_pop argument
 MIN_KAPPA_T = 10.0  # resolve the cavity line, kappa t >> 1
 MAX_LINEARITY_RATIO = 0.1  # Omega sqrt(S/2) / kappa small
 MIN_DETUNING_MARGIN = 10.0  # |Delta| >> kappa, Gamma, g
@@ -191,14 +191,6 @@ def full_curve_minimum(total_spin, eta):
             _scalar(np.take_along_axis(values, best, axis=-1)[..., 0]))
 
 
-@dataclass(frozen=True)
-class DesignTargets:
-    """Experiment-design constraints and optional overrides."""
-
-    max_excited_pop: float = 1e-5  # low saturation, epsilon <= this
-    q_target: float = None  # None: recommend from the full-curve minimum
-
-
 def kappa_t_required(ensemble, params, shearing_q, max_excited_pop):
     """Minimum kappa*t so the excited-state population stays below the cap.
 
@@ -234,8 +226,8 @@ class RegimeReport:
 def validate_regime(ensemble, params, drive, max_excited_pop):
     """Evaluate the low-saturation / adiabaticity / linearity conditions.
 
-    max_excited_pop is the low-saturation limit, DesignTargets.max_excited_pop
-    in a design report; the other limits are the module constants.  Never
+    max_excited_pop is the low-saturation limit (design --eps-max in a
+    report); the other limits are the module constants.  Never
     raises for out-of-regime inputs; all failures are carried as flags.
     """
     s = ensemble.total_spin
@@ -301,15 +293,15 @@ class SqueezeReport:
         return asdict(self)
 
 
-def design_report(ensemble, params, pulse_time, targets=None):
+def design_report(ensemble, params, pulse_time, max_excited_pop, q_target=None):
     """Aggregate limits, optima and validity into one SqueezeReport.
 
+    max_excited_pop is the low-saturation limit, epsilon <= max_excited_pop.
     The recommended Q is min(full-curve minimizer, Q_curv); a q_target of
     zero is rejected ("no shearing requested"), any other positive value
     overrides the recommendation.  The report gives the raw sigma^2 there and
     the contrast-normalized xi^2 = sigma^2 / C^2, which the floors bound.
     """
-    targets = targets if targets is not None else DesignTargets()
     s = ensemble.total_spin
     eta = params.eta
 
@@ -317,10 +309,10 @@ def design_report(ensemble, params, pulse_time, targets=None):
     q_scatt, r_opt, sigma_scatt_sq = scattering_optimum(s, eta)
     classification = classify_regime(s, eta)
 
-    if targets.q_target is not None:
-        if targets.q_target <= 0.0:
+    if q_target is not None:
+        if q_target <= 0.0:
             raise ValueError("no shearing requested: q_target must be positive")
-        q_rec = float(targets.q_target)
+        q_rec = float(q_target)
     else:
         q_full, _ = full_curve_minimum(s, eta)
         q_rec = min(q_full, q_curv)
@@ -329,9 +321,9 @@ def design_report(ensemble, params, pulse_time, targets=None):
     contrast_sq = abs(raman_modified_moments(s, q_rec, r_rec).mean_sp) ** 2 / (s * s)
 
     drive = DrivePulse.from_shearing(q_rec, pulse_time, ensemble, params)
-    validity = validate_regime(ensemble, params, drive, targets.max_excited_pop)
+    validity = validate_regime(ensemble, params, drive, max_excited_pop)
 
-    kt_saturation = kappa_t_required(ensemble, params, q_rec, targets.max_excited_pop)
+    kt_saturation = kappa_t_required(ensemble, params, q_rec, max_excited_pop)
     kt_actual = params.kappa * pulse_time
     t_constraints = {
         "kappa_t_actual": kt_actual,
@@ -348,7 +340,7 @@ def design_report(ensemble, params, pulse_time, targets=None):
         "atom_count": ensemble.atom_count,
         "eta": eta,
         "pulse_time_s": pulse_time,
-        "max_excited_pop": targets.max_excited_pop,
+        "max_excited_pop": max_excited_pop,
         "params": params.as_dict(),
     }
     return SqueezeReport(

@@ -1,8 +1,10 @@
 """Dicke-basis states and collective spin operators.
 
-Index convention (used everywhere in this package): vectors and matrices in
-the S_z eigenbasis are indexed by m = +S down to -S, i.e. row/column 0 holds
-m = +S.  This fixes the sign conventions of sy and of the y-z covariance.
+Index convention: vectors and matrices in the S_z eigenbasis are indexed by
+m = +S down to -S, i.e. row/column 0 holds m = +S, which fixes the sign
+conventions of sy and of the y-z covariance.  oracle.oracle_moments_sum
+indexes ascending m = k - S instead, valid only because CSS amplitudes are
+symmetric under m <-> -m.
 
 Coherent-spin-state amplitudes are binomial, sqrt(C(2S, S+m)) 2^-S, built in
 log space so ensembles up to S ~ 1e6 construct without overflow.  The spin

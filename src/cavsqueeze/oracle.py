@@ -42,7 +42,9 @@ def oracle_moments_sum(total_spin, q):
     anticommutator sum behind the y-z covariance term by term; assembles
     Delta S~_y^2 = <S~_y^2> - <S~_y>^2 through the conserved
     S_+S_- + S_-S_+ = 2(S(S+1) - S_z^2), with conjugate moments taken as
-    Hermitian conjugates.  var_z = S/2 (S_z is a constant of motion).
+    Hermitian conjugates.  var_z = S/2 (S_z is a constant of motion).  The
+    sums index ascending m = k - S against the m = +S..-S order of
+    css_amplitudes, valid only because CSS amplitudes are symmetric in m.
     """
     s = float(total_spin)
     two_s = int(twice_spin(s))

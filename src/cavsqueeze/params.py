@@ -151,7 +151,9 @@ class DrivePulse:
 
 # Config file schema: flat "key = value" lines, '#' comments.  Frequencies in
 # Hz.  Exactly one of delta_over_gamma / delta_hz; gamma_hz optional (default
-# DEFAULT_GAMMA).  p0 and t_s describe the drive pulse.
+# DEFAULT_GAMMA).  p0 and t_s describe the drive pulse.  design reads only t_s
+# of the two: p0 is validated (>= 0) and echoed in the manifest, but the
+# report recommends its own Q and gives the p0 that reaches it.
 CONFIG_KEYS = ("S", "g_hz", "kappa_hz", "gamma_hz", "delta_over_gamma", "delta_hz", "p0", "t_s")
 _REQUIRED_KEYS = ("S", "g_hz", "kappa_hz", "p0", "t_s")
 

@@ -2,16 +2,16 @@
 
 Raman scattering flips atoms between the two ground states during the
 pulse, so the spin precession is driven by the time average Sbar_z rather
-than the final S_z(t).  For independent per-atom telegraph flips at rate
-lambda = r/t (r = mean Raman-scattered photons per atom over the pulse) the
-collective correlation function is
+than the final S_z.  In units of the pulse, which spans [0, 1], each atom
+flips at rate lambda = r (r = mean Raman-scattered photons per atom over the
+pulse), and the collective correlation function of independent flips is
 
-    2 <S_z(t1) S_z(t2)> / S = e^{-2 r |t1 - t2| / t},
+    2 <S_z(t1) S_z(t2)> / S = e^{-2 r |t1 - t2|},
 
 which fixes the two normalized moments used by the modified variance:
 
     c_bar_sq  = 2 <Sbar_z^2> / S      = (2r - 1 + e^{-2r}) / (2 r^2)
-    c_bar_fin = 2 <Sbar_z S_z(t)> / S = (1 - e^{-2r}) / (2r)
+    c_bar_fin = 2 <Sbar_z S_z(1)> / S = (1 - e^{-2r}) / (2r)
 
 (double / single time integrals of the exponential kernel; both -> 1 as
 r -> 0, and to first order 1 - 2r/3 and 1 - r).
@@ -26,14 +26,14 @@ Ornstein-Uhlenbeck aggregate (exact joint sampling of S_z and its running
 integral) for large ones.  Trajectories run as arrays in fixed chunks of
 _CHUNK, and each chunk draws from one counter-based Philox stream keyed by
 (seed, chunk index).  Exact mode draws a chunk's events in blocks of _BLOCK
-per trajectory still before t: the waiting times and atom picks of a block
-are arrays, and only the +-1 chain of the up-atom count steps event by
+per trajectory still in the pulse: the waiting times and atom picks of a
+block are arrays, and only the +-1 chain of the up-atom count steps event by
 event.  _CHUNK and _BLOCK fix the stream layout, so a seed and a trajectory
 count fix the output bits.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,12 +44,12 @@ from .feedback import _G_DOMAIN, min_variance, raman_modified_moments
 # values are part of the stream layout, so changing either changes seeded output.
 _CHUNK = 512
 _BLOCK = 32
+_LOOKUP = 2 ** 14  # lag samples per pass of the exact-mode lookup; each copies _BLOCK times, ~4 MiB a pass
 
-# Refusal limits from costs measured on a 2-vCPU host.  Exact mode costs
-# ~25-35 us per r N event on a full chunk at 4 lags (~17 s at the limit) and
-# ~5-6 us on a one-trajectory chunk; gaussian mode ~12-14 us per step on a
-# one-trajectory chunk (~7 s; full chunks meet the sample limit first); a
-# sample costs 8 B and ~75-90 ns with its share of the reduction (256 MiB, ~3 s).
+# Refusal limits from costs measured on a 2-vCPU host.  Exact mode costs ~25-35 us per r N event on a full
+# chunk at 4 lags (~17 s at the limit) and ~5-6 us on a one-trajectory chunk; gaussian mode ~12-14 us per
+# step on a one-trajectory chunk (~7 s; full chunks meet the sample limit first).  A sample costs 8 B and
+# ~75-90 ns with its share of the reduction (256 MiB, ~3 s), ~130 ns in exact mode with its lag lookup.
 MAX_LOCKSTEP = 500_000  # ceil(n_traj / _CHUNK) * (r N exact, time_steps gaussian)
 MAX_SAMPLE_ELEMENTS = 2 ** 25  # n_traj * (time_steps + 1)
 
@@ -100,21 +100,16 @@ def fig2_curve(total_spin, eta, q_grid):
 
 @dataclass(frozen=True)
 class RamanProcess:
-    """Telegraph flip process: r scattered photons per atom over pulse_time."""
+    """Telegraph flip process: r scattered photons per atom over the pulse, the unit of time."""
 
     r: float
-    pulse_time: float
     n_atoms: int
-    flip_rate: float = field(init=False)  # per atom, derived: r / pulse_time
 
     def __post_init__(self):
         if not 0.0 <= self.r < math.inf:
             raise ValueError("r must be nonnegative and finite")
-        if self.pulse_time <= 0.0:
-            raise ValueError("pulse_time must be positive")
         if self.n_atoms < 1:
             raise ValueError("need at least one atom")
-        object.__setattr__(self, "flip_rate", self.r / self.pulse_time)
 
 
 def _defined(x):
@@ -126,9 +121,9 @@ def _defined(x):
 class TrajectoryStats:
     """Monte Carlo estimates with standard errors.
 
-    corr[l] estimates 2 <S_z(0) S_z(lag_l)> / S on the lag grid; the target
-    is e^{-2 r lag / t}.  mean_sz_bar_sq and cov_bar_final estimate
-    <Sbar_z^2> and <Sbar_z S_z(t)> (raw spin units, target (S/2) c_bar_*).
+    corr[l] estimates 2 <S_z(0) S_z(lag_l)> / S, lags in units of the pulse;
+    the target is e^{-2 r lag}.  mean_sz_bar_sq and cov_bar_final estimate
+    <Sbar_z^2> and <Sbar_z S_z(1)> (raw spin units, target (S/2) c_bar_*).
     n_events is the number of jumps simulated (0 in gaussian mode).  A
     standard error is nan when it is undefined (one trajectory); as_dict
     gives it as None.
@@ -161,32 +156,32 @@ class TrajectoryStats:
 def _simulate_exact(rng, process, s, lag_times, m):
     """m trajectories of exact per-event jumps, drawn in blocks of _BLOCK events.
 
-    The N atoms jump at the total rate N lambda whatever the state, so each
-    event is one exponential waiting time and one uniform atom pick u, a
-    down-flip iff u N < n_up.  Only live trajectories draw: those whose last
-    block time is still before t.  A block draws the next _BLOCK waiting
-    times of the k live trajectories as a (k, _BLOCK) array and their picks
-    as a (_BLOCK, k) array; the only per-event Python step is the +-1 chain
-    of n_up, after which S_z(lag) and the running integral of S_z come from
-    array operations over the block, scattered back through the live index.
-    A trajectory leaves once its last block time reaches t, so only its
-    final block holds events past t.  Returns (S_z at the lags, Sbar_z,
-    number of jumps).
+    The N atoms jump at the total rate r N whatever the state, so each event
+    is one exponential waiting time and one uniform atom pick u, a down-flip
+    iff u N < n_up.  Only live trajectories draw: those whose last block
+    time is still before the pulse end, 1.  A block draws the next _BLOCK
+    waiting times of the k live trajectories as a (k, _BLOCK) array and
+    their picks as a (_BLOCK, k) array; the only per-event Python step is
+    the +-1 chain of n_up.  The running integral of S_z and each lag sample
+    (the level after the events at or before the lag, by direct comparison)
+    come from array operations over the block, scattered back through the
+    live index.  A trajectory leaves once its last block time reaches 1, so
+    only its final block holds events past the pulse.  Returns (S_z at the
+    lags, Sbar_z, number of jumps).
     """
     n = process.n_atoms
-    t = process.pulse_time
-    rate = process.flip_rate * n
+    rate = process.r * n
     sz = rng.binomial(n, 0.5, size=m) - s
     samples = np.repeat(sz[:, None], len(lag_times), axis=1)
     if rate == 0.0:
         return samples, sz, 0
     n_up = np.empty((_BLOCK + 1, m))  # n_up[j, :k]: atoms up before the block's event j, live rows
     step = np.empty(m)
-    clipped = np.empty((m, _BLOCK + 1))  # [:k]: block start, then event times clipped at t
+    clipped = np.empty((m, _BLOCK + 1))  # [:k]: block start, then event times clipped at 1
     held_for = np.empty((m, _BLOCK))
     integral = np.zeros(m)
     live = np.arange(m)
-    now = np.zeros(m)  # block start of each live trajectory, always before t
+    now = np.zeros(m)  # block start of each live trajectory, always before 1
     up = sz + s
     n_events = 0
     while live.size:
@@ -208,32 +203,29 @@ def _simulate_exact(rng, process, s, lag_times, m):
         level = live_up[:_BLOCK]  # live_up[_BLOCK] keeps the count carried to the next block
         level -= s  # S_z held from event j - 1 (or now) to event j
         clipped[:k, 0] = now
-        np.minimum(times, t, out=clipped[:k, 1:])
+        np.minimum(times, 1.0, out=clipped[:k, 1:])
         np.subtract(clipped[:k, 1:], clipped[:k, :-1], out=held_for[:k])
         integral[live] += np.einsum("jk,kj->k", level, held_for[:k])
-        n_events += int(np.count_nonzero(times < t))
-        last = times[:, -1].copy()
+        n_events += int(np.count_nonzero(times < 1.0))
+        last = times[:, -1]
         row, lag = np.nonzero((lag_times >= now[:, None]) & (lag_times < last[:, None]))
-        # times clipped at 2t and offset by 4t per row: one searchsorted serves every row
-        keys = np.minimum(times, 2.0 * t, out=times)
-        keys += (4.0 * t) * np.arange(k)[:, None]
-        passed = np.searchsorted(keys.ravel(), lag_times[lag] + (4.0 * t) * row, side="right") - _BLOCK * row
-        # the offset can round a lag just below the last block time onto it
-        samples[live[row], lag] = level[np.minimum(passed, _BLOCK - 1), row]
-        going = last < t
+        for at in range(0, row.size, _LOOKUP):
+            rows, lags = row[at:at + _LOOKUP], lag[at:at + _LOOKUP]
+            passed = np.count_nonzero(times[rows] <= lag_times[lags, None], axis=1)
+            samples[live[rows], lags] = level[passed, rows]
+        going = last < 1.0
         live, now, up = live[going], last[going], live_up[_BLOCK][going]
-    return samples, integral / t, n_events
+    return samples, integral, n_events
 
 
 def _simulate_gaussian(rng, process, s, lag_times, m):
     """m Ornstein-Uhlenbeck aggregate trajectories with exact joint sampling.
 
-    theta = 2 lambda, stationary variance S/2; per step the pair
-    (S_z(end), integral of S_z) is drawn from its exact joint Gaussian, whose
+    theta = 2 r, stationary variance S/2; per step the pair (S_z(end),
+    integral of S_z) is drawn from its exact joint Gaussian, whose
     coefficients are scalars shared by the whole chunk.
     """
-    t = process.pulse_time
-    theta = 2.0 * process.flip_rate
+    theta = 2.0 * process.r
     var_st = s / 2.0
     z = rng.normal(0.0, math.sqrt(var_st), size=m)
     samples = np.empty((m, len(lag_times)))
@@ -257,7 +249,7 @@ def _simulate_gaussian(rng, process, s, lag_times, m):
         integral += z * ((1.0 - decay) / theta) + (cov_zi / sd_z) * x1 + math.sqrt(resid) * x2
         z = z * decay + sd_z * x1
         samples[:, i] = z
-    return samples, integral / t, 0
+    return samples, integral, 0
 
 
 def _mean_se(values):
@@ -283,7 +275,7 @@ def sample_trajectories(process, n_traj, time_steps, seed, mode="exact"):
     process : RamanProcess
     n_traj, time_steps : int
         Trajectory count (>= 1) and number of lag intervals (>= 1); S_z is
-        sampled at time_steps + 1 uniform times spanning [0, t].
+        sampled at time_steps + 1 uniform times spanning the pulse [0, 1].
     seed : int
         Base seed, required; trajectories run in chunks of _CHUNK, chunk c
         drawing from the (seed, c) Philox stream.
@@ -313,7 +305,7 @@ def sample_trajectories(process, n_traj, time_steps, seed, mode="exact"):
         raise ValueError(f"{mode} mode would take ~{lockstep:.4g} lockstep passes (chunks x {per_chunk}), "
                          f"above the limit MAX_LOCKSTEP = {MAX_LOCKSTEP}; {advice}")
 
-    lag_times = np.linspace(0.0, process.pulse_time, time_steps + 1)
+    lag_times = np.linspace(0.0, 1.0, time_steps + 1)
     simulate = _simulate_exact if exact else _simulate_gaussian
 
     sz_samples = np.empty((n_traj, time_steps + 1))

@@ -8,7 +8,6 @@ from conftest import golden_section_min, rel_err
 
 from cavsqueeze import design
 from cavsqueeze.design import (
-    DesignTargets,
     classify_regime,
     curvature_optimum,
     design_report,
@@ -276,7 +275,7 @@ class TestDesignReport:
 
     def test_worked_example(self):
         ensemble, params = self._system()
-        report = design_report(ensemble, params, pulse_time=400e-6)
+        report = design_report(ensemble, params, pulse_time=400e-6, max_excited_pop=1e-5)
         # recommended shearing close to 50 for these parameters
         assert report.q_recommended == pytest.approx(50.0, rel=0.15)
         # saturation bound: kappa t around 400 at eps <= 1e-5 and Q = 50
@@ -293,18 +292,18 @@ class TestDesignReport:
     def test_rejects_zero_shearing_target(self):
         ensemble, params = self._system()
         with pytest.raises(ValueError, match="no shearing requested"):
-            design_report(ensemble, params, 1e-4, DesignTargets(q_target=0.0))
+            design_report(ensemble, params, 1e-4, 1e-5, q_target=0.0)
 
     def test_explicit_target_used(self):
         ensemble, params = self._system()
-        report = design_report(ensemble, params, 1e-4, DesignTargets(q_target=20.0))
+        report = design_report(ensemble, params, 1e-4, 1e-5, q_target=20.0)
         assert report.q_recommended == 20.0
         assert report.r_recommended == pytest.approx(
             20.0 / (4.0 * 1e4 * params.eta), rel=1e-12)
 
     def test_report_serializes_with_provenance(self):
         ensemble, params = self._system()
-        report = design_report(ensemble, params, 400e-6)
+        report = design_report(ensemble, params, 400e-6, 1e-5)
         payload = report.as_dict()
         text = json.dumps(payload)  # must be JSON-clean
         assert "schema_version" in payload["provenance"]
@@ -319,7 +318,7 @@ class TestDesignReport:
         ensemble = EnsembleSpec(total_spin=1e3)
         params = CavityAtomParams.from_hz(g_hz=1e5, kappa_hz=1e5, gamma_hz=4e6, delta_over_gamma=500.0)
         assert params.eta == pytest.approx(0.1, rel=1e-12)
-        report = design_report(ensemble, params, 400e-6)
+        report = design_report(ensemble, params, 400e-6, 1e-5)
         floor = max(report.sigma_scatt_sq, report.sigma_curv_sq)
         assert report.sigma_recommended_sq < floor
         assert report.xi_recommended_sq >= floor
@@ -336,7 +335,7 @@ class TestDesignReport:
         params = CavityAtomParams.from_hz(g_hz=1e3, kappa_hz=1e6, gamma_hz=6.07e6,
                                           delta_over_gamma=5.0)
         with pytest.warns(RuntimeWarning, match="not small"):
-            report = design_report(ensemble, params, 1e-9)
+            report = design_report(ensemble, params, 1e-9, 1e-5)
         assert not report.validity.all_ok
 
     def test_shortening_flag_fires(self):
@@ -345,5 +344,5 @@ class TestDesignReport:
         params = CavityAtomParams.from_hz(g_hz=0.05e6, kappa_hz=1e6, gamma_hz=6.07e6,
                                           delta_over_gamma=500.0)
         with pytest.warns(RuntimeWarning):
-            report = design_report(ensemble, params, 400e-6)
+            report = design_report(ensemble, params, 400e-6, 1e-5)
         assert report.spin_shortening_flag

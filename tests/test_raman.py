@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,29 +214,23 @@ class TestFig2Curve:
 
 
 class TestRamanProcess:
-    def test_flip_rate_identity(self):
-        p = RamanProcess(r=0.25, pulse_time=2.0, n_atoms=100)
-        assert p.flip_rate * p.pulse_time == 0.25
-
     def test_flip_rate_is_derived_not_settable(self):
         with pytest.raises(TypeError, match="flip_rate"):
-            RamanProcess(r=0.25, pulse_time=2.0, n_atoms=100, flip_rate=99.0)
+            RamanProcess(r=0.25, n_atoms=100, flip_rate=99.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            RamanProcess(r=-1.0, pulse_time=1.0, n_atoms=10)
+            RamanProcess(r=-1.0, n_atoms=10)
         for r in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
-                RamanProcess(r=r, pulse_time=1.0, n_atoms=10)
+                RamanProcess(r=r, n_atoms=10)
         with pytest.raises(ValueError):
-            RamanProcess(r=0.1, pulse_time=0.0, n_atoms=10)
-        with pytest.raises(ValueError):
-            RamanProcess(r=0.1, pulse_time=1.0, n_atoms=0)
+            RamanProcess(r=0.1, n_atoms=0)
 
 
 class TestMonteCarlo:
     def _run(self, r=0.1, s=50.0, n_traj=4000, steps=4, seed=42, **kw):
-        process = RamanProcess(r=r, pulse_time=1.0, n_atoms=round(2 * s))
+        process = RamanProcess(r=r, n_atoms=round(2 * s))
         return sample_trajectories(process, n_traj, steps, seed=seed, **kw)
 
     def test_zero_rate_trajectories_constant(self):
@@ -297,7 +292,7 @@ class TestMonteCarlo:
         assert self._run(r=0.0, s=s, n_traj=100).n_events == 0
 
     def test_input_validation(self):
-        process = RamanProcess(r=0.1, pulse_time=1.0, n_atoms=100)
+        process = RamanProcess(r=0.1, n_atoms=100)
         with pytest.raises(ValueError, match="seed"):
             sample_trajectories(process, 10, 4, seed=None)
         with pytest.raises(ValueError, match="step"):
@@ -321,7 +316,7 @@ def _philox(key):
 
 def _chunked_samples(process, s, n_traj, time_steps, seed, mode):
     """S_z samples and Sbar_z of sample_trajectories, from its chunks and (seed, chunk) streams."""
-    lag_times = np.linspace(0.0, process.pulse_time, time_steps + 1)
+    lag_times = np.linspace(0.0, 1.0, time_steps + 1)
     simulate = raman._simulate_exact if mode == "exact" else raman._simulate_gaussian
     parts = [simulate(np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, chunk])),
                       process, s, lag_times, min(raman._CHUNK, n_traj - start))
@@ -336,7 +331,7 @@ class TestReduction:
         (20.0, 0.5, 600, 4), (50.0, 1.0, 513, 16), (2.5, 0.3, 4096, 8), (1000.0, 0.1, 2048, 64),
     ])
     def test_matches_fsum_reference(self, mode, s, r, n_traj, steps):
-        process = RamanProcess(r=r, pulse_time=1.0, n_atoms=round(2 * s))
+        process = RamanProcess(r=r, n_atoms=round(2 * s))
         for seed in (3, 4):
             stats = sample_trajectories(process, n_traj, steps, seed=seed, mode=mode)
             samples, sbar = _chunked_samples(process, s, n_traj, steps, seed, mode)
@@ -358,12 +353,12 @@ def _replay_blocks(rng, process, s, lag_times, m):
 
     Draws in the kernel's order (initial binomial, then per block a
     (k, _BLOCK) exponential array and a (_BLOCK, k) pick array for the k
-    trajectories whose last block time is still before t) and steps each
-    trajectory alone; needs r > 0.  Also returns the number of blocks each
-    trajectory drew.
+    trajectories whose last block time is still before the pulse end 1) and
+    steps each trajectory alone; needs r > 0.  Also returns the number of
+    blocks each trajectory drew.
     """
-    n, t = process.n_atoms, process.pulse_time
-    rate = process.flip_rate * n
+    n = process.n_atoms
+    rate = process.r * n
     sz0 = rng.binomial(n, 0.5, size=m) - s
     times, picks = [[] for _ in range(m)], [[] for _ in range(m)]
     live = list(range(m))
@@ -373,7 +368,7 @@ def _replay_blocks(rng, process, s, lag_times, m):
         for i, j in enumerate(live):
             times[j].extend((block_times[i] + (times[j][-1] if times[j] else 0.0)).tolist())
             picks[j].extend(block_picks[:, i].tolist())
-        live = [j for j in live if times[j][-1] < t]
+        live = [j for j in live if times[j][-1] < 1.0]
     samples = np.empty((m, len(lag_times)))
     sbar = np.empty(m)
     n_events = 0
@@ -381,18 +376,17 @@ def _replay_blocks(rng, process, s, lag_times, m):
     for j in range(m):
         levels, edges = [sz0[j]], [0.0]
         for tau, pick in zip(times[j], picks[j]):
-            if tau >= t:
+            if tau >= 1.0:
                 break
             levels.append(levels[-1] + (-1.0 if pick < levels[-1] + s else 1.0))
             edges.append(tau)
         n_events += len(edges) - 1
         samples[j] = np.array(levels)[np.searchsorted(edges, lag_times, side="right") - 1]
-        sbar[j] = math.fsum(lv * (b - a) for lv, a, b in zip(levels, edges, edges[1:] + [t])) / t
+        sbar[j] = math.fsum(lv * (b - a) for lv, a, b in zip(levels, edges, edges[1:] + [1.0]))
     return samples, sbar, n_events, blocks
 
 
 class TestExactBlockKernel:
-    # pulse_time 0.7 so the per-row offsets of the lag lookup are not integers
     @pytest.mark.parametrize("s, r, m", [
         (50.0, 2.0, 1), (50.0, 2.0, 3),  # r N = 200: several blocks per trajectory
         (2.5, 20.0, 1), (2.5, 20.0, 3),  # half-integer spin, r N = 100
@@ -400,15 +394,15 @@ class TestExactBlockKernel:
         (50.0, 6.0, 3),  # r N = 600: ~19 blocks, rows of the chunk leave in different blocks
     ])
     def test_block_bookkeeping(self, s, r, m):
-        process = RamanProcess(r=r, pulse_time=0.7, n_atoms=round(2 * s))
-        lag_times = np.linspace(0.0, 0.7, 17)
+        process = RamanProcess(r=r, n_atoms=round(2 * s))
+        lag_times = np.linspace(0.0, 1.0, 17)
         staggered = 0  # seeds on which the rows drew different numbers of blocks
         for seed in range(8):
             samples, sbar, n_events = raman._simulate_exact(_philox(seed), process, s, lag_times, m)
             assert np.array_equal(samples[:, 0], _philox(seed).binomial(round(2 * s), 0.5, size=m) - s)
             assert np.array_equal(samples + s, np.rint(samples + s))  # integer numbers of atoms up
             assert np.all(np.abs(samples) <= s)
-            assert np.all(np.abs(sbar) <= s * (1.0 + 1e-12))  # durations sum to t up to rounding
+            assert np.all(np.abs(sbar) <= s * (1.0 + 1e-12))  # durations sum to the pulse up to rounding
             # every jump is +-1, so the summed net change has the parity of the jump count
             assert (round(np.sum(samples[:, -1] - samples[:, 0])) - n_events) % 2 == 0
             ref_samples, ref_sbar, ref_events, blocks = _replay_blocks(_philox(seed), process, s, lag_times, m)
@@ -419,11 +413,61 @@ class TestExactBlockKernel:
         # several blocks per row: finished rows must drop out while the others draw on
         assert (staggered > 0) == (m > 1 and r * round(2 * s) > raman._BLOCK)
 
+    def test_lag_lookup_at_an_event_next_to_a_lag(self):
+        # one block of scripted draws at rate r N = 2: rows 0 and 511 jump at one ulp past lag 0.25
+        # and exactly at lag 0.5; no other row jumps.  A lag sample is the level after the events
+        # at or before it: the pre-event level at 0.25, the post-event level at 0.5
+        m, lag_times = raman._CHUNK, np.linspace(0.0, 1.0, 5)
+        waits = np.full((m, raman._BLOCK), 4.0)  # first event at 2.0, past the pulse
+        first = 2.0 * np.nextafter(0.25, 1.0)
+        waits[[0, m - 1], :2] = first, 1.0 - first  # events at nextafter(0.25, 1) and 0.5
+
+        class Scripted:
+            def binomial(self, n, p, size):
+                return np.zeros(size)  # S_z = -1: no atom up
+
+            def standard_exponential(self, shape):
+                assert shape == waits.shape  # every row leaves after one block
+                return waits.copy()
+
+            def random(self, shape):
+                return np.ones(shape)  # u N = N >= n_up: every jump flips an atom up
+
+        samples, sbar, n_events = raman._simulate_exact(Scripted(), RamanProcess(r=1.0, n_atoms=2), 1.0,
+                                                        lag_times, m)
+        expected = np.full((m, 5), -1.0)
+        expected[[0, m - 1], 2:] = 1.0  # -1 up to 0.25 + ulp, 0 up to 0.5, then +1
+        assert np.array_equal(samples, expected)
+        assert n_events == 4
+        assert np.array_equal(sbar[[0, m - 1]], [0.5 - first / 2.0] * 2)  # -(0.25 + ulp) + 0.5 + 0
+
+    def test_lag_lookup_in_several_passes(self, monkeypatch):
+        # 3 lag samples per pass: a block (0.16 of the pulse at r N = 200) holds ~8 samples of its
+        # 3 rows, so most blocks take several passes, often ending on a partial one
+        monkeypatch.setattr(raman, "_LOOKUP", 3)
+        process, lag_times = RamanProcess(r=2.0, n_atoms=100), np.linspace(0.0, 1.0, 17)
+        for seed in range(4):
+            samples, _, _ = raman._simulate_exact(_philox(seed), process, 50.0, lag_times, 3)
+            assert np.array_equal(samples, _replay_blocks(_philox(seed), process, 50.0, lag_times, 3)[0])
+
+    def test_lag_lookup_memory_is_bounded(self):
+        # r N = 1: the first block of a full chunk spans all 1025 lags, 5e5 lag samples that would
+        # copy 32 event times each (128 MiB) in one pass; the passes keep the peak under 10 x samples
+        lag_times = np.linspace(0.0, 1.0, 1025)
+        tracemalloc.start()
+        try:
+            samples, _, _ = raman._simulate_exact(_philox(1), RamanProcess(r=0.01, n_atoms=100), 50.0,
+                                                  lag_times, raman._CHUNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * samples.nbytes
+
     @pytest.mark.parametrize("s, r", [(50.0, 1.0), (2.5, 0.3), (0.5, 2.0)])
     def test_agrees_with_lockstep_reference(self, s, r):
         # two samples on independent Philox keys: every estimate within 4 joint se
         m = 8192
-        process = RamanProcess(r=r, pulse_time=1.0, n_atoms=round(2 * s))
+        process = RamanProcess(r=r, n_atoms=round(2 * s))
         lag_times = np.linspace(0.0, 1.0, 9)
         runs = [kernel(_philox(key), process, s, lag_times, m)
                 for kernel, key in ((raman._simulate_exact, 101), (lockstep_exact_reference, 202))]
