@@ -29,7 +29,9 @@ _CHUNK, and each chunk draws from one counter-based Philox stream keyed by
 per trajectory still in the pulse: the waiting times and atom picks of a
 block are arrays, and only the +-1 chain of the up-atom count steps event by
 event.  _CHUNK and _BLOCK fix the stream layout, so a seed and a trajectory
-count fix the output bits.
+count fix the output bits.  The kernels advance the chunks in groups of
+_GROUP: each chunk still draws from its own stream, and the array work after
+the draws runs once per group.
 """
 
 import math
@@ -44,12 +46,14 @@ from .feedback import _G_DOMAIN, min_variance, raman_modified_moments
 # values are part of the stream layout, so changing either changes seeded output.
 _CHUNK = 512
 _BLOCK = 32
+_GROUP = 4  # chunks advanced together by one kernel call, ~0.5 MiB a block buffer; leaves the streams alone
 _LOOKUP = 2 ** 14  # lag samples per pass of the exact-mode lookup; each copies _BLOCK times, ~4 MiB a pass
 
-# Refusal limits from costs measured on a 2-vCPU host.  Exact mode costs ~25-35 us per r N event on a full
-# chunk at 4 lags (~17 s at the limit) and ~5-6 us on a one-trajectory chunk; gaussian mode ~12-14 us per
-# step on a one-trajectory chunk (~7 s; full chunks meet the sample limit first).  A sample costs 8 B and
-# ~75-90 ns with its share of the reduction (256 MiB, ~3 s), ~130 ns in exact mode with its lag lookup.
+# Refusal limits from costs measured on a 2-vCPU host with groups of _GROUP chunks.  Exact mode costs ~20-27 us
+# per chunk x r N event on full chunks at 4 lags, in a full group or alone (~13 s at the limit), and ~3-6 us per
+# event on a one-trajectory chunk; gaussian mode ~10-15 us per step on a one-trajectory chunk (~7 s; full chunks
+# meet the sample limit first).  A sample costs 8 B and ~80-95 ns with its share of the reduction (256 MiB,
+# ~3 s), ~140 ns in exact mode with its lag lookup.
 MAX_LOCKSTEP = 500_000  # ceil(n_traj / _CHUNK) * (r N exact, time_steps gaussian)
 MAX_SAMPLE_ELEMENTS = 2 ** 25  # n_traj * (time_steps + 1)
 
@@ -153,88 +157,113 @@ class TrajectoryStats:
         }
 
 
-def _simulate_exact(rng, process, s, lag_times, m):
-    """m trajectories of exact per-event jumps, drawn in blocks of _BLOCK events.
+def _simulate_exact(chunks, process, s, lag_times, samples, sbar):
+    """Exact per-event jumps of a group of chunks, drawn in blocks of _BLOCK events.
 
-    The N atoms jump at the total rate r N whatever the state, so each event
-    is one exponential waiting time and one uniform atom pick u, a down-flip
-    iff u N < n_up.  Only live trajectories draw: those whose last block
-    time is still before the pulse end, 1.  A block draws the next _BLOCK
-    waiting times of the k live trajectories as a (k, _BLOCK) array and
-    their picks as a (_BLOCK, k) array; the only per-event Python step is
-    the +-1 chain of n_up.  The running integral of S_z and each lag sample
-    (the level after the events at or before the lag, by direct comparison)
-    come from array operations over the block, scattered back through the
-    live index.  A trajectory leaves once its last block time reaches 1, so
-    only its final block holds events past the pulse.  Returns (S_z at the
-    lags, Sbar_z, number of jumps).
+    chunks holds a (generator, first row, end row) triple per chunk, rows of
+    samples (S_z at the lags) and sbar (Sbar_z), which the kernel fills in
+    place.  The N atoms jump at the total rate r N whatever the state, so
+    each event is one exponential waiting time and one uniform atom pick u,
+    a down-flip iff u N < n_up.  Only live trajectories draw: those whose
+    last block time is still before the pulse end, 1.  In each block, every
+    chunk draws the next _BLOCK waiting times of its k_c live rows as a
+    (k_c, _BLOCK) array and their picks as a (_BLOCK, k_c) array from its
+    own generator; the rest runs once over the group, and the only
+    per-event Python step is the +-1 chain of n_up.  The running integral
+    of S_z and each lag sample (the level after the events at or before the
+    lag, by direct comparison) come from array operations over the block,
+    scattered back through the live index.  A trajectory leaves once its
+    last block time reaches 1, so only its final block holds events past
+    the pulse.  Returns the number of jumps.
     """
+    m = len(sbar)
     n = process.n_atoms
     rate = process.r * n
-    sz = rng.binomial(n, 0.5, size=m) - s
-    samples = np.repeat(sz[:, None], len(lag_times), axis=1)
+    sz = np.concatenate([rng.binomial(n, 0.5, size=b - a) for rng, a, b in chunks]) - s
+    samples[:] = sz[:, None]
+    sbar[:] = sz if rate == 0.0 else 0.0  # S_z held over the pulse, or the start of its running integral
     if rate == 0.0:
-        return samples, sz, 0
-    n_up = np.empty((_BLOCK + 1, m))  # n_up[j, :k]: atoms up before the block's event j, live rows
+        return 0
+    # block buffers at group width, allocated once, one column per trajectory: the first k columns
+    # hold the live trajectories, so each event j of a block is one contiguous row
+    times_at = np.empty((_BLOCK, m))
+    picks_at = np.empty((_BLOCK, m))
+    n_up = np.empty((_BLOCK + 1, m))  # n_up[j]: atoms up before the block's event j
     step = np.empty(m)
-    clipped = np.empty((m, _BLOCK + 1))  # [:k]: block start, then event times clipped at 1
-    held_for = np.empty((m, _BLOCK))
-    integral = np.zeros(m)
+    clipped_at = np.empty((_BLOCK + 1, m))  # block start, then event times clipped at 1
+    starts = [a for _, a, _ in chunks]
     live = np.arange(m)
     now = np.zeros(m)  # block start of each live trajectory, always before 1
     up = sz + s
     n_events = 0
     while live.size:
         k = live.size
-        # the two draws are the block's only new float arrays; the rest works in place
-        times = rng.standard_exponential((k, _BLOCK))
-        np.cumsum(times, axis=1, out=times)
+        times, picks = times_at[:, :k], picks_at[:, :k]
+        # live is sorted, so each chunk's live trajectories are one slice of it
+        cuts = np.searchsorted(live, starts).tolist() + [k]
+        for (rng, _, _), a, b in zip(chunks, cuts, cuts[1:]):
+            times[:, a:b] = rng.standard_exponential((b - a, _BLOCK)).T
+            picks[:, a:b] = rng.random((_BLOCK, b - a))
+        # the running sum of the waiting times, the same adds either way: np.cumsum goes trajectory by
+        # trajectory (~0.2 us each), the loop event row by event row (~20 us a block)
+        if k <= 128:
+            np.cumsum(times, axis=0, out=times)
+        else:
+            for prev, row in zip(times, times[1:]):
+                np.add(prev, row, out=row)
         times /= rate
-        times += now[:, None]
-        picks = rng.random((_BLOCK, k))
+        times += now
         picks *= n
         live_up, live_step = n_up[:, :k], step[:k]
         live_up[0] = up
-        for j in range(_BLOCK):
+        for pick, before, after in zip(picks, live_up, live_up[1:]):
             # copysign(1, 0) = +1: a pick on the boundary u N = n_up flips up
-            np.subtract(picks[j], live_up[j], out=live_step)
+            np.subtract(pick, before, out=live_step)
             np.copysign(1.0, live_step, out=live_step)
-            np.add(live_up[j], live_step, out=live_up[j + 1])
+            np.add(before, live_step, out=after)
         level = live_up[:_BLOCK]  # live_up[_BLOCK] keeps the count carried to the next block
         level -= s  # S_z held from event j - 1 (or now) to event j
-        clipped[:k, 0] = now
-        np.minimum(times, 1.0, out=clipped[:k, 1:])
-        np.subtract(clipped[:k, 1:], clipped[:k, :-1], out=held_for[:k])
-        integral[live] += np.einsum("jk,kj->k", level, held_for[:k])
+        clipped, held_for = clipped_at[:, :k], picks  # the chain has spent the picks
+        clipped[0] = now
+        np.minimum(times, 1.0, out=clipped[1:])
+        np.subtract(clipped[1:], clipped[:-1], out=held_for)
+        sbar[live] += np.einsum("jk,jk->k", level, held_for)
         n_events += int(np.count_nonzero(times < 1.0))
-        last = times[:, -1]
-        row, lag = np.nonzero((lag_times >= now[:, None]) & (lag_times < last[:, None]))
-        for at in range(0, row.size, _LOOKUP):
-            rows, lags = row[at:at + _LOOKUP], lag[at:at + _LOOKUP]
-            passed = np.count_nonzero(times[rows] <= lag_times[lags, None], axis=1)
+        last = times[-1]
+        # the block's lag samples: each live trajectory's lags in [now, last), one run of lag indices;
+        # the runs are numbered end to end, and a pass takes _LOOKUP of those numbers
+        stop = np.searchsorted(lag_times, last)
+        ends = np.cumsum(stop - np.searchsorted(lag_times, now))  # number past each trajectory's run
+        shift = stop - ends
+        for at in range(0, ends[-1], _LOOKUP):
+            number = np.arange(at, min(at + _LOOKUP, ends[-1]))
+            rows = np.searchsorted(ends, number, side="right")
+            lags = number + shift[rows]
+            passed = (times[:, rows] <= lag_times[lags]).sum(axis=0, dtype=np.uint8)  # at most _BLOCK events
             samples[live[rows], lags] = level[passed, rows]
         going = last < 1.0
         live, now, up = live[going], last[going], live_up[_BLOCK][going]
-    return samples, integral, n_events
+    return n_events
 
 
-def _simulate_gaussian(rng, process, s, lag_times, m):
-    """m Ornstein-Uhlenbeck aggregate trajectories with exact joint sampling.
+def _simulate_gaussian(chunks, process, s, lag_times, samples, sbar):
+    """Ornstein-Uhlenbeck aggregate trajectories of a group of chunks, with exact joint sampling.
 
-    theta = 2 r, stationary variance S/2; per step the pair (S_z(end),
-    integral of S_z) is drawn from its exact joint Gaussian, whose
-    coefficients are scalars shared by the whole chunk.
+    chunks, samples and sbar are as in _simulate_exact.  theta = 2 r,
+    stationary variance S/2; per step the pair (S_z(end), integral of S_z)
+    is drawn from its exact joint Gaussian, whose coefficients are scalars
+    shared by the whole group, and each chunk draws its own (2, m_c) normals.
     """
     theta = 2.0 * process.r
     var_st = s / 2.0
-    z = rng.normal(0.0, math.sqrt(var_st), size=m)
-    samples = np.empty((m, len(lag_times)))
+    z = np.concatenate([rng.normal(0.0, math.sqrt(var_st), size=b - a) for rng, a, b in chunks])
     samples[:, 0] = z
-    integral = np.zeros(m)
+    sbar[:] = 0.0  # the running integral of S_z
+    x = np.empty((2, len(sbar)))
     for i in range(1, len(lag_times)):
         h = lag_times[i] - lag_times[i - 1]
         if theta == 0.0:
-            integral += z * h
+            sbar += z * h
             samples[:, i] = z
             continue
         decay = math.exp(-theta * h)
@@ -245,11 +274,13 @@ def _simulate_gaussian(rng, process, s, lag_times, m):
         cov_zi = var_st * (1.0 - decay) ** 2 / theta
         sd_z = math.sqrt(var_z)
         resid = max(var_i - cov_zi * cov_zi / var_z, 0.0)
-        x1, x2 = rng.standard_normal((2, m))
-        integral += z * ((1.0 - decay) / theta) + (cov_zi / sd_z) * x1 + math.sqrt(resid) * x2
+        for rng, a, b in chunks:
+            x[:, a:b] = rng.standard_normal((2, b - a))
+        x1, x2 = x
+        sbar += z * ((1.0 - decay) / theta) + (cov_zi / sd_z) * x1 + math.sqrt(resid) * x2
         z = z * decay + sd_z * x1
         samples[:, i] = z
-    return samples, integral, 0
+    return 0
 
 
 def _mean_se(values):
@@ -267,6 +298,20 @@ def _mean_se(values):
     return mean, np.sqrt(values.sum(axis=0) / (n - 1) / n)
 
 
+def _run_chunks(process, n_traj, lag_times, seed, exact):
+    """S_z at the lags, Sbar_z and the jump count of n_traj trajectories, _GROUP chunks a kernel call."""
+    simulate = _simulate_exact if exact else _simulate_gaussian
+    sz_samples, sbar = np.empty((n_traj, len(lag_times))), np.empty(n_traj)
+    n_events = 0
+    for start in range(0, n_traj, _GROUP * _CHUNK):
+        stop = min(start + _GROUP * _CHUNK, n_traj)
+        # counter-based streams: chunk c draws from (key=seed, counter hi-word=c) whatever its group
+        chunks = [(np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, a // _CHUNK])),
+                   a - start, min(a + _CHUNK, stop) - start) for a in range(start, stop, _CHUNK)]
+        n_events += simulate(chunks, process, process.n_atoms / 2.0, lag_times, sz_samples[start:stop], sbar[start:stop])
+    return sz_samples, sbar, n_events
+
+
 def sample_trajectories(process, n_traj, time_steps, seed, mode="exact"):
     """Monte Carlo statistics of the telegraph-driven collective S_z of S = n_atoms / 2.
 
@@ -277,8 +322,10 @@ def sample_trajectories(process, n_traj, time_steps, seed, mode="exact"):
         Trajectory count (>= 1) and number of lag intervals (>= 1); S_z is
         sampled at time_steps + 1 uniform times spanning the pulse [0, 1].
     seed : int
-        Base seed, required; trajectories run in chunks of _CHUNK, chunk c
-        drawing from the (seed, c) Philox stream.
+        Base seed in [0, 2**128), required; trajectories run in chunks of
+        _CHUNK, chunk c drawing from the (seed, c) Philox stream, and the
+        kernels advance _GROUP consecutive chunks a call, which leaves every
+        chunk's draws and so the output bits as they are.
     mode : {"exact", "gaussian"}
         Both modes refuse runs of more than MAX_LOCKSTEP lockstep passes
         (chunks x r N events in exact mode, chunks x time_steps in gaussian
@@ -286,6 +333,8 @@ def sample_trajectories(process, n_traj, time_steps, seed, mode="exact"):
     """
     if seed is None:
         raise ValueError("seed is required for reproducible Monte Carlo")
+    if not 0 <= seed < 2 ** 128:
+        raise ValueError(f"seed must be in [0, 2**128) (the Philox key range), got {seed}")
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
     if time_steps < 1:
@@ -306,18 +355,7 @@ def sample_trajectories(process, n_traj, time_steps, seed, mode="exact"):
                          f"above the limit MAX_LOCKSTEP = {MAX_LOCKSTEP}; {advice}")
 
     lag_times = np.linspace(0.0, 1.0, time_steps + 1)
-    simulate = _simulate_exact if exact else _simulate_gaussian
-
-    sz_samples = np.empty((n_traj, time_steps + 1))
-    sbar = np.empty(n_traj)
-    n_events = 0
-    for chunk, start in enumerate(range(0, n_traj, _CHUNK)):
-        stop = min(start + _CHUNK, n_traj)
-        # counter-based stream: identity = (key=seed, counter hi-word=chunk)
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, chunk]))
-        sz_samples[start:stop], sbar[start:stop], events = simulate(rng, process, s, lag_times, stop - start)
-        n_events += events
-
+    sz_samples, sbar, n_events = _run_chunks(process, n_traj, lag_times, seed, exact)
     (sbar_sq, covf), (sbar_sq_se, covf_se) = _mean_se(np.stack((sbar * sbar, sbar * sz_samples[:, -1]), axis=1))
     # a copied column 0: multiplying by a view of it would copy the whole array
     sz_samples *= sz_samples[:, :1].copy()

@@ -4,12 +4,16 @@ Floats are written with Python's shortest round-trip representation
 (repr), so CSV/JSON outputs are byte-stable and parse back exactly.  Every
 CLI run writes a manifest beside its outputs (write_manifest): the argv,
 the outputs in write order, the warnings raised as {"category", "message"}
-entries (an empty list when none) and the wall time, which makes it the
-one file excluded from the byte-identical reproducibility guarantee.
+entries (an empty list when none), the environment (seeded Monte Carlo
+bytes follow numpy's generators) and the wall time, which makes it the one
+file excluded from the byte-identical reproducibility guarantee.
 """
 
 import json
+import sys
 import time
+
+import numpy as np
 
 from . import __version__
 
@@ -55,6 +59,7 @@ def write_manifest(path, command, outputs, started, seed=None, config=None, mc_h
         "command": list(command),
         "seed": seed,
         "config": config,
+        "environment": {"python": sys.version, "numpy": np.__version__, "platform": sys.platform},
         "outputs": list(outputs),
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,

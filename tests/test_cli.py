@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cavsqueeze
@@ -43,6 +45,9 @@ def test_raman_mc_same_seed_same_bytes(tmp_path):
     (["raman-mc", "--S", "50", "--r", "0.1", "--traj", "1", "--steps", "30000000", "--mode", "gaussian",
       "--seed", "1"], "MAX_LOCKSTEP"),
     (["raman-mc", "--S", "2.3", "--r", "0.1", "--seed", "1"], "positive half-integer, got 2.3"),
+    # Philox keys are 128-bit; 0 is a valid seed
+    (["raman-mc", "--S", "20", "--r", "0.5", "--seed", "-1"], "[0, 2**128)"),
+    (["raman-mc", "--S", "20", "--r", "0.5", "--seed", str(2 ** 128)], "[0, 2**128)"),
 ])
 def test_raman_mc_bad_input_exits_1_with_message(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -51,6 +56,32 @@ def test_raman_mc_bad_input_exits_1_with_message(tmp_path, capsys, argv, message
     assert err.startswith("raman-mc: ")
     assert message in err
     assert not out.exists()
+
+
+def test_raman_mc_runs_at_the_seed_range_ends(tmp_path):
+    for seed in (0, 2 ** 128 - 1):
+        assert _run(["raman-mc", "--S", "20", "--r", "0.5", "--traj", "10", "--seed", str(seed)],
+                    tmp_path / str(seed)) == 0
+        assert json.loads((tmp_path / str(seed) / "manifest.json").read_text())["seed"] == seed
+
+
+# sha256 of the seeded MC outputs.  They depend on numpy's Generator streams (Philox and its binomial,
+# exponential, uniform and normal samplers) as well as on _CHUNK, _BLOCK and the draw order, so a numpy
+# release that changes a sampler, or a change to the stream layout, has to edit them on purpose.
+_MC_DIGESTS = [
+    (MC_ARGV, "a21e84af9d52ad013eee441dac856185569ff91517e826fce2a9e6715128f4fd",
+     "7fb112318787e82ca1d9a4971d5be5b1201a316d9e372cb0c74ddb9874e85b7e"),
+    (["raman-mc", "--S", "1e5", "--r", "0.05", "--traj", "4096", "--steps", "64", "--mode", "gaussian",
+      "--seed", "5", "--corr-csv"], "ccea0ee323ba56d654a8ae980963361ce61905b8c3743e71385bc38b203474bb",
+     "777cf722ad34eb8856e4b7d555dcd6c61409d52656703100e09fbab9ff04a2d6"),
+]
+
+
+@pytest.mark.parametrize("argv, stats, corr", _MC_DIGESTS, ids=["exact", "gaussian"])
+def test_seeded_mc_bytes_are_pinned(tmp_path, argv, stats, corr):
+    assert _run(argv, tmp_path) == 0
+    for name, digest in (("raman_stats.json", stats), ("raman_corr.csv", corr)):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_fig2_outside_g_factor_domain_exits_1_with_message(tmp_path, capsys):
@@ -196,7 +227,8 @@ def test_workers_flag_is_gone(tmp_path):
 
 
 _SYSTEM_CFG = "S = {S}\ng_hz = 4e5\nkappa_hz = 1e6\ndelta_over_gamma = 500.0\np0 = 100.0\nt_s = 4e-4\n"
-_MANIFEST_KEYS = {"command", "seed", "config", "outputs", "schema_version", "tool_version", "wall_time_s", "warnings"}
+_MANIFEST_KEYS = {"command", "seed", "config", "environment", "outputs", "schema_version", "tool_version",
+                  "wall_time_s", "warnings"}
 _OUTPUTS = {"raman-mc": ["raman_stats.json", "raman_corr.csv"], "fig2": ["fig2.csv"],
             "validate-oracle": ["validate_oracle.csv"], "sweep": ["sweep.csv"], "design": ["design_report.json"]}
 
@@ -222,6 +254,12 @@ def test_manifest_records_argv_once(tmp_path, argv):
     outputs = _OUTPUTS[argv[0]]
     assert manifest["outputs"] == outputs
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(outputs + ["manifest.json"])
+
+
+def test_manifest_records_the_environment(tmp_path):
+    assert _run(["fig2", "--S", "100", "--eta", "0.1", "--qpoints", "5"], tmp_path) == 0
+    environment = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    assert environment == {"python": sys.version, "numpy": np.__version__, "platform": sys.platform}
 
 
 @pytest.mark.parametrize("argv", [["design", "--config", "{cfg}"], ["sweep"]])

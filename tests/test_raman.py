@@ -314,14 +314,37 @@ def _philox(key):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _one_chunk(kernel):
+    """A group kernel called on one chunk: (rng, process, s, lag_times, m) -> (S_z at the lags, Sbar_z, jumps)."""
+    def run(rng, process, s, lag_times, m):
+        samples, sbar = np.empty((m, len(lag_times))), np.empty(m)
+        return samples, sbar, kernel([(rng, 0, m)], process, s, lag_times, samples, sbar)
+    return run
+
+
 def _chunked_samples(process, s, n_traj, time_steps, seed, mode):
     """S_z samples and Sbar_z of sample_trajectories, from its chunks and (seed, chunk) streams."""
     lag_times = np.linspace(0.0, 1.0, time_steps + 1)
-    simulate = raman._simulate_exact if mode == "exact" else raman._simulate_gaussian
+    simulate = _one_chunk(raman._simulate_exact if mode == "exact" else raman._simulate_gaussian)
     parts = [simulate(np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, chunk])),
                       process, s, lag_times, min(raman._CHUNK, n_traj - start))
              for chunk, start in enumerate(range(0, n_traj, raman._CHUNK))]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+class TestChunkGroups:
+    # groups of _GROUP = 4 chunks: 2049 leaves a one-row chunk alone in the second group, 2567 ends
+    # the second group on a partial chunk, and 4103 runs groups of 4, 4 and 1 chunks
+    @pytest.mark.parametrize("mode", ["exact", "gaussian"])
+    @pytest.mark.parametrize("r", [0.0, 0.7])  # r N = 0, and 70: several blocks per trajectory
+    @pytest.mark.parametrize("n_traj", [1, 511, 2049, 2560 + 7, 4103])
+    def test_groups_equal_one_chunk_per_call(self, mode, r, n_traj):
+        process, steps, seed = RamanProcess(r=r, n_atoms=100), 8, 17
+        samples, sbar, _ = raman._run_chunks(process, n_traj, np.linspace(0.0, 1.0, steps + 1), seed,
+                                             mode == "exact")
+        ref_samples, ref_sbar = _chunked_samples(process, 50.0, n_traj, steps, seed, mode)
+        assert np.array_equal(samples, ref_samples)
+        assert np.array_equal(sbar, ref_sbar)
 
 
 class TestReduction:
@@ -398,7 +421,7 @@ class TestExactBlockKernel:
         lag_times = np.linspace(0.0, 1.0, 17)
         staggered = 0  # seeds on which the rows drew different numbers of blocks
         for seed in range(8):
-            samples, sbar, n_events = raman._simulate_exact(_philox(seed), process, s, lag_times, m)
+            samples, sbar, n_events = _one_chunk(raman._simulate_exact)(_philox(seed), process, s, lag_times, m)
             assert np.array_equal(samples[:, 0], _philox(seed).binomial(round(2 * s), 0.5, size=m) - s)
             assert np.array_equal(samples + s, np.rint(samples + s))  # integer numbers of atoms up
             assert np.all(np.abs(samples) <= s)
@@ -433,13 +456,57 @@ class TestExactBlockKernel:
             def random(self, shape):
                 return np.ones(shape)  # u N = N >= n_up: every jump flips an atom up
 
-        samples, sbar, n_events = raman._simulate_exact(Scripted(), RamanProcess(r=1.0, n_atoms=2), 1.0,
-                                                        lag_times, m)
+        samples, sbar, n_events = _one_chunk(raman._simulate_exact)(Scripted(), RamanProcess(r=1.0, n_atoms=2),
+                                                                    1.0, lag_times, m)
         expected = np.full((m, 5), -1.0)
         expected[[0, m - 1], 2:] = 1.0  # -1 up to 0.25 + ulp, 0 up to 0.5, then +1
         assert np.array_equal(samples, expected)
         assert n_events == 4
         assert np.array_equal(sbar[[0, m - 1]], [0.5 - first / 2.0] * 2)  # -(0.25 + ulp) + 0.5 + 0
+
+    def test_lag_lookup_with_the_scripted_chunk_second_in_a_group(self):
+        # the scripted block above as the second chunk of a group, behind a Philox chunk: its events
+        # sit on rows 512 and 1023 of the group.  At r N = 2 every row of both chunks leaves after one block
+        m, lag_times = raman._CHUNK, np.linspace(0.0, 1.0, 5)
+        waits = np.full((m, raman._BLOCK), 4.0)
+        first = 2.0 * np.nextafter(0.25, 1.0)
+        waits[[0, m - 1], :2] = first, 1.0 - first
+
+        class Scripted:
+            def binomial(self, n, p, size):
+                return np.zeros(size)
+
+            def standard_exponential(self, shape):
+                assert shape == waits.shape
+                return waits.copy()
+
+            def random(self, shape):
+                return np.ones(shape)
+
+        process = RamanProcess(r=1.0, n_atoms=2)
+        samples, sbar = np.empty((2 * m, 5)), np.empty(2 * m)
+        n_events = raman._simulate_exact([(_philox(3), 0, m), (Scripted(), m, 2 * m)], process, 1.0, lag_times,
+                                         samples, sbar)
+        alone_samples, alone_sbar, alone_events = _one_chunk(raman._simulate_exact)(_philox(3), process, 1.0,
+                                                                                    lag_times, m)
+        assert np.array_equal(samples[:m], alone_samples)
+        assert np.array_equal(sbar[:m], alone_sbar)
+        expected = np.full((m, 5), -1.0)
+        expected[[0, m - 1], 2:] = 1.0
+        assert np.array_equal(samples[m:], expected)
+        assert n_events == alone_events + 4
+        assert np.array_equal(sbar[[m, 2 * m - 1]], [0.5 - first / 2.0] * 2)
+
+    def test_wide_blocks_match_the_replay(self):
+        # 300 rows at r N = 200: the first blocks take the row-by-row running sum of the waiting
+        # times (more than 128 live rows), the last ones np.cumsum
+        process, lag_times = RamanProcess(r=2.0, n_atoms=100), np.linspace(0.0, 1.0, 17)
+        samples, sbar, n_events = _one_chunk(raman._simulate_exact)(_philox(9), process, 50.0, lag_times, 300)
+        ref_samples, ref_sbar, ref_events, blocks = _replay_blocks(_philox(9), process, 50.0, lag_times, 300)
+        assert np.array_equal(samples, ref_samples)
+        assert np.allclose(sbar, ref_sbar, rtol=0.0, atol=1e-12 * 50.0)
+        assert n_events == ref_events
+        assert sum(b == max(blocks) for b in blocks) <= 128  # the last block runs np.cumsum
 
     def test_lag_lookup_in_several_passes(self, monkeypatch):
         # 3 lag samples per pass: a block (0.16 of the pulse at r N = 200) holds ~8 samples of its
@@ -447,7 +514,7 @@ class TestExactBlockKernel:
         monkeypatch.setattr(raman, "_LOOKUP", 3)
         process, lag_times = RamanProcess(r=2.0, n_atoms=100), np.linspace(0.0, 1.0, 17)
         for seed in range(4):
-            samples, _, _ = raman._simulate_exact(_philox(seed), process, 50.0, lag_times, 3)
+            samples, _, _ = _one_chunk(raman._simulate_exact)(_philox(seed), process, 50.0, lag_times, 3)
             assert np.array_equal(samples, _replay_blocks(_philox(seed), process, 50.0, lag_times, 3)[0])
 
     def test_lag_lookup_memory_is_bounded(self):
@@ -456,8 +523,8 @@ class TestExactBlockKernel:
         lag_times = np.linspace(0.0, 1.0, 1025)
         tracemalloc.start()
         try:
-            samples, _, _ = raman._simulate_exact(_philox(1), RamanProcess(r=0.01, n_atoms=100), 50.0,
-                                                  lag_times, raman._CHUNK)
+            samples, _, _ = _one_chunk(raman._simulate_exact)(_philox(1), RamanProcess(r=0.01, n_atoms=100),
+                                                              50.0, lag_times, raman._CHUNK)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -470,7 +537,7 @@ class TestExactBlockKernel:
         process = RamanProcess(r=r, n_atoms=round(2 * s))
         lag_times = np.linspace(0.0, 1.0, 9)
         runs = [kernel(_philox(key), process, s, lag_times, m)
-                for kernel, key in ((raman._simulate_exact, 101), (lockstep_exact_reference, 202))]
+                for kernel, key in ((_one_chunk(raman._simulate_exact), 101), (lockstep_exact_reference, 202))]
         products = []
         for samples, sbar, _ in runs:
             products.append([sbar * sbar, sbar * samples[:, -1]] + [samples[:, 0] * col for col in samples.T])
