@@ -50,7 +50,7 @@ _GROUP = 4  # chunks advanced together by one kernel call, ~0.5 MiB a block buff
 _LOOKUP = 2 ** 14  # lag samples per pass of the exact-mode lookup; each copies _BLOCK times, ~4 MiB a pass
 
 # Refusal limits from costs measured on a 2-vCPU host with groups of _GROUP chunks.  Exact mode costs ~20-27 us
-# per chunk x r N event on full chunks at 4 lags, in a full group or alone (~13 s at the limit), and ~3-6 us per
+# per chunk x r N event on full chunks at 4 lags, in a full group or alone (~13 s at the limit), and ~4-7 us per
 # event on a one-trajectory chunk; gaussian mode ~10-15 us per step on a one-trajectory chunk (~7 s; full chunks
 # meet the sample limit first).  A sample costs 8 B and ~80-95 ns with its share of the reduction (256 MiB,
 # ~3 s), ~140 ns in exact mode with its lag lookup.
@@ -161,20 +161,17 @@ def _simulate_exact(chunks, process, s, lag_times, samples, sbar):
     """Exact per-event jumps of a group of chunks, drawn in blocks of _BLOCK events.
 
     chunks holds a (generator, first row, end row) triple per chunk, rows of
-    samples (S_z at the lags) and sbar (Sbar_z), which the kernel fills in
-    place.  The N atoms jump at the total rate r N whatever the state, so
-    each event is one exponential waiting time and one uniform atom pick u,
-    a down-flip iff u N < n_up.  Only live trajectories draw: those whose
-    last block time is still before the pulse end, 1.  In each block, every
-    chunk draws the next _BLOCK waiting times of its k_c live rows as a
-    (k_c, _BLOCK) array and their picks as a (_BLOCK, k_c) array from its
-    own generator; the rest runs once over the group, and the only
-    per-event Python step is the +-1 chain of n_up.  The running integral
-    of S_z and each lag sample (the level after the events at or before the
-    lag, by direct comparison) come from array operations over the block,
-    scattered back through the live index.  A trajectory leaves once its
-    last block time reaches 1, so only its final block holds events past
-    the pulse.  Returns the number of jumps.
+    samples (S_z at the lags) and sbar (Sbar_z), filled in place.  The N
+    atoms jump at the total rate r N whatever the state, so each event is
+    one exponential waiting time and one uniform atom pick u, a down-flip
+    iff u N < n_up.  In each block, every chunk draws from its own generator
+    the next _BLOCK waiting times of its k_c live rows (those whose last
+    block time is before the pulse end, 1) as a (k_c, _BLOCK) array and
+    their picks as a (_BLOCK, k_c) array; the rest runs once over the group,
+    and the only per-event Python step is the +-1 chain of n_up.  The
+    integral of S_z and each lag sample (the level after the events at or
+    before the lag) are array operations over the block, scattered back
+    through the live index.  Returns the number of jumps.
     """
     m = len(sbar)
     n = process.n_atoms
@@ -184,8 +181,7 @@ def _simulate_exact(chunks, process, s, lag_times, samples, sbar):
     sbar[:] = sz if rate == 0.0 else 0.0  # S_z held over the pulse, or the start of its running integral
     if rate == 0.0:
         return 0
-    # block buffers at group width, allocated once, one column per trajectory: the first k columns
-    # hold the live trajectories, so each event j of a block is one contiguous row
+    # block buffers, one column per trajectory: the first k hold the live ones, so event j is one row
     times_at = np.empty((_BLOCK, m))
     picks_at = np.empty((_BLOCK, m))
     n_up = np.empty((_BLOCK + 1, m))  # n_up[j]: atoms up before the block's event j
@@ -204,13 +200,8 @@ def _simulate_exact(chunks, process, s, lag_times, samples, sbar):
         for (rng, _, _), a, b in zip(chunks, cuts, cuts[1:]):
             times[:, a:b] = rng.standard_exponential((b - a, _BLOCK)).T
             picks[:, a:b] = rng.random((_BLOCK, b - a))
-        # the running sum of the waiting times, the same adds either way: np.cumsum goes trajectory by
-        # trajectory (~0.2 us each), the loop event row by event row (~20 us a block)
-        if k <= 128:
-            np.cumsum(times, axis=0, out=times)
-        else:
-            for prev, row in zip(times, times[1:]):
-                np.add(prev, row, out=row)
+        for prev, row in zip(times, times[1:]):  # the running sum of the waiting times, event row by row
+            np.add(prev, row, out=row)
         times /= rate
         times += now
         picks *= n
@@ -303,8 +294,10 @@ def _run_chunks(process, n_traj, lag_times, seed, exact):
     simulate = _simulate_exact if exact else _simulate_gaussian
     sz_samples, sbar = np.empty((n_traj, len(lag_times))), np.empty(n_traj)
     n_events = 0
-    for start in range(0, n_traj, _GROUP * _CHUNK):
-        stop = min(start + _GROUP * _CHUNK, n_traj)
+    # a last chunk of one row runs alone: einsum sums a one-column block, contiguous along the events,
+    # in another order than a column of a wider one, so grouping it would change its Sbar_z bits
+    cuts = sorted({*range(0, n_traj, _GROUP * _CHUNK), n_traj - 1 if n_traj % _CHUNK == 1 else 0, n_traj})
+    for start, stop in zip(cuts, cuts[1:]):
         # counter-based streams: chunk c draws from (key=seed, counter hi-word=c) whatever its group
         chunks = [(np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, a // _CHUNK])),
                    a - start, min(a + _CHUNK, stop) - start) for a in range(start, stop, _CHUNK)]
