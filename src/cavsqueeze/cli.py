@@ -93,7 +93,7 @@ def build_parser():
 
     p = sub.add_parser("design", help="operating-point report from a config file (JSON)")
     p.set_defaults(handler=cmd_design)
-    p.add_argument("--config", required=True, help="config file; its p0 is checked but unused: the report picks Q")
+    p.add_argument("--config", required=True, help="config file; p0 is optional and unused: the report picks Q")
     p.add_argument("--eps-max", type=float, default=1e-5)
     p.add_argument("--q-target", type=float, default=None)
 
@@ -210,8 +210,8 @@ def cmd_raman_mc(args):
 
 def cmd_design(args):
     cfg = load_config(args.config)
-    ensemble, params, drive = system_from_config(cfg)
-    report = design_report(ensemble, params, drive.pulse_time, args.eps_max, args.q_target)
+    ensemble, params = system_from_config(cfg)
+    report = design_report(ensemble, params, cfg["t_s"], args.eps_max, args.q_target)
     return Result({"design_report.json": report.as_dict()}, config=cfg)
 
 

@@ -151,11 +151,11 @@ class DrivePulse:
 
 # Config file schema: flat "key = value" lines, '#' comments.  Frequencies in
 # Hz.  Exactly one of delta_over_gamma / delta_hz; gamma_hz optional (default
-# DEFAULT_GAMMA).  p0 and t_s describe the drive pulse.  design reads only t_s
-# of the two: p0 is validated (>= 0) and echoed in the manifest, but the
-# report recommends its own Q and gives the p0 that reaches it.
+# DEFAULT_GAMMA).  t_s is the pulse time.  p0 is optional: design recommends
+# its own Q and gives the p0 that reaches it, so a p0 in the file is only
+# validated (>= 0) and echoed in the manifest.
 CONFIG_KEYS = ("S", "g_hz", "kappa_hz", "gamma_hz", "delta_over_gamma", "delta_hz", "p0", "t_s")
-_REQUIRED_KEYS = ("S", "g_hz", "kappa_hz", "p0", "t_s")
+_REQUIRED_KEYS = ("S", "g_hz", "kappa_hz", "t_s")
 
 
 def load_config(path):
@@ -181,11 +181,13 @@ def load_config(path):
     missing = [k for k in _REQUIRED_KEYS if k not in cfg]
     if missing:
         raise ValueError(f"{path}: missing required keys: {', '.join(missing)}")
+    if cfg.get("p0", 0.0) < 0.0:
+        raise ValueError(f"{path}: p0 must be nonnegative, got {cfg['p0']!r}")
     return cfg
 
 
 def system_from_config(cfg):
-    """Build (EnsembleSpec, CavityAtomParams, DrivePulse) from a config dict."""
+    """Build (EnsembleSpec, CavityAtomParams) from a config dict."""
     ensemble = EnsembleSpec(total_spin=cfg["S"])
     params = CavityAtomParams.from_hz(
         g_hz=cfg["g_hz"],
@@ -194,5 +196,4 @@ def system_from_config(cfg):
         delta_hz=cfg.get("delta_hz"),
         delta_over_gamma=cfg.get("delta_over_gamma"),
     )
-    drive = DrivePulse.from_photon_budget(cfg["p0"], cfg["t_s"], ensemble, params)
-    return ensemble, params, drive
+    return ensemble, params

@@ -24,14 +24,13 @@ The Monte Carlo model simulates the telegraph process directly: exact
 per-event jumps Delta S_z = +-1 for modest atom numbers, or an
 Ornstein-Uhlenbeck aggregate (exact joint sampling of S_z and its running
 integral) for large ones.  Trajectories run as arrays in fixed chunks of
-_CHUNK, and each chunk draws from one counter-based Philox stream keyed by
-(seed, chunk index).  Exact mode draws a chunk's events in blocks of _BLOCK
-per trajectory still in the pulse: the waiting times and atom picks of a
-block are arrays, and only the +-1 chain of the up-atom count steps event by
-event.  _CHUNK and _BLOCK fix the stream layout, so a seed and a trajectory
-count fix the output bits.  The kernels advance the chunks in groups of
-_GROUP: each chunk still draws from its own stream, and the array work after
-the draws runs once per group.
+_CHUNK, one kernel call each, and chunk c draws from its own PCG64 stream,
+child c of the seed's SeedSequence.  Exact mode draws a chunk's events in
+blocks of _BLOCK per trajectory still in the pulse: the waiting times and
+atom picks of a block are arrays drawn straight into the block buffers, and
+only the +-1 chain of the up-atom count steps event by event.  _CHUNK,
+_BLOCK and the draw order fix the stream layout, so a seed and a trajectory
+count fix the output bits.
 """
 
 import math
@@ -41,20 +40,19 @@ import numpy as np
 
 from .feedback import _G_DOMAIN, min_variance, raman_modified_moments
 
-# Trajectories per chunk: one array pass and one Philox stream each; exact
-# mode draws the events of a chunk in blocks of _BLOCK per trajectory.  Both
-# values are part of the stream layout, so changing either changes seeded output.
-_CHUNK = 512
+# Trajectories per chunk: one kernel call and one PCG64 stream each, ~0.5 MiB a block buffer; exact
+# mode draws the events of a chunk in blocks of _BLOCK per trajectory.  Both values are part of the
+# stream layout, so changing either changes seeded output.
+_CHUNK = 2048
 _BLOCK = 32
-_GROUP = 4  # chunks advanced together by one kernel call, ~0.5 MiB a block buffer; leaves the streams alone
 _LOOKUP = 2 ** 14  # lag samples per pass of the exact-mode lookup; each copies _BLOCK times, ~4 MiB a pass
 
-# Refusal limits from costs measured on a 2-vCPU host with groups of _GROUP chunks.  Exact mode costs ~20-27 us
-# per chunk x r N event on full chunks at 4 lags, in a full group or alone (~13 s at the limit), and ~4-7 us per
-# event on a one-trajectory chunk; gaussian mode ~10-15 us per step on a one-trajectory chunk (~7 s; full chunks
-# meet the sample limit first).  A sample costs 8 B and ~80-95 ns with its share of the reduction (256 MiB,
-# ~3 s), ~140 ns in exact mode with its lag lookup.
-MAX_LOCKSTEP = 500_000  # ceil(n_traj / _CHUNK) * (r N exact, time_steps gaussian)
+# Refusal limits from costs measured on a 2-vCPU host.  Exact mode costs ~16-27 us per _PASS_ROWS trajectories x
+# r N event on 512 to 4,096 trajectories at 4 lags (~8-13 s at the limit), and ~6-8 us per event on one trajectory;
+# gaussian mode ~14 us per step on one trajectory (~7 s; full chunks meet the sample limit first).  A sample costs
+# 8 B and ~65-90 ns with its share of the reduction (256 MiB, ~3 s), ~150-160 ns in exact mode at 2,048 lags.
+MAX_LOCKSTEP = 500_000  # ceil(n_traj / _PASS_ROWS) * (r N exact, time_steps gaussian)
+_PASS_ROWS = 512  # trajectories a lockstep pass counts: a cost unit, not the stream chunk
 MAX_SAMPLE_ELEMENTS = 2 ** 25  # n_traj * (time_steps + 1)
 
 
@@ -157,49 +155,43 @@ class TrajectoryStats:
         }
 
 
-def _simulate_exact(chunks, process, s, lag_times, samples, sbar):
-    """Exact per-event jumps of a group of chunks, drawn in blocks of _BLOCK events.
+def _simulate_exact(rng, process, s, lag_times, samples, sbar):
+    """Exact per-event jumps of one chunk, drawn in blocks of _BLOCK events.
 
-    chunks holds a (generator, first row, end row) triple per chunk, rows of
-    samples (S_z at the lags) and sbar (Sbar_z), filled in place.  The N
-    atoms jump at the total rate r N whatever the state, so each event is
-    one exponential waiting time and one uniform atom pick u, a down-flip
-    iff u N < n_up.  In each block, every chunk draws from its own generator
-    the next _BLOCK waiting times of its k_c live rows (those whose last
-    block time is before the pulse end, 1) as a (k_c, _BLOCK) array and
-    their picks as a (_BLOCK, k_c) array; the rest runs once over the group,
-    and the only per-event Python step is the +-1 chain of n_up.  The
-    integral of S_z and each lag sample (the level after the events at or
-    before the lag) are array operations over the block, scattered back
-    through the live index.  Returns the number of jumps.
+    samples (S_z at the lags) and sbar (Sbar_z) hold one row per trajectory
+    and are filled in place.  The N atoms jump at the total rate r N
+    whatever the state, so each event is one exponential waiting time and
+    one uniform atom pick u, a down-flip iff u N < n_up.  In each block the
+    k live rows (those whose last block time is before the pulse end, 1)
+    draw the next _BLOCK waiting times, then the _BLOCK picks, each straight
+    into a (_BLOCK, k) buffer, and the only per-event Python step is the +-1
+    chain of n_up.  The integral of S_z and each lag sample (the level after
+    the events at or before the lag) are array operations over the block,
+    scattered back through the live index.  Returns the number of jumps.
     """
     m = len(sbar)
     n = process.n_atoms
     rate = process.r * n
-    sz = np.concatenate([rng.binomial(n, 0.5, size=b - a) for rng, a, b in chunks]) - s
+    sz = rng.binomial(n, 0.5, size=m) - s
     samples[:] = sz[:, None]
     sbar[:] = sz if rate == 0.0 else 0.0  # S_z held over the pulse, or the start of its running integral
     if rate == 0.0:
         return 0
-    # block buffers, one column per trajectory: the first k hold the live ones, so event j is one row
-    times_at = np.empty((_BLOCK, m))
-    picks_at = np.empty((_BLOCK, m))
+    # flat block buffers: with k live trajectories the first _BLOCK * k elements are a (_BLOCK, k) array,
+    # one row per event and one column per live trajectory
+    times_at, picks_at = np.empty(_BLOCK * m), np.empty(_BLOCK * m)
     n_up = np.empty((_BLOCK + 1, m))  # n_up[j]: atoms up before the block's event j
     step = np.empty(m)
     clipped_at = np.empty((_BLOCK + 1, m))  # block start, then event times clipped at 1
-    starts = [a for _, a, _ in chunks]
     live = np.arange(m)
     now = np.zeros(m)  # block start of each live trajectory, always before 1
     up = sz + s
     n_events = 0
     while live.size:
         k = live.size
-        times, picks = times_at[:, :k], picks_at[:, :k]
-        # live is sorted, so each chunk's live trajectories are one slice of it
-        cuts = np.searchsorted(live, starts).tolist() + [k]
-        for (rng, _, _), a, b in zip(chunks, cuts, cuts[1:]):
-            times[:, a:b] = rng.standard_exponential((b - a, _BLOCK)).T
-            picks[:, a:b] = rng.random((_BLOCK, b - a))
+        times, picks = (buf[:_BLOCK * k].reshape(_BLOCK, k) for buf in (times_at, picks_at))
+        rng.standard_exponential(out=times)
+        rng.random(out=picks)
         for prev, row in zip(times, times[1:]):  # the running sum of the waiting times, event row by row
             np.add(prev, row, out=row)
         times /= rate
@@ -237,17 +229,18 @@ def _simulate_exact(chunks, process, s, lag_times, samples, sbar):
     return n_events
 
 
-def _simulate_gaussian(chunks, process, s, lag_times, samples, sbar):
-    """Ornstein-Uhlenbeck aggregate trajectories of a group of chunks, with exact joint sampling.
+def _simulate_gaussian(rng, process, s, lag_times, samples, sbar):
+    """Ornstein-Uhlenbeck aggregate trajectories of one chunk, with exact joint sampling.
 
-    chunks, samples and sbar are as in _simulate_exact.  theta = 2 r,
-    stationary variance S/2; per step the pair (S_z(end), integral of S_z)
-    is drawn from its exact joint Gaussian, whose coefficients are scalars
-    shared by the whole group, and each chunk draws its own (2, m_c) normals.
+    samples and sbar are as in _simulate_exact.  theta = 2 r, stationary
+    variance S/2; per step the pair (S_z(end), integral of S_z) is drawn
+    from its exact joint Gaussian, whose coefficients are scalars shared by
+    the whole chunk, with (2, m) standard normals drawn straight into one
+    buffer.
     """
     theta = 2.0 * process.r
     var_st = s / 2.0
-    z = np.concatenate([rng.normal(0.0, math.sqrt(var_st), size=b - a) for rng, a, b in chunks])
+    z = rng.normal(0.0, math.sqrt(var_st), size=len(sbar))
     samples[:, 0] = z
     sbar[:] = 0.0  # the running integral of S_z
     x = np.empty((2, len(sbar)))
@@ -265,8 +258,7 @@ def _simulate_gaussian(chunks, process, s, lag_times, samples, sbar):
         cov_zi = var_st * (1.0 - decay) ** 2 / theta
         sd_z = math.sqrt(var_z)
         resid = max(var_i - cov_zi * cov_zi / var_z, 0.0)
-        for rng, a, b in chunks:
-            x[:, a:b] = rng.standard_normal((2, b - a))
+        rng.standard_normal(out=x)
         x1, x2 = x
         sbar += z * ((1.0 - decay) / theta) + (cov_zi / sd_z) * x1 + math.sqrt(resid) * x2
         z = z * decay + sd_z * x1
@@ -290,18 +282,15 @@ def _mean_se(values):
 
 
 def _run_chunks(process, n_traj, lag_times, seed, exact):
-    """S_z at the lags, Sbar_z and the jump count of n_traj trajectories, _GROUP chunks a kernel call."""
+    """S_z at the lags, Sbar_z and the jump count of n_traj trajectories, one kernel call a chunk."""
     simulate = _simulate_exact if exact else _simulate_gaussian
     sz_samples, sbar = np.empty((n_traj, len(lag_times))), np.empty(n_traj)
     n_events = 0
-    # a last chunk of one row runs alone: einsum sums a one-column block, contiguous along the events,
-    # in another order than a column of a wider one, so grouping it would change its Sbar_z bits
-    cuts = sorted({*range(0, n_traj, _GROUP * _CHUNK), n_traj - 1 if n_traj % _CHUNK == 1 else 0, n_traj})
-    for start, stop in zip(cuts, cuts[1:]):
-        # counter-based streams: chunk c draws from (key=seed, counter hi-word=c) whatever its group
-        chunks = [(np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, a // _CHUNK])),
-                   a - start, min(a + _CHUNK, stop) - start) for a in range(start, stop, _CHUNK)]
-        n_events += simulate(chunks, process, process.n_atoms / 2.0, lag_times, sz_samples[start:stop], sbar[start:stop])
+    for chunk, start in enumerate(range(0, n_traj, _CHUNK)):
+        # the only streams of the program: chunk c draws from child c of the seed's SeedSequence
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk,))))
+        rows = slice(start, start + _CHUNK)
+        n_events += simulate(rng, process, process.n_atoms / 2.0, lag_times, sz_samples[rows], sbar[rows])
     return sz_samples, sbar, n_events
 
 
@@ -316,18 +305,19 @@ def sample_trajectories(process, n_traj, time_steps, seed, mode="exact"):
         sampled at time_steps + 1 uniform times spanning the pulse [0, 1].
     seed : int
         Base seed in [0, 2**128), required; trajectories run in chunks of
-        _CHUNK, chunk c drawing from the (seed, c) Philox stream, and the
-        kernels advance _GROUP consecutive chunks a call, which leaves every
-        chunk's draws and so the output bits as they are.
+        _CHUNK, one kernel call each, and chunk c draws from a PCG64 stream
+        seeded by child c of SeedSequence(seed), so the seed and n_traj fix
+        the output bits.
     mode : {"exact", "gaussian"}
         Both modes refuse runs of more than MAX_LOCKSTEP lockstep passes
-        (chunks x r N events in exact mode, chunks x time_steps in gaussian
-        mode) or MAX_SAMPLE_ELEMENTS samples (ValueError, no work done).
+        (r N events in exact mode, time_steps in gaussian mode, per started
+        _PASS_ROWS trajectories) or MAX_SAMPLE_ELEMENTS samples (ValueError,
+        no work done).
     """
     if seed is None:
         raise ValueError("seed is required for reproducible Monte Carlo")
     if not 0 <= seed < 2 ** 128:
-        raise ValueError(f"seed must be in [0, 2**128) (the Philox key range), got {seed}")
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
     if n_traj < 1:
         raise ValueError("need at least one trajectory")
     if time_steps < 1:
@@ -340,12 +330,12 @@ def sample_trajectories(process, n_traj, time_steps, seed, mode="exact"):
         raise ValueError(f"{elements} S_z samples (trajectories x (steps + 1)) exceed the limit "
                          f"MAX_SAMPLE_ELEMENTS = {MAX_SAMPLE_ELEMENTS}; use fewer trajectories or steps")
     exact = mode == "exact"
-    lockstep = math.ceil(n_traj / _CHUNK) * (process.r * process.n_atoms if exact else time_steps)
+    lockstep = math.ceil(n_traj / _PASS_ROWS) * (process.r * process.n_atoms if exact else time_steps)
     if lockstep > MAX_LOCKSTEP:
-        per_chunk, advice = (("r N events", "use --mode gaussian") if exact
-                             else ("steps", "use fewer trajectories or steps"))
-        raise ValueError(f"{mode} mode would take ~{lockstep:.4g} lockstep passes (chunks x {per_chunk}), "
-                         f"above the limit MAX_LOCKSTEP = {MAX_LOCKSTEP}; {advice}")
+        per_unit, advice = (("r N events", "use --mode gaussian") if exact
+                            else ("steps", "use fewer trajectories or steps"))
+        raise ValueError(f"{mode} mode would take ~{lockstep:.4g} lockstep passes ({_PASS_ROWS}-trajectory units x "
+                         f"{per_unit}), above the limit MAX_LOCKSTEP = {MAX_LOCKSTEP}; {advice}")
 
     lag_times = np.linspace(0.0, 1.0, time_steps + 1)
     sz_samples, sbar, n_events = _run_chunks(process, n_traj, lag_times, seed, exact)

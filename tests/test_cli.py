@@ -23,14 +23,15 @@ def _run(argv, out):
 
 
 def test_raman_mc_same_seed_same_bytes(tmp_path):
-    # 600 trajectories span two chunks, the second one partial
+    # 2600 trajectories span two chunks, the second one partial
+    argv = ["raman-mc", "--S", "20", "--r", "0.5", "--traj", "2600", "--steps", "4", "--seed", "5", "--corr-csv"]
     a, b = tmp_path / "a", tmp_path / "b"
-    assert _run(MC_ARGV, a) == 0
-    assert _run(MC_ARGV, b) == 0
+    assert _run(argv, a) == 0
+    assert _run(argv, b) == 0
     for name in ("raman_stats.json", "raman_corr.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
     stats = json.loads((a / "raman_stats.json").read_text())["stats"]
-    assert stats["n_trajectories"] == 600
+    assert stats["n_trajectories"] == 2600
     assert stats["n_events"] > 0
 
 
@@ -45,7 +46,7 @@ def test_raman_mc_same_seed_same_bytes(tmp_path):
     (["raman-mc", "--S", "50", "--r", "0.1", "--traj", "1", "--steps", "30000000", "--mode", "gaussian",
       "--seed", "1"], "MAX_LOCKSTEP"),
     (["raman-mc", "--S", "2.3", "--r", "0.1", "--seed", "1"], "positive half-integer, got 2.3"),
-    # Philox keys are 128-bit; 0 is a valid seed
+    # the seed range is [0, 2**128); 0 is a valid seed
     (["raman-mc", "--S", "20", "--r", "0.5", "--seed", "-1"], "[0, 2**128)"),
     (["raman-mc", "--S", "20", "--r", "0.5", "--seed", str(2 ** 128)], "[0, 2**128)"),
 ])
@@ -65,15 +66,15 @@ def test_raman_mc_runs_at_the_seed_range_ends(tmp_path):
         assert json.loads((tmp_path / str(seed) / "manifest.json").read_text())["seed"] == seed
 
 
-# sha256 of the seeded MC outputs.  They depend on numpy's Generator streams (Philox and its binomial,
-# exponential, uniform and normal samplers) as well as on _CHUNK, _BLOCK and the draw order, so a numpy
-# release that changes a sampler, or a change to the stream layout, has to edit them on purpose.
+# sha256 of the seeded MC outputs.  They depend on numpy's Generator streams (SeedSequence, PCG64 and the
+# binomial, exponential, uniform and normal samplers) as well as on _CHUNK, _BLOCK and the draw order, so a
+# numpy release that changes a sampler, or a change to the stream layout, has to edit them on purpose.
 _MC_DIGESTS = [
-    (MC_ARGV, "a21e84af9d52ad013eee441dac856185569ff91517e826fce2a9e6715128f4fd",
-     "7fb112318787e82ca1d9a4971d5be5b1201a316d9e372cb0c74ddb9874e85b7e"),
+    (MC_ARGV, "a09783f9108e165a2b0b4afe0499070dc5e502fa089bffcb0213ae3f03901844",
+     "43f0b2cfc2e0e66901206d15eb21eda934cb1c53bd13b2a6673c6b885416e524"),
     (["raman-mc", "--S", "1e5", "--r", "0.05", "--traj", "4096", "--steps", "64", "--mode", "gaussian",
-      "--seed", "5", "--corr-csv"], "ccea0ee323ba56d654a8ae980963361ce61905b8c3743e71385bc38b203474bb",
-     "777cf722ad34eb8856e4b7d555dcd6c61409d52656703100e09fbab9ff04a2d6"),
+      "--seed", "5", "--corr-csv"], "aa8738059cfa0cfa28f0a2996dc73bc56cd7b225f391e6d55ce1c4687ec8a20f",
+     "0f9b31b8444bd95f2401e2a9c462187a148e894835b06919dd846d4093db5743"),
 ]
 
 
@@ -291,6 +292,20 @@ def test_validate_oracle_failure_exits_2_and_writes_everything(tmp_path, capsys,
     assert len(rows) == 40
     assert [row[:2] for row in rows if row[-1] == "false"] == [["5.0", "1.0"]]
     assert json.loads((tmp_path / "manifest.json").read_text())["outputs"] == ["validate_oracle.csv"]
+
+
+def test_design_config_without_p0_writes_the_same_report(tmp_path):
+    # the report picks its own Q, so a config's p0 is optional and does not reach design_report.json
+    system = "S = 1e4\ng_hz = 4e5\nkappa_hz = 1e6\ndelta_over_gamma = 500.0\nt_s = 4e-4\n"
+    reports = []
+    for name, text in (("with_p0", system + "p0 = 100.0\n"), ("without_p0", system)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        assert _run(["design", "--config", str(cfg)], tmp_path / name) == 0
+        reports.append((tmp_path / name / "design_report.json").read_bytes())
+        config = json.loads((tmp_path / name / "manifest.json").read_text())["config"]
+        assert config.get("p0") == (100.0 if name == "with_p0" else None)
+    assert reports[0] == reports[1]
 
 
 def test_design_eps_max_is_the_one_excited_population_limit(tmp_path):

@@ -141,11 +141,11 @@ t_s = 100e-6
     path.write_text(cfg_text)
     cfg = load_config(path)
     assert cfg["S"] == 10000.0
-    ensemble, params, drive = system_from_config(cfg)
+    ensemble, params = system_from_config(cfg)
     assert ensemble.atom_count == 20000
     assert params.kappa == pytest.approx(TWO_PI * 1e6, rel=1e-15)
-    assert drive.p0 == 100.0
-    assert drive.pulse_time == 100e-6
+    assert cfg["p0"] == 100.0
+    assert cfg["t_s"] == 100e-6
 
 
 @pytest.mark.parametrize(
@@ -155,6 +155,7 @@ t_s = 100e-6
         ("nonsense_key = 3\nS=1\ng_hz=1\nkappa_hz=1\np0=1\nt_s=1\n", "unknown key"),
         ("S one\n", "expected 'key = value'"),
         ("S = abc\n", "not a number"),
+        ("S=1\ng_hz=1\nkappa_hz=1\np0=-1\nt_s=1\n", "p0 must be nonnegative"),
     ],
 )
 def test_config_errors(tmp_path, text, fragment):

@@ -270,7 +270,7 @@ class TestMonteCarlo:
         assert d.mean_sz_bar_sq != a.mean_sz_bar_sq
 
     @pytest.mark.parametrize("r, s, n_traj", [
-        (0.1, 50.0, 513),  # the last chunk holds one trajectory
+        (0.1, 50.0, 2049),  # the last chunk holds one trajectory
         (0.3, 2.5, 4000),  # half-integer spin: five atoms
         (0.05, 0.5, 4000),  # one atom: most trajectories of a chunk never jump
     ])
@@ -302,6 +302,22 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="mode"):
             sample_trajectories(process, 10, 4, seed=1, mode="fancy")
 
+    def test_lockstep_limit_counts_512_trajectory_units(self, monkeypatch):
+        # 1537 trajectories are one stream chunk but four 512-trajectory units of the cost limit:
+        # r N = MAX_LOCKSTEP / 4 runs, and a little more is refused before any work
+        class Ran(Exception):
+            pass
+
+        def run_chunks(*args):
+            raise Ran
+
+        monkeypatch.setattr(raman, "_run_chunks", run_chunks)
+        r_limit = raman.MAX_LOCKSTEP / 4 / 1000
+        with pytest.raises(Ran):
+            sample_trajectories(RamanProcess(r=r_limit, n_atoms=1000), 1537, 1, seed=1)
+        with pytest.raises(ValueError, match="MAX_LOCKSTEP"):
+            sample_trajectories(RamanProcess(r=1.001 * r_limit, n_atoms=1000), 1537, 1, seed=1)
+
     def test_exact_vs_gaussian_cross_check(self):
         r, s = 0.15, 200.0
         ex = self._run(r=r, s=s, n_traj=20000, mode="exact")
@@ -310,37 +326,35 @@ class TestMonteCarlo:
         assert abs(ex.mean_sz_bar_sq - ga.mean_sz_bar_sq) <= 4.0 * joint
 
 
-def _philox(key):
-    return np.random.Generator(np.random.Philox(key=key))
+def _stream(seed, chunk=0):
+    """The generator of chunk `chunk` of a run seeded with `seed`."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chunk,))))
 
 
 def _one_chunk(kernel):
-    """A group kernel called on one chunk: (rng, process, s, lag_times, m) -> (S_z at the lags, Sbar_z, jumps)."""
+    """A kernel with its output arrays: (rng, process, s, lag_times, m) -> (S_z at the lags, Sbar_z, jumps)."""
     def run(rng, process, s, lag_times, m):
         samples, sbar = np.empty((m, len(lag_times))), np.empty(m)
-        return samples, sbar, kernel([(rng, 0, m)], process, s, lag_times, samples, sbar)
+        return samples, sbar, kernel(rng, process, s, lag_times, samples, sbar)
     return run
 
 
 def _chunked_samples(process, s, n_traj, time_steps, seed, mode):
-    """S_z samples and Sbar_z of sample_trajectories, from its chunks and (seed, chunk) streams."""
+    """S_z samples and Sbar_z of sample_trajectories, from one kernel call per chunk on its own stream."""
     lag_times = np.linspace(0.0, 1.0, time_steps + 1)
     simulate = _one_chunk(raman._simulate_exact if mode == "exact" else raman._simulate_gaussian)
-    parts = [simulate(np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, chunk])),
-                      process, s, lag_times, min(raman._CHUNK, n_traj - start))
+    parts = [simulate(_stream(seed, chunk), process, s, lag_times, min(raman._CHUNK, n_traj - start))
              for chunk, start in enumerate(range(0, n_traj, raman._CHUNK))]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-class TestChunkGroups:
-    # groups of _GROUP = 4 chunks: 513, 1025 and 1537 end on a one-row chunk, which runs alone (einsum
-    # sums a one-column block in another order, an ulp apart for about half the seeds, so eight seeds
-    # are run); 2049 leaves a one-row chunk alone in the second group, 2567 ends the second group on a
-    # partial chunk, and 4103 runs groups of 4, 4 and 1 chunks
+class TestChunks:
+    # 2047 and 2048: one partial and one full chunk; 2049 ends on a one-row chunk; 4097 runs two full
+    # chunks and a one-row chunk
     @pytest.mark.parametrize("mode", ["exact", "gaussian"])
     @pytest.mark.parametrize("r", [0.0, 0.7])  # r N = 0, and 70: several blocks per trajectory
-    @pytest.mark.parametrize("n_traj", [1, 511, 513, 1025, 1537, 2049, 2560 + 7, 4103])
-    def test_groups_equal_one_chunk_per_call(self, mode, r, n_traj):
+    @pytest.mark.parametrize("n_traj", [1, 2047, 2048, 2049, 4097])
+    def test_run_chunks_equals_one_call_per_chunk(self, mode, r, n_traj):
         process, steps = RamanProcess(r=r, n_atoms=100), 8
         for seed in range(8):
             samples, sbar, _ = raman._run_chunks(process, n_traj, np.linspace(0.0, 1.0, steps + 1), seed,
@@ -351,7 +365,7 @@ class TestChunkGroups:
 
 
 class TestReduction:
-    # 513 trajectories: the last chunk holds one row
+    # 513 trajectories: one partial chunk
     @pytest.mark.parametrize("mode", ["exact", "gaussian"])
     @pytest.mark.parametrize("s, r, n_traj, steps", [
         (20.0, 0.5, 600, 4), (50.0, 1.0, 513, 16), (2.5, 0.3, 4096, 8), (1000.0, 0.1, 2048, 64),
@@ -378,7 +392,7 @@ def _replay_blocks(rng, process, s, lag_times, m):
     """The block kernel's draws replayed event by event, one trajectory at a time.
 
     Draws in the kernel's order (initial binomial, then per block a
-    (k, _BLOCK) exponential array and a (_BLOCK, k) pick array for the k
+    (_BLOCK, k) exponential array and a (_BLOCK, k) pick array for the k
     trajectories whose last block time is still before the pulse end 1) and
     steps each trajectory alone; needs r > 0.  Also returns the number of
     blocks each trajectory drew.
@@ -389,10 +403,10 @@ def _replay_blocks(rng, process, s, lag_times, m):
     times, picks = [[] for _ in range(m)], [[] for _ in range(m)]
     live = list(range(m))
     while live:
-        block_times = np.cumsum(rng.standard_exponential((len(live), raman._BLOCK)), axis=1) / rate
+        block_times = np.cumsum(rng.standard_exponential((raman._BLOCK, len(live))), axis=0) / rate
         block_picks = rng.random((raman._BLOCK, len(live))) * n
         for i, j in enumerate(live):
-            times[j].extend((block_times[i] + (times[j][-1] if times[j] else 0.0)).tolist())
+            times[j].extend((block_times[:, i] + (times[j][-1] if times[j] else 0.0)).tolist())
             picks[j].extend(block_picks[:, i].tolist())
         live = [j for j in live if times[j][-1] < 1.0]
     samples = np.empty((m, len(lag_times)))
@@ -424,14 +438,14 @@ class TestExactBlockKernel:
         lag_times = np.linspace(0.0, 1.0, 17)
         staggered = 0  # seeds on which the rows drew different numbers of blocks
         for seed in range(8):
-            samples, sbar, n_events = _one_chunk(raman._simulate_exact)(_philox(seed), process, s, lag_times, m)
-            assert np.array_equal(samples[:, 0], _philox(seed).binomial(round(2 * s), 0.5, size=m) - s)
+            samples, sbar, n_events = _one_chunk(raman._simulate_exact)(_stream(seed), process, s, lag_times, m)
+            assert np.array_equal(samples[:, 0], _stream(seed).binomial(round(2 * s), 0.5, size=m) - s)
             assert np.array_equal(samples + s, np.rint(samples + s))  # integer numbers of atoms up
             assert np.all(np.abs(samples) <= s)
             assert np.all(np.abs(sbar) <= s * (1.0 + 1e-12))  # durations sum to the pulse up to rounding
             # every jump is +-1, so the summed net change has the parity of the jump count
             assert (round(np.sum(samples[:, -1] - samples[:, 0])) - n_events) % 2 == 0
-            ref_samples, ref_sbar, ref_events, blocks = _replay_blocks(_philox(seed), process, s, lag_times, m)
+            ref_samples, ref_sbar, ref_events, blocks = _replay_blocks(_stream(seed), process, s, lag_times, m)
             assert np.array_equal(samples, ref_samples)
             assert np.allclose(sbar, ref_sbar, rtol=0.0, atol=1e-12 * s)
             assert n_events == ref_events
@@ -440,24 +454,24 @@ class TestExactBlockKernel:
         assert (staggered > 0) == (m > 1 and r * round(2 * s) > raman._BLOCK)
 
     def test_lag_lookup_at_an_event_next_to_a_lag(self):
-        # one block of scripted draws at rate r N = 2: rows 0 and 511 jump at one ulp past lag 0.25
-        # and exactly at lag 0.5; no other row jumps.  A lag sample is the level after the events
-        # at or before it: the pre-event level at 0.25, the post-event level at 0.5
+        # one block of scripted draws at rate r N = 2: the first and last rows of a full chunk jump at
+        # one ulp past lag 0.25 and exactly at lag 0.5; no other row jumps.  A lag sample is the level
+        # after the events at or before it: the pre-event level at 0.25, the post-event level at 0.5
         m, lag_times = raman._CHUNK, np.linspace(0.0, 1.0, 5)
-        waits = np.full((m, raman._BLOCK), 4.0)  # first event at 2.0, past the pulse
+        waits = np.full((raman._BLOCK, m), 4.0)  # first event at 2.0, past the pulse
         first = 2.0 * np.nextafter(0.25, 1.0)
-        waits[[0, m - 1], :2] = first, 1.0 - first  # events at nextafter(0.25, 1) and 0.5
+        waits[:2, [0, m - 1]] = [[first], [1.0 - first]]  # events at nextafter(0.25, 1) and 0.5
 
         class Scripted:
             def binomial(self, n, p, size):
                 return np.zeros(size)  # S_z = -1: no atom up
 
-            def standard_exponential(self, shape):
-                assert shape == waits.shape  # every row leaves after one block
-                return waits.copy()
+            def standard_exponential(self, out):
+                assert out.shape == waits.shape  # every row leaves after one block
+                out[...] = waits
 
-            def random(self, shape):
-                return np.ones(shape)  # u N = N >= n_up: every jump flips an atom up
+            def random(self, out):
+                out[...] = 1.0  # u N = N >= n_up: every jump flips an atom up
 
         samples, sbar, n_events = _one_chunk(raman._simulate_exact)(Scripted(), RamanProcess(r=1.0, n_atoms=2),
                                                                     1.0, lag_times, m)
@@ -467,47 +481,14 @@ class TestExactBlockKernel:
         assert n_events == 4
         assert np.array_equal(sbar[[0, m - 1]], [0.5 - first / 2.0] * 2)  # -(0.25 + ulp) + 0.5 + 0
 
-    def test_lag_lookup_with_the_scripted_chunk_second_in_a_group(self):
-        # the scripted block above as the second chunk of a group, behind a Philox chunk: its events
-        # sit on rows 512 and 1023 of the group.  At r N = 2 every row of both chunks leaves after one block
-        m, lag_times = raman._CHUNK, np.linspace(0.0, 1.0, 5)
-        waits = np.full((m, raman._BLOCK), 4.0)
-        first = 2.0 * np.nextafter(0.25, 1.0)
-        waits[[0, m - 1], :2] = first, 1.0 - first
-
-        class Scripted:
-            def binomial(self, n, p, size):
-                return np.zeros(size)
-
-            def standard_exponential(self, shape):
-                assert shape == waits.shape
-                return waits.copy()
-
-            def random(self, shape):
-                return np.ones(shape)
-
-        process = RamanProcess(r=1.0, n_atoms=2)
-        samples, sbar = np.empty((2 * m, 5)), np.empty(2 * m)
-        n_events = raman._simulate_exact([(_philox(3), 0, m), (Scripted(), m, 2 * m)], process, 1.0, lag_times,
-                                         samples, sbar)
-        alone_samples, alone_sbar, alone_events = _one_chunk(raman._simulate_exact)(_philox(3), process, 1.0,
-                                                                                    lag_times, m)
-        assert np.array_equal(samples[:m], alone_samples)
-        assert np.array_equal(sbar[:m], alone_sbar)
-        expected = np.full((m, 5), -1.0)
-        expected[[0, m - 1], 2:] = 1.0
-        assert np.array_equal(samples[m:], expected)
-        assert n_events == alone_events + 4
-        assert np.array_equal(sbar[[m, 2 * m - 1]], [0.5 - first / 2.0] * 2)
-
     def test_lag_lookup_in_several_passes(self, monkeypatch):
         # 3 lag samples per pass: a block (0.16 of the pulse at r N = 200) holds ~8 samples of its
         # 3 rows, so most blocks take several passes, often ending on a partial one
         monkeypatch.setattr(raman, "_LOOKUP", 3)
         process, lag_times = RamanProcess(r=2.0, n_atoms=100), np.linspace(0.0, 1.0, 17)
         for seed in range(4):
-            samples, _, _ = _one_chunk(raman._simulate_exact)(_philox(seed), process, 50.0, lag_times, 3)
-            assert np.array_equal(samples, _replay_blocks(_philox(seed), process, 50.0, lag_times, 3)[0])
+            samples, _, _ = _one_chunk(raman._simulate_exact)(_stream(seed), process, 50.0, lag_times, 3)
+            assert np.array_equal(samples, _replay_blocks(_stream(seed), process, 50.0, lag_times, 3)[0])
 
     def test_lag_lookup_memory_is_bounded(self):
         # r N = 1: the first block of a full chunk spans all 1025 lags, 5e5 lag samples that would
@@ -515,7 +496,7 @@ class TestExactBlockKernel:
         lag_times = np.linspace(0.0, 1.0, 1025)
         tracemalloc.start()
         try:
-            samples, _, _ = _one_chunk(raman._simulate_exact)(_philox(1), RamanProcess(r=0.01, n_atoms=100),
+            samples, _, _ = _one_chunk(raman._simulate_exact)(_stream(1), RamanProcess(r=0.01, n_atoms=100),
                                                               50.0, lag_times, raman._CHUNK)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -524,11 +505,11 @@ class TestExactBlockKernel:
 
     @pytest.mark.parametrize("s, r", [(50.0, 1.0), (2.5, 0.3), (0.5, 2.0)])
     def test_agrees_with_lockstep_reference(self, s, r):
-        # two samples on independent Philox keys: every estimate within 4 joint se
+        # two samples on independent streams: every estimate within 4 joint se
         m = 8192
         process = RamanProcess(r=r, n_atoms=round(2 * s))
         lag_times = np.linspace(0.0, 1.0, 9)
-        runs = [kernel(_philox(key), process, s, lag_times, m)
+        runs = [kernel(_stream(key), process, s, lag_times, m)
                 for kernel, key in ((_one_chunk(raman._simulate_exact), 101), (lockstep_exact_reference, 202))]
         products = []
         for samples, sbar, _ in runs:

@@ -9,6 +9,9 @@ params rounds twice a value, round(2 * x) or np.rint(2.0 * x): which S is a
 spin, and what its 2S is, is decided there (params.twice_spin) and nowhere else.
 In cli, only run writes: no other code there calls write_csv, write_json,
 write_manifest or mkdir, so a subcommand handler only returns its files.
+Only raman._run_chunks builds a random stream (a bit generator, a
+SeedSequence or a default_rng), so the Monte Carlo's stream layout has one
+owner.
 """
 
 import ast
@@ -146,3 +149,25 @@ def cli_writers(path=PACKAGE / "cli.py"):
 
 def test_only_run_writes_in_cli():
     assert cli_writers() == []
+
+
+_STREAM_BUILDERS = {"SeedSequence", "default_rng", "RandomState", "PCG64", "PCG64DXSM", "Philox", "SFC64",
+                    "MT19937", "BitGenerator"}
+
+
+def stream_builders(package=PACKAGE):
+    """module.definition:line of each call in package that builds a random stream, by top-level definition."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call):
+                    func = call.func
+                    if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in _STREAM_BUILDERS:
+                        found.append(f"{path.stem}.{getattr(node, 'name', '<module>')}:{call.lineno}")
+    return found
+
+
+def test_only_run_chunks_builds_a_random_stream():
+    # and it does build one, so a renamed owner fails here instead of passing unseen
+    assert {where.partition(":")[0] for where in stream_builders()} == {"raman._run_chunks"}
