@@ -270,6 +270,7 @@ class TestMonteCarlo:
         assert d.mean_sz_bar_sq != a.mean_sz_bar_sq
 
     @pytest.mark.parametrize("r, s, n_traj", [
+        (0.1, 50.0, 513),  # one partial chunk
         (0.1, 50.0, 2049),  # the last chunk holds one trajectory
         (0.3, 2.5, 4000),  # half-integer spin: five atoms
         (0.05, 0.5, 4000),  # one atom: most trajectories of a chunk never jump
@@ -348,13 +349,14 @@ def _chunked_samples(process, s, n_traj, time_steps, seed, mode):
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-class TestChunks:
-    # 2047 and 2048: one partial and one full chunk; 2049 ends on a one-row chunk; 4097 runs two full
-    # chunks and a one-row chunk
+class TestChunkGroups:
+    # _run_chunks runs a run's chunks as one group, one kernel call each.  1 to 2048: one partial or one
+    # full chunk; 2049 ends on a one-row chunk; 2567 on a partial second chunk; 4097 and 4103 run two full
+    # chunks and a one-row or a seven-row chunk
     @pytest.mark.parametrize("mode", ["exact", "gaussian"])
     @pytest.mark.parametrize("r", [0.0, 0.7])  # r N = 0, and 70: several blocks per trajectory
-    @pytest.mark.parametrize("n_traj", [1, 2047, 2048, 2049, 4097])
-    def test_run_chunks_equals_one_call_per_chunk(self, mode, r, n_traj):
+    @pytest.mark.parametrize("n_traj", [1, 511, 513, 1025, 1537, 2047, 2048, 2049, 2560 + 7, 4097, 4103])
+    def test_groups_equal_one_chunk_per_call(self, mode, r, n_traj):
         process, steps = RamanProcess(r=r, n_atoms=100), 8
         for seed in range(8):
             samples, sbar, _ = raman._run_chunks(process, n_traj, np.linspace(0.0, 1.0, steps + 1), seed,
@@ -480,6 +482,44 @@ class TestExactBlockKernel:
         assert np.array_equal(samples, expected)
         assert n_events == 4
         assert np.array_equal(sbar[[0, m - 1]], [0.5 - first / 2.0] * 2)  # -(0.25 + ulp) + 0.5 + 0
+
+    def test_lag_lookup_with_the_scripted_chunk_second_in_a_group(self, monkeypatch):
+        # the scripted block above as the second chunk of a two-chunk run, behind the stream of chunk 0:
+        # its events sit on rows m and 2m - 1 of the run.  At r N = 2 every row leaves after one block
+        m, lag_times = raman._CHUNK, np.linspace(0.0, 1.0, 5)
+        waits = np.full((raman._BLOCK, m), 4.0)
+        first = 2.0 * np.nextafter(0.25, 1.0)
+        waits[:2, [0, m - 1]] = [[first], [1.0 - first]]
+
+        class Scripted:
+            def binomial(self, n, p, size):
+                return np.zeros(size)
+
+            def standard_exponential(self, out):
+                assert out.shape == waits.shape
+                out[...] = waits
+
+            def random(self, out):
+                out[...] = 1.0
+
+        simulate, streams = raman._simulate_exact, []
+
+        def second_scripted(rng, *args):
+            streams.append(rng)
+            return simulate(rng if len(streams) == 1 else Scripted(), *args)
+
+        monkeypatch.setattr(raman, "_simulate_exact", second_scripted)
+        process = RamanProcess(r=1.0, n_atoms=2)
+        samples, sbar, n_events = raman._run_chunks(process, 2 * m, lag_times, 3, True)
+        assert len(streams) == 2
+        alone_samples, alone_sbar, alone_events = _one_chunk(simulate)(_stream(3), process, 1.0, lag_times, m)
+        assert np.array_equal(samples[:m], alone_samples)
+        assert np.array_equal(sbar[:m], alone_sbar)
+        expected = np.full((m, 5), -1.0)
+        expected[[0, m - 1], 2:] = 1.0
+        assert np.array_equal(samples[m:], expected)
+        assert n_events == alone_events + 4
+        assert np.array_equal(sbar[[m, 2 * m - 1]], [0.5 - first / 2.0] * 2)
 
     def test_lag_lookup_in_several_passes(self, monkeypatch):
         # 3 lag samples per pass: a block (0.16 of the pulse at r N = 200) holds ~8 samples of its
