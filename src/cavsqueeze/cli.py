@@ -18,10 +18,11 @@ Exit codes: 0 success, 1 usage/config error (any ValueError or OSError, a
 nan or infinite number included, printed to stderr as "<subcommand>:
 <message>"), 2 validation-suite failure (a closed form off the oracle by
 more than ORACLE_TOL).  Data files are byte-identical for an identical
-invocation and seed (Monte Carlo streams keyed by seed and chunk of 512
-trajectories); the manifest, with its wall time, is the exception.  raman-mc
-runs in units of the pulse, so its "pulse_time_s" is the constant 1.0 (and
-"flip_rate_per_atom" is r), kept for schema stability.
+invocation and seed (the Monte Carlo draws one PCG64 stream per
+2,048-trajectory chunk, child c of SeedSequence(seed)); the manifest, with
+its wall time, is the exception.  raman-mc runs in units of the pulse, so
+its "pulse_time_s" is the constant 1.0 (and "flip_rate_per_atom" is r),
+kept for schema stability.
 """
 
 import argparse

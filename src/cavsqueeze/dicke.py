@@ -7,10 +7,14 @@ indexes ascending m = k - S instead, valid only because CSS amplitudes are
 symmetric under m <-> -m.
 
 Coherent-spin-state amplitudes are binomial, sqrt(C(2S, S+m)) 2^-S, built in
-log space so ensembles up to S ~ 1e6 construct without overflow.  The spin
-operators are stored as their three bands, so applying one is O(S).
+log space so ensembles up to S ~ 1e6 construct without overflow.  They fall
+as e^{-m^2/2S} and are exactly 0.0 in float64 past |m| ~ 38.6 sqrt(S), so
+css_support builds only the window around m = 0 that holds the nonzero ones
+(O(sqrt(S)) work; the whole range while 2S < 5980).  The spin operators are
+stored as their three bands, so applying one is O(S).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +25,9 @@ from .params import twice_spin
 # 401 (S <= 200) for density matrices.
 STATE_DIM_CAP = 4001
 DENSITY_DIM_CAP = 401
+
+# exp(x / 2) is exactly 0.0 in float64 for x < -1490.27; 1494 leaves a margin
+_LOG_UNDERFLOW = 1494.0
 
 
 def m_values(total_spin):
@@ -97,19 +104,31 @@ def build_operators(spec, dim_cap=STATE_DIM_CAP):
     )
 
 
-def css_amplitudes(total_spin):
-    """Normalised float64 CSS(+x) amplitudes sqrt(C(2S, S+m)) 2^-S.
+def css_support(total_spin):
+    """(first_k, a): entries first_k..2S-first_k of css_amplitudes; every other entry is 0.0.
 
     log C(2S, k) is a cumulative sum of log((2S-k)/(k+1)) from the centre
-    out, mirrored by k <-> 2S-k, so either order of m reads the same.
+    out, mirrored by k <-> 2S-k, so either order of m reads the same.  After
+    j steps the sum is at most -j^2/(S+j+1) (log x <= x - 1); it stops where
+    that bound passes -_LOG_UNDERFLOW.
     """
     two_s = int(twice_spin(total_spin))
     half = two_s // 2
-    k = np.arange(two_s - half, two_s)
+    c = _LOG_UNDERFLOW
+    first_k = max(0, half - math.ceil((c + math.sqrt(c * c + 2.0 * c * (two_s + 2.0))) / 2.0))
+    k = np.arange(two_s - half, two_s - first_k)
     right = np.concatenate(([0.0], np.cumsum(np.log((two_s - k) / (k + 1.0)))))
-    log_binom = np.concatenate((right[::-1][:two_s - half], right))
+    log_binom = np.concatenate((right[::-1][:two_s - half - first_k], right))
     a = np.exp(0.5 * log_binom)
-    return a / np.sqrt(np.sum(a * a))
+    return first_k, a / np.sqrt(np.sum(a * a))
+
+
+def css_amplitudes(total_spin):
+    """All 2S+1 normalised float64 CSS(+x) amplitudes sqrt(C(2S, S+m)) 2^-S: css_support padded with 0.0."""
+    first_k, a = css_support(total_spin)
+    full = np.zeros(len(a) + 2 * first_k)  # the window is symmetric
+    full[first_k:first_k + len(a)] = a
+    return full
 
 
 def make_css(spec):

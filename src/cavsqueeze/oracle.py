@@ -11,21 +11,28 @@ Two independent numerical routes to the same moments:
     assignment that reproduces those sums on arbitrary states.
 
 Numerical care: the sums run in float64 on the normalised amplitudes of
-dicke.css_amplitudes, up to S ~ 1e5; their cancellation error stays ~1e-12
-relative even at Q = S/2 on the validate-oracle grid (S <= 200).  Every sum
-and trace is O(S).
+dicke.css_support, up to S ~ 1e5; their cancellation error stays ~1e-12
+relative even at Q = S/2 on the validate-oracle grid (S <= 200).  They run
+over css_support's window alone (every term dropped is exactly 0), O(sqrt(S))
+terms: ~26,000 at S = 1e5.  The channel's traces are O(S) on a dense matrix.
 """
 
 import math
 
 import numpy as np
 
-from .dicke import DENSITY_DIM_CAP, build_operators, css_amplitudes, m_values, make_css
+from .dicke import DENSITY_DIM_CAP, build_operators, css_support, m_values, make_css
 from .feedback import MomentSet
 from .params import EnsembleSpec, twice_spin
 
-# Longest amplitude sum we allow (S <= 1e5); far beyond the matrix caps.
+# Largest Dicke dimension 2S+1 the sums accept (S <= 1e5), not their length.
 ORACLE_SUM_CAP = 200_001
+
+
+def _check_shearing(q):
+    """Refuse a negative, nan or infinite shearing strength Q."""
+    if not 0.0 <= q < math.inf:
+        raise ValueError("shearing strength must be finite and nonnegative")
 
 
 def _sum_complex(weights, phases):
@@ -44,17 +51,17 @@ def oracle_moments_sum(total_spin, q):
     S_+S_- + S_-S_+ = 2(S(S+1) - S_z^2), with conjugate moments taken as
     Hermitian conjugates.  var_z = S/2 (S_z is a constant of motion).  The
     sums index ascending m = k - S against the m = +S..-S order of
-    css_amplitudes, valid only because CSS amplitudes are symmetric in m.
+    css_support, valid only because CSS amplitudes are symmetric in m, and
+    run over its window k = first_k..2S-first_k alone.
     """
     s = float(total_spin)
     two_s = int(twice_spin(s))
     if two_s + 1 > ORACLE_SUM_CAP:
         raise ValueError(f"Dicke dimension {two_s + 1} exceeds oracle cap {ORACLE_SUM_CAP}")
-    if q < 0.0:
-        raise ValueError("shearing strength must be nonnegative")
+    _check_shearing(q)
 
-    a = css_amplitudes(s)
-    k = np.arange(two_s + 1, dtype=float)
+    first_k, a = css_support(s)
+    k = np.arange(first_k, first_k + len(a), dtype=float)
     m = k - s
     u = q / s
 
@@ -135,6 +142,7 @@ def channel_moments(total_spin, q):
     and the -2..+1 diagonals of rho times the ladder coefficients c_m of
     build_operators; <S_y^2> goes through the diagonal S_+S_- + S_-S_+.
     """
+    _check_shearing(q)
     rho = apply_feedback_channel(css_density_matrix(total_spin), total_spin, q)
     ops = build_operators(EnsembleSpec(total_spin=total_spin), dim_cap=DENSITY_DIM_CAP)
     c = ops.sp.upper.real

@@ -3,6 +3,7 @@ import math
 import numpy as np
 
 from cavsqueeze.oracle import oracle_moments_sum
+from cavsqueeze.params import twice_spin
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -36,6 +37,22 @@ def golden_section_min(f, lo, hi, tol=1e-12, max_iter=300):
             fd = f(d)
     x = (a + b) / 2.0
     return x, f(x)
+
+
+def css_amplitudes_reference(total_spin):
+    """All 2S+1 normalised CSS amplitudes, built over the full range of k.
+
+    The tests' reference for dicke.css_amplitudes, which builds only the
+    window of nonzero amplitudes: the same centre-out cumulative sum of
+    log((2S-k)/(k+1)), mirrored by k <-> 2S-k, exponentiated and normalised.
+    """
+    two_s = int(twice_spin(total_spin))
+    half = two_s // 2
+    k = np.arange(two_s - half, two_s)
+    right = np.concatenate(([0.0], np.cumsum(np.log((two_s - k) / (k + 1.0)))))
+    log_binom = np.concatenate((right[::-1][:two_s - half], right))
+    a = np.exp(0.5 * log_binom)
+    return a / np.sqrt(np.sum(a * a))
 
 
 def floored_rel_err(a, b, floor):

@@ -85,6 +85,17 @@ def test_seeded_mc_bytes_are_pinned(tmp_path, argv, stats, corr):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+# sha256 of validate-oracle's CSV at the benchmark's --smax 200: the closed forms, the oracle sums (the same
+# bits as the full-range sums on this grid) and float repr all feed it, so a change to any of them shows here.
+_ORACLE_CSV_DIGEST = "567b95ed6043998d8b8b1988e662ce09dabf6b4c301106025aba5d004901e560"
+
+
+def test_validate_oracle_bytes_are_pinned(tmp_path):
+    assert _run(["validate-oracle", "--smax", "200"], tmp_path) == 0
+    digest = hashlib.sha256((tmp_path / "validate_oracle.csv").read_bytes()).hexdigest()
+    assert digest == _ORACLE_CSV_DIGEST
+
+
 def test_fig2_outside_g_factor_domain_exits_1_with_message(tmp_path, capsys):
     # Q_eff / S passes pi/2 on these grids: past the principal branch of the G
     # factor, refused at S = 100 and S = 10 alike

@@ -4,9 +4,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import dense_matrix
+from conftest import css_amplitudes_reference, dense_matrix
 
-from cavsqueeze.dicke import STATE_DIM_CAP, DickeState, build_operators, expectation, make_css, variance
+from cavsqueeze.dicke import (
+    STATE_DIM_CAP,
+    DickeState,
+    build_operators,
+    css_amplitudes,
+    css_support,
+    expectation,
+    make_css,
+    variance,
+)
 from cavsqueeze.params import EnsembleSpec
 
 
@@ -81,6 +90,38 @@ def test_css_large_spin_log_space():
     css = make_css(EnsembleSpec(1e4))
     total = float(np.sum(np.abs(css.amplitudes) ** 2))
     assert abs(total - 1.0) < 1e-12
+
+
+def test_css_amplitudes_equal_the_full_range_build_while_the_window_is_whole():
+    # up to 2S = 5979 the window of css_support spans every k, so padding it
+    # changes nothing: the same bits as the full-range build, half-integers included
+    for two_s in [*range(1, 201), *range(201, 5900, 97), 5899, 5900]:
+        s = two_s / 2.0
+        first_k, a = css_support(s)
+        assert first_k == 0 and len(a) == two_s + 1, s
+        assert np.array_equal(css_amplitudes(s), css_amplitudes_reference(s)), s
+
+
+@pytest.mark.parametrize("s", [2990.0, 1e4, 12345.5, 1e5])
+def test_css_window_holds_every_nonzero_amplitude(s):
+    # outside the window the full-range amplitudes are exactly 0.0; inside
+    # only the normalisation's summation order differs
+    first_k, a = css_support(s)
+    ref = css_amplitudes_reference(s)
+    full = css_amplitudes(s)
+    # the window k = first_k..2S-first_k is symmetric, as either order of m needs
+    assert first_k > 0 and first_k + len(a) - 1 == round(2 * s) - first_k
+    window = slice(first_k, first_k + len(a))
+    outside = np.ones(len(ref), dtype=bool)
+    outside[window] = False
+    assert np.count_nonzero(ref[outside]) == 0
+    assert np.max(np.abs(a - ref[window]) / np.maximum(ref[window], np.finfo(float).tiny)) <= 5e-16
+    assert len(full) == len(ref) and np.count_nonzero(full[outside]) == 0 and np.array_equal(full[window], a)
+
+
+def test_css_window_grows_as_sqrt_s():
+    # 25,987 of the 200,001 amplitudes at S = 1e5 (24,333 of them nonzero)
+    assert len(css_support(1e5)[1]) < 30_000
 
 
 def test_bands_match_dense_products():

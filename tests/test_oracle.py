@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_min_variance, dense_matrix, floored_rel_err, rel_err
+from conftest import brute_force_min_variance, css_amplitudes_reference, dense_matrix, floored_rel_err, rel_err
 
+from cavsqueeze import oracle
 from cavsqueeze.dicke import build_operators
 from cavsqueeze.feedback import analytic_moments, min_variance
 from cavsqueeze.oracle import (
@@ -123,6 +124,26 @@ def test_oracle_dimension_cap():
         oracle_moments_sum(2e5, 1.0)
     with pytest.raises(ValueError):
         oracle_moments_sum(10.0, -0.5)
+
+
+@pytest.mark.parametrize("route", [oracle_moments_sum, channel_moments])
+@pytest.mark.parametrize("q", [-1.0, math.nan, math.inf, -math.inf])
+def test_bad_shearing_is_refused_by_both_routes(route, q):
+    # nan once returned nan moments, inf a "math domain error" and a negative
+    # Q on the channel a RuntimeError from its factor guard
+    with pytest.raises(ValueError, match="^shearing strength must be finite and nonnegative$"):
+        route(50.0, q)
+
+
+def test_oracle_sum_equals_the_full_range_sum_on_the_grid(monkeypatch):
+    # on the validate-oracle grid the window of nonzero amplitudes is the
+    # whole range, so the sums are the full-range sums to the bit
+    fields = ("mean_sp", "mean_sp2", "var_y", "var_z", "cov_w")
+    windowed = {(s, q): oracle_moments_sum(s, q) for s in GRID_S for q in q_grid(s)}
+    monkeypatch.setattr(oracle, "css_support", lambda s: (0, css_amplitudes_reference(s)))
+    for (s, q), got in windowed.items():
+        full = oracle_moments_sum(s, q)
+        assert [getattr(got, f) for f in fields] == [getattr(full, f) for f in fields], (s, q)
 
 
 class TestChannel:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cavsqueeze.design import full_curve_minimum
-from cavsqueeze.dicke import css_amplitudes, m_values
+from cavsqueeze.dicke import css_amplitudes, css_support, m_values
 from cavsqueeze.feedback import analytic_moments, g_factor, raman_modified_moments
 from cavsqueeze.oracle import channel_moments, oracle_moments_sum
 from cavsqueeze.params import (TWO_PI, CavityAtomParams, DrivePulse, EnsembleSpec, load_config, nearest_spin,
@@ -38,6 +38,7 @@ READS_S = {
     "channel_moments": lambda s: channel_moments(s, 1.0),
     "m_values": lambda s: m_values(s),
     "css_amplitudes": lambda s: css_amplitudes(s),
+    "css_support": lambda s: css_support(s),
 }
 ARRAY_VALUED = ("twice_spin", "g_factor", "raman_modified_moments", "analytic_moments", "modified_min_variance",
                 "full_curve_minimum")
