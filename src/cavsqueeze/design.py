@@ -49,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .feedback import _G_DOMAIN, _scalar, raman_modified_moments
-from .params import DrivePulse
+from .params import DrivePulse, nonnegative, positive, twice_spin
 from .raman import modified_min_variance
 from .serialize import SCHEMA_VERSION
 
@@ -80,9 +80,7 @@ MIN_DETUNING_MARGIN = 10.0  # |Delta| >> kappa, Gamma, g
 
 def curvature_optimum(total_spin):
     """(Q_curv, sigma_curv_sq): closed-form optimum of 1/Q + Q^4/(24 S^2), elementwise."""
-    s = np.asarray(total_spin, dtype=float)
-    if (s <= 0.0).any():
-        raise ValueError("S must be positive")
+    s = positive("S", total_spin)
     q_curv = 6.0 ** 0.2 * np.power(s, 0.4)
     sigma_curv_sq = 1.25 * 6.0 ** (-0.2) * np.power(s, -0.4)
     return _scalar(q_curv), _scalar(sigma_curv_sq)
@@ -94,9 +92,7 @@ def scattering_optimum(total_spin, eta):
     Warns when r_opt >= 0.3, where the small-r expansion behind the
     two-term form stops being trustworthy.
     """
-    s_eta = np.asarray(total_spin, dtype=float) * eta
-    if (s_eta <= 0.0).any():
-        raise ValueError("collective cooperativity S*eta must be positive")
+    s_eta = positive("S", total_spin) * positive("eta", eta)
     q_scatt = np.sqrt(3.0 * s_eta)
     r_opt = np.sqrt(3.0 / (16.0 * s_eta))
     sigma_sq = 2.0 / np.sqrt(3.0 * s_eta)
@@ -131,9 +127,7 @@ def classify_regime(total_spin, eta):
     a factor _BOUNDARY_BAND^5 of the threshold (i.e. eta within a factor
     _BOUNDARY_BAND of the boundary coupling) carry near_boundary = True.
     """
-    s, eta = np.asarray(total_spin, dtype=float), np.asarray(eta, dtype=float)
-    if (s <= 0.0).any() or (eta <= 0.0).any():
-        raise ValueError("S and eta must be positive")
+    s, eta = positive("S", total_spin), positive("eta", eta)
     s_eta5 = s * np.power(eta, 5.0)
     curvature = s_eta5 >= _REGIME_BOUNDARY * (1.0 - _BOUNDARY_RTOL)
     band = _BOUNDARY_BAND ** 5
@@ -172,7 +166,7 @@ def full_curve_minimum(total_spin, eta):
     approximate; it can sit below those floors by about C^2 (7% at
     (S, eta) = (1e3, 0.1)), and the xi^2 minimizer lies 5-15% lower in Q.
     """
-    s, eta = np.asarray(total_spin, dtype=float)[..., None], np.asarray(eta, dtype=float)[..., None]
+    s, eta = (twice_spin(total_spin) / 2.0)[..., None], positive("eta", eta)[..., None]  # both before np.sqrt
     q_curv, _ = curvature_optimum(s)
     q_scatt = np.sqrt(3.0 * s * eta)
     lo = 0.05 * np.minimum(q_curv, q_scatt)
@@ -197,8 +191,8 @@ def kappa_t_required(ensemble, params, shearing_q, max_excited_pop):
     From epsilon * kappa * t = (kappa/g)^2 Q / (8 S): at fixed Q the pulse
     must stretch as (kappa/g)^2 / epsilon_max.
     """
-    if max_excited_pop <= 0.0:
-        raise ValueError("max_excited_pop must be positive")
+    nonnegative("shearing strength", shearing_q)
+    positive("max_excited_pop", max_excited_pop)
     return (params.kappa / params.g) ** 2 * shearing_q / (8.0 * ensemble.total_spin * max_excited_pop)
 
 
@@ -227,9 +221,10 @@ def validate_regime(ensemble, params, drive, max_excited_pop):
     """Evaluate the low-saturation / adiabaticity / linearity conditions.
 
     max_excited_pop is the low-saturation limit (design --eps-max in a
-    report); the other limits are the module constants.  Never
-    raises for out-of-regime inputs; all failures are carried as flags.
+    report); the other limits are the module constants.  Never raises for
+    out-of-regime inputs; all failures are carried as flags.
     """
+    positive("max_excited_pop", max_excited_pop)
     s = ensemble.total_spin
 
     # epsilon at S_z = 0: intracavity <c^dag c> = |beta|^2 = 2 p0/(kappa t),

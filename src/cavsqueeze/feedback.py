@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import twice_spin
+from .params import nonnegative, twice_spin
 
 # The G-factor domain |Q_eff / S| < pi/2: the principal branch, on which
 # every cosine behind the G factors stays positive.
@@ -101,10 +101,7 @@ def correlation_integrals(r):
     derives them); a series is used below 2r = 0.5, where the closed forms
     lose digits to cancellation.
     """
-    r = np.asarray(r, dtype=float)[()]
-    if (r < 0.0).any():
-        raise ValueError("r must be nonnegative")
-    a = 2.0 * r
+    a = 2.0 * nonnegative("r", r)
     x = -np.minimum(a, 0.5)
     sq_series = fin_series = 0.0
     for sq_coef, fin_coef in _SERIES:
@@ -146,9 +143,7 @@ def raman_modified_moments(total_spin, q, r):
     the CSS ensemble).
     """
     # 0-d inputs become numpy scalars, whose arithmetic costs less than 0-d arrays'
-    s, q, r = (np.asarray(v, dtype=float)[()] for v in (total_spin, q, r))
-    if (q < 0.0).any() or (r < 0.0).any():
-        raise ValueError("q and r must be nonnegative")
+    s, q = np.asarray(total_spin, dtype=float)[()], nonnegative("shearing strength", q)
     c_sq, c_fin = correlation_integrals(r)
     q_eff = q * c_fin
     # g_factor is where S is checked (params.twice_spin), so 2S below is exact

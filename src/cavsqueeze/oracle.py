@@ -23,16 +23,10 @@ import numpy as np
 
 from .dicke import DENSITY_DIM_CAP, build_operators, css_support, m_values, make_css
 from .feedback import MomentSet
-from .params import EnsembleSpec, twice_spin
+from .params import EnsembleSpec, nonnegative, twice_spin
 
 # Largest Dicke dimension 2S+1 the sums accept (S <= 1e5), not their length.
 ORACLE_SUM_CAP = 200_001
-
-
-def _check_shearing(q):
-    """Refuse a negative, nan or infinite shearing strength Q."""
-    if not 0.0 <= q < math.inf:
-        raise ValueError("shearing strength must be finite and nonnegative")
 
 
 def _sum_complex(weights, phases):
@@ -58,7 +52,7 @@ def oracle_moments_sum(total_spin, q):
     two_s = int(twice_spin(s))
     if two_s + 1 > ORACLE_SUM_CAP:
         raise ValueError(f"Dicke dimension {two_s + 1} exceeds oracle cap {ORACLE_SUM_CAP}")
-    _check_shearing(q)
+    nonnegative("shearing strength", q)
 
     first_k, a = css_support(s)
     k = np.arange(first_k, first_k + len(a), dtype=float)
@@ -117,6 +111,7 @@ def apply_feedback_channel(rho, total_spin, q):
     Diagonal populations are untouched (S_z is conserved) and Hermiticity is
     preserved by the conjugate action on the lower triangle.
     """
+    nonnegative("shearing strength", q)
     rho = np.asarray(rho, dtype=complex)
     dim = int(twice_spin(total_spin)) + 1
     if rho.shape != (dim, dim):
@@ -142,7 +137,6 @@ def channel_moments(total_spin, q):
     and the -2..+1 diagonals of rho times the ladder coefficients c_m of
     build_operators; <S_y^2> goes through the diagonal S_+S_- + S_-S_+.
     """
-    _check_shearing(q)
     rho = apply_feedback_channel(css_density_matrix(total_spin), total_spin, q)
     ops = build_operators(EnsembleSpec(total_spin=total_spin), dim_cap=DENSITY_DIM_CAP)
     c = ops.sp.upper.real

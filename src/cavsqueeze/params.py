@@ -7,6 +7,10 @@ Conventions used throughout the package:
   * the collective spin S describes N = 2S two-level atoms, so S is a positive
     half-integer: twice_spin alone decides which S is a spin and gives its 2S,
     for every function that evaluates a spin state (design's optima take S > 0),
+  * nonnegative and positive alone decide the other physical inputs (Q, r,
+    eta, p0, pulse time, g, kappa, Gamma, max_excited_pop, design's S); two
+    refusals stay elsewhere: design_report's q_target <= 0 ("no shearing
+    requested") and oracle.channel_factors' RuntimeError on a factor above 1,
   * the dispersive cavity shift per unit S_z is Omega = 2 g^2 / |Delta|
     (single-photon Rabi frequency 2g, detuning Delta),
   * single-atom cooperativity eta = 4 g^2 / (kappa Gamma),
@@ -36,6 +40,22 @@ def twice_spin(total_spin):
     if not spin.all():
         raise ValueError(f"total spin must be a positive half-integer, got {s[~spin][0].item()!r}")
     return two_s[()]
+
+
+def nonnegative(name, x):
+    """x as float, elementwise; ValueError unless every element is >= 0 and finite (nan refused)."""
+    v = np.asarray(x, dtype=float)
+    if not ((v >= 0.0) & (v < math.inf)).all():
+        raise ValueError(f"{name} must be nonnegative and finite")
+    return v[()]
+
+
+def positive(name, x):
+    """x as float, elementwise; ValueError unless every element is > 0 and finite (nan refused)."""
+    v = np.asarray(x, dtype=float)
+    if not ((v > 0.0) & (v < math.inf)).all():
+        raise ValueError(f"{name} must be positive and finite")
+    return v[()]
 
 
 def nearest_spin(x):
@@ -86,10 +106,9 @@ class CavityAtomParams:
     eta: float = field(init=False)
 
     def __post_init__(self):
-        if self.g <= 0.0 or self.kappa <= 0.0 or self.gamma <= 0.0:
-            raise ValueError("g, kappa and gamma must all be positive")
-        if self.delta == 0.0:
-            raise ValueError("detuning must be nonzero")
+        for name in ("g", "kappa", "gamma"):
+            positive(name, getattr(self, name))
+        positive("|delta|", abs(self.delta))
         object.__setattr__(self, "omega_shift", 2.0 * self.g * self.g / abs(self.delta))
         object.__setattr__(self, "eta", 4.0 * self.g * self.g / (self.kappa * self.gamma))
 
@@ -128,23 +147,20 @@ class DrivePulse:
     shearing_q: float
 
     def __post_init__(self):
-        if self.p0 < 0.0:
-            raise ValueError("p0 must be nonnegative")
-        if self.pulse_time <= 0.0:
-            raise ValueError("pulse_time must be positive")
-        if self.shearing_q < 0.0:
-            raise ValueError("shearing strength must be nonnegative")
+        nonnegative("p0", self.p0)
+        positive("pulse_time", self.pulse_time)
+        nonnegative("shearing strength", self.shearing_q)
 
     @classmethod
     def from_photon_budget(cls, p0, pulse_time, ensemble, params):
-        if pulse_time <= 0.0:
-            raise ValueError("pulse_time must be positive")
+        positive("pulse_time", pulse_time)  # before the rate divides by it
         q = ensemble.total_spin * p0 * (2.0 * params.omega_shift / params.kappa) ** 2
         rate = 2.0 * p0 / (params.kappa * pulse_time)
         return cls(p0=p0, pulse_time=pulse_time, drive_rate=rate, shearing_q=q)
 
     @classmethod
     def from_shearing(cls, q, pulse_time, ensemble, params):
+        nonnegative("shearing strength", q)  # named as Q, not as the p0 derived from it
         p0 = q / (ensemble.total_spin * (2.0 * params.omega_shift / params.kappa) ** 2)
         return cls.from_photon_budget(p0, pulse_time, ensemble, params)
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .feedback import _G_DOMAIN, min_variance, raman_modified_moments
+from .params import nonnegative, positive, twice_spin
 
 # Trajectories per chunk: one kernel call and one PCG64 stream each, ~0.5 MiB a block buffer; exact
 # mode draws the events of a chunk in blocks of _BLOCK per trajectory.  Both values are part of the
@@ -72,11 +73,9 @@ def modified_min_variance(total_spin, eta, q):
     (below pi/2, so every Q is allowed for eta <= pi/4); any element outside
     it raises ValueError before the moments are evaluated, for every S.
     """
-    s, eta, q = (np.asarray(v, dtype=float)[()] for v in (total_spin, eta, q))
-    if (q <= 0.0).any():
-        raise ValueError("shearing strength must be positive")
-    if (s * eta <= 0.0).any():
-        raise ValueError("collective cooperativity S*eta must be positive")
+    # S first, so a non-spin gets the spin message before r is formed
+    s = twice_spin(total_spin) / 2.0
+    eta, q = positive("eta", eta), positive("shearing strength", q)
     r = q / (4.0 * s * eta)
     x = -2.0 * eta * np.expm1(-2.0 * r)  # Q_eff / S
     outside = np.abs(x) >= _G_DOMAIN
@@ -108,8 +107,7 @@ class RamanProcess:
     n_atoms: int
 
     def __post_init__(self):
-        if not 0.0 <= self.r < math.inf:
-            raise ValueError("r must be nonnegative and finite")
+        nonnegative("r", self.r)
         if self.n_atoms < 1:
             raise ValueError("need at least one atom")
 

@@ -126,12 +126,17 @@ def test_oracle_dimension_cap():
         oracle_moments_sum(10.0, -0.5)
 
 
-@pytest.mark.parametrize("route", [oracle_moments_sum, channel_moments])
+def channel_on_css(total_spin, q):
+    return apply_feedback_channel(css_density_matrix(total_spin), total_spin, q)
+
+
+@pytest.mark.parametrize("route", [oracle_moments_sum, channel_moments, channel_on_css])
 @pytest.mark.parametrize("q", [-1.0, math.nan, math.inf, -math.inf])
 def test_bad_shearing_is_refused_by_both_routes(route, q):
-    # nan once returned nan moments, inf a "math domain error" and a negative
-    # Q on the channel a RuntimeError from its factor guard
-    with pytest.raises(ValueError, match="^shearing strength must be finite and nonnegative$"):
+    # nan once returned nan moments (and an all-nan matrix from the channel
+    # itself), inf a "math domain error" and a negative Q on the channel a
+    # RuntimeError from its factor guard
+    with pytest.raises(ValueError, match="^shearing strength must be nonnegative and finite$"):
         route(50.0, q)
 
 

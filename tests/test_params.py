@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from cavsqueeze.design import full_curve_minimum
+from cavsqueeze.design import (classify_regime, curvature_optimum, design_report, full_curve_minimum,
+                               kappa_t_required, scattering_optimum, validate_regime)
 from cavsqueeze.dicke import css_amplitudes, css_support, m_values
-from cavsqueeze.feedback import analytic_moments, g_factor, raman_modified_moments
-from cavsqueeze.oracle import channel_moments, oracle_moments_sum
+from cavsqueeze.feedback import analytic_moments, correlation_integrals, g_factor, raman_modified_moments
+from cavsqueeze.oracle import apply_feedback_channel, channel_moments, css_density_matrix, oracle_moments_sum
 from cavsqueeze.params import (TWO_PI, CavityAtomParams, DrivePulse, EnsembleSpec, load_config, nearest_spin,
                                system_from_config, twice_spin)
-from cavsqueeze.raman import fig2_curve, modified_min_variance
+from cavsqueeze.raman import RamanProcess, fig2_curve, modified_min_variance
 
 
 def test_ensemble_derived_quantities():
@@ -58,6 +59,103 @@ def test_every_function_that_reads_s_refuses_a_non_spin():
     accepted = [name for name, call in READS_S.items() if not _refuses(call, 2.3)]
     accepted += [f"{name}([1.5, 2.3])" for name in ARRAY_VALUED if not _refuses(READS_S[name], np.array([1.5, 2.3]))]
     assert accepted == []
+
+
+SPEC = EnsembleSpec(total_spin=100.0)
+PARAMS = CavityAtomParams(g=1.0, kappa=1.0, gamma=1.0, delta=10.0)
+DRIVE = DrivePulse.from_photon_budget(1.0, 1.0, SPEC, PARAMS)
+Q = "shearing strength"
+
+# every public function that takes Q, r, eta, p0, a pulse time, g, kappa, Gamma or max_excited_pop (and design's
+# optima, S), once per such input: (name in the message, rule, a valid value, call at that input).  design_report's
+# q_target is left out: q_target <= 0 is its own refusal ("no shearing requested")
+TAKES_AN_INPUT = {
+    "raman_modified_moments(Q)": (Q, "nonnegative", 1.0, lambda x: raman_modified_moments(5.0, x, 0.1)),
+    "raman_modified_moments(r)": ("r", "nonnegative", 0.1, lambda x: raman_modified_moments(5.0, 1.0, x)),
+    "analytic_moments(Q)": (Q, "nonnegative", 1.0, lambda x: analytic_moments(5.0, x)),
+    "correlation_integrals(r)": ("r", "nonnegative", 0.1, lambda x: correlation_integrals(x)),
+    "modified_min_variance(eta)": ("eta", "positive", 0.1, lambda x: modified_min_variance(10.0, x, 1.0)),
+    "modified_min_variance(Q)": (Q, "positive", 1.0, lambda x: modified_min_variance(10.0, 0.1, x)),
+    "fig2_curve(eta)": ("eta", "positive", 0.1, lambda x: fig2_curve(10.0, x, [1.0, 2.0])),
+    "fig2_curve(Q)": (Q, "positive", 2.0, lambda x: fig2_curve(10.0, 0.1, [1.0, x])),
+    "RamanProcess(r)": ("r", "nonnegative", 0.1, lambda x: RamanProcess(r=x, n_atoms=10)),
+    "curvature_optimum(S)": ("S", "positive", 1e4, lambda x: curvature_optimum(x)),
+    "scattering_optimum(S)": ("S", "positive", 1e4, lambda x: scattering_optimum(x, 0.1)),
+    "scattering_optimum(eta)": ("eta", "positive", 0.1, lambda x: scattering_optimum(1e4, x)),
+    "classify_regime(S)": ("S", "positive", 1e4, lambda x: classify_regime(x, 0.1)),
+    "classify_regime(eta)": ("eta", "positive", 0.1, lambda x: classify_regime(1e4, x)),
+    "full_curve_minimum(eta)": ("eta", "positive", 0.1, lambda x: full_curve_minimum(10.0, x)),
+    "kappa_t_required(Q)": (Q, "nonnegative", 1.0, lambda x: kappa_t_required(SPEC, PARAMS, x, 1e-5)),
+    "kappa_t_required(max_excited_pop)": ("max_excited_pop", "positive", 1e-5,
+                                          lambda x: kappa_t_required(SPEC, PARAMS, 1.0, x)),
+    "validate_regime(max_excited_pop)": ("max_excited_pop", "positive", 1e-5,
+                                         lambda x: validate_regime(SPEC, PARAMS, DRIVE, x)),
+    "design_report(pulse_time)": ("pulse_time", "positive", 1e-3, lambda x: design_report(SPEC, PARAMS, x, 1e-5)),
+    "design_report(max_excited_pop)": ("max_excited_pop", "positive", 1e-5,
+                                       lambda x: design_report(SPEC, PARAMS, 1e-3, x)),
+    "oracle_moments_sum(Q)": (Q, "nonnegative", 1.0, lambda x: oracle_moments_sum(5.0, x)),
+    "channel_moments(Q)": (Q, "nonnegative", 1.0, lambda x: channel_moments(5.0, x)),
+    "apply_feedback_channel(Q)": (Q, "nonnegative", 1.0,
+                                  lambda x: apply_feedback_channel(css_density_matrix(5.0), 5.0, x)),
+    "CavityAtomParams(g)": ("g", "positive", 1.0, lambda x: CavityAtomParams(g=x, kappa=1.0, gamma=1.0, delta=10.0)),
+    "CavityAtomParams(kappa)": ("kappa", "positive", 1.0,
+                                lambda x: CavityAtomParams(g=1.0, kappa=x, gamma=1.0, delta=10.0)),
+    "CavityAtomParams(gamma)": ("gamma", "positive", 1.0,
+                                lambda x: CavityAtomParams(g=1.0, kappa=1.0, gamma=x, delta=10.0)),
+    "CavityAtomParams.from_hz(g_hz)": ("g", "positive", 4e5,
+                                       lambda x: CavityAtomParams.from_hz(x, 1e6, delta_over_gamma=500.0)),
+    "CavityAtomParams.from_hz(kappa_hz)": ("kappa", "positive", 1e6,
+                                           lambda x: CavityAtomParams.from_hz(4e5, x, delta_over_gamma=500.0)),
+    "CavityAtomParams.from_hz(gamma_hz)": ("gamma", "positive", 6e6,
+                                           lambda x: CavityAtomParams.from_hz(4e5, 1e6, x, delta_hz=3e9)),
+    "DrivePulse(p0)": ("p0", "nonnegative", 1.0,
+                       lambda x: DrivePulse(p0=x, pulse_time=1.0, drive_rate=1.0, shearing_q=1.0)),
+    "DrivePulse(pulse_time)": ("pulse_time", "positive", 1.0,
+                               lambda x: DrivePulse(p0=1.0, pulse_time=x, drive_rate=1.0, shearing_q=1.0)),
+    "DrivePulse(shearing_q)": (Q, "nonnegative", 1.0,
+                               lambda x: DrivePulse(p0=1.0, pulse_time=1.0, drive_rate=1.0, shearing_q=x)),
+    "DrivePulse.from_photon_budget(p0)": ("p0", "nonnegative", 1.0,
+                                          lambda x: DrivePulse.from_photon_budget(x, 1.0, SPEC, PARAMS)),
+    "DrivePulse.from_photon_budget(pulse_time)": ("pulse_time", "positive", 1.0,
+                                                  lambda x: DrivePulse.from_photon_budget(1.0, x, SPEC, PARAMS)),
+    "DrivePulse.from_shearing(Q)": (Q, "nonnegative", 1.0, lambda x: DrivePulse.from_shearing(x, 1.0, SPEC, PARAMS)),
+    "DrivePulse.from_shearing(pulse_time)": ("pulse_time", "positive", 1.0,
+                                             lambda x: DrivePulse.from_shearing(1.0, x, SPEC, PARAMS)),
+}
+ARRAY_INPUTS = ("raman_modified_moments(Q)", "raman_modified_moments(r)", "analytic_moments(Q)",
+                "correlation_integrals(r)", "modified_min_variance(eta)", "modified_min_variance(Q)",
+                "curvature_optimum(S)", "scattering_optimum(S)", "scattering_optimum(eta)", "classify_regime(S)",
+                "classify_regime(eta)", "full_curve_minimum(eta)")
+
+
+def _refuses_with(call, x, message):
+    try:
+        call(x)
+    except Exception as exc:  # a RuntimeWarning made an error counts as let through
+        return isinstance(exc, ValueError) and str(exc) == message
+    return False
+
+
+def test_every_function_that_takes_a_physical_input_refuses_it_out_of_domain():
+    accepted = []
+    for label, (name, rule, good, call) in TAKES_AN_INPUT.items():
+        call(good)  # a valid value passes, and so does 0 where the rule is nonnegative
+        if rule == "nonnegative":
+            call(0.0)
+        message = f"{name} must be {rule} and finite"
+        bad = [-1.0, math.nan, math.inf] + ([0.0] if rule == "positive" else [])
+        accepted += [f"{label} at {x}" for x in bad if not _refuses_with(call, x, message)]
+        if label in ARRAY_INPUTS:
+            accepted += [f"{label} at [{good}, {x}]" for x in bad
+                         if not _refuses_with(call, np.array([good, x]), message)]
+    assert accepted == []
+
+
+def test_detuning_is_refused_only_at_zero_or_non_finite():
+    assert CavityAtomParams(g=1.0, kappa=1.0, gamma=1.0, delta=-10.0).omega_shift == 0.2
+    for bad in (0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^\|delta\| must be positive and finite$"):
+            CavityAtomParams(g=1.0, kappa=1.0, gamma=1.0, delta=bad)
 
 
 def test_twice_spin_is_exact_and_elementwise():

@@ -7,6 +7,9 @@ kept alive only by its tests is reported.  No import statement sits inside
 a function, and the submodules import each other without a cycle.  Only
 params rounds twice a value, round(2 * x) or np.rint(2.0 * x): which S is a
 spin, and what its 2S is, is decided there (params.twice_spin) and nowhere else.
+Likewise only params raises a ValueError whose text says an input "must be
+positive" or "must be nonnegative" (params.positive and params.nonnegative),
+design_report's "no shearing requested" apart.
 In cli, only run writes: no other code there calls write_csv, write_json,
 write_manifest or mkdir, so a subcommand handler only returns its files.
 Only raman._run_chunks builds a random stream (a bit generator, a
@@ -128,6 +131,41 @@ def spin_roundings(package=PACKAGE):
 
 def test_only_params_rounds_a_spin():
     assert spin_roundings() == []
+
+
+_DOMAIN_WORDS = re.compile(r"must be (finite and )?(positive|nonnegative)")
+_KEPT_REFUSALS = {("design.design_report", "no shearing requested: q_target must be positive")}
+
+
+def _literal_text(node):
+    """The text of a string constant, or the constant parts of an f-string; '' for anything else."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(map(_literal_text, node.values))
+    return ""
+
+
+def domain_refusals(package=PACKAGE):
+    """module.definition:line of each ValueError outside params whose text says an input must be positive or
+    nonnegative, by top-level definition, the kept refusals apart."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "params":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(node, 'name', '<module>')}"
+            for raised in ast.walk(node):
+                exc = raised.exc if isinstance(raised, ast.Raise) else None
+                if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "ValueError":
+                    text = "".join(map(_literal_text, exc.args))
+                    if _DOMAIN_WORDS.search(text) and (where, text) not in _KEPT_REFUSALS:
+                        found.append(f"{where}:{raised.lineno}")
+    return found
+
+
+def test_only_params_refuses_an_input_out_of_domain():
+    assert domain_refusals() == []
 
 
 _WRITERS = {"write_csv", "write_json", "write_manifest", "mkdir"}
