@@ -21,8 +21,9 @@ import numpy as np
 
 from .params import twice_spin
 
-# Desk-scale memory caps: 4001 (S <= 2000) for state-vector work,
-# 401 (S <= 200) for density matrices.
+# 4001 (S <= 2000) caps state-vector work for memory.  401 (S <= 200) caps
+# the density-matrix channel, whose banded traces would fit far past it: it
+# is the range over which that route is validated against the sums.
 STATE_DIM_CAP = 4001
 DENSITY_DIM_CAP = 401
 

@@ -5,23 +5,26 @@ Two independent numerical routes to the same moments:
   * oracle_moments_sum: explicit finite sums over Dicke amplitudes of the
     sheared coherence moments, with the S_z-dependent phase factor standing
     to the LEFT of the powers of S_+ (matrix element at the higher m),
-  * apply_feedback_channel: a Schroedinger-picture map on the density
-    matrix multiplying each coherence <m|rho|m'> (n = m' - m > 0) by
-    exp(-(n^2-n)(1+i)Q/(2S)) exp(i n Q m'/S), the unique matrix-element
-    assignment that reproduces those sums on arbitrary states.
+  * channel_moments: a Schroedinger-picture map on the density matrix
+    multiplying each coherence <m|rho|m'> (n = m' - m > 0) by
+    channel_factors' exp(-(n^2-n)(1+i)Q/(2S)) exp(i n Q m'/S), the unique
+    matrix-element assignment that reproduces those sums on arbitrary
+    states, applied to the CSS and traced against the spin operators.
 
 Numerical care: the sums run in float64 on the normalised amplitudes of
 dicke.css_support, up to S ~ 1e5; their cancellation error stays ~1e-12
 relative even at Q = S/2 on the validate-oracle grid (S <= 200).  They run
 over css_support's window alone (every term dropped is exactly 0), O(sqrt(S))
-terms: ~26,000 at S = 1e5.  The channel's traces are O(S) on a dense matrix.
+terms: ~26,000 at S = 1e5.  The channel's traces read only the populations
+and the -2..+1 diagonals of the sheared density matrix, so it forms those
+four diagonals alone: O(S) work and memory, up to DENSITY_DIM_CAP.
 """
 
 import math
 
 import numpy as np
 
-from .dicke import DENSITY_DIM_CAP, build_operators, css_support, m_values, make_css
+from .dicke import DENSITY_DIM_CAP, build_operators, css_amplitudes, css_support
 from .feedback import MomentSet
 from .params import EnsembleSpec, nonnegative, twice_spin
 
@@ -84,70 +87,53 @@ def oracle_moments_sum(total_spin, q):
                      var_y=var_y, var_z=s / 2.0, cov_w=cov_w)
 
 
-def channel_factors(total_spin, q):
-    """Element-wise coherence factors of the feedback map.
+def channel_factors(total_spin, q, m, m_prime):
+    """Coherence factor F(m, m') of the feedback map, element-wise on broadcastable arrays of m and m'.
 
     <m|rho|m'> with n = m' - m > 0 picks up exp(-(n^2-n)(1+i)Q/(2S)) times
     exp(i n Q m'/S); the n < 0 elements are the Hermitian mirror and the
-    diagonal is untouched.  All magnitudes are <= 1; anything larger is a
-    sign/ordering bug and raises.
+    populations (n = 0) get 1.  All magnitudes are <= 1; anything larger is
+    a sign/ordering bug and raises.
     """
     s = float(total_spin)
-    m = m_values(s)
-    n = m[None, :] - m[:, None]  # m' - m, with m along rows and m' along columns
+    n = m_prime - m
     n_abs = np.abs(n)
-    m_big = np.maximum.outer(m, m)
     damp = np.exp(-(n_abs * n_abs - n_abs) * q / (2.0 * s))
-    phase = n * q * m_big / s - np.sign(n) * (n_abs * n_abs - n_abs) * q / (2.0 * s)
+    phase = n * q * np.maximum(m, m_prime) / s - np.sign(n) * (n_abs * n_abs - n_abs) * q / (2.0 * s)
     factors = damp * np.exp(1j * phase)
     if np.any(np.abs(factors) > 1.0 + 1e-12):
         raise RuntimeError("channel factor exceeds unit magnitude: sign/ordering bug")
     return factors
 
 
-def apply_feedback_channel(rho, total_spin, q):
-    """Apply the coherence-wise feedback map to a density matrix.
-
-    Diagonal populations are untouched (S_z is conserved) and Hermiticity is
-    preserved by the conjugate action on the lower triangle.
-    """
-    nonnegative("shearing strength", q)
-    rho = np.asarray(rho, dtype=complex)
-    dim = int(twice_spin(total_spin)) + 1
-    if rho.shape != (dim, dim):
-        raise ValueError(f"density matrix must be {dim}x{dim} for S = {total_spin}")
-    return channel_factors(total_spin, q) * rho
-
-
-def css_density_matrix(total_spin):
-    """|CSS_+x><CSS_+x| as a dense matrix (density-matrix cap applies)."""
-    spec = EnsembleSpec(total_spin=total_spin)
-    if spec.dicke_dim > DENSITY_DIM_CAP:
-        raise ValueError(f"Dicke dimension {spec.dicke_dim} exceeds cap {DENSITY_DIM_CAP}")
-    amps = make_css(spec).amplitudes
-    return np.outer(amps, amps.conj())
-
-
 def channel_moments(total_spin, q):
-    """Moments via the density-matrix channel, traced on the diagonals of rho.
+    """Moments via the density-matrix channel on the CSS, traced on the diagonals of rho.
 
-    rho comes from apply_feedback_channel on the dense CSS, so this route
-    shares no arithmetic with oracle_moments_sum beyond the CSS amplitudes.
     Every operator is banded, so each trace tr(rho A) takes the populations
     and the -2..+1 diagonals of rho times the ladder coefficients c_m of
     build_operators; <S_y^2> goes through the diagonal S_+S_- + S_-S_+.
+    Only those four diagonals are formed, entry (i, i+d) as
+    a_i a_{i+d} F(m_i, m_{i+d}) on the CSS amplitudes a, so this route
+    shares no arithmetic with oracle_moments_sum beyond the amplitudes.
     """
-    rho = apply_feedback_channel(css_density_matrix(total_spin), total_spin, q)
     ops = build_operators(EnsembleSpec(total_spin=total_spin), dim_cap=DENSITY_DIM_CAP)
+    nonnegative("shearing strength", q)
     c = ops.sp.upper.real
     m = ops.sz.diag.real
-    pop = np.diagonal(rho).real
+    a = css_amplitudes(total_spin)
 
-    below = np.diagonal(rho, -1)
+    def diagonal(d):
+        """Diagonal d of the sheared CSS density matrix, in np.diagonal's order."""
+        rows = slice(max(0, -d), len(a) - max(0, d))
+        cols = slice(max(0, d), len(a) - max(0, -d))
+        return channel_factors(total_spin, q, m[rows], m[cols]) * (a[rows] * a[cols])
+
+    pop = diagonal(0).real
+    below = diagonal(-1)
     mean_sp = complex(np.sum(below * c))
-    mean_sp2 = complex(np.sum(np.diagonal(rho, -2) * c[:-1] * c[1:]))
+    mean_sp2 = complex(np.sum(diagonal(-2) * c[:-1] * c[1:]))
     # rho_{i+1,i} <i|S_y|i+1> + rho_{i,i+1} <i+1|S_y|i>, term by term
-    sy_terms = (below - np.diagonal(rho, 1)) * c / 2j
+    sy_terms = (below - diagonal(1)) * c / 2j
     mean_y = float(np.sum(sy_terms).real)
     ladder = float(np.sum((pop[:-1] + pop[1:]) * c * c))  # <S_+S_- + S_-S_+>
     var_y = (ladder - 2.0 * mean_sp2.real) / 4.0 - mean_y * mean_y

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 
-from cavsqueeze.oracle import oracle_moments_sum
-from cavsqueeze.params import twice_spin
+from cavsqueeze.dicke import DENSITY_DIM_CAP, build_operators, m_values, make_css
+from cavsqueeze.feedback import MomentSet
+from cavsqueeze.oracle import channel_factors, oracle_moments_sum
+from cavsqueeze.params import EnsembleSpec, twice_spin
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -63,6 +65,61 @@ def floored_rel_err(a, b, floor):
 def dense_matrix(op):
     """The (2S+1) x (2S+1) matrix of a tridiagonal operator, from its bands."""
     return np.diag(op.diag) + np.diag(op.upper, 1) + np.diag(op.lower, -1)
+
+
+def channel_factor_matrix(total_spin, q):
+    """oracle.channel_factors on the full (2S+1) x (2S+1) grid: row m, column m', both +S..-S."""
+    m = m_values(total_spin)
+    return channel_factors(total_spin, q, m[:, None], m[None, :])
+
+
+def apply_feedback_channel(rho, total_spin, q):
+    """The feedback map on a whole density matrix, the tests' dense reference.
+
+    Each entry <m|rho|m'> is multiplied by its factor F(m, m'), so the
+    populations are untouched (S_z is conserved) and Hermiticity is kept by
+    the conjugate factors of the lower triangle.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    dim = int(twice_spin(total_spin)) + 1
+    if rho.shape != (dim, dim):
+        raise ValueError(f"density matrix must be {dim}x{dim} for S = {total_spin}")
+    return channel_factor_matrix(total_spin, q) * rho
+
+
+def css_density_matrix(total_spin):
+    """|CSS_+x><CSS_+x| as a dense matrix."""
+    amps = make_css(EnsembleSpec(total_spin=total_spin)).amplitudes
+    return np.outer(amps, amps.conj())
+
+
+def dense_channel_moments(total_spin, q):
+    """The tests' reference for oracle.channel_moments: the dense map on the dense CSS, traced on its diagonals.
+
+    Every operator is banded, so each trace tr(rho A) takes the populations
+    and the -2..+1 diagonals of rho times the ladder coefficients c_m of
+    build_operators; <S_y^2> goes through the diagonal S_+S_- + S_-S_+.
+    """
+    rho = apply_feedback_channel(css_density_matrix(total_spin), total_spin, q)
+    ops = build_operators(EnsembleSpec(total_spin=total_spin), dim_cap=DENSITY_DIM_CAP)
+    c = ops.sp.upper.real
+    m = ops.sz.diag.real
+    pop = np.diagonal(rho).real
+
+    below = np.diagonal(rho, -1)
+    mean_sp = complex(np.sum(below * c))
+    mean_sp2 = complex(np.sum(np.diagonal(rho, -2) * c[:-1] * c[1:]))
+    # rho_{i+1,i} <i|S_y|i+1> + rho_{i,i+1} <i+1|S_y|i>, term by term
+    sy_terms = (below - np.diagonal(rho, 1)) * c / 2j
+    mean_y = float(np.sum(sy_terms).real)
+    ladder = float(np.sum((pop[:-1] + pop[1:]) * c * c))  # <S_+S_- + S_-S_+>
+    var_y = (ladder - 2.0 * mean_sp2.real) / 4.0 - mean_y * mean_y
+    mean_z = float(np.sum(pop * m))
+    var_z = float(np.sum(pop * m * m)) - mean_z * mean_z
+    # {S_y, S_z} has the S_y bands times m_i + m_{i+1}
+    cov_w = float(np.sum(sy_terms * (m[:-1] + m[1:])).real)
+    return MomentSet(total_spin=float(total_spin), shearing_q=float(q), mean_sp=mean_sp,
+                     mean_sp2=mean_sp2, var_y=var_y, var_z=var_z, cov_w=cov_w)
 
 
 def lockstep_exact_reference(rng, process, s, lag_times, m):

@@ -1,21 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_min_variance, css_amplitudes_reference, dense_matrix, floored_rel_err, rel_err
+from conftest import (apply_feedback_channel, brute_force_min_variance, channel_factor_matrix, css_amplitudes_reference,
+                      css_density_matrix, dense_channel_moments, dense_matrix, floored_rel_err, rel_err)
 
 from cavsqueeze import oracle
-from cavsqueeze.dicke import build_operators
+from cavsqueeze.dicke import build_operators, m_values
 from cavsqueeze.feedback import analytic_moments, min_variance
-from cavsqueeze.oracle import (
-    apply_feedback_channel,
-    channel_factors,
-    channel_moments,
-    css_density_matrix,
-    oracle_moments_sum,
-)
+from cavsqueeze.oracle import channel_factors, channel_moments, oracle_moments_sum
 from cavsqueeze.params import EnsembleSpec
 
 GRID_S = (0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 200.0)
@@ -126,16 +122,11 @@ def test_oracle_dimension_cap():
         oracle_moments_sum(10.0, -0.5)
 
 
-def channel_on_css(total_spin, q):
-    return apply_feedback_channel(css_density_matrix(total_spin), total_spin, q)
-
-
-@pytest.mark.parametrize("route", [oracle_moments_sum, channel_moments, channel_on_css])
+@pytest.mark.parametrize("route", [oracle_moments_sum, channel_moments])
 @pytest.mark.parametrize("q", [-1.0, math.nan, math.inf, -math.inf])
 def test_bad_shearing_is_refused_by_both_routes(route, q):
-    # nan once returned nan moments (and an all-nan matrix from the channel
-    # itself), inf a "math domain error" and a negative Q on the channel a
-    # RuntimeError from its factor guard
+    # nan once returned nan moments, inf a "math domain error" and a negative
+    # Q on the channel a RuntimeError from its factor guard
     with pytest.raises(ValueError, match="^shearing strength must be nonnegative and finite$"):
         route(50.0, q)
 
@@ -149,6 +140,27 @@ def test_oracle_sum_equals_the_full_range_sum_on_the_grid(monkeypatch):
     for (s, q), got in windowed.items():
         full = oracle_moments_sum(s, q)
         assert [getattr(got, f) for f in fields] == [getattr(full, f) for f in fields], (s, q)
+
+
+# the bit-identity spins: half-integers, the grid and the cap S = 200
+BIT_S = (0.5, 1.0, 2.5, 10.0, 37.5, 50.0, 100.0, 200.0)
+
+
+def moment_bits(moments):
+    """The float64 bit patterns of every moment, real and imaginary parts apart."""
+    values = [moments.mean_sp, moments.mean_sp2, moments.var_y, moments.var_z, moments.cov_w]
+    return np.array([[complex(v).real, complex(v).imag] for v in values]).tobytes()
+
+
+def channel_disagreement(a, b, s):
+    """Largest difference of two moment sets: relative for var_y and cov_w, floored at 1e-8 S for <S_+>
+    and at 1e-3 S^2 for <S_+^2>."""
+    return max(
+        rel_err(a.var_y, b.var_y),
+        rel_err(a.cov_w, b.cov_w),
+        floored_rel_err(a.mean_sp, b.mean_sp, 1e-8 * s),
+        floored_rel_err(a.mean_sp2, b.mean_sp2, 1e-3 * s * s),
+    )
 
 
 class TestChannel:
@@ -176,11 +188,11 @@ class TestChannel:
     def test_factor_magnitude_guard(self):
         # a negative shearing flips the damping into growth: hard failure
         with pytest.raises(RuntimeError, match="unit magnitude"):
-            channel_factors(10.0, -1.0)
+            channel_factor_matrix(10.0, -1.0)
 
     def test_second_coherence_damping_exact(self):
         for s, q in [(5.0, 0.7), (100.0, 13.0)]:
-            f = channel_factors(s, q)
+            f = channel_factor_matrix(s, q)
             # |factor| on the n = 2 line is e^{-Q/S}, n = 1 is undamped
             two_line = np.abs(np.diagonal(f, offset=2))
             one_line = np.abs(np.diagonal(f, offset=1))
@@ -220,14 +232,48 @@ class TestChannel:
                 assert abs(got.cov_w - tr(sy @ sz + sz @ sy).real) < 1e-13 * s, (s, q)
 
     def test_two_oracle_paths_agree_on_grid(self):
-        for s in (0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0):
+        for s in GRID_S:
             for q in q_grid(s):
-                a = oracle_moments_sum(s, q)
-                b = channel_moments(s, q)
-                assert rel_err(a.var_y, b.var_y) < 1e-10, (s, q)
-                assert rel_err(a.cov_w, b.cov_w) < 1e-10, (s, q)
-                assert floored_rel_err(a.mean_sp, b.mean_sp, 1e-8 * s) < 1e-10, (s, q)
-                assert floored_rel_err(a.mean_sp2, b.mean_sp2, 1e-3 * s * s) < 1e-10, (s, q)
+                err = channel_disagreement(oracle_moments_sum(s, q), channel_moments(s, q), s)
+                assert err < 1e-10, (s, q, err)
+
+    def test_banded_channel_is_the_dense_route_to_the_bit(self):
+        # the dense map on the dense CSS, traced by the same diagonal code
+        for s in BIT_S:
+            for q in q_grid(s):
+                assert moment_bits(channel_moments(s, q)) == moment_bits(dense_channel_moments(s, q)), (s, q)
+
+    def test_factors_on_a_band_are_the_full_grid_diagonal(self):
+        for s in BIT_S:
+            m = m_values(s)
+            for q in q_grid(s):
+                full = channel_factor_matrix(s, q)
+                for d in (-2, -1, 0, 1, 2):
+                    rows, cols = m[max(0, -d):len(m) - max(0, d)], m[max(0, d):len(m) - max(0, -d)]
+                    band = channel_factors(s, q, rows, cols)
+                    assert band.tobytes() == np.diagonal(full, d).tobytes(), (s, q, d)
+
+    def test_memory_peak_is_banded_at_the_cap(self):
+        # the dense route peaks at ~14 MB here: a 401 x 401 complex matrix is 2.6 MB
+        tracemalloc.start()
+        try:
+            channel_moments(200.0, 100.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
+
+
+# Over 2,000 uniform random draws of the same (2S, Q) the worst disagreement is
+# 1.1e-11 (S = 198.5, Q = 97); the bound is the grid test's.
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(two_s=st.integers(1, 400), frac=st.floats(0.0, 1.0))
+def test_channel_matches_the_sums_property(two_s, frac):
+    # every spin up to the channel's cap, half-integers included, Q <= S/2
+    s = two_s / 2.0
+    q = frac * s / 2.0
+    err = channel_disagreement(oracle_moments_sum(s, q), channel_moments(s, q), s)
+    assert err < 1e-10, (s, q, err)
 
 
 class TestDensityMatrixValidation:
@@ -240,8 +286,9 @@ class TestDensityMatrixValidation:
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-10
 
     def test_density_matrix_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            css_density_matrix(500.0)
+        # the channel refuses a Dicke dimension past DENSITY_DIM_CAP before any work
+        with pytest.raises(ValueError, match="^Dicke dimension 1001 exceeds cap 401$"):
+            channel_moments(500.0, 1.0)
 
 
 class TestBruteForceMinimum:

@@ -7,7 +7,7 @@ from cavsqueeze.design import (classify_regime, curvature_optimum, design_report
                                kappa_t_required, scattering_optimum, validate_regime)
 from cavsqueeze.dicke import css_amplitudes, css_support, m_values
 from cavsqueeze.feedback import analytic_moments, correlation_integrals, g_factor, raman_modified_moments
-from cavsqueeze.oracle import apply_feedback_channel, channel_moments, css_density_matrix, oracle_moments_sum
+from cavsqueeze.oracle import channel_moments, oracle_moments_sum
 from cavsqueeze.params import (TWO_PI, CavityAtomParams, DrivePulse, EnsembleSpec, load_config, nearest_spin,
                                system_from_config, twice_spin)
 from cavsqueeze.raman import RamanProcess, fig2_curve, modified_min_variance
@@ -95,8 +95,6 @@ TAKES_AN_INPUT = {
                                        lambda x: design_report(SPEC, PARAMS, 1e-3, x)),
     "oracle_moments_sum(Q)": (Q, "nonnegative", 1.0, lambda x: oracle_moments_sum(5.0, x)),
     "channel_moments(Q)": (Q, "nonnegative", 1.0, lambda x: channel_moments(5.0, x)),
-    "apply_feedback_channel(Q)": (Q, "nonnegative", 1.0,
-                                  lambda x: apply_feedback_channel(css_density_matrix(5.0), 5.0, x)),
     "CavityAtomParams(g)": ("g", "positive", 1.0, lambda x: CavityAtomParams(g=x, kappa=1.0, gamma=1.0, delta=10.0)),
     "CavityAtomParams(kappa)": ("kappa", "positive", 1.0,
                                 lambda x: CavityAtomParams(g=1.0, kappa=x, gamma=1.0, delta=10.0)),
