@@ -48,7 +48,7 @@ ORACLE_TOL = 1e-10  # validate-oracle's relative-error gate, exit 2 beyond it
 _ORACLE_S_GRID = (0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 200.0)
 
 # Grid-size limits, checked before any grid is built.  Peak memory measured
-# on a 2-vCPU host: fig2 ~580 B per (Q, eta) point (~150 MB at the limit);
+# on a 2-vCPU host: fig2 ~530 B per (Q, eta) point (~140 MB at the limit);
 # sweep ~1.1 kB per (S, eta) point, ~12 kB with --full-minimum (~200 MB).
 MAX_FIG2_POINTS = 2 ** 18  # qpoints x number of --eta values
 MAX_SWEEP_POINTS = 2 ** 14  # s-points x eta-points
@@ -115,7 +115,7 @@ def build_parser():
 
 @dataclass(frozen=True)
 class Result:
-    """What a handler produced: files by name in write order, (header, rows) for a .csv name and a JSON
+    """What a handler produced: files by name in write order, (header, blocks) for a .csv name and a JSON
     object otherwise; its manifest fields; its exit code; and the stdout text before "wrote <first file>"."""
 
     files: dict
@@ -135,29 +135,30 @@ def cmd_fig2(args):
                          f"MAX_FIG2_POINTS = {MAX_FIG2_POINTS}")
     q_grid = (np.linspace if args.linear_grid else np.geomspace)(args.qmin, args.qmax, args.qpoints)
     # raises ValueError where Q_eff / S passes the G-factor branch
-    rows = [(eta, *row) for eta in args.eta for row in fig2_curve(spec.total_spin, eta, q_grid)]
-    return Result({"fig2.csv": (("eta", "Q", "sigma_min_sq", "sigma_curv_sq", "sigma_ideal_sq"), rows)})
+    blocks = fig2_curve(spec.total_spin, args.eta, q_grid)
+    return Result({"fig2.csv": (("eta", "Q", "sigma_min_sq", "sigma_curv_sq", "sigma_ideal_sq"), blocks)})
 
 
 def cmd_validate_oracle(args):
     spins = [s for s in _ORACLE_S_GRID if s <= args.smax]
     if not spins:
         raise ValueError(f"--smax {args.smax:g} is below the smallest grid spin {_ORACLE_S_GRID[0]:g}")
-    rows = []
+    blocks = []
     for s in spins:
-        qs = (0.0, 0.1, 1.0, 5.0, 0.5 * s)
+        qs = [0.0, 0.1, 1.0, 5.0, 0.5 * s]
         closed = analytic_moments(s, np.array(qs))
-        for q, var_closed, cov_closed in zip(qs, closed.var_y.tolist(), closed.cov_w.tolist()):
-            oracle = oracle_moments_sum(s, q)
-            err_v = _relative_error(var_closed, oracle.var_y)
-            err_w = _relative_error(cov_closed, oracle.cov_w)
-            ok = err_v <= ORACLE_TOL and err_w <= ORACLE_TOL
-            rows.append((s, q, var_closed, oracle.var_y, err_v, cov_closed, oracle.cov_w, err_w, ok))
-    n_fail = sum(not row[-1] for row in rows)
+        var_closed, cov_closed = closed.var_y.tolist(), closed.cov_w.tolist()
+        oracles = [oracle_moments_sum(s, q) for q in qs]
+        var_oracle, cov_oracle = [o.var_y for o in oracles], [o.cov_w for o in oracles]
+        err_v = list(map(_relative_error, var_closed, var_oracle))
+        err_w = list(map(_relative_error, cov_closed, cov_oracle))
+        ok = [ev <= ORACLE_TOL and ew <= ORACLE_TOL for ev, ew in zip(err_v, err_w)]
+        blocks.append((s, qs, var_closed, var_oracle, err_v, cov_closed, cov_oracle, err_w, ok))
+    passed = [ok for block in blocks for ok in block[-1]]
     # duplicated rel_err column name is the documented schema
     header = ("S", "Q", "var_y_closed", "var_y_oracle", "rel_err", "cov_closed", "cov_oracle", "rel_err", "pass")
-    return Result({"validate_oracle.csv": (header, rows)}, code=0 if n_fail == 0 else 2,
-                  prefix=f"{len(rows) - n_fail}/{len(rows)} grid points within {ORACLE_TOL:g}; ")
+    return Result({"validate_oracle.csv": (header, blocks)}, code=0 if all(passed) else 2,
+                  prefix=f"{sum(passed)}/{len(passed)} grid points within {ORACLE_TOL:g}; ")
 
 
 def _mc_health(record, total_spin, r, corr_target, elapsed_s):
@@ -203,8 +204,8 @@ def cmd_raman_mc(args):
     }}
     if args.corr_csv:
         # an undefined standard error (one trajectory) is an empty cell
-        rows = zip(record["lags"], record["corr"], record["corr_se"], target)
-        files["raman_corr.csv"] = (("lag", "corr", "corr_se", "target"), rows)
+        columns = (record["lags"], record["corr"], record["corr_se"], target)
+        files["raman_corr.csv"] = (("lag", "corr", "corr_se", "target"), [columns])
     return Result(files, seed=args.seed,
                   mc_health=_mc_health(record, spec.total_spin, args.r, target, elapsed_s))
 
@@ -233,7 +234,7 @@ def cmd_sweep(args):
     if args.full_minimum:
         header += ["q_full", "sigma_full_sq"]
         columns += full_curve_minimum(s, eta)
-    return Result({"sweep.csv": (header, zip(*(np.asarray(c).tolist() for c in columns)))})
+    return Result({"sweep.csv": (header, [[np.asarray(c).tolist() for c in columns]])})
 
 
 def _refuse_non_finite(args):

@@ -85,18 +85,28 @@ def modified_min_variance(total_spin, eta, q):
     return min_variance(raman_modified_moments(s, q, r))
 
 
-def fig2_curve(total_spin, eta, q_grid):
-    """Squeezing-vs-Q curve plus the two reference curves, from one array call.
+def fig2_curve(total_spin, etas, q_grid):
+    """Squeezing-vs-Q curves for several cooperativities plus the two reference curves, from one array call.
 
-    Returns a list of rows (q, sigma_min_sq, sigma_curv_sq, sigma_ideal_sq):
-    the scattering-degraded minimum, the flat curvature floor
-    (5/4) 6^{-1/5} S^{-2/5}, and the ideal 1/Q line.
+    Returns one block of CSV columns per eta, (eta, q, sigma_min_sq,
+    sigma_curv_sq, sigma_ideal_sq): the scattering-degraded minimum, the
+    flat curvature floor (5/4) 6^{-1/5} S^{-2/5}, and the ideal 1/Q line.
+    The q and 1/Q lists are the same objects in every block.  A refused
+    input raises the ValueError that one curve per eta, in order, meets
+    first.
     """
     s = float(total_spin)
     sigma_curv_sq = 1.25 * 6.0 ** (-0.2) * s ** (-0.4)
+    eta = np.asarray(etas, dtype=float).ravel()
     q = np.asarray(q_grid, dtype=float).ravel()
-    sigma = modified_min_variance(s, eta, q)
-    return [(qi, si, sigma_curv_sq, 1.0 / qi) for qi, si in zip(q.tolist(), sigma.tolist())]
+    try:
+        sigma = modified_min_variance(s, eta[:, None], q)
+    except ValueError:
+        for e in eta:
+            modified_min_variance(s, e, q)
+        raise
+    q_list, ideal = q.tolist(), (1.0 / q).tolist()
+    return [(e, q_list, row, sigma_curv_sq, ideal) for e, row in zip(eta.tolist(), sigma.tolist())]
 
 
 @dataclass(frozen=True)

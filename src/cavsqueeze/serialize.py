@@ -1,7 +1,9 @@
 """Deterministic, machine-readable output: CSV, JSON and run manifests.
 
 Floats are written with Python's shortest round-trip representation
-(repr), so CSV/JSON outputs are byte-stable and parse back exactly.  Every
+(repr), so CSV/JSON outputs are byte-stable and parse back exactly.  A CSV
+is written from blocks of columns (write_csv), and a column that recurs
+across blocks, such as fig2's Q grid, is formatted once per file.  Every
 CLI run writes a manifest beside its outputs (write_manifest): the argv,
 the outputs in write order, the warnings raised as {"category", "message"}
 entries (an empty list when none), the environment (seeded Monte Carlo
@@ -33,13 +35,32 @@ def format_value(value):
     return str(value)
 
 
-def write_csv(path, header, rows):
-    """Write rows with a fixed column order and round-trip float format."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(format_value, row)))
+def write_csv(path, header, blocks):
+    """Write a CSV with a fixed column order from blocks of columns, in the round-trip float format.
+
+    Each block is a sequence of columns over the same rows.  A list column
+    holds one cell per row of its block, and any other value fills every
+    row; a block without a list column is one row.  A list that recurs, in
+    one block or several, is formatted once per file, keyed by identity: the
+    key holds the list until every row is made, so no other list can take
+    its id.  List columns of one block that differ in length raise
+    ValueError before the file is opened.
+    """
+    lines = [",".join(header), *_rows(blocks), ""]  # the empty last line ends the file with a newline
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines))
+
+
+def _rows(blocks):
+    """The CSV text of each row of blocks; the formatted cells are freed with the generator, before the join."""
+    formatted = {}  # id -> (list, its cells)
+    for block in blocks:
+        rows = next((len(c) for c in block if isinstance(c, list)), 1)
+        for column in block:
+            if isinstance(column, list) and id(column) not in formatted:
+                formatted[id(column)] = (column, list(map(format_value, column)))
+        columns = [formatted[id(c)][1] if isinstance(c, list) else [format_value(c)] * rows for c in block]
+        yield from map(",".join, zip(*columns, strict=True))
 
 
 def write_json(path, obj):

@@ -96,6 +96,40 @@ def test_validate_oracle_bytes_are_pinned(tmp_path):
     assert digest == _ORACLE_CSV_DIGEST
 
 
+# sha256 of the closed-form CSVs: fig2 at three cooperativities (eta-major blocks that share the Q and 1/Q
+# columns) and the default sweep --full-minimum; the closed forms, the writer and float repr all feed them.
+_CLOSED_FORM_CSV_DIGESTS = [
+    (["fig2", "--S", "1000", "--eta", "0.01", "--eta", "0.1", "--eta", "1"], "fig2.csv",
+     "5830097a1bf55fe66793e1da14d8daa8e94b42d2e91f50008cabe721420c4349"),
+    (["sweep", "--full-minimum"], "sweep.csv", "980ed35c6792920d2706716e5866caea99d97874edbeb0f9248a3039faf9db4e"),
+]
+
+
+@pytest.mark.parametrize("argv, name, digest", _CLOSED_FORM_CSV_DIGESTS, ids=["fig2", "sweep"])
+def test_closed_form_csv_bytes_are_pinned(tmp_path, argv, name, digest):
+    assert _run(argv, tmp_path) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("etas, message", [
+    # eta = 100 leaves the domain at a lower Q than eta = 3, so only the eta-major order names eta = 3's value
+    (["0.1", "3", "100"], "Q_eff / S = 1.5737079693215268: outside the principal branch |Q_eff / S| < pi/2 "
+                          "of the G factor"),
+    # one curve per eta refuses the out-of-domain eta before it reaches the non-positive one, and the reverse
+    (["100", "-1"], "Q_eff / S = 1.5822729517463208: outside the principal branch |Q_eff / S| < pi/2 "
+                    "of the G factor"),
+    (["-1", "100"], "eta must be positive and finite"),
+])
+def test_fig2_refuses_the_first_bad_eta_in_order(tmp_path, capsys, etas, message):
+    out = tmp_path / "out"
+    argv = ["fig2", "--S", "100", "--qmax", "1000"]
+    for eta in etas:
+        argv += ["--eta", eta]
+    assert _run(argv, out) == 1
+    assert capsys.readouterr().err == f"fig2: {message}\n"
+    assert not out.exists()
+
+
 def test_fig2_outside_g_factor_domain_exits_1_with_message(tmp_path, capsys):
     # Q_eff / S passes pi/2 on these grids: past the principal branch of the G
     # factor, refused at S = 100 and S = 10 alike

@@ -194,23 +194,35 @@ class TestModifiedMinimum:
 
 class TestFig2Curve:
     def test_ideal_curve_is_inverse_q(self):
-        rows = fig2_curve(1e4, 0.1, [100.0])
-        q, sig, sig_curv, sig_ideal = rows[0]
-        assert sig_ideal == 0.01
+        (block,) = fig2_curve(1e4, 0.1, [100.0])
+        eta, q, sig, sig_curv, sig_ideal = block
+        assert sig_ideal == [0.01]
 
     def test_reference_columns(self):
-        rows = fig2_curve(1e4, 0.1, np.geomspace(1.0, 1000.0, 50))
+        (block,) = fig2_curve(1e4, 0.1, np.geomspace(1.0, 1000.0, 50))
         sigma_curv = 1.25 * 6.0 ** (-0.2) * 1e4 ** (-0.4)
-        assert all(r[2] == pytest.approx(sigma_curv, rel=1e-12) for r in rows)
-        assert all(r[1] > 0.0 for r in rows)
+        assert block[3] == pytest.approx(sigma_curv, rel=1e-12)
+        assert all(v > 0.0 for v in block[2])
 
     def test_minima_ordered_in_eta(self):
         grid = np.geomspace(1.0, 1000.0, 200)
-        minima = []
-        for eta in (0.001, 0.01, 0.1, 1.0):
-            rows = fig2_curve(1e4, eta, grid)
-            minima.append(min(r[1] for r in rows))
+        minima = [min(block[2]) for block in fig2_curve(1e4, (0.001, 0.01, 0.1, 1.0), grid)]
         assert minima == sorted(minima, reverse=True)
+
+    def test_one_call_over_all_etas_is_the_per_eta_curves_to_the_bit(self):
+        # S, eta sets and Q grids drawn like the benchmark's fig2 runs, a linear grid included
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            s = rng.integers(2, 2_000_000) / 2.0
+            etas = (10.0 ** rng.uniform(-4.0, -0.2, rng.integers(1, 5))).tolist()
+            grid = (np.linspace if rng.random() < 0.3 else np.geomspace)(1.0, 10.0 ** rng.uniform(1, 4), 97)
+            blocks = fig2_curve(s, etas, grid)
+            assert [b[0] for b in blocks] == etas
+            for eta, block in zip(etas, blocks):
+                expected = modified_min_variance(s, eta, grid)
+                assert np.array_equal(np.array(block[2]).view(np.int64), expected.view(np.int64))
+                assert block[1] is blocks[0][1] and block[1] == grid.tolist()
+                assert block[4] is blocks[0][4] and block[4] == [1.0 / q for q in grid.tolist()]
 
 
 class TestRamanProcess:
