@@ -8,6 +8,11 @@ raman-mc        telegraph-jump Monte Carlo of the time-averaged S_z
 design          operating-point report from a config file
 sweep           (S, eta) grid scan of limits, optima and regimes
 
+The parser is built once per process, on the first run, and reused by
+every later run in that process: each parse returns a fresh namespace.
+Only callers that run more than once in a process (the tests, the
+benchmark worker) skip a build; the console script runs once.
+
 A handler (cmd_*) validates its options and computes; it writes nothing
 and returns a Result.  run alone creates --out, and only once the handler
 has returned, so a refused run of any subcommand creates no --out.  It then
@@ -26,6 +31,7 @@ kept for schema stability.
 """
 
 import argparse
+import functools
 import importlib
 import math
 import sys
@@ -60,6 +66,7 @@ def _relative_error(a, b):
     return diff / scale if scale > 0.0 else 0.0
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cavsqueeze",

@@ -175,8 +175,8 @@ _REQUIRED_KEYS = ("S", "g_hz", "kappa_hz", "t_s")
 
 
 def load_config(path):
-    """Parse a flat key = value config file into a dict of floats."""
-    cfg = {}
+    """Parse a flat key = value config file into a dict of floats; each key may appear once."""
+    cfg, first_line = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -188,6 +188,9 @@ def load_config(path):
             key = key.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(CONFIG_KEYS)})")
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice (first on line {first_line[key]})")
+            first_line[key] = lineno
             try:
                 cfg[key] = float(value.strip())
             except ValueError:

@@ -1,8 +1,11 @@
+import argparse
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -266,6 +269,70 @@ def test_python_m_entry_point(tmp_path, argv, code, stream, text):
     assert done.returncode == code
     assert getattr(done, stream).startswith(text)
     assert (tmp_path / "fig2.csv").exists() == (code == 0)
+
+
+@pytest.mark.parametrize("argv, start", [
+    (["--version"], f"cavsqueeze {cavsqueeze.__version__}\n"),
+    (["fig2", "--help"], "usage: cavsqueeze fig2 "),
+])
+def test_help_and_version_exit_0_with_no_output(tmp_path, capsys, argv, start):
+    out = tmp_path / "out"
+    assert _run(argv, out) == 0
+    assert capsys.readouterr().out.startswith(start)
+    assert not out.exists()
+
+
+# each argv once in this order: a shorter --eta list after a longer one, a usage error, the argparse exits,
+# another subcommand and a store_true flag followed by its default
+_PARSER_REUSE_ARGVS = [
+    ["fig2", "--S", "100", "--eta", "0.01", "--eta", "0.1", "--eta", "0.3", "--qpoints", "5"],
+    ["fig2", "--S", "100", "--eta", "0.3", "--qpoints", "5"],
+    ["fig2", "--S", "abc", "--eta", "0.1"],
+    ["--version"],
+    ["fig2", "--help"],
+    ["sweep", "--s-points", "2", "--eta-points", "2"],
+    ["fig2", "--S", "100", "--eta", "0.1", "--qpoints", "5", "--linear-grid"],
+    ["fig2", "--S", "100", "--eta", "0.1", "--qpoints", "5"],
+]
+
+
+def test_reused_parser_keeps_no_state_between_runs(tmp_path, capsys, monkeypatch):
+    def outcome(argv):
+        out = tmp_path / "out"
+        code = _run(argv, out)
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"} if out.exists() else {}
+        shutil.rmtree(out, ignore_errors=True)
+        return code, capsys.readouterr(), files
+
+    reused = [outcome(argv) for argv in _PARSER_REUSE_ARGVS]
+    fresh_parser = inspect.unwrap(cli.build_parser)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_parser", fresh_parser)
+        fresh = [outcome(argv) for argv in _PARSER_REUSE_ARGVS]
+    for argv, a, b in zip(_PARSER_REUSE_ARGVS, reused, fresh):
+        assert a == b, argv
+    assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0, 0, 0, 0]
+    for argv in _PARSER_REUSE_ARGVS[:2] + _PARSER_REUSE_ARGVS[5:]:
+        assert vars(cli.build_parser().parse_args(argv)) == vars(fresh_parser().parse_args(argv)), argv
+
+
+def test_later_runs_build_no_parser(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    # patched in place: a subclass put in argparse.ArgumentParser's place would recurse, since argparse's
+    # __init__ calls super() through that module-level name
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    argv = ["fig2", "--S", "100", "--eta", "0.1", "--qpoints", "5"]
+    assert _run(argv, tmp_path / "first") == 0
+    built.clear()
+    assert _run(argv, tmp_path / "second") == 0
+    assert _run(["sweep", "--s-points", "2", "--eta-points", "2"], tmp_path / "third") == 0
+    assert built == []
 
 
 def test_workers_flag_is_gone(tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cavsqueeze import cli
 from cavsqueeze.design import (classify_regime, curvature_optimum, design_report, full_curve_minimum,
                                kappa_t_required, scattering_optimum, validate_regime)
 from cavsqueeze.dicke import css_amplitudes, css_support, m_values
@@ -260,3 +261,16 @@ def test_config_errors(tmp_path, text, fragment):
     path.write_text(text)
     with pytest.raises(ValueError, match=fragment):
         load_config(path)
+
+
+def test_config_refuses_a_repeated_key(tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text("S = 100\ng_hz = 4e5\nkappa_hz = 1e6\ndelta_over_gamma = 500.0\nt_s = 4e-4\nS = 1000\n")
+    message = f"{path}:6: key 'S' given twice (first on line 1)"
+    with pytest.raises(ValueError) as caught:
+        load_config(path)
+    assert str(caught.value) == message
+    out = tmp_path / "out"
+    assert cli.run(["design", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"design: {message}\n"
+    assert not out.exists()
