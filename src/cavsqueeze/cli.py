@@ -168,7 +168,7 @@ def cmd_validate_oracle(args):
                   prefix=f"{sum(passed)}/{len(passed)} grid points within {ORACLE_TOL:g}; ")
 
 
-def _mc_health(record, total_spin, r, corr_target, elapsed_s):
+def _mc_health(stats, total_spin, r, corr_target, elapsed_s):
     """Events simulated, trajectories per second and the worst |estimate - target| / se.
 
     The worst z-score runs over the two Sbar_z moments and every lag; an
@@ -177,13 +177,13 @@ def _mc_health(record, total_spin, r, corr_target, elapsed_s):
     """
     c_sq, c_fin = correlation_integrals(r)
     estimates = [
-        (record["mean_sz_bar_sq"], record["mean_sz_bar_sq_se"], total_spin / 2.0 * c_sq),
-        (record["cov_bar_final"], record["cov_bar_final_se"], total_spin / 2.0 * c_fin),
-        *zip(record["corr"], record["corr_se"], corr_target),
+        (stats["mean_sz_bar_sq"], stats["mean_sz_bar_sq_se"], total_spin / 2.0 * c_sq),
+        (stats["cov_bar_final"], stats["cov_bar_final_se"], total_spin / 2.0 * c_fin),
+        *zip(stats["corr"], stats["corr_se"], corr_target),
     ]
     return {
-        "n_events": record["n_events"],
-        "trajectories_per_s": record["n_trajectories"] / elapsed_s,
+        "n_events": stats["n_events"],
+        "trajectories_per_s": stats["n_trajectories"] / elapsed_s,
         "worst_z": max((abs(est - target) / se for est, se, target in estimates if se), default=None),
     }
 
@@ -197,8 +197,7 @@ def cmd_raman_mc(args):
     started = time.perf_counter()
     stats = sample_trajectories(process, args.traj, args.steps, seed=args.seed, mode=args.mode)
     elapsed_s = time.perf_counter() - started
-    record = stats.as_dict()
-    target = np.exp(-2.0 * args.r * stats.lags).tolist()
+    target = np.exp(-2.0 * args.r * np.array(stats["lags"])).tolist()
     files = {"raman_stats.json": {
         "schema_version": SCHEMA_VERSION,
         "total_spin": args.S,
@@ -207,21 +206,21 @@ def cmd_raman_mc(args):
         "seed": args.seed,
         "pulse_time_s": 1.0,
         "flip_rate_per_atom": args.r,
-        "stats": record,
+        "stats": stats,
     }}
     if args.corr_csv:
         # an undefined standard error (one trajectory) is an empty cell
-        columns = (record["lags"], record["corr"], record["corr_se"], target)
+        columns = (stats["lags"], stats["corr"], stats["corr_se"], target)
         files["raman_corr.csv"] = (("lag", "corr", "corr_se", "target"), [columns])
     return Result(files, seed=args.seed,
-                  mc_health=_mc_health(record, spec.total_spin, args.r, target, elapsed_s))
+                  mc_health=_mc_health(stats, spec.total_spin, args.r, target, elapsed_s))
 
 
 def cmd_design(args):
     cfg = load_config(args.config)
     ensemble, params = system_from_config(cfg)
     report = design_report(ensemble, params, cfg["t_s"], args.eps_max, args.q_target)
-    return Result({"design_report.json": report.as_dict()}, config=cfg)
+    return Result({"design_report.json": report}, config=cfg)
 
 
 def cmd_sweep(args):
@@ -236,8 +235,7 @@ def cmd_sweep(args):
                                               indexing="ij"))
     header = ["S", "eta", "s_eta5", "regime", "near_boundary",
               "q_curv", "sigma_curv_sq", "q_scatt", "r_opt", "sigma_scatt_sq"]
-    cls = classify_regime(s, eta)
-    columns = [s, eta, cls.s_eta5, cls.regime, cls.near_boundary, *curvature_optimum(s), *scattering_optimum(s, eta)]
+    columns = [s, eta, *classify_regime(s, eta), *curvature_optimum(s), *scattering_optimum(s, eta)]
     if args.full_minimum:
         header += ["q_full", "sigma_full_sq"]
         columns += full_curve_minimum(s, eta)

@@ -38,12 +38,12 @@ index of refraction to omega_c + Omega S_z, so the transmitted photon
 number has the relative slope 2 Omega / kappa at S_z = 0.  validate_regime
 checks the treatment's conditions (linear in S_z, adiabatic in the cavity
 field, low saturation) against the limits below and the one settable
-limit, max_excited_pop.
+limit, max_excited_pop.  validate_regime and design_report return the dicts
+that design writes to design_report.json, the first under "validity".
 """
 
 import sys
 import warnings
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -106,22 +106,13 @@ def scattering_optimum(total_spin, eta):
     return _scalar(q_scatt), _scalar(r_opt), _scalar(sigma_sq)
 
 
-@dataclass(frozen=True)
-class RegimeClassification:
-    """Which floor binds by the S eta^5 rule, and whether it is near the boundary."""
-
-    regime: str  # "curvature" | "scattering"
-    s_eta5: float
-    near_boundary: bool
-
-
 def classify_regime(total_spin, eta):
-    """Curvature-limited iff S eta^5 >= 1 (the convention, _REGIME_BOUNDARY), elementwise.
+    """(s_eta5, regime, near_boundary), elementwise: regime is "curvature" iff S eta^5 >= 1, else "scattering".
 
-    The comparison allows a relative rounding slack of 64 machine epsilons
-    (_BOUNDARY_RTOL, about 1.4e-14), so eta = S**-0.2 counts as on the
-    boundary whichever way S eta^5 rounds; S eta^5 = 1 - 1e-9 is still
-    scattering-limited.
+    The threshold 1 is the convention, _REGIME_BOUNDARY.  The comparison
+    allows a relative rounding slack of 64 machine epsilons (_BOUNDARY_RTOL,
+    about 1.4e-14), so eta = S**-0.2 counts as on the boundary whichever way
+    S eta^5 rounds; S eta^5 = 1 - 1e-9 is still scattering-limited.
 
     The criterion is an order-of-magnitude rule; points with S eta^5 within
     a factor _BOUNDARY_BAND^5 of the threshold (i.e. eta within a factor
@@ -131,11 +122,8 @@ def classify_regime(total_spin, eta):
     s_eta5 = s * np.power(eta, 5.0)
     curvature = s_eta5 >= _REGIME_BOUNDARY * (1.0 - _BOUNDARY_RTOL)
     band = _BOUNDARY_BAND ** 5
-    return RegimeClassification(
-        regime=_scalar(np.where(curvature, "curvature", "scattering")),
-        s_eta5=_scalar(s_eta5),
-        near_boundary=_scalar((_REGIME_BOUNDARY / band <= s_eta5) & (s_eta5 <= _REGIME_BOUNDARY * band)),
-    )
+    return (_scalar(s_eta5), _scalar(np.where(curvature, "curvature", "scattering")),
+            _scalar((_REGIME_BOUNDARY / band <= s_eta5) & (s_eta5 <= _REGIME_BOUNDARY * band)))
 
 
 def full_curve_minimum(total_spin, eta):
@@ -196,33 +184,16 @@ def kappa_t_required(ensemble, params, shearing_q, max_excited_pop):
     return (params.kappa / params.g) ** 2 * shearing_q / (8.0 * ensemble.total_spin * max_excited_pop)
 
 
-@dataclass(frozen=True)
-class RegimeReport:
-    """Validity checks of the dispersive, linearized, adiabatic treatment.
-
-    excited_pop is epsilon = <c^dag c> g^2 / Delta^2 at S_z = 0;
-    ratio_linearity is Omega sqrt(S/2) / kappa; identity_rel_err records how
-    well epsilon kappa t = (kappa/g)^2 Q/(8S) closes numerically; thresholds
-    holds the four limits the flags were checked against.
-    """
-
-    ratio_linearity: float
-    excited_pop: float
-    kappa_t: float
-    detuning_margin: float
-    shearing_q: float
-    flags: dict
-    all_ok: bool  # every flag passes
-    identity_rel_err: float
-    thresholds: dict
-
-
 def validate_regime(ensemble, params, drive, max_excited_pop):
-    """Evaluate the low-saturation / adiabaticity / linearity conditions.
+    """Validity checks of the dispersive, linearized, adiabatic treatment, as the report's "validity" dict.
 
     max_excited_pop is the low-saturation limit (design --eps-max in a
-    report); the other limits are the module constants.  Never raises for
-    out-of-regime inputs; all failures are carried as flags.
+    report); the other limits, in thresholds, are the module constants.
+    Never raises for out-of-regime inputs: all failures are carried as
+    flags, and all_ok says every flag passes.  excited_pop is epsilon =
+    <c^dag c> g^2 / Delta^2 at S_z = 0; ratio_linearity is Omega sqrt(S/2) /
+    kappa; identity_rel_err is how well epsilon kappa t = (kappa/g)^2 Q/(8S)
+    closes numerically.
     """
     positive("max_excited_pop", max_excited_pop)
     s = ensemble.total_spin
@@ -247,49 +218,22 @@ def validate_regime(ensemble, params, drive, max_excited_pop):
         "linearity": ratio_linearity <= MAX_LINEARITY_RATIO,
         "detuning_margin": detuning_margin >= MIN_DETUNING_MARGIN,
     }
-    return RegimeReport(
-        ratio_linearity=ratio_linearity,
-        excited_pop=excited_pop,
-        kappa_t=kappa_t,
-        detuning_margin=detuning_margin,
-        shearing_q=drive.shearing_q,
-        flags=flags,
-        all_ok=all(flags.values()),
-        identity_rel_err=identity_rel_err,
-        thresholds={"max_excited_pop": max_excited_pop, "min_kappa_t": MIN_KAPPA_T,
-                    "max_linearity_ratio": MAX_LINEARITY_RATIO, "min_detuning_margin": MIN_DETUNING_MARGIN},
-    )
-
-
-@dataclass(frozen=True)
-class SqueezeReport:
-    """Complete operating-point report for one parameter set."""
-
-    q_curv: float
-    sigma_curv_sq: float
-    q_scatt: float
-    r_opt: float
-    sigma_scatt_sq: float
-    limiting_regime: str
-    near_boundary: bool
-    q_recommended: float
-    sigma_recommended_sq: float  # raw sigma^2, normalized to S/2
-    contrast_sq: float  # C^2 = |<S~_+>|^2 / S^2 at the recommended point
-    xi_recommended_sq: float  # sigma_recommended_sq / contrast_sq, what the floors bound
-    r_recommended: float
-    spin_shortening_flag: bool  # r beyond ~0.1: neglected vector shortening suspect
-    p0_required: float
-    t_constraints: dict
-    validity: RegimeReport
-    provenance: dict
-
-    def as_dict(self):
-        """Nested plain dicts, the validity report included."""
-        return asdict(self)
+    return {
+        "ratio_linearity": ratio_linearity,
+        "excited_pop": excited_pop,
+        "kappa_t": kappa_t,
+        "detuning_margin": detuning_margin,
+        "shearing_q": drive.shearing_q,
+        "flags": flags,
+        "all_ok": all(flags.values()),
+        "identity_rel_err": identity_rel_err,
+        "thresholds": {"max_excited_pop": max_excited_pop, "min_kappa_t": MIN_KAPPA_T,
+                       "max_linearity_ratio": MAX_LINEARITY_RATIO, "min_detuning_margin": MIN_DETUNING_MARGIN},
+    }
 
 
 def design_report(ensemble, params, pulse_time, max_excited_pop, q_target=None):
-    """Aggregate limits, optima and validity into one SqueezeReport.
+    """Limits, optima and validity of one parameter set, as the dict design writes.
 
     max_excited_pop is the low-saturation limit, epsilon <= max_excited_pop.
     The recommended Q is min(full-curve minimizer, Q_curv); a q_target of
@@ -302,7 +246,7 @@ def design_report(ensemble, params, pulse_time, max_excited_pop, q_target=None):
 
     q_curv, sigma_curv_sq = curvature_optimum(s)
     q_scatt, r_opt, sigma_scatt_sq = scattering_optimum(s, eta)
-    classification = classify_regime(s, eta)
+    _, regime, near_boundary = classify_regime(s, eta)
 
     if q_target is not None:
         if q_target <= 0.0:
@@ -316,44 +260,40 @@ def design_report(ensemble, params, pulse_time, max_excited_pop, q_target=None):
     contrast_sq = abs(raman_modified_moments(s, q_rec, r_rec).mean_sp) ** 2 / (s * s)
 
     drive = DrivePulse.from_shearing(q_rec, pulse_time, ensemble, params)
-    validity = validate_regime(ensemble, params, drive, max_excited_pop)
 
     kt_saturation = kappa_t_required(ensemble, params, q_rec, max_excited_pop)
     kt_actual = params.kappa * pulse_time
-    t_constraints = {
-        "kappa_t_actual": kt_actual,
-        "kappa_t_min_resolve": MIN_KAPPA_T,
-        "kappa_t_min_saturation": kt_saturation,
-        "t_min_seconds": max(kt_saturation, MIN_KAPPA_T) / params.kappa,
-        "satisfied": kt_actual >= max(kt_saturation, MIN_KAPPA_T),
+    return {
+        "q_curv": q_curv,
+        "sigma_curv_sq": sigma_curv_sq,
+        "q_scatt": q_scatt,
+        "r_opt": r_opt,
+        "sigma_scatt_sq": sigma_scatt_sq,
+        "limiting_regime": regime,
+        "near_boundary": near_boundary,
+        "q_recommended": q_rec,
+        "sigma_recommended_sq": sigma_rec,  # raw sigma^2, normalized to S/2
+        "contrast_sq": contrast_sq,  # C^2 = |<S~_+>|^2 / S^2 at the recommended point
+        "xi_recommended_sq": sigma_rec / contrast_sq,  # what the floors bound
+        "r_recommended": r_rec,
+        "spin_shortening_flag": r_rec > 0.1,  # r beyond ~0.1: neglected vector shortening suspect
+        "p0_required": drive.p0,
+        "t_constraints": {
+            "kappa_t_actual": kt_actual,
+            "kappa_t_min_resolve": MIN_KAPPA_T,
+            "kappa_t_min_saturation": kt_saturation,
+            "t_min_seconds": max(kt_saturation, MIN_KAPPA_T) / params.kappa,
+            "satisfied": kt_actual >= max(kt_saturation, MIN_KAPPA_T),
+        },
+        "validity": validate_regime(ensemble, params, drive, max_excited_pop),
+        "provenance": {
+            "schema_version": SCHEMA_VERSION,
+            "tool_version": __version__,
+            "total_spin": s,
+            "atom_count": ensemble.atom_count,
+            "eta": eta,
+            "pulse_time_s": pulse_time,
+            "max_excited_pop": max_excited_pop,
+            "params": params.as_dict(),
+        },
     }
-
-    provenance = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "total_spin": s,
-        "atom_count": ensemble.atom_count,
-        "eta": eta,
-        "pulse_time_s": pulse_time,
-        "max_excited_pop": max_excited_pop,
-        "params": params.as_dict(),
-    }
-    return SqueezeReport(
-        q_curv=q_curv,
-        sigma_curv_sq=sigma_curv_sq,
-        q_scatt=q_scatt,
-        r_opt=r_opt,
-        sigma_scatt_sq=sigma_scatt_sq,
-        limiting_regime=classification.regime,
-        near_boundary=classification.near_boundary,
-        q_recommended=q_rec,
-        sigma_recommended_sq=sigma_rec,
-        contrast_sq=contrast_sq,
-        xi_recommended_sq=sigma_rec / contrast_sq,
-        r_recommended=r_rec,
-        spin_shortening_flag=r_rec > 0.1,
-        p0_required=drive.p0,
-        t_constraints=t_constraints,
-        validity=validity,
-        provenance=provenance,
-    )

@@ -7,6 +7,7 @@ Conventions used throughout the package:
   * the collective spin S describes N = 2S two-level atoms, so S is a positive
     half-integer: twice_spin alone decides which S is a spin and gives its 2S,
     for every function that evaluates a spin state (design's optima take S > 0),
+    and refuses 2S > MAX_TWICE_SPIN = 2**53, past which every float is an integer,
   * nonnegative and positive alone decide the other physical inputs (Q, r,
     eta, p0, pulse time, g, kappa, Gamma, max_excited_pop, design's S); two
     refusals stay elsewhere: design_report's q_target <= 0 ("no shearing
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+MAX_TWICE_SPIN = 2.0 ** 53  # the largest 2S twice_spin accepts
 
 # Rb D2 population decay rate 2*pi * 6.07 MHz.  Worked examples in this
 # domain usually quote only Delta/Gamma, so Gamma is a configurable default
@@ -33,12 +35,14 @@ DEFAULT_GAMMA = TWO_PI * 6.07e6
 
 
 def twice_spin(total_spin):
-    """2S (the atom count) as float, elementwise; ValueError names the first S that is no positive half-integer."""
+    """2S as float, elementwise; ValueError names the first S that is no positive half-integer with 2S <= 2**53."""
     s = np.asarray(total_spin, dtype=float)
     two_s = 2.0 * s
-    spin = (two_s >= 1.0) & (two_s < math.inf) & (two_s == np.rint(two_s))
+    spin = (two_s >= 1.0) & (two_s <= MAX_TWICE_SPIN) & (two_s == np.rint(two_s))
     if not spin.all():
-        raise ValueError(f"total spin must be a positive half-integer, got {s[~spin][0].item()!r}")
+        bad = s[~spin][0].item()
+        cap = " with 2S <= 2**53" if 2.0 * bad > MAX_TWICE_SPIN else ""
+        raise ValueError(f"total spin must be a positive half-integer{cap}, got {bad!r}")
     return two_s[()]
 
 

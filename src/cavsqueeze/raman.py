@@ -30,7 +30,8 @@ blocks of _BLOCK per trajectory still in the pulse: the waiting times and
 atom picks of a block are arrays drawn straight into the block buffers, and
 only the +-1 chain of the up-atom count steps event by event.  _CHUNK,
 _BLOCK and the draw order fix the stream layout, so a seed and a trajectory
-count fix the output bits.
+count fix the output bits.  sample_trajectories returns its estimates as the
+plain dict that raman-mc writes under "stats".
 """
 
 import math
@@ -125,42 +126,6 @@ class RamanProcess:
 def _defined(x):
     """x as a float, or None where it is nan (undefined)."""
     return None if math.isnan(x) else float(x)
-
-
-@dataclass(frozen=True)
-class TrajectoryStats:
-    """Monte Carlo estimates with standard errors.
-
-    corr[l] estimates 2 <S_z(0) S_z(lag_l)> / S, lags in units of the pulse;
-    the target is e^{-2 r lag}.  mean_sz_bar_sq and cov_bar_final estimate
-    <Sbar_z^2> and <Sbar_z S_z(1)> (raw spin units, target (S/2) c_bar_*).
-    n_events is the number of jumps simulated (0 in gaussian mode).  A
-    standard error is nan when it is undefined (one trajectory); as_dict
-    gives it as None.
-    """
-
-    n_trajectories: int
-    n_events: int
-    mean_sz_bar_sq: float
-    mean_sz_bar_sq_se: float
-    cov_bar_final: float
-    cov_bar_final_se: float
-    lags: np.ndarray
-    corr: np.ndarray
-    corr_se: np.ndarray
-
-    def as_dict(self):
-        return {
-            "n_trajectories": self.n_trajectories,
-            "n_events": self.n_events,
-            "mean_sz_bar_sq": self.mean_sz_bar_sq,
-            "mean_sz_bar_sq_se": _defined(self.mean_sz_bar_sq_se),
-            "cov_bar_final": self.cov_bar_final,
-            "cov_bar_final_se": _defined(self.cov_bar_final_se),
-            "lags": [float(x) for x in self.lags],
-            "corr": [float(x) for x in self.corr],
-            "corr_se": [_defined(x) for x in self.corr_se.tolist()],
-        }
 
 
 def _simulate_exact(rng, process, s, lag_times, samples, sbar):
@@ -321,6 +286,13 @@ def sample_trajectories(process, n_traj, time_steps, seed, mode="exact"):
         (r N events in exact mode, time_steps in gaussian mode, per started
         _PASS_ROWS trajectories) or MAX_SAMPLE_ELEMENTS samples (ValueError,
         no work done).
+
+    Returns the JSON-ready estimates, floats and lists of floats, with their
+    standard errors: corr[l] estimates 2 <S_z(0) S_z(lags[l])> / S, lags in
+    units of the pulse, target e^{-2 r lag}; mean_sz_bar_sq and cov_bar_final
+    estimate <Sbar_z^2> and <Sbar_z S_z(1)> (raw spin units, target (S/2)
+    c_bar_*); n_events counts the jumps simulated (0 in gaussian mode).  A
+    standard error is None where it is undefined (one trajectory).
     """
     if seed is None:
         raise ValueError("seed is required for reproducible Monte Carlo")
@@ -352,14 +324,14 @@ def sample_trajectories(process, n_traj, time_steps, seed, mode="exact"):
     sz_samples *= sz_samples[:, :1].copy()
     corr, corr_se = _mean_se(sz_samples)
     scale = 2.0 / s
-    return TrajectoryStats(
-        n_trajectories=n_traj,
-        n_events=n_events,
-        mean_sz_bar_sq=float(sbar_sq),
-        mean_sz_bar_sq_se=float(sbar_sq_se),
-        cov_bar_final=float(covf),
-        cov_bar_final_se=float(covf_se),
-        lags=lag_times,
-        corr=scale * corr,
-        corr_se=scale * corr_se,
-    )
+    return {
+        "n_trajectories": n_traj,
+        "n_events": n_events,
+        "mean_sz_bar_sq": float(sbar_sq),
+        "mean_sz_bar_sq_se": _defined(sbar_sq_se),
+        "cov_bar_final": float(covf),
+        "cov_bar_final_se": _defined(covf_se),
+        "lags": lag_times.tolist(),
+        "corr": (scale * corr).tolist(),
+        "corr_se": [_defined(x) for x in (scale * corr_se).tolist()],
+    }

@@ -1,7 +1,8 @@
 """Deterministic, machine-readable output: CSV, JSON and run manifests.
 
 Floats are written with Python's shortest round-trip representation
-(repr), so CSV/JSON outputs are byte-stable and parse back exactly.  A CSV
+(repr), so CSV/JSON outputs are byte-stable and parse back exactly, and
+both writers refuse a nan or infinite float before they open the file.  A CSV
 is written from blocks of columns (write_csv), and a column that recurs
 across blocks, such as fig2's Q grid, is formatted once per file.  Every
 CLI run writes a manifest beside its outputs (write_manifest): the argv,
@@ -12,6 +13,7 @@ file excluded from the byte-identical reproducibility guarantee.
 """
 
 import json
+import math
 import sys
 import time
 
@@ -23,15 +25,17 @@ SCHEMA_VERSION = "1.0"
 
 
 def format_value(value):
-    """Shortest round-trip text for one CSV cell; None (undefined) is an empty cell."""
-    if type(value) is float:  # most cells: skip the isinstance chain
+    """Shortest round-trip text for one CSV cell; None (undefined) is an empty cell, a nan or inf raises ValueError."""
+    if type(value) is float and value - value == 0.0:  # most cells, a finite float: skip the isinstance chain
         return repr(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(float(value))
+        if math.isfinite(value):
+            return repr(float(value))
+        raise ValueError(f"CSV cells must be finite, got {value!r}")
     return str(value)
 
 
@@ -43,8 +47,8 @@ def write_csv(path, header, blocks):
     row; a block without a list column is one row.  A list that recurs, in
     one block or several, is formatted once per file, keyed by identity: the
     key holds the list until every row is made, so no other list can take
-    its id.  List columns of one block that differ in length raise
-    ValueError before the file is opened.
+    its id.  List columns of one block that differ in length, and a nan or
+    infinite float cell, raise ValueError before the file is opened.
     """
     lines = [",".join(header), *_rows(blocks), ""]  # the empty last line ends the file with a newline
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

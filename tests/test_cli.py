@@ -8,10 +8,12 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cavsqueeze
 from cavsqueeze import cli
@@ -78,14 +80,37 @@ _MC_DIGESTS = [
     (["raman-mc", "--S", "1e5", "--r", "0.05", "--traj", "4096", "--steps", "64", "--mode", "gaussian",
       "--seed", "5", "--corr-csv"], "aa8738059cfa0cfa28f0a2996dc73bc56cd7b225f391e6d55ce1c4687ec8a20f",
      "0f9b31b8444bd95f2401e2a9c462187a148e894835b06919dd846d4093db5743"),
+    # one trajectory: every standard error undefined, null in the JSON and an empty CSV cell
+    (["raman-mc", "--S", "20", "--r", "0.5", "--traj", "1", "--seed", "5", "--corr-csv"],
+     "9f8e35e2b7e66429750d3f8161194acc07f6a7f9881a9a7603dbf90945670803",
+     "2a070e1ebb39af23c39cefdb5ef147d00048fb7815fae1505c49c987cd792260"),
 ]
 
 
-@pytest.mark.parametrize("argv, stats, corr", _MC_DIGESTS, ids=["exact", "gaussian"])
+@pytest.mark.parametrize("argv, stats, corr", _MC_DIGESTS, ids=["exact", "gaussian", "one-trajectory"])
 def test_seeded_mc_bytes_are_pinned(tmp_path, argv, stats, corr):
     assert _run(argv, tmp_path) == 0
     for name, digest in (("raman_stats.json", stats), ("raman_corr.csv", corr)):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of design_report.json: the worked example, the same system at a set Q, and a system that fails every
+# validity flag; the closed forms, the full-curve minimiser, the report's keys and float repr all feed them.
+_WORKED_CFG = "S = 10000\ng_hz = 4e5\nkappa_hz = 1e6\ngamma_hz = 6.07e6\ndelta_over_gamma = 500\np0 = 10\nt_s = 4e-4\n"
+_DESIGN_DIGESTS = [
+    (_WORKED_CFG, [], "d250337d3ca14ef8356cdbcafb611c9e6b38aaddc6673802c6ff86fed26b12ca"),
+    (_WORKED_CFG, ["--q-target", "20"], "f3f1acf549ccdf40863b22dcfd686f3a74d3e46ea7d4abe4c391b745def59cf3"),
+    ("S = 100\ng_hz = 4e5\nkappa_hz = 1e6\ndelta_over_gamma = 2\nt_s = 1e-8\n", [],
+     "86e177b872ae483b8d9b0ca859c70535a7cdff574dc5df550d60a64dd4659845"),
+]
+
+
+@pytest.mark.parametrize("config, flags, digest", _DESIGN_DIGESTS, ids=["worked", "q-target", "flags-false"])
+def test_design_report_bytes_are_pinned(tmp_path, config, flags, digest):
+    cfg = tmp_path / "system.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    assert _run(["design", "--config", str(cfg), *flags], tmp_path / "out") == 0
+    assert hashlib.sha256((tmp_path / "out" / "design_report.json").read_bytes()).hexdigest() == digest
 
 
 # sha256 of validate-oracle's CSV at the benchmark's --smax 200: the closed forms, the oracle sums (the same
@@ -193,6 +218,70 @@ def test_refused_input_exits_1_with_message_and_no_output(tmp_path, capsys, argv
         assert "must be finite" in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert not out.exists()
+
+
+# 2S past 2**53, where every float is an integer and so would pass the half-integer test: before the cap, raman-mc
+# overflowed a C long in the binomial draw and fig2 exited 0 with nan cells
+@pytest.mark.parametrize("argv", [
+    ["raman-mc", "--S", "1e300", "--r", "0", "--traj", "1", "--seed", "1"],
+    ["raman-mc", "--S", "1e20", "--r", "0", "--traj", "1", "--seed", "1"],
+    ["raman-mc", "--S", str(2 ** 52 + 1), "--r", "0", "--traj", "1", "--seed", "1", "--mode", "gaussian"],
+    ["fig2", "--S", "1e300", "--eta", "1"],
+    ["sweep", "--s-min", "1e300", "--s-max", "1e300", "--s-points", "1", "--eta-points", "1"],
+    ["design", "--config", "{cfg}"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_a_spin_past_the_cap_exits_1_with_message(tmp_path, capsys, argv):
+    cfg = tmp_path / "system.cfg"
+    cfg.write_text(_SYSTEM_CFG.format(S="1e300"), encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run([a.format(cfg=cfg) for a in argv], out) == 1
+    assert capsys.readouterr().err.startswith(f"{argv[0]}: total spin must be a positive half-integer with 2S <= 2**53")
+    assert not out.exists()
+
+
+# --S at the ends of the float range and either side of the spin cap: 2**52 is the largest spin, 2**52 + 1 the first
+# refused; sizes stay small, so a run that passes every refusal allocates little
+_FUZZ_S = [5e-324, 1e-300, 0.5, float(2 ** 52), float(2 ** 52 + 1), 1e300]
+
+
+def _fuzz_argv(command, s, size, r, mode, cfg):
+    s = repr(s)
+    return {
+        "fig2": ["fig2", "--S", s, "--eta", "0.1", "--qpoints", str(size)],
+        "validate-oracle": ["validate-oracle", "--smax", s],
+        "raman-mc": ["raman-mc", "--S", s, "--r", r, "--traj", str(size), "--steps", "2", "--seed", "1",
+                     "--mode", mode, "--corr-csv"],
+        "design": ["design", "--config", str(cfg)],
+        "sweep": ["sweep", "--s-min", s, "--s-max", s, "--s-points", str(size), "--eta-points", "2",
+                  "--full-minimum"],
+    }[command]
+
+
+def _csv_numbers(path):
+    for line in path.read_text().splitlines()[1:]:
+        for cell in line.split(","):
+            try:
+                yield float(cell)
+            except ValueError:  # an empty, boolean or regime cell
+                pass
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(command=st.sampled_from(["fig2", "validate-oracle", "raman-mc", "design", "sweep"]),
+       s=st.sampled_from(_FUZZ_S), size=st.integers(0, 3), r=st.sampled_from(["0", "0.5"]),
+       mode=st.sampled_from(["exact", "gaussian"]))
+def test_extreme_spins_exit_cleanly_with_finite_output(command, s, size, r, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "system.cfg", Path(tmp) / "out"
+        cfg.write_text(_SYSTEM_CFG.format(S=repr(s)), encoding="utf-8")
+        code = _run(_fuzz_argv(command, s, size, r, mode, cfg), out)
+        assert code in (0, 1, 2)
+        assert out.exists() == (code != 1)
+        for path in out.iterdir() if code == 0 else ():
+            if path.suffix == ".json":
+                json.loads(path.read_text(), parse_constant=_raise_on_constant)
+            else:
+                assert all(map(math.isfinite, _csv_numbers(path))), path.name
 
 
 def test_sweep_below_spin_half_is_refused(tmp_path, capsys):

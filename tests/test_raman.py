@@ -248,16 +248,16 @@ class TestMonteCarlo:
     def test_zero_rate_trajectories_constant(self):
         stats = self._run(r=0.0, n_traj=2000)
         # no flips: the lag correlation is exactly flat
-        assert np.all(stats.corr == stats.corr[0])
-        assert stats.cov_bar_final == pytest.approx(stats.mean_sz_bar_sq, rel=1e-12)
+        assert np.all(np.asarray(stats["corr"]) == stats["corr"][0])
+        assert stats["cov_bar_final"] == pytest.approx(stats["mean_sz_bar_sq"], rel=1e-12)
         # and the estimate sits on S/2 within errors
-        assert abs(stats.mean_sz_bar_sq - 25.0) < 3.0 * stats.mean_sz_bar_sq_se
+        assert abs(stats["mean_sz_bar_sq"] - 25.0) < 3.0 * stats["mean_sz_bar_sq_se"]
 
     @pytest.mark.parametrize("mode", ["exact", "gaussian"])
     def test_correlation_matches_telegraph_kernel(self, mode):
         r = 0.1
         stats = self._run(r=r, n_traj=20000, mode=mode)
-        for lag, c, se in zip(stats.lags, stats.corr, stats.corr_se):
+        for lag, c, se in zip(stats["lags"], stats["corr"], stats["corr_se"]):
             target = math.exp(-2.0 * r * lag)
             assert abs(c - target) <= 3.0 * max(se, 1e-12), (mode, lag)
 
@@ -266,20 +266,20 @@ class TestMonteCarlo:
         r, s = 0.2, 50.0
         stats = self._run(r=r, s=s, n_traj=20000, mode=mode)
         c_sq, c_fin = correlation_integrals(r)
-        assert abs(stats.mean_sz_bar_sq - (s / 2.0) * c_sq) <= 3.0 * stats.mean_sz_bar_sq_se
-        assert abs(stats.cov_bar_final - (s / 2.0) * c_fin) <= 3.0 * stats.cov_bar_final_se
+        assert abs(stats["mean_sz_bar_sq"] - (s / 2.0) * c_sq) <= 3.0 * stats["mean_sz_bar_sq_se"]
+        assert abs(stats["cov_bar_final"] - (s / 2.0) * c_fin) <= 3.0 * stats["cov_bar_final_se"]
 
     def test_deterministic_and_worker_independent(self):
         # streams are keyed by (seed, chunk), so the seed alone fixes the bits
         a = self._run(seed=7)
         b = self._run(seed=7)
-        assert a.mean_sz_bar_sq == b.mean_sz_bar_sq
-        assert a.cov_bar_final == b.cov_bar_final
-        assert a.n_events == b.n_events
-        assert np.array_equal(a.corr, b.corr)
-        assert np.array_equal(a.corr_se, b.corr_se)
+        assert a["mean_sz_bar_sq"] == b["mean_sz_bar_sq"]
+        assert a["cov_bar_final"] == b["cov_bar_final"]
+        assert a["n_events"] == b["n_events"]
+        assert np.array_equal(a["corr"], b["corr"])
+        assert np.array_equal(a["corr_se"], b["corr_se"])
         d = self._run(seed=8)
-        assert d.mean_sz_bar_sq != a.mean_sz_bar_sq
+        assert d["mean_sz_bar_sq"] != a["mean_sz_bar_sq"]
 
     @pytest.mark.parametrize("r, s, n_traj", [
         (0.1, 50.0, 513),  # one partial chunk
@@ -289,9 +289,9 @@ class TestMonteCarlo:
     ])
     def test_chunk_edge_cases_match_telegraph_kernel(self, r, s, n_traj):
         stats = self._run(r=r, s=s, n_traj=n_traj, seed=11)
-        assert stats.n_trajectories == n_traj
-        assert 0 < stats.n_events < 3.0 * r * round(2 * s) * n_traj
-        for lag, c, se in zip(stats.lags, stats.corr, stats.corr_se):
+        assert stats["n_trajectories"] == n_traj
+        assert 0 < stats["n_events"] < 3.0 * r * round(2 * s) * n_traj
+        for lag, c, se in zip(stats["lags"], stats["corr"], stats["corr_se"]):
             target = math.exp(-2.0 * r * lag)
             assert abs(c - target) <= 3.0 * max(se, 1e-12), (s, lag)
 
@@ -300,9 +300,9 @@ class TestMonteCarlo:
         r, s, n_traj = 0.1, 50.0, 4000
         stats = self._run(r=r, s=s, n_traj=n_traj)
         mean = r * 2.0 * s * n_traj
-        assert abs(stats.n_events - mean) <= 4.0 * math.sqrt(mean)
-        assert self._run(r=r, s=s, n_traj=100, mode="gaussian").n_events == 0
-        assert self._run(r=0.0, s=s, n_traj=100).n_events == 0
+        assert abs(stats["n_events"] - mean) <= 4.0 * math.sqrt(mean)
+        assert self._run(r=r, s=s, n_traj=100, mode="gaussian")["n_events"] == 0
+        assert self._run(r=0.0, s=s, n_traj=100)["n_events"] == 0
 
     def test_input_validation(self):
         process = RamanProcess(r=0.1, n_atoms=100)
@@ -335,8 +335,8 @@ class TestMonteCarlo:
         r, s = 0.15, 200.0
         ex = self._run(r=r, s=s, n_traj=20000, mode="exact")
         ga = self._run(r=r, s=s, n_traj=20000, mode="gaussian", seed=43)
-        joint = math.hypot(ex.mean_sz_bar_sq_se, ga.mean_sz_bar_sq_se)
-        assert abs(ex.mean_sz_bar_sq - ga.mean_sz_bar_sq) <= 4.0 * joint
+        joint = math.hypot(ex["mean_sz_bar_sq_se"], ga["mean_sz_bar_sq_se"])
+        assert abs(ex["mean_sz_bar_sq"] - ga["mean_sz_bar_sq"]) <= 4.0 * joint
 
 
 def _stream(seed, chunk=0):
@@ -390,8 +390,9 @@ class TestReduction:
             stats = sample_trajectories(process, n_traj, steps, seed=seed, mode=mode)
             samples, sbar = _chunked_samples(process, s, n_traj, steps, seed, mode)
             ref = [fsum_mean_se_reference(sbar * sbar), fsum_mean_se_reference(sbar * samples[:, -1])]
-            got = [(stats.mean_sz_bar_sq, stats.mean_sz_bar_sq_se), (stats.cov_bar_final, stats.cov_bar_final_se)]
-            for col, c, se in zip(samples.T, stats.corr, stats.corr_se):
+            got = [(stats["mean_sz_bar_sq"], stats["mean_sz_bar_sq_se"]),
+                   (stats["cov_bar_final"], stats["cov_bar_final_se"])]
+            for col, c, se in zip(samples.T, stats["corr"], stats["corr_se"]):
                 mean, ref_se = fsum_mean_se_reference(samples[:, 0] * col)
                 ref.append((2.0 / s * mean, 2.0 / s * ref_se))
                 got.append((c, se))

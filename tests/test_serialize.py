@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -65,4 +66,13 @@ def test_list_columns_of_unequal_length_are_refused(tmp_path):
     for block in (([1.0, 2.0], [1.0], 0.0, 0.0), (0.0, [1.0], [1.0, 2.0], 0.0)):
         with pytest.raises(ValueError):
             write_csv(path, HEADER, [(0.0, [1.0], [2.0], 3.0), block])
+    assert not path.exists()
+
+
+def test_non_finite_cells_are_refused_before_the_file_opens(tmp_path):
+    path = tmp_path / "out.csv"
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")):
+        for block in ((0.0, [1.0, bad], "s", None), (bad, [1.0, 2.0], "s", None)):
+            with pytest.raises(ValueError, match="finite"):
+                write_csv(path, HEADER, [(0.0, [1.0], [2.0], 3.0), block])
     assert not path.exists()
