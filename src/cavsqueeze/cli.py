@@ -14,10 +14,12 @@ Only callers that run more than once in a process (the tests, the
 benchmark worker) skip a build; the console script runs once.
 
 A handler (cmd_*) validates its options and computes; it writes nothing
-and returns a Result.  run alone creates --out, and only once the handler
-has returned, so a refused run of any subcommand creates no --out.  It then
-writes the files and the manifest, with each warning raised during the run
-as a {"category", "message"} entry, and prints the "wrote" line.
+and returns a Result.  run alone writes, once the handler has returned:
+the files, then the manifest, with each warning raised during the run as a
+{"category", "message"} entry, then the "wrote" line.  The writers create
+--out only once a file's text is built, so a run refused at write time
+creates no --out either: raman-mc writes first its JSON, which holds every
+number of its CSV but the finite target.
 
 Exit codes: 0 success, 1 usage/config error (any ValueError or OSError, a
 nan or infinite number included, printed to stderr as "<subcommand>:
@@ -150,13 +152,13 @@ def cmd_validate_oracle(args):
     spins = [s for s in _ORACLE_S_GRID if s <= args.smax]
     if not spins:
         raise ValueError(f"--smax {args.smax:g} is below the smallest grid spin {_ORACLE_S_GRID[0]:g}")
+    grids = [[0.0, 0.1, 1.0, 5.0, 0.5 * s] for s in spins]
+    closed = analytic_moments(np.repeat(spins, 5), np.ravel(grids))
     blocks = []
-    for s in spins:
-        qs = [0.0, 0.1, 1.0, 5.0, 0.5 * s]
-        closed = analytic_moments(s, np.array(qs))
-        var_closed, cov_closed = closed.var_y.tolist(), closed.cov_w.tolist()
-        oracles = [oracle_moments_sum(s, q) for q in qs]
-        var_oracle, cov_oracle = [o.var_y for o in oracles], [o.cov_w for o in oracles]
+    for s, qs, var_closed, cov_closed in zip(spins, grids, closed.var_y.reshape(-1, 5).tolist(),
+                                             closed.cov_w.reshape(-1, 5).tolist()):
+        oracle = oracle_moments_sum(s, np.array(qs))
+        var_oracle, cov_oracle = oracle.var_y.tolist(), oracle.cov_w.tolist()
         err_v = list(map(_relative_error, var_closed, var_oracle))
         err_w = list(map(_relative_error, cov_closed, cov_oracle))
         ok = [ev <= ORACLE_TOL and ew <= ORACLE_TOL for ev, ew in zip(err_v, err_w)]
@@ -267,7 +269,6 @@ def run(argv=None):
             _refuse_non_finite(args)
             result = args.handler(args)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         for name, content in result.files.items():
             if name.endswith(".csv"):
                 write_csv(out / name, *content)

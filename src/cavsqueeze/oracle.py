@@ -15,9 +15,12 @@ Numerical care: the sums run in float64 on the normalised amplitudes of
 dicke.css_support, up to S ~ 1e5; their cancellation error stays ~1e-12
 relative even at Q = S/2 on the validate-oracle grid (S <= 200).  They run
 over css_support's window alone (every term dropped is exactly 0), O(sqrt(S))
-terms: ~26,000 at S = 1e5.  The channel's traces read only the populations
-and the -2..+1 diagonals of the sheared density matrix, so it forms those
-four diagonals alone: O(S) work and memory, up to DENSITY_DIM_CAP.
+terms: ~26,000 at S = 1e5.  They are elementwise over Q: one call builds
+the weights once and sums the phases of every Q in slices of at most
+2**17 // window rows, ~1 MB an array however many Q.  The channel's traces
+read only the populations and the -2..+1 diagonals of the sheared density
+matrix, so it forms those four diagonals alone: O(S) work and memory, up
+to DENSITY_DIM_CAP.
 """
 
 import math
@@ -32,15 +35,8 @@ from .params import EnsembleSpec, nonnegative, twice_spin
 ORACLE_SUM_CAP = 200_001
 
 
-def _sum_complex(weights, phases):
-    """sum(w * e^{i phi}) accumulated in the dtype of the inputs, returned as complex."""
-    re = float(np.sum(weights * np.cos(phases)))
-    im = float(np.sum(weights * np.sin(phases)))
-    return complex(re, im)
-
-
 def oracle_moments_sum(total_spin, q):
-    """Sheared-state moments on a CSS by explicit Dicke sums.
+    """Sheared-state moments on a CSS by explicit Dicke sums, elementwise over a scalar or 1-D array of Q.
 
     Computes <e^{iQ S_z/S} S_+>, e^{-(1+i)Q/S} <e^{2iQ S_z/S} S_+^2> and the
     anticommutator sum behind the y-z covariance term by term; assembles
@@ -49,41 +45,45 @@ def oracle_moments_sum(total_spin, q):
     Hermitian conjugates.  var_z = S/2 (S_z is a constant of motion).  The
     sums index ascending m = k - S against the m = +S..-S order of
     css_support, valid only because CSS amplitudes are symmetric in m, and
-    run over its window k = first_k..2S-first_k alone.
+    run over its window k = first_k..2S-first_k alone.  The phases of every
+    Q form one (Q, window) array, summed in slices of at most 2**17 // window
+    rows, each row bit for bit as a call at its Q alone.  A scalar Q gives
+    Python scalars, an array Q arrays, as the closed forms do.
     """
     s = float(total_spin)
     two_s = int(twice_spin(s))
     if two_s + 1 > ORACLE_SUM_CAP:
         raise ValueError(f"Dicke dimension {two_s + 1} exceeds oracle cap {ORACLE_SUM_CAP}")
-    nonnegative("shearing strength", q)
+    qs = np.atleast_1d(nonnegative("shearing strength", q))
 
     first_k, a = css_support(s)
     k = np.arange(first_k, first_k + len(a), dtype=float)
     m = k - s
-    u = q / s
-
     # first coherence: a_{m+1} a_m sqrt((S-m)(S+m+1)) e^{iQ(m+1)/S}
-    c1 = np.sqrt((two_s - k[:-1]) * (k[:-1] + 1.0))
-    w1 = a[1:] * a[:-1] * c1
-    ph1 = u * (m[:-1] + 1.0)
-    mean_sp = _sum_complex(w1, ph1)
-    cov_w = float(np.sum(w1 * (2.0 * m[:-1] + 1.0) * np.sin(ph1)))
-
-    # second coherence: a_{m+2} a_m c_m c_{m+1} e^{2iQ(m+2)/S}, then the
-    # S_z-independent photon shot-noise factor e^{-(1+i)Q/S}
+    w1 = a[1:] * a[:-1] * np.sqrt((two_s - k[:-1]) * (k[:-1] + 1.0))
+    w1_cov = w1 * (2.0 * m[:-1] + 1.0)
+    # second coherence: a_{m+2} a_m c_m c_{m+1} e^{2iQ(m+2)/S}
     k2 = k[:-2]
-    c2 = np.sqrt((two_s - k2) * (k2 + 1.0) * (two_s - k2 - 1.0) * (k2 + 2.0))
-    w2 = a[2:] * a[:-2] * c2
-    ph2 = 2.0 * u * (m[:-2] + 2.0)
-    raw_sp2 = _sum_complex(w2, ph2)
-    shot = complex(math.exp(-q / s)) * complex(math.cos(q / s), -math.sin(q / s))
-    mean_sp2 = raw_sp2 * shot
+    w2 = a[2:] * a[:-2] * np.sqrt((two_s - k2) * (k2 + 1.0) * (two_s - k2 - 1.0) * (k2 + 2.0))
+    sums = np.empty((5, len(qs)))  # Re, Im <S_+>, cov_w, Re, Im of the raw <S_+^2>
+    step = max(1, 2 ** 17 // len(a))
+    for lo in range(0, len(qs), step):
+        rows, u = slice(lo, lo + step), qs[lo:lo + step, None] / s
+        ph1 = u * (m[:-1] + 1.0)
+        sin1 = np.sin(ph1)
+        sums[:3, rows] = [np.sum(w1 * np.cos(ph1), axis=-1), np.sum(w1 * sin1, axis=-1), np.sum(w1_cov * sin1, axis=-1)]
+        ph2 = 2.0 * u * (m[:-2] + 2.0)
+        sums[3:, rows] = [np.sum(w2 * np.cos(ph2), axis=-1), np.sum(w2 * np.sin(ph2), axis=-1)]
 
-    sz_sq = float(np.sum(a * a * m * m))
-    second_y = (s * (s + 1.0) - sz_sq) / 2.0 - mean_sp2.real / 2.0
-    var_y = second_y - mean_sp.imag ** 2
-
-    return MomentSet(total_spin=s, shearing_q=float(q), mean_sp=mean_sp, mean_sp2=mean_sp2,
+    # the S_z-independent photon shot-noise factor e^{-(1+i)Q/S} and var_y, per Q in math
+    shot = [complex(math.exp(-x)) * complex(math.cos(x), -math.sin(x)) for x in (qs / s).tolist()]
+    re1, im1, cov_w, re2, im2 = sums.tolist()
+    mean_sp, mean_sp2 = list(map(complex, re1, im1)), [z * f for z, f in zip(map(complex, re2, im2), shot)]
+    ladder = (s * (s + 1.0) - float(np.sum(a * a * m * m))) / 2.0  # <S_+S_- + S_-S_+> / 4
+    var_y = [ladder - sp2.real / 2.0 - sp.imag ** 2 for sp, sp2 in zip(mean_sp, mean_sp2)]
+    scalar = np.ndim(q) == 0
+    mean_sp, mean_sp2, var_y, cov_w = (c[0] if scalar else np.array(c) for c in (mean_sp, mean_sp2, var_y, cov_w))
+    return MomentSet(total_spin=s, shearing_q=float(q) if scalar else qs, mean_sp=mean_sp, mean_sp2=mean_sp2,
                      var_y=var_y, var_z=s / 2.0, cov_w=cov_w)
 
 

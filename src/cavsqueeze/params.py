@@ -63,8 +63,13 @@ def positive(name, x):
 
 
 def nearest_spin(x):
-    """The half-integer S nearest each element of x; an x that rounds to S = 0 is refused through twice_spin."""
-    return twice_spin(np.rint(2.0 * np.asarray(x, dtype=float)) / 2.0) / 2.0
+    """The half-integer S nearest each element of x; an x that rounds to S = 0 is refused through twice_spin.
+
+    An x past the spin cap is refused as given, before doubling it could overflow to inf.
+    """
+    x = np.asarray(x, dtype=float)
+    twice_spin(x[x > MAX_TWICE_SPIN / 2.0])
+    return twice_spin(np.rint(2.0 * x) / 2.0) / 2.0
 
 
 @dataclass(frozen=True)

@@ -219,11 +219,11 @@ def _simulate_gaussian(rng, process, s, lag_times, samples, sbar):
     x = np.empty((2, len(sbar)))
     for i in range(1, len(lag_times)):
         h = lag_times[i] - lag_times[i - 1]
-        if theta == 0.0:
+        decay = math.exp(-theta * h)
+        if decay == 1.0:  # theta = 0, or so small that the step's decay rounds to 1 (var_z would be 0)
             sbar += z * h
             samples[:, i] = z
             continue
-        decay = math.exp(-theta * h)
         var_z = var_st * (1.0 - decay * decay)
         var_i = (2.0 * var_st / theta) * (
             h - 2.0 * (1.0 - decay) / theta + (1.0 - decay * decay) / (2.0 * theta)

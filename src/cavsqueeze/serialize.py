@@ -2,7 +2,8 @@
 
 Floats are written with Python's shortest round-trip representation
 (repr), so CSV/JSON outputs are byte-stable and parse back exactly, and
-both writers refuse a nan or infinite float before they open the file.  A CSV
+both writers refuse a nan or infinite float before they create the file or
+its directory: each makes the directory only once its text is built.  A CSV
 is written from blocks of columns (write_csv), and a column that recurs
 across blocks, such as fig2's Q grid, is formatted once per file.  Every
 CLI run writes a manifest beside its outputs (write_manifest): the argv,
@@ -16,6 +17,7 @@ import json
 import math
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -48,11 +50,10 @@ def write_csv(path, header, blocks):
     one block or several, is formatted once per file, keyed by identity: the
     key holds the list until every row is made, so no other list can take
     its id.  List columns of one block that differ in length, and a nan or
-    infinite float cell, raise ValueError before the file is opened.
+    infinite float cell, raise ValueError before the file or its directory is made.
     """
     lines = [",".join(header), *_rows(blocks), ""]  # the empty last line ends the file with a newline
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
+    _write_text(path, "\n".join(lines))
 
 
 def _rows(blocks):
@@ -68,10 +69,15 @@ def _rows(blocks):
 
 
 def write_json(path, obj):
-    """Write standard JSON: a nan or infinite float raises ValueError before the file is opened."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    """Write standard JSON: a nan or infinite float raises ValueError before the file or its directory is made."""
+    _write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _write_text(path, text):
+    """Write built text to path, creating its directory (and any missing parents) first."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
 
 
 def write_manifest(path, command, outputs, started, seed=None, config=None, mc_health=None, warnings=()):

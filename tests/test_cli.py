@@ -274,14 +274,88 @@ def test_extreme_spins_exit_cleanly_with_finite_output(command, s, size, r, mode
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "system.cfg", Path(tmp) / "out"
         cfg.write_text(_SYSTEM_CFG.format(S=repr(s)), encoding="utf-8")
-        code = _run(_fuzz_argv(command, s, size, r, mode, cfg), out)
-        assert code in (0, 1, 2)
-        assert out.exists() == (code != 1)
-        for path in out.iterdir() if code == 0 else ():
-            if path.suffix == ".json":
-                json.loads(path.read_text(), parse_constant=_raise_on_constant)
-            else:
-                assert all(map(math.isfinite, _csv_numbers(path))), path.name
+        _assert_clean_exit(_run(_fuzz_argv(command, s, size, r, mode, cfg), out), out)
+
+
+def _assert_clean_exit(code, out):
+    """Exit 0, 1 or 2, no --out on exit 1, and only finite numbers in the files of exit 0."""
+    assert code in (0, 1, 2)
+    assert out.exists() == (code != 1)
+    for path in out.iterdir() if code == 0 else ():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=_raise_on_constant)
+        else:
+            assert all(map(math.isfinite, _csv_numbers(path))), path.name
+
+
+# one option at a time, on an argv that is valid without it: the finite extremes, -0.0, and None for an ordinary value
+_OPTION_ARGV = {
+    "--eta": (["fig2", "--S", "100", "--qpoints", "3"], "0.1"),
+    "--qmin": (["fig2", "--S", "100", "--eta", "0.1", "--qpoints", "3"], "2.0"),
+    "--qmax": (["fig2", "--S", "100", "--eta", "0.1", "--qpoints", "3"], "500.0"),
+    "--r": (["raman-mc", "--S", "20", "--steps", "2", "--seed", "1", "--corr-csv"], "0.5"),
+    "--eps-max": (["design", "--config", "{cfg}"], "1e-4"),
+    "--q-target": (["design", "--config", "{cfg}"], "20.0"),
+    "--eta-min": (["sweep", "--s-points", "2", "--eta-points", "2", "--full-minimum"], "0.01"),
+    "--eta-max": (["sweep", "--s-points", "2", "--eta-points", "2", "--full-minimum"], "1.0"),
+}
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(option=st.sampled_from(sorted(_OPTION_ARGV)), value=st.sampled_from(["-0.0", "5e-324", "1e300", None]),
+       traj=st.integers(0, 3), mode=st.sampled_from(["exact", "gaussian"]))
+def test_extreme_option_values_exit_cleanly_with_finite_output(option, value, traj, mode):
+    argv, ordinary = _OPTION_ARGV[option]
+    argv = argv + [option, ordinary if value is None else value]
+    if option == "--r":
+        argv += ["--traj", str(traj), "--mode", mode]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "system.cfg", Path(tmp) / "out"
+        cfg.write_text(_SYSTEM_CFG.format(S="1e4"), encoding="utf-8")
+        _assert_clean_exit(_run([a.format(cfg=cfg) for a in argv], out), out)
+
+
+# accepted inputs whose output a writer refuses as nan or inf: run used to create --out before the writers ran
+@pytest.mark.parametrize("argv, message", [
+    (["fig2", "--S", "100", "--eta", "0.1", "--qmin", "5e-324"], "CSV cells must be finite, got inf"),
+    (["fig2", "--S", "100", "--eta", "0.1", "--qmax", "1e300"], "CSV cells must be finite, got nan"),
+    (["design", "--config", "{cfg}", "--eps-max", "5e-324"], "Out of range float values are not JSON compliant: inf"),
+    (["design", "--config", "{cfg}", "--q-target", "1e300"], "Out of range float values are not JSON compliant: nan"),
+    (["sweep", "--eta-min", "1e300", "--eta-max", "1", "--s-points", "2", "--eta-points", "2", "--full-minimum"],
+     "CSV cells must be finite, got inf"),
+    (["sweep", "--eta-min", "0.1", "--eta-max", "1e300", "--s-points", "2", "--eta-points", "2", "--full-minimum"],
+     "CSV cells must be finite, got inf"),
+], ids=["fig2 --qmin 5e-324", "fig2 --qmax 1e300", "design --eps-max 5e-324", "design --q-target 1e300",
+        "sweep --eta-min 1e300", "sweep --eta-max 1e300"])
+def test_a_value_refused_at_write_time_leaves_no_out(tmp_path, capsys, argv, message):
+    cfg = tmp_path / "system.cfg"  # the worked example without p0
+    cfg.write_text("S = 10000\ng_hz = 4e5\nkappa_hz = 1e6\ndelta_over_gamma = 500\nt_s = 4e-4\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run([a.format(cfg=cfg) for a in argv], out) == 1
+    assert capsys.readouterr().err == f"{argv[0]}: {message}\n"
+    assert not out.exists()
+
+
+def test_a_sweep_spin_past_the_cap_is_named_as_given(tmp_path, capsys):
+    # nearest_spin doubled 1e308 to inf before twice_spin saw it, so the message named inf
+    out = tmp_path / "out"
+    assert _run(["sweep", "--s-min", "1e308", "--s-max", "1e308"], out) == 1
+    assert capsys.readouterr().err == "sweep: total spin must be a positive half-integer with 2S <= 2**53, got 1e+308\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("r", ["1e-17", "1e-20", "5e-324"])
+def test_gaussian_mc_at_a_rate_whose_decay_rounds_to_1_runs_as_at_r_0(tmp_path, r):
+    # exp(-2 r h) == 1.0 made the OU step's var_z 0, and the step divided by it (ZeroDivisionError)
+    stats = {}
+    for rate in ("0", r):
+        out = tmp_path / rate
+        argv = ["raman-mc", "--S", "20", "--r", rate, "--traj", "2", "--steps", "2", "--seed", "1", "--mode", "gaussian",
+                "--corr-csv"]
+        assert _run(argv, out) == 0
+        _assert_clean_exit(0, out)
+        stats[rate] = json.loads((out / "raman_stats.json").read_text())["stats"]
+    assert stats[r] == stats["0"]
 
 
 def test_sweep_below_spin_half_is_refused(tmp_path, capsys):
@@ -482,8 +556,8 @@ def test_validate_oracle_failure_exits_2_and_writes_everything(tmp_path, capsys,
 
     def perturbed(total_spin, q):
         moments = oracle(total_spin, q)
-        if (total_spin, q) == (5.0, 1.0):
-            return dataclasses.replace(moments, var_y=moments.var_y * (1.0 + 1e-6))
+        if total_spin == 5.0:
+            return dataclasses.replace(moments, var_y=np.where(q == 1.0, moments.var_y * (1.0 + 1e-6), moments.var_y))
         return moments
 
     monkeypatch.setattr(cli, "oracle_moments_sum", perturbed)

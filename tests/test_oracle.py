@@ -142,6 +142,30 @@ def test_oracle_sum_equals_the_full_range_sum_on_the_grid(monkeypatch):
         assert [getattr(got, f) for f in fields] == [getattr(full, f) for f in fields], (s, q)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(s=st.integers(1, 400).map(lambda two_s: two_s / 2.0) | st.sampled_from([1e4, 1e5]),
+       fracs=st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=7))
+def test_one_call_over_q_repeats_the_call_per_q_bit_for_bit(s, fracs):
+    # Q up to S/2, with 0 and repeats; at S = 1e5 a slice holds 5 rows, so 6 or 7 Q span two slices
+    qs = np.array([f * s / 2.0 for f in fracs])
+    row = oracle_moments_sum(s, qs)
+    each = [oracle_moments_sum(s, q) for q in qs.tolist()]
+    for name in ("mean_sp", "mean_sp2", "var_y", "cov_w"):
+        assert getattr(row, name).tobytes() == np.array([getattr(m, name) for m in each]).tobytes(), name
+    assert [m.var_z for m in each] == [row.var_z] * len(qs)
+
+
+def test_one_call_over_many_q_keeps_a_bounded_working_set():
+    # ~26,000 terms a row at S = 1e5: unsliced, 1,000 rows would hold ~1 GB
+    tracemalloc.start()
+    try:
+        oracle_moments_sum(1e5, np.linspace(0.0, 300.0, 1000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000, peak
+
+
 # the bit-identity spins: half-integers, the grid and the cap S = 200
 BIT_S = (0.5, 1.0, 2.5, 10.0, 37.5, 50.0, 100.0, 200.0)
 

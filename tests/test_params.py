@@ -124,7 +124,7 @@ TAKES_AN_INPUT = {
 ARRAY_INPUTS = ("raman_modified_moments(Q)", "raman_modified_moments(r)", "analytic_moments(Q)",
                 "correlation_integrals(r)", "modified_min_variance(eta)", "modified_min_variance(Q)",
                 "curvature_optimum(S)", "scattering_optimum(S)", "scattering_optimum(eta)", "classify_regime(S)",
-                "classify_regime(eta)", "full_curve_minimum(eta)")
+                "classify_regime(eta)", "full_curve_minimum(eta)", "oracle_moments_sum(Q)")
 
 
 def _refuses_with(call, x, message):
