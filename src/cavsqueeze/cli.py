@@ -48,7 +48,7 @@ from . import __version__
 from .design import classify_regime, curvature_optimum, design_report, full_curve_minimum, scattering_optimum
 from .feedback import analytic_moments, correlation_integrals
 from .oracle import oracle_moments_sum
-from .params import EnsembleSpec, load_config, nearest_spin, system_from_config
+from .params import EnsembleSpec, cavity_params, load_config, nearest_spin
 from .raman import RamanProcess, fig2_curve, sample_trajectories
 from .serialize import SCHEMA_VERSION, write_csv, write_json, write_manifest
 
@@ -220,8 +220,7 @@ def cmd_raman_mc(args):
 
 def cmd_design(args):
     cfg = load_config(args.config)
-    ensemble, params = system_from_config(cfg)
-    report = design_report(ensemble, params, cfg["t_s"], args.eps_max, args.q_target)
+    report = design_report(cfg["S"], cavity_params(cfg), cfg["t_s"], args.eps_max, args.q_target)
     return Result({"design_report.json": report}, config=cfg)
 
 

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .feedback import _G_DOMAIN, _scalar, raman_modified_moments
-from .params import DrivePulse, nonnegative, positive, twice_spin
+from .params import nonnegative, population, positive, twice_spin
 from .raman import modified_min_variance
 from .serialize import SCHEMA_VERSION
 
@@ -173,42 +173,55 @@ def full_curve_minimum(total_spin, eta):
             _scalar(np.take_along_axis(values, best, axis=-1)[..., 0]))
 
 
-def kappa_t_required(ensemble, params, shearing_q, max_excited_pop):
+def _photon_budget(total_spin, params, shearing_q):
+    """p0, the photons transmitted at S_z = 0 over the pulse, that gives Q = S p0 (2 Omega / kappa)^2."""
+    return shearing_q / (total_spin * (2.0 * params["omega_shift_rad_s"] / params["kappa_rad_s"]) ** 2)
+
+
+def kappa_t_required(total_spin, params, shearing_q, max_excited_pop):
     """Minimum kappa*t so the excited-state population stays below the cap.
 
     From epsilon * kappa * t = (kappa/g)^2 Q / (8 S): at fixed Q the pulse
-    must stretch as (kappa/g)^2 / epsilon_max.
+    must stretch as (kappa/g)^2 / epsilon_max.  params is a cavity_params dict.
     """
+    twice_spin(total_spin)
     nonnegative("shearing strength", shearing_q)
-    positive("max_excited_pop", max_excited_pop)
-    return (params.kappa / params.g) ** 2 * shearing_q / (8.0 * ensemble.total_spin * max_excited_pop)
+    population("max_excited_pop", max_excited_pop)
+    return (params["kappa_rad_s"] / params["g_rad_s"]) ** 2 * shearing_q / (8.0 * total_spin * max_excited_pop)
 
 
-def validate_regime(ensemble, params, drive, max_excited_pop):
+def validate_regime(total_spin, params, pulse_time, shearing_q, max_excited_pop):
     """Validity checks of the dispersive, linearized, adiabatic treatment, as the report's "validity" dict.
 
-    max_excited_pop is the low-saturation limit (design --eps-max in a
-    report); the other limits, in thresholds, are the module constants.
-    Never raises for out-of-regime inputs: all failures are carried as
-    flags, and all_ok says every flag passes.  excited_pop is epsilon =
-    <c^dag c> g^2 / Delta^2 at S_z = 0; ratio_linearity is Omega sqrt(S/2) /
-    kappa; identity_rel_err is how well epsilon kappa t = (kappa/g)^2 Q/(8S)
-    closes numerically.
+    The pulse of length pulse_time (s) shears the spin S by Q = shearing_q,
+    on the cavity of params (a cavity_params dict); max_excited_pop is the
+    low-saturation limit (design --eps-max in a report), and the other
+    limits, in thresholds, are the module constants.  Refuses a non-spin S,
+    a pulse time that is not positive, a negative Q and a max_excited_pop
+    outside (0, 1]; never raises for out-of-regime inputs: all failures are
+    carried as flags, and all_ok says every flag passes.  excited_pop is
+    epsilon = <c^dag c> g^2 / Delta^2 at S_z = 0; ratio_linearity is
+    Omega sqrt(S/2) / kappa; identity_rel_err is how well epsilon kappa t =
+    (kappa/g)^2 Q/(8S) closes numerically.
     """
-    positive("max_excited_pop", max_excited_pop)
-    s = ensemble.total_spin
+    twice_spin(total_spin)
+    positive("pulse_time", pulse_time)
+    nonnegative("shearing strength", shearing_q)
+    population("max_excited_pop", max_excited_pop)
+    s = total_spin
+    g, kappa, gamma, delta = params["g_rad_s"], params["kappa_rad_s"], params["gamma_rad_s"], params["delta_rad_s"]
 
-    # epsilon at S_z = 0: intracavity <c^dag c> = |beta|^2 = 2 p0/(kappa t),
-    # which is exactly the stored drive_rate
-    excited_pop = drive.drive_rate * (params.g / params.delta) ** 2
+    # epsilon at S_z = 0: intracavity <c^dag c> = |beta|^2, the drive rate 2 p0/(kappa t)
+    drive_rate = 2.0 * _photon_budget(s, params, shearing_q) / (kappa * pulse_time)
+    excited_pop = drive_rate * (g / delta) ** 2
 
-    kappa_t = params.kappa * drive.pulse_time
-    ratio_linearity = params.omega_shift * (s / 2.0) ** 0.5 / params.kappa
-    detuning_margin = abs(params.delta) / max(params.kappa, params.gamma, params.g)
+    kappa_t = kappa * pulse_time
+    ratio_linearity = params["omega_shift_rad_s"] * (s / 2.0) ** 0.5 / kappa
+    detuning_margin = abs(delta) / max(kappa, gamma, g)
 
     # internal identity: epsilon kappa t = (kappa/g)^2 Q / (8S)
     lhs = excited_pop * kappa_t
-    rhs = (params.kappa / params.g) ** 2 * drive.shearing_q / (8.0 * s)
+    rhs = (kappa / g) ** 2 * shearing_q / (8.0 * s)
     scale = max(abs(lhs), abs(rhs))
     identity_rel_err = abs(lhs - rhs) / scale if scale > 0.0 else 0.0
 
@@ -223,7 +236,7 @@ def validate_regime(ensemble, params, drive, max_excited_pop):
         "excited_pop": excited_pop,
         "kappa_t": kappa_t,
         "detuning_margin": detuning_margin,
-        "shearing_q": drive.shearing_q,
+        "shearing_q": shearing_q,
         "flags": flags,
         "all_ok": all(flags.values()),
         "identity_rel_err": identity_rel_err,
@@ -232,25 +245,30 @@ def validate_regime(ensemble, params, drive, max_excited_pop):
     }
 
 
-def design_report(ensemble, params, pulse_time, max_excited_pop, q_target=None):
+def design_report(total_spin, params, pulse_time, max_excited_pop, q_target=None):
     """Limits, optima and validity of one parameter set, as the dict design writes.
 
-    max_excited_pop is the low-saturation limit, epsilon <= max_excited_pop.
-    The recommended Q is min(full-curve minimizer, Q_curv); a q_target of
-    zero is rejected ("no shearing requested"), any other positive value
-    overrides the recommendation.  The report gives the raw sigma^2 there and
-    the contrast-normalized xi^2 = sigma^2 / C^2, which the floors bound.
+    The spin S sits in the cavity of params, a cavity_params dict, and is
+    sheared by a pulse of length pulse_time (s).  max_excited_pop is the
+    low-saturation limit, epsilon <= max_excited_pop.  The recommended Q is
+    min(full-curve minimizer, Q_curv); a q_target of zero is rejected ("no
+    shearing requested"), any other positive value overrides the
+    recommendation.  The report gives the raw sigma^2 there and the
+    contrast-normalized xi^2 = sigma^2 / C^2, which the floors bound.
     """
-    s = ensemble.total_spin
-    eta = params.eta
+    atom_count = int(twice_spin(total_spin))
+    if q_target is not None and q_target <= 0.0:
+        raise ValueError("no shearing requested: q_target must be positive")
+    positive("pulse_time", pulse_time)
+    population("max_excited_pop", max_excited_pop)
+    s = float(total_spin)
+    eta = params["eta"]
 
     q_curv, sigma_curv_sq = curvature_optimum(s)
     q_scatt, r_opt, sigma_scatt_sq = scattering_optimum(s, eta)
     _, regime, near_boundary = classify_regime(s, eta)
 
     if q_target is not None:
-        if q_target <= 0.0:
-            raise ValueError("no shearing requested: q_target must be positive")
         q_rec = float(q_target)
     else:
         q_full, _ = full_curve_minimum(s, eta)
@@ -259,10 +277,9 @@ def design_report(ensemble, params, pulse_time, max_excited_pop, q_target=None):
     r_rec = q_rec / (4.0 * s * eta)
     contrast_sq = abs(raman_modified_moments(s, q_rec, r_rec).mean_sp) ** 2 / (s * s)
 
-    drive = DrivePulse.from_shearing(q_rec, pulse_time, ensemble, params)
-
-    kt_saturation = kappa_t_required(ensemble, params, q_rec, max_excited_pop)
-    kt_actual = params.kappa * pulse_time
+    kappa = params["kappa_rad_s"]
+    kt_saturation = kappa_t_required(s, params, q_rec, max_excited_pop)
+    kt_actual = kappa * pulse_time
     return {
         "q_curv": q_curv,
         "sigma_curv_sq": sigma_curv_sq,
@@ -277,23 +294,23 @@ def design_report(ensemble, params, pulse_time, max_excited_pop, q_target=None):
         "xi_recommended_sq": sigma_rec / contrast_sq,  # what the floors bound
         "r_recommended": r_rec,
         "spin_shortening_flag": r_rec > 0.1,  # r beyond ~0.1: neglected vector shortening suspect
-        "p0_required": drive.p0,
+        "p0_required": _photon_budget(s, params, q_rec),
         "t_constraints": {
             "kappa_t_actual": kt_actual,
             "kappa_t_min_resolve": MIN_KAPPA_T,
             "kappa_t_min_saturation": kt_saturation,
-            "t_min_seconds": max(kt_saturation, MIN_KAPPA_T) / params.kappa,
+            "t_min_seconds": max(kt_saturation, MIN_KAPPA_T) / kappa,
             "satisfied": kt_actual >= max(kt_saturation, MIN_KAPPA_T),
         },
-        "validity": validate_regime(ensemble, params, drive, max_excited_pop),
+        "validity": validate_regime(s, params, pulse_time, q_rec, max_excited_pop),
         "provenance": {
             "schema_version": SCHEMA_VERSION,
             "tool_version": __version__,
             "total_spin": s,
-            "atom_count": ensemble.atom_count,
+            "atom_count": atom_count,
             "eta": eta,
             "pulse_time_s": pulse_time,
             "max_excited_pop": max_excited_pop,
-            "params": params.as_dict(),
+            "params": params,
         },
     }

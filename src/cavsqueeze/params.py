@@ -1,15 +1,16 @@
-"""Physical parameter bundles and config-file ingestion.
+"""Domain rules for every physical input, and config-file ingestion.
 
 Conventions used throughout the package:
 
-  * every frequency-like quantity is angular (rad/s); config files and the
-    CLI accept plain Hz and the 2*pi is applied here, at the boundary,
+  * every frequency-like quantity is angular (rad/s); config files accept
+    plain Hz, and cavity_params applies the 2*pi at that boundary,
   * the collective spin S describes N = 2S two-level atoms, so S is a positive
     half-integer: twice_spin alone decides which S is a spin and gives its 2S,
     for every function that evaluates a spin state (design's optima take S > 0),
     and refuses 2S > MAX_TWICE_SPIN = 2**53, past which every float is an integer,
   * nonnegative and positive alone decide the other physical inputs (Q, r,
-    eta, p0, pulse time, g, kappa, Gamma, max_excited_pop, design's S); two
+    eta, pulse time, g, kappa, Gamma, design's S), and population decides
+    max_excited_pop, an excited-state population epsilon in (0, 1]; two
     refusals stay elsewhere: design_report's q_target <= 0 ("no shearing
     requested") and oracle.channel_factors' RuntimeError on a factor above 1,
   * the dispersive cavity shift per unit S_z is Omega = 2 g^2 / |Delta|
@@ -62,6 +63,14 @@ def positive(name, x):
     return v[()]
 
 
+def population(name, x):
+    """x as float, elementwise; ValueError unless every element is in (0, 1] (nan refused)."""
+    v = positive(name, x)
+    if (v > 1.0).any():
+        raise ValueError(f"{name} must be at most 1")
+    return v
+
+
 def nearest_spin(x):
     """The half-integer S nearest each element of x; an x that rounds to S = 0 is refused through twice_spin.
 
@@ -85,93 +94,6 @@ class EnsembleSpec:
         object.__setattr__(self, "total_spin", float(self.total_spin))
         object.__setattr__(self, "atom_count", two_s)
         object.__setattr__(self, "dicke_dim", two_s + 1)
-
-
-@dataclass(frozen=True)
-class CavityAtomParams:
-    """Cavity-atom coupling parameters, all angular frequencies in rad/s.
-
-    Attributes
-    ----------
-    g : float
-        Atom-cavity coupling; the single-photon Rabi frequency is 2g.
-    kappa : float
-        Cavity linewidth (FWHM).
-    gamma : float
-        Excited-state population decay rate.
-    delta : float
-        Laser-atom detuning, sign carried.
-    omega_shift : float
-        Derived dispersive shift per unit S_z, 2 g^2 / |delta|.
-    eta : float
-        Derived single-atom cooperativity 4 g^2 / (kappa gamma).
-    """
-
-    g: float
-    kappa: float
-    gamma: float
-    delta: float
-    omega_shift: float = field(init=False)
-    eta: float = field(init=False)
-
-    def __post_init__(self):
-        for name in ("g", "kappa", "gamma"):
-            positive(name, getattr(self, name))
-        positive("|delta|", abs(self.delta))
-        object.__setattr__(self, "omega_shift", 2.0 * self.g * self.g / abs(self.delta))
-        object.__setattr__(self, "eta", 4.0 * self.g * self.g / (self.kappa * self.gamma))
-
-    @classmethod
-    def from_hz(cls, g_hz, kappa_hz, gamma_hz=None, delta_hz=None, delta_over_gamma=None):
-        """Build from plain-Hz inputs; exactly one of delta_hz/delta_over_gamma."""
-        gamma = TWO_PI * gamma_hz if gamma_hz is not None else DEFAULT_GAMMA
-        if (delta_hz is None) == (delta_over_gamma is None):
-            raise ValueError("give exactly one of delta_hz or delta_over_gamma")
-        delta = TWO_PI * delta_hz if delta_hz is not None else delta_over_gamma * gamma
-        return cls(g=TWO_PI * g_hz, kappa=TWO_PI * kappa_hz, gamma=gamma, delta=delta)
-
-    def as_dict(self):
-        return {
-            "g_rad_s": self.g,
-            "kappa_rad_s": self.kappa,
-            "gamma_rad_s": self.gamma,
-            "delta_rad_s": self.delta,
-            "omega_shift_rad_s": self.omega_shift,
-            "eta": self.eta,
-        }
-
-
-@dataclass(frozen=True)
-class DrivePulse:
-    """Drive pulse: photon budget p0 over pulse_time, with derived rate and Q.
-
-    p0 is the mean photon number transmitted at S_z = 0, drive_rate is
-    |beta|^2 = 2 p0 / (kappa t) in photons/s, and shearing_q is
-    Q = S p0 (2 Omega / kappa)^2 for the system the pulse was built against.
-    """
-
-    p0: float
-    pulse_time: float
-    drive_rate: float
-    shearing_q: float
-
-    def __post_init__(self):
-        nonnegative("p0", self.p0)
-        positive("pulse_time", self.pulse_time)
-        nonnegative("shearing strength", self.shearing_q)
-
-    @classmethod
-    def from_photon_budget(cls, p0, pulse_time, ensemble, params):
-        positive("pulse_time", pulse_time)  # before the rate divides by it
-        q = ensemble.total_spin * p0 * (2.0 * params.omega_shift / params.kappa) ** 2
-        rate = 2.0 * p0 / (params.kappa * pulse_time)
-        return cls(p0=p0, pulse_time=pulse_time, drive_rate=rate, shearing_q=q)
-
-    @classmethod
-    def from_shearing(cls, q, pulse_time, ensemble, params):
-        nonnegative("shearing strength", q)  # named as Q, not as the p0 derived from it
-        p0 = q / (ensemble.total_spin * (2.0 * params.omega_shift / params.kappa) ** 2)
-        return cls.from_photon_budget(p0, pulse_time, ensemble, params)
 
 
 # Config file schema: flat "key = value" lines, '#' comments.  Frequencies in
@@ -214,14 +136,28 @@ def load_config(path):
     return cfg
 
 
-def system_from_config(cfg):
-    """Build (EnsembleSpec, CavityAtomParams) from a config dict."""
-    ensemble = EnsembleSpec(total_spin=cfg["S"])
-    params = CavityAtomParams.from_hz(
-        g_hz=cfg["g_hz"],
-        kappa_hz=cfg["kappa_hz"],
-        gamma_hz=cfg.get("gamma_hz"),
-        delta_hz=cfg.get("delta_hz"),
-        delta_over_gamma=cfg.get("delta_over_gamma"),
-    )
-    return ensemble, params
+def cavity_params(cfg):
+    """The coupling of a config dict's system in rad/s, as design_report writes it under provenance.params.
+
+    Converts g_hz, kappa_hz, gamma_hz (default DEFAULT_GAMMA) and delta_hz or
+    delta_over_gamma (exactly one) to g, kappa, Gamma and the signed Delta,
+    and derives omega_shift_rad_s = 2 g^2 / |Delta| and eta = 4 g^2 / (kappa
+    Gamma).  Refuses two or no detunings, then a g, kappa or Gamma that is
+    not positive, then a zero |Delta|.
+    """
+    gamma = TWO_PI * cfg["gamma_hz"] if "gamma_hz" in cfg else DEFAULT_GAMMA
+    if ("delta_hz" in cfg) == ("delta_over_gamma" in cfg):
+        raise ValueError("give exactly one of delta_hz or delta_over_gamma")
+    delta = TWO_PI * cfg["delta_hz"] if "delta_hz" in cfg else cfg["delta_over_gamma"] * gamma
+    g, kappa = TWO_PI * cfg["g_hz"], TWO_PI * cfg["kappa_hz"]
+    for name, x in (("g", g), ("kappa", kappa), ("gamma", gamma)):
+        positive(name, x)
+    positive("|delta|", abs(delta))
+    return {
+        "g_rad_s": g,
+        "kappa_rad_s": kappa,
+        "gamma_rad_s": gamma,
+        "delta_rad_s": delta,
+        "omega_shift_rad_s": 2.0 * g * g / abs(delta),
+        "eta": 4.0 * g * g / (kappa * gamma),
+    }

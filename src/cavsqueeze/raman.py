@@ -48,6 +48,10 @@ from .params import nonnegative, positive, twice_spin
 _CHUNK = 2048
 _BLOCK = 32
 _LOOKUP = 2 ** 14  # lag samples per pass of the exact-mode lookup; each copies _BLOCK times, ~4 MiB a pass
+# Gaussian-mode steps with u = theta h below this take 1 - d and 1 - d^2 (d = e^-u) from expm1 and the var_i
+# bracket u - 2(1 - d) + (1 - d^2)/2 ~ u^3/3 from its series, exact to rounding there.  The direct bracket loses
+# ~3 eps / u^3 relative: 1.6e-7 at the switch, far below Monte Carlo noise, but 2e27 at u = 1e-15.
+_SERIES_BELOW = 1e-3
 
 # Refusal limits from costs measured on a 2-vCPU host.  Exact mode costs ~16-27 us per _PASS_ROWS trajectories x
 # r N event on 512 to 4,096 trajectories at 4 lags (~8-13 s at the limit), and ~6-8 us per event on one trajectory;
@@ -224,16 +228,21 @@ def _simulate_gaussian(rng, process, s, lag_times, samples, sbar):
             sbar += z * h
             samples[:, i] = z
             continue
-        var_z = var_st * (1.0 - decay * decay)
-        var_i = (2.0 * var_st / theta) * (
-            h - 2.0 * (1.0 - decay) / theta + (1.0 - decay * decay) / (2.0 * theta)
-        )
-        cov_zi = var_st * (1.0 - decay) ** 2 / theta
+        u = theta * h
+        if u < _SERIES_BELOW:
+            # u - 2(1 - d) + (1 - d^2)/2 = sum_{n>=3} (-1)^(n+1) (2^(n-1) - 2) u^n / n!, to u^7
+            one_m_d, one_m_d2 = -math.expm1(-u), -math.expm1(-2.0 * u)
+            var_i = 2.0 * var_st * theta * h ** 3 * (1 / 3 - u * (1 / 4 - u * (7 / 60 - u * (1 / 24 - u * 31 / 2520))))
+        else:
+            one_m_d, one_m_d2 = 1.0 - decay, 1.0 - decay * decay
+            var_i = (2.0 * var_st / theta) * (h - 2.0 * one_m_d / theta + one_m_d2 / (2.0 * theta))
+        var_z = var_st * one_m_d2
+        cov_zi = var_st * one_m_d ** 2 / theta
         sd_z = math.sqrt(var_z)
         resid = max(var_i - cov_zi * cov_zi / var_z, 0.0)
         rng.standard_normal(out=x)
         x1, x2 = x
-        sbar += z * ((1.0 - decay) / theta) + (cov_zi / sd_z) * x1 + math.sqrt(resid) * x2
+        sbar += z * (one_m_d / theta) + (cov_zi / sd_z) * x1 + math.sqrt(resid) * x2
         z = z * decay + sd_z * x1
         samples[:, i] = z
     return 0

@@ -1,7 +1,9 @@
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import inspect
+import io
 import json
 import math
 import os
@@ -98,10 +100,10 @@ def test_seeded_mc_bytes_are_pinned(tmp_path, argv, stats, corr):
 # validity flag; the closed forms, the full-curve minimiser, the report's keys and float repr all feed them.
 _WORKED_CFG = "S = 10000\ng_hz = 4e5\nkappa_hz = 1e6\ngamma_hz = 6.07e6\ndelta_over_gamma = 500\np0 = 10\nt_s = 4e-4\n"
 _DESIGN_DIGESTS = [
-    (_WORKED_CFG, [], "d250337d3ca14ef8356cdbcafb611c9e6b38aaddc6673802c6ff86fed26b12ca"),
+    (_WORKED_CFG, [], "9c4108e0de0e941b2324e56319e1c8ed31090a438f8e1ed247ea2692009092aa"),
     (_WORKED_CFG, ["--q-target", "20"], "f3f1acf549ccdf40863b22dcfd686f3a74d3e46ea7d4abe4c391b745def59cf3"),
     ("S = 100\ng_hz = 4e5\nkappa_hz = 1e6\ndelta_over_gamma = 2\nt_s = 1e-8\n", [],
-     "86e177b872ae483b8d9b0ca859c70535a7cdff574dc5df550d60a64dd4659845"),
+     "68a3456684de280b7da277f08a437b17fb0fb75827c53976236c9623538b6a89"),
 ]
 
 
@@ -202,6 +204,8 @@ def test_fig2_q_grid_is_geometric_unless_linear(tmp_path):
     ["sweep", "--s-min", "nan"],
     ["design", "--config", "{cfg}", "--eps-max", "nan"],
     ["design", "--config", "{cfg}", "--q-target", "nan"],
+    # an excited-state population above 1 is no limit: --eps-max 2 used to report t_min_seconds 1.6e-6
+    ["design", "--config", "{cfg}", "--eps-max", "2"],
     ["design", "--config", "{nan_cfg}"],
 ], ids=" ".join)
 def test_refused_input_exits_1_with_message_and_no_output(tmp_path, capsys, argv):
@@ -315,6 +319,37 @@ def test_extreme_option_values_exit_cleanly_with_finite_output(option, value, tr
         _assert_clean_exit(_run([a.format(cfg=cfg) for a in argv], out), out)
 
 
+# integer options one at a time, on an argv valid without them: (argv, the refusal of a count below 1, the cap's
+# name).  Every cap refuses before anything is allocated; --seed refuses only -1, as its range is [0, 2**128)
+_RAMAN_ARGV = ["raman-mc", "--S", "20", "--r", "0.5"]
+_INTEGER_OPTION_ARGV = {
+    "--qpoints": (["fig2", "--S", "100", "--eta", "0.1"], "qpoints >= 2", "MAX_FIG2_POINTS"),
+    "--traj": (_RAMAN_ARGV + ["--steps", "2", "--seed", "1"], "at least one trajectory", "MAX_SAMPLE_ELEMENTS"),
+    "--steps": (_RAMAN_ARGV + ["--traj", "2", "--seed", "1"], "invalid step count", "MAX_SAMPLE_ELEMENTS"),
+    "--seed": (_RAMAN_ARGV + ["--traj", "2", "--steps", "2"], "[0, 2**128)", None),
+    "--s-points": (["sweep", "--eta-points", "2"], "at least one point each", "MAX_SWEEP_POINTS"),
+    "--eta-points": (["sweep", "--s-points", "2"], "at least one point each", "MAX_SWEEP_POINTS"),
+}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(option=st.sampled_from(sorted(_INTEGER_OPTION_ARGV)), value=st.sampled_from([-1, 0, 2 ** 63, 10 ** 30]))
+def test_extreme_integer_options_are_refused_by_their_domain_or_cap(option, value):
+    argv, domain, cap = _INTEGER_OPTION_ARGV[option]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        out = Path(tmp) / "out"
+        code = _run(argv + [option, str(value)], out)
+        if cap is None and value >= 0:  # a seed in range runs
+            assert code == 0
+            _assert_clean_exit(code, out)
+        else:
+            assert code == 1
+            assert not out.exists()
+            assert err.getvalue().startswith(f"{argv[0]}: ")
+            assert (domain if value < 1 or cap is None else cap) in err.getvalue()
+            assert "Traceback" not in err.getvalue()
+
+
 # accepted inputs whose output a writer refuses as nan or inf: run used to create --out before the writers ran
 @pytest.mark.parametrize("argv, message", [
     (["fig2", "--S", "100", "--eta", "0.1", "--qmin", "5e-324"], "CSV cells must be finite, got inf"),
@@ -356,6 +391,15 @@ def test_gaussian_mc_at_a_rate_whose_decay_rounds_to_1_runs_as_at_r_0(tmp_path, 
         _assert_clean_exit(0, out)
         stats[rate] = json.loads((out / "raman_stats.json").read_text())["stats"]
     assert stats[r] == stats["0"]
+
+
+@pytest.mark.parametrize("r", ["1e-15", "1e-12", "1e-9"])
+def test_gaussian_mc_at_a_tiny_rate_stays_on_its_targets(tmp_path, r):
+    # the OU step's var_i bracket, O((theta h)^3) built from O(theta h) terms, cancelled: mean_sz_bar_sq read
+    # 7.997e12, 2.2e8 and 294.9 at these rates against 9.811 at r = 0
+    argv = ["raman-mc", "--S", "20", "--r", r, "--traj", "2000", "--steps", "2", "--seed", "1", "--mode", "gaussian"]
+    assert _run(argv, tmp_path) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["mc_health"]["worst_z"] < 3.0
 
 
 def test_sweep_below_spin_half_is_refused(tmp_path, capsys):

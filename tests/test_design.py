@@ -15,7 +15,7 @@ from cavsqueeze.design import (
     scattering_optimum,
 )
 from cavsqueeze.feedback import min_variance
-from cavsqueeze.params import CavityAtomParams, EnsembleSpec
+from cavsqueeze.params import cavity_params
 from cavsqueeze.raman import modified_min_variance, raman_modified_moments
 
 WORKED = dict(g_hz=0.4e6, kappa_hz=1e6, gamma_hz=6.07e6, delta_over_gamma=500.0)
@@ -271,11 +271,11 @@ class TestFullCurveMinimum:
 
 class TestDesignReport:
     def _system(self, s=1e4):
-        return EnsembleSpec(total_spin=s), CavityAtomParams.from_hz(**WORKED)
+        return s, cavity_params(WORKED)
 
     def test_worked_example(self):
-        ensemble, params = self._system()
-        report = design_report(ensemble, params, pulse_time=400e-6, max_excited_pop=1e-5)
+        s, params = self._system()
+        report = design_report(s, params, pulse_time=400e-6, max_excited_pop=1e-5)
         # recommended shearing close to 50 for these parameters
         assert report["q_recommended"] == pytest.approx(50.0, rel=0.15)
         # saturation bound: kappa t around 400 at eps <= 1e-5 and Q = 50
@@ -285,39 +285,39 @@ class TestDesignReport:
         assert report["limiting_regime"] == "scattering"
         assert not report["spin_shortening_flag"]
         # p0 round-trips through Q = S p0 (2 Omega/kappa)^2
-        q_back = ensemble.total_spin * report["p0_required"] * (
-            2.0 * params.omega_shift / params.kappa) ** 2
+        q_back = s * report["p0_required"] * (2.0 * params["omega_shift_rad_s"] / params["kappa_rad_s"]) ** 2
         assert rel_err(q_back, report["q_recommended"]) < 1e-12
+        # the validity checks see that Q as given, not recomputed from p0
+        assert report["validity"]["shearing_q"] == report["q_recommended"]
 
     def test_rejects_zero_shearing_target(self):
-        ensemble, params = self._system()
+        s, params = self._system()
         with pytest.raises(ValueError, match="no shearing requested"):
-            design_report(ensemble, params, 1e-4, 1e-5, q_target=0.0)
+            design_report(s, params, 1e-4, 1e-5, q_target=0.0)
 
     def test_explicit_target_used(self):
-        ensemble, params = self._system()
-        report = design_report(ensemble, params, 1e-4, 1e-5, q_target=20.0)
+        s, params = self._system()
+        report = design_report(s, params, 1e-4, 1e-5, q_target=20.0)
         assert report["q_recommended"] == 20.0
         assert report["r_recommended"] == pytest.approx(
-            20.0 / (4.0 * 1e4 * params.eta), rel=1e-12)
+            20.0 / (4.0 * 1e4 * params["eta"]), rel=1e-12)
 
     def test_report_serializes_with_provenance(self):
-        ensemble, params = self._system()
-        payload = design_report(ensemble, params, 400e-6, 1e-5)
+        s, params = self._system()
+        payload = design_report(s, params, 400e-6, 1e-5)
         text = json.dumps(payload)  # must be JSON-clean
         assert "schema_version" in payload["provenance"]
-        assert payload["provenance"]["params"]["gamma_rad_s"] == params.gamma
+        assert payload["provenance"]["params"] == params
         assert payload["validity"]["flags"]
         assert payload["t_constraints"]["kappa_t_actual"] == pytest.approx(
-            params.kappa * 400e-6, rel=1e-12)
+            params["kappa_rad_s"] * 400e-6, rel=1e-12)
 
     def test_xi_squared_respects_binding_floor(self):
         # at (S, eta) = (1e3, 0.1) the raw sigma^2 falls under the scattering
         # floor; the report's xi^2 = sigma^2 / C^2, which the floors bound, does not
-        ensemble = EnsembleSpec(total_spin=1e3)
-        params = CavityAtomParams.from_hz(g_hz=1e5, kappa_hz=1e5, gamma_hz=4e6, delta_over_gamma=500.0)
-        assert params.eta == pytest.approx(0.1, rel=1e-12)
-        report = design_report(ensemble, params, 400e-6, 1e-5)
+        params = cavity_params(dict(g_hz=1e5, kappa_hz=1e5, gamma_hz=4e6, delta_over_gamma=500.0))
+        assert params["eta"] == pytest.approx(0.1, rel=1e-12)
+        report = design_report(1e3, params, 400e-6, 1e-5)
         floor = max(report["sigma_scatt_sq"], report["sigma_curv_sq"])
         assert report["sigma_recommended_sq"] < floor
         assert report["xi_recommended_sq"] >= floor
@@ -327,18 +327,14 @@ class TestDesignReport:
 
     def test_regime_flags_surface_not_raise(self):
         # hopeless parameters must produce a report with failing flags
-        ensemble = EnsembleSpec(total_spin=10.0)
-        params = CavityAtomParams.from_hz(g_hz=1e3, kappa_hz=1e6, gamma_hz=6.07e6,
-                                          delta_over_gamma=5.0)
+        params = cavity_params(dict(g_hz=1e3, kappa_hz=1e6, gamma_hz=6.07e6, delta_over_gamma=5.0))
         with pytest.warns(RuntimeWarning, match="not small"):
-            report = design_report(ensemble, params, 1e-9, 1e-5)
+            report = design_report(10.0, params, 1e-9, 1e-5)
         assert not report["validity"]["all_ok"]
 
     def test_shortening_flag_fires(self):
         # weak collective cooperativity pushes the optimum r beyond 0.1
-        ensemble = EnsembleSpec(total_spin=100.0)
-        params = CavityAtomParams.from_hz(g_hz=0.05e6, kappa_hz=1e6, gamma_hz=6.07e6,
-                                          delta_over_gamma=500.0)
+        params = cavity_params(dict(g_hz=0.05e6, kappa_hz=1e6, gamma_hz=6.07e6, delta_over_gamma=500.0))
         with pytest.warns(RuntimeWarning):
-            report = design_report(ensemble, params, 400e-6, 1e-5)
+            report = design_report(100.0, params, 400e-6, 1e-5)
         assert report["spin_shortening_flag"]

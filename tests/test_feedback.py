@@ -8,17 +8,18 @@ from conftest import floored_rel_err, golden_section_min, rel_err
 
 from cavsqueeze.feedback import analytic_moments, g_factor, min_variance
 from cavsqueeze.oracle import oracle_moments_sum
-from cavsqueeze.params import CavityAtomParams, DrivePulse, EnsembleSpec
+from cavsqueeze.params import cavity_params
 
 
-def coherence_coefficient(n, sz, params, drive):
+def coherence_coefficient(n, sz, params, drive_rate):
     """Evolution rate f_n(S_z) = n Omega |beta|^2 (1 + n(i-1) Omega/kappa + 2(Omega/kappa) S_z) (rad/s).
 
     The rate of the n-th spin coherence <S_+^n>, to lowest order in
     (Omega/kappa)|S_z|: Re f_n accumulates phase, Im f_n damps.
     """
-    ratio = params.omega_shift / params.kappa
-    return n * params.omega_shift * drive.drive_rate * (1.0 + n * (1j - 1.0) * ratio + 2.0 * ratio * sz)
+    omega = params["omega_shift_rad_s"]
+    ratio = omega / params["kappa_rad_s"]
+    return n * omega * drive_rate * (1.0 + n * (1j - 1.0) * ratio + 2.0 * ratio * sz)
 
 
 def large_s_variance(total_spin, q):
@@ -82,33 +83,33 @@ class TestGFactor:
 
 
 class TestCoherenceCoefficient:
+    WORKED = dict(g_hz=0.4e6, kappa_hz=1e6, gamma_hz=6.07e6, delta_over_gamma=500.0)
+
     def _system(self, s=1e4, p0=100.0, t=4e-4):
-        spec = EnsembleSpec(total_spin=s)
-        params = CavityAtomParams.from_hz(g_hz=0.4e6, kappa_hz=1e6, gamma_hz=6.07e6,
-                                          delta_over_gamma=500.0)
-        drive = DrivePulse.from_photon_budget(p0, t, spec, params)
-        return spec, params, drive
+        """(S, params, t, drive rate |beta|^2 = 2 p0 / (kappa t), Q = S p0 (2 Omega / kappa)^2)."""
+        params = cavity_params(self.WORKED)
+        kappa = params["kappa_rad_s"]
+        q = s * p0 * (2.0 * params["omega_shift_rad_s"] / kappa) ** 2
+        return s, params, t, 2.0 * p0 / (kappa * t), q
 
     def test_vanishes_with_coupling(self):
-        spec, params, drive = self._system()
-        weak = CavityAtomParams(g=params.g, kappa=params.kappa, gamma=params.gamma,
-                                delta=params.delta * 1e12)  # Omega -> 0
-        f = coherence_coefficient(1, 0.0, weak, drive)
-        assert abs(f) < 1e-9 * abs(coherence_coefficient(1, 0.0, params, drive))
+        _, params, _, rate, _ = self._system()
+        weak = cavity_params({**self.WORKED, "delta_over_gamma": 500.0 * 1e12})  # Omega -> 0
+        f = coherence_coefficient(1, 0.0, weak, rate)
+        assert abs(f) < 1e-9 * abs(coherence_coefficient(1, 0.0, params, rate))
 
     def test_damping_structure_at_sz_zero(self):
-        spec, params, drive = self._system()
+        _, params, _, rate, _ = self._system()
         for n in (1, 2, 3):
-            f = coherence_coefficient(n, 0.0, params, drive)
-            expected_im = n * n * params.omega_shift**2 * drive.drive_rate / params.kappa
+            f = coherence_coefficient(n, 0.0, params, rate)
+            expected_im = n * n * params["omega_shift_rad_s"] ** 2 * rate / params["kappa_rad_s"]
             assert f.imag == pytest.approx(expected_im, rel=1e-12)
 
     def test_accumulated_second_coherence_damping_is_q_over_s(self):
         # exp(i f_2(0) t - 2 i f_1(0) t) must equal exp(-(1+i) Q/S)
-        spec, params, drive = self._system()
-        q, s, t = drive.shearing_q, spec.total_spin, drive.pulse_time
-        f1 = coherence_coefficient(1, 0.0, params, drive)
-        f2 = coherence_coefficient(2, 0.0, params, drive)
+        s, params, t, rate, q = self._system()
+        f1 = coherence_coefficient(1, 0.0, params, rate)
+        f2 = coherence_coefficient(2, 0.0, params, rate)
         accumulated = cmath.exp(1j * (f2 - 2.0 * f1) * t)
         expected = cmath.exp(-(1.0 + 1j) * q / s)
         assert abs(accumulated - expected) < 1e-12 * abs(expected)

@@ -9,8 +9,7 @@ from cavsqueeze.design import (classify_regime, curvature_optimum, design_report
 from cavsqueeze.dicke import css_amplitudes, css_support, m_values
 from cavsqueeze.feedback import analytic_moments, correlation_integrals, g_factor, raman_modified_moments
 from cavsqueeze.oracle import channel_moments, oracle_moments_sum
-from cavsqueeze.params import (TWO_PI, CavityAtomParams, DrivePulse, EnsembleSpec, load_config, nearest_spin,
-                               system_from_config, twice_spin)
+from cavsqueeze.params import TWO_PI, EnsembleSpec, cavity_params, load_config, nearest_spin, twice_spin
 from cavsqueeze.raman import RamanProcess, fig2_curve, modified_min_variance
 
 
@@ -25,6 +24,9 @@ def test_ensemble_rejects_non_half_integer(bad):
     with pytest.raises(ValueError):
         EnsembleSpec(total_spin=bad)
 
+
+# g = kappa = Gamma = 2 pi rad/s and |Delta| = 10 Gamma: eta = 4, so S eta >= 2 and r_opt < 0.3 at every S used here
+PARAMS = cavity_params({"g_hz": 1.0, "kappa_hz": 1.0, "gamma_hz": 1.0, "delta_over_gamma": 10.0})
 
 # every public function that reads S, called at S; the array-valued ones also take S as an array
 READS_S = {
@@ -41,6 +43,9 @@ READS_S = {
     "m_values": lambda s: m_values(s),
     "css_amplitudes": lambda s: css_amplitudes(s),
     "css_support": lambda s: css_support(s),
+    "kappa_t_required": lambda s: kappa_t_required(s, PARAMS, 1.0, 1e-5),
+    "validate_regime": lambda s: validate_regime(s, PARAMS, 1.0, 1.0, 1e-5),
+    "design_report": lambda s: design_report(s, PARAMS, 1.0, 1e-5),
 }
 ARRAY_VALUED = ("twice_spin", "g_factor", "raman_modified_moments", "analytic_moments", "modified_min_variance",
                 "full_curve_minimum")
@@ -62,14 +67,12 @@ def test_every_function_that_reads_s_refuses_a_non_spin():
     assert accepted == []
 
 
-SPEC = EnsembleSpec(total_spin=100.0)
-PARAMS = CavityAtomParams(g=1.0, kappa=1.0, gamma=1.0, delta=10.0)
-DRIVE = DrivePulse.from_photon_budget(1.0, 1.0, SPEC, PARAMS)
 Q = "shearing strength"
+HZ = {"g_hz": 4e5, "kappa_hz": 1e6, "delta_hz": 3e9}  # a config's cavity, the detuning independent of Gamma
 
-# every public function that takes Q, r, eta, p0, a pulse time, g, kappa, Gamma or max_excited_pop (and design's
-# optima, S), once per such input: (name in the message, rule, a valid value, call at that input).  design_report's
-# q_target is left out: q_target <= 0 is its own refusal ("no shearing requested")
+# every public function that takes Q, r, eta, a pulse time, g, kappa, Gamma or max_excited_pop (and design's optima,
+# S), once per such input: (name in the message, rule, a valid value, call at that input).  design_report's q_target
+# is left out: q_target <= 0 is its own refusal ("no shearing requested").  load_config's p0 has its own message
 TAKES_AN_INPUT = {
     "raman_modified_moments(Q)": (Q, "nonnegative", 1.0, lambda x: raman_modified_moments(5.0, x, 0.1)),
     "raman_modified_moments(r)": ("r", "nonnegative", 0.1, lambda x: raman_modified_moments(5.0, 1.0, x)),
@@ -86,40 +89,22 @@ TAKES_AN_INPUT = {
     "classify_regime(S)": ("S", "positive", 1e4, lambda x: classify_regime(x, 0.1)),
     "classify_regime(eta)": ("eta", "positive", 0.1, lambda x: classify_regime(1e4, x)),
     "full_curve_minimum(eta)": ("eta", "positive", 0.1, lambda x: full_curve_minimum(10.0, x)),
-    "kappa_t_required(Q)": (Q, "nonnegative", 1.0, lambda x: kappa_t_required(SPEC, PARAMS, x, 1e-5)),
-    "kappa_t_required(max_excited_pop)": ("max_excited_pop", "positive", 1e-5,
-                                          lambda x: kappa_t_required(SPEC, PARAMS, 1.0, x)),
-    "validate_regime(max_excited_pop)": ("max_excited_pop", "positive", 1e-5,
-                                         lambda x: validate_regime(SPEC, PARAMS, DRIVE, x)),
-    "design_report(pulse_time)": ("pulse_time", "positive", 1e-3, lambda x: design_report(SPEC, PARAMS, x, 1e-5)),
-    "design_report(max_excited_pop)": ("max_excited_pop", "positive", 1e-5,
-                                       lambda x: design_report(SPEC, PARAMS, 1e-3, x)),
+    "kappa_t_required(Q)": (Q, "nonnegative", 1.0, lambda x: kappa_t_required(100.0, PARAMS, x, 1e-5)),
+    "kappa_t_required(max_excited_pop)": ("max_excited_pop", "population", 1e-5,
+                                          lambda x: kappa_t_required(100.0, PARAMS, 1.0, x)),
+    "validate_regime(pulse_time)": ("pulse_time", "positive", 1.0,
+                                    lambda x: validate_regime(100.0, PARAMS, x, 1.0, 1e-5)),
+    "validate_regime(Q)": (Q, "nonnegative", 1.0, lambda x: validate_regime(100.0, PARAMS, 1.0, x, 1e-5)),
+    "validate_regime(max_excited_pop)": ("max_excited_pop", "population", 1e-5,
+                                         lambda x: validate_regime(100.0, PARAMS, 1.0, 1.0, x)),
+    "design_report(pulse_time)": ("pulse_time", "positive", 1e-3, lambda x: design_report(100.0, PARAMS, x, 1e-5)),
+    "design_report(max_excited_pop)": ("max_excited_pop", "population", 1e-5,
+                                       lambda x: design_report(100.0, PARAMS, 1e-3, x)),
     "oracle_moments_sum(Q)": (Q, "nonnegative", 1.0, lambda x: oracle_moments_sum(5.0, x)),
     "channel_moments(Q)": (Q, "nonnegative", 1.0, lambda x: channel_moments(5.0, x)),
-    "CavityAtomParams(g)": ("g", "positive", 1.0, lambda x: CavityAtomParams(g=x, kappa=1.0, gamma=1.0, delta=10.0)),
-    "CavityAtomParams(kappa)": ("kappa", "positive", 1.0,
-                                lambda x: CavityAtomParams(g=1.0, kappa=x, gamma=1.0, delta=10.0)),
-    "CavityAtomParams(gamma)": ("gamma", "positive", 1.0,
-                                lambda x: CavityAtomParams(g=1.0, kappa=1.0, gamma=x, delta=10.0)),
-    "CavityAtomParams.from_hz(g_hz)": ("g", "positive", 4e5,
-                                       lambda x: CavityAtomParams.from_hz(x, 1e6, delta_over_gamma=500.0)),
-    "CavityAtomParams.from_hz(kappa_hz)": ("kappa", "positive", 1e6,
-                                           lambda x: CavityAtomParams.from_hz(4e5, x, delta_over_gamma=500.0)),
-    "CavityAtomParams.from_hz(gamma_hz)": ("gamma", "positive", 6e6,
-                                           lambda x: CavityAtomParams.from_hz(4e5, 1e6, x, delta_hz=3e9)),
-    "DrivePulse(p0)": ("p0", "nonnegative", 1.0,
-                       lambda x: DrivePulse(p0=x, pulse_time=1.0, drive_rate=1.0, shearing_q=1.0)),
-    "DrivePulse(pulse_time)": ("pulse_time", "positive", 1.0,
-                               lambda x: DrivePulse(p0=1.0, pulse_time=x, drive_rate=1.0, shearing_q=1.0)),
-    "DrivePulse(shearing_q)": (Q, "nonnegative", 1.0,
-                               lambda x: DrivePulse(p0=1.0, pulse_time=1.0, drive_rate=1.0, shearing_q=x)),
-    "DrivePulse.from_photon_budget(p0)": ("p0", "nonnegative", 1.0,
-                                          lambda x: DrivePulse.from_photon_budget(x, 1.0, SPEC, PARAMS)),
-    "DrivePulse.from_photon_budget(pulse_time)": ("pulse_time", "positive", 1.0,
-                                                  lambda x: DrivePulse.from_photon_budget(1.0, x, SPEC, PARAMS)),
-    "DrivePulse.from_shearing(Q)": (Q, "nonnegative", 1.0, lambda x: DrivePulse.from_shearing(x, 1.0, SPEC, PARAMS)),
-    "DrivePulse.from_shearing(pulse_time)": ("pulse_time", "positive", 1.0,
-                                             lambda x: DrivePulse.from_shearing(1.0, x, SPEC, PARAMS)),
+    "cavity_params(g_hz)": ("g", "positive", 4e5, lambda x: cavity_params({**HZ, "g_hz": x})),
+    "cavity_params(kappa_hz)": ("kappa", "positive", 1e6, lambda x: cavity_params({**HZ, "kappa_hz": x})),
+    "cavity_params(gamma_hz)": ("gamma", "positive", 6e6, lambda x: cavity_params({**HZ, "gamma_hz": x})),
 }
 ARRAY_INPUTS = ("raman_modified_moments(Q)", "raman_modified_moments(r)", "analytic_moments(Q)",
                 "correlation_integrals(r)", "modified_min_variance(eta)", "modified_min_variance(Q)",
@@ -138,12 +123,16 @@ def _refuses_with(call, x, message):
 def test_every_function_that_takes_a_physical_input_refuses_it_out_of_domain():
     accepted = []
     for label, (name, rule, good, call) in TAKES_AN_INPUT.items():
-        call(good)  # a valid value passes, and so does 0 where the rule is nonnegative
-        if rule == "nonnegative":
-            call(0.0)
-        message = f"{name} must be {rule} and finite"
-        bad = [-1.0, math.nan, math.inf] + ([0.0] if rule == "positive" else [])
+        call(good)  # a valid value passes, and so does 0 where the rule is nonnegative and 1 where it is population
+        if rule != "positive":
+            call(0.0 if rule == "nonnegative" else 1.0)
+        # a population is positive and finite first, then at most 1
+        message = f"{name} must be {'positive' if rule == 'population' else rule} and finite"
+        bad = [-1.0, math.nan, math.inf] + ([0.0] if rule != "nonnegative" else [])
         accepted += [f"{label} at {x}" for x in bad if not _refuses_with(call, x, message)]
+        if rule == "population":
+            accepted += [f"{label} at {x}" for x in (1.0 + 2e-16, 2.0, 1e300)
+                         if not _refuses_with(call, x, f"{name} must be at most 1")]
         if label in ARRAY_INPUTS:
             accepted += [f"{label} at [{good}, {x}]" for x in bad
                          if not _refuses_with(call, np.array([good, x]), message)]
@@ -151,10 +140,15 @@ def test_every_function_that_takes_a_physical_input_refuses_it_out_of_domain():
 
 
 def test_detuning_is_refused_only_at_zero_or_non_finite():
-    assert CavityAtomParams(g=1.0, kappa=1.0, gamma=1.0, delta=-10.0).omega_shift == 0.2
+    cavity = {"g_hz": 1.0, "kappa_hz": 1.0, "gamma_hz": 1.0}
+    # a negative detuning keeps its sign, and Omega = 2 g^2 / |Delta|
+    params = cavity_params({**cavity, "delta_hz": -10.0})
+    assert params["delta_rad_s"] == -10.0 * TWO_PI
+    assert params["omega_shift_rad_s"] == pytest.approx(0.2 * TWO_PI, rel=1e-15)
     for bad in (0.0, math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=r"^\|delta\| must be positive and finite$"):
-            CavityAtomParams(g=1.0, kappa=1.0, gamma=1.0, delta=bad)
+        for key in ("delta_hz", "delta_over_gamma"):
+            with pytest.raises(ValueError, match=r"^\|delta\| must be positive and finite$"):
+                cavity_params({**cavity, key: bad})
 
 
 def test_twice_spin_is_exact_and_elementwise():
@@ -172,56 +166,63 @@ def test_nearest_spin_rounds_to_half_integers():
 
 
 def test_cavity_params_derived_exact():
-    p = CavityAtomParams(g=2.0, kappa=3.0, gamma=5.0, delta=-7.0)
-    assert p.omega_shift == 2.0 * 2.0**2 / 7.0
-    assert p.eta == 4.0 * 2.0**2 / (3.0 * 5.0)
+    p = cavity_params({"g_hz": 2.0, "kappa_hz": 3.0, "gamma_hz": 5.0, "delta_hz": -7.0})
+    g, kappa, gamma, delta = TWO_PI * 2.0, TWO_PI * 3.0, TWO_PI * 5.0, TWO_PI * -7.0
+    assert p == {"g_rad_s": g, "kappa_rad_s": kappa, "gamma_rad_s": gamma, "delta_rad_s": delta,
+                 "omega_shift_rad_s": 2.0 * g * g / -delta, "eta": 4.0 * g * g / (kappa * gamma)}
 
 
 def test_cavity_params_validation():
-    with pytest.raises(ValueError):
-        CavityAtomParams(g=0.0, kappa=1.0, gamma=1.0, delta=1.0)
-    with pytest.raises(ValueError):
-        CavityAtomParams(g=1.0, kappa=1.0, gamma=1.0, delta=0.0)
+    with pytest.raises(ValueError, match="^g must be positive and finite$"):
+        cavity_params({"g_hz": 0.0, "kappa_hz": 1.0, "gamma_hz": 1.0, "delta_hz": 1.0})
+    with pytest.raises(ValueError, match=r"^\|delta\| must be positive and finite$"):
+        cavity_params({"g_hz": 1.0, "kappa_hz": 1.0, "gamma_hz": 1.0, "delta_hz": 0.0})
+    # the detuning rule comes first, then g, kappa and Gamma, then |delta|
+    with pytest.raises(ValueError, match="^give exactly one of delta_hz or delta_over_gamma$"):
+        cavity_params({"g_hz": 0.0, "kappa_hz": 1.0})
+    with pytest.raises(ValueError, match="^kappa must be positive and finite$"):
+        cavity_params({"g_hz": 1.0, "kappa_hz": 0.0, "gamma_hz": 0.0, "delta_hz": 0.0})
 
 
 def test_from_hz_applies_two_pi():
-    p = CavityAtomParams.from_hz(g_hz=0.4e6, kappa_hz=1e6, gamma_hz=6.07e6, delta_over_gamma=500.0)
-    assert p.g == pytest.approx(TWO_PI * 0.4e6, rel=1e-15)
-    assert p.kappa == pytest.approx(TWO_PI * 1e6, rel=1e-15)
-    assert p.delta == pytest.approx(500.0 * TWO_PI * 6.07e6, rel=1e-15)
+    p = cavity_params({"g_hz": 0.4e6, "kappa_hz": 1e6, "gamma_hz": 6.07e6, "delta_over_gamma": 500.0})
+    assert p["g_rad_s"] == pytest.approx(TWO_PI * 0.4e6, rel=1e-15)
+    assert p["kappa_rad_s"] == pytest.approx(TWO_PI * 1e6, rel=1e-15)
+    assert p["delta_rad_s"] == pytest.approx(500.0 * TWO_PI * 6.07e6, rel=1e-15)
     with pytest.raises(ValueError):
-        CavityAtomParams.from_hz(g_hz=1.0, kappa_hz=1.0, delta_hz=1.0, delta_over_gamma=2.0)
+        cavity_params({"g_hz": 1.0, "kappa_hz": 1.0, "delta_hz": 1.0, "delta_over_gamma": 2.0})
     with pytest.raises(ValueError):
-        CavityAtomParams.from_hz(g_hz=1.0, kappa_hz=1.0)
+        cavity_params({"g_hz": 1.0, "kappa_hz": 1.0})
 
 
 def test_worked_example_eta():
-    # S = 1e4, kappa = 2pi 1 MHz, g = 2pi 0.4 MHz, Delta/Gamma = 500
-    p = CavityAtomParams.from_hz(g_hz=0.4e6, kappa_hz=1e6, delta_over_gamma=500.0)
-    assert p.eta == pytest.approx(4 * 0.4**2 / (1.0 * 6.07), rel=1e-12)
+    # S = 1e4, kappa = 2pi 1 MHz, g = 2pi 0.4 MHz, Delta/Gamma = 500, Gamma the default 2pi 6.07 MHz
+    p = cavity_params({"g_hz": 0.4e6, "kappa_hz": 1e6, "delta_over_gamma": 500.0})
+    assert p["eta"] == pytest.approx(4 * 0.4**2 / (1.0 * 6.07), rel=1e-12)
 
 
 def test_drive_pulse_q_identity_exact():
-    spec = EnsembleSpec(total_spin=100.0)
-    params = CavityAtomParams(g=2.0, kappa=11.0, gamma=3.0, delta=400.0)
-    drive = DrivePulse.from_photon_budget(p0=7.0, pulse_time=2.5, ensemble=spec, params=params)
-    q_expected = 100.0 * 7.0 * (2.0 * params.omega_shift / params.kappa) ** 2
-    assert drive.shearing_q == q_expected
-    assert drive.drive_rate == 2.0 * 7.0 / (params.kappa * 2.5)
-    # p0 = |beta|^2 kappa t / 2 closes
-    assert drive.drive_rate * params.kappa * drive.pulse_time / 2.0 == pytest.approx(7.0, rel=1e-15)
-    # round trip through the target-Q constructor
-    again = DrivePulse.from_shearing(drive.shearing_q, 2.5, spec, params)
-    assert again.p0 == pytest.approx(7.0, rel=1e-12)
+    # the report's p0 gives Q = S p0 (2 Omega / kappa)^2, and its epsilon is the drive rate |beta|^2 = 2 p0 / (kappa t)
+    # times (g / Delta)^2, with p0 = |beta|^2 kappa t / 2 closing
+    params = cavity_params({"g_hz": 2.0, "kappa_hz": 11.0, "gamma_hz": 3.0, "delta_hz": 400.0})
+    g, kappa, delta, omega = (params[k] for k in ("g_rad_s", "kappa_rad_s", "delta_rad_s", "omega_shift_rad_s"))
+    report = design_report(100.0, params, 2.5, 1e-5, q_target=7.0)
+    p0 = report["p0_required"]
+    assert p0 == 7.0 / (100.0 * (2.0 * omega / kappa) ** 2)
+    assert 100.0 * p0 * (2.0 * omega / kappa) ** 2 == pytest.approx(7.0, rel=1e-15)
+    rate = 2.0 * p0 / (kappa * 2.5)
+    assert report["validity"]["excited_pop"] == rate * (g / delta) ** 2
+    assert rate * kappa * 2.5 / 2.0 == pytest.approx(p0, rel=1e-15)
+    # Q reaches the validity checks as given, not recomputed from p0
+    assert report["validity"]["shearing_q"] == report["q_recommended"] == 7.0
 
 
 def test_drive_pulse_validation():
-    spec = EnsembleSpec(total_spin=1.0)
-    params = CavityAtomParams(g=1.0, kappa=1.0, gamma=1.0, delta=10.0)
-    with pytest.raises(ValueError):
-        DrivePulse.from_photon_budget(-1.0, 1.0, spec, params)
-    with pytest.raises(ValueError):
-        DrivePulse.from_photon_budget(1.0, 0.0, spec, params)
+    # a pulse needs a positive time and a nonnegative Q; p0 is derived from Q, and a config's p0 is load_config's
+    with pytest.raises(ValueError, match="^shearing strength must be nonnegative and finite$"):
+        validate_regime(1.0, PARAMS, 1.0, -1.0, 1e-5)
+    with pytest.raises(ValueError, match="^pulse_time must be positive and finite$"):
+        validate_regime(1.0, PARAMS, 0.0, 1.0, 1e-5)
 
 
 def test_config_round_trip(tmp_path):
@@ -239,9 +240,8 @@ t_s = 100e-6
     path.write_text(cfg_text)
     cfg = load_config(path)
     assert cfg["S"] == 10000.0
-    ensemble, params = system_from_config(cfg)
-    assert ensemble.atom_count == 20000
-    assert params.kappa == pytest.approx(TWO_PI * 1e6, rel=1e-15)
+    assert twice_spin(cfg["S"]) == 20000
+    assert cavity_params(cfg)["kappa_rad_s"] == pytest.approx(TWO_PI * 1e6, rel=1e-15)
     assert cfg["p0"] == 100.0
     assert cfg["t_s"] == 100e-6
 
