@@ -14,13 +14,15 @@ Two independent numerical routes to the same moments:
 Numerical care: the sums run in float64 on the normalised amplitudes of
 dicke.css_support, up to S ~ 1e5; their cancellation error stays ~1e-12
 relative even at Q = S/2 on the validate-oracle grid (S <= 200).  They run
-over css_support's window alone (every term dropped is exactly 0), O(sqrt(S))
-terms: ~26,000 at S = 1e5.  They are elementwise over Q: one call builds
-the weights once and sums the phases of every Q in slices of at most
-2**17 // window rows, ~1 MB an array however many Q.  The channel's traces
-read only the populations and the -2..+1 diagonals of the sheared density
-matrix, so it forms those four diagonals alone: O(S) work and memory, up
-to DENSITY_DIM_CAP.
+over the product window alone: css_support's window less the ends where
+even the widest pair a_k a_{k+2} underflows to 0.0, so every term dropped
+is exactly 0.  That is O(sqrt(S)) terms: 17,183 of css_support's 25,987 at
+S = 1e5, and all 2S+1 below 2S = 1085.  They are elementwise over Q: one
+call builds the weights once and sums the phases of every Q in slices of
+at most 2**17 // window rows, ~1 MB an array however many Q.  The
+channel's traces read only the populations and the -2..+1 diagonals of
+the sheared density matrix, so it forms those four diagonals alone: O(S)
+work and memory, up to DENSITY_DIM_CAP.
 """
 
 import math
@@ -45,10 +47,13 @@ def oracle_moments_sum(total_spin, q):
     Hermitian conjugates.  var_z = S/2 (S_z is a constant of motion).  The
     sums index ascending m = k - S against the m = +S..-S order of
     css_support, valid only because CSS amplitudes are symmetric in m, and
-    run over its window k = first_k..2S-first_k alone.  The phases of every
-    Q form one (Q, window) array, summed in slices of at most 2**17 // window
-    rows, each row bit for bit as a call at its Q alone.  A scalar Q gives
-    Python scalars, an array Q arrays, as the closed forms do.
+    run over the product window k = first_k+cut..2S-first_k-cut alone, cut
+    the first offset into css_support's window where a_k a_{k+2} > 0.0 (0
+    below 2S = 1085, so there the sums are the full-range sums to the bit).
+    The phases of every Q form one (Q, window) array, summed in slices of at
+    most 2**17 // window rows, each row bit for bit as a call at its Q
+    alone.  A scalar Q gives Python scalars, an array Q arrays, as the
+    closed forms do.
     """
     s = float(total_spin)
     two_s = int(twice_spin(s))
@@ -57,6 +62,9 @@ def oracle_moments_sum(total_spin, q):
     qs = np.atleast_1d(nonnegative("shearing strength", q))
 
     first_k, a = css_support(s)
+    # the widest pair is a_k a_{k+2}; where it underflows to 0.0 (a rises on the left tail), so does every term
+    cut = int(np.argmax(a[:-2] * a[2:] > 0.0)) if len(a) > 2 else 0
+    a, first_k = a[cut:len(a) - cut], first_k + cut
     k = np.arange(first_k, first_k + len(a), dtype=float)
     m = k - s
     # first coherence: a_{m+1} a_m sqrt((S-m)(S+m+1)) e^{iQ(m+1)/S}

@@ -57,6 +57,32 @@ def css_amplitudes_reference(total_spin):
     return a / np.sqrt(np.sum(a * a))
 
 
+def dicke_sums_reference(total_spin, q):
+    """The MomentSet of oracle.oracle_moments_sum at one Q, summed over the full range of k.
+
+    The tests' reference for oracle.oracle_moments_sum, which sums only where
+    a product of two amplitudes is not exactly 0.0: the same float64 terms,
+    in the same order, on css_amplitudes_reference, with no term dropped.
+    """
+    s = float(total_spin)
+    two_s = int(twice_spin(s))
+    a = css_amplitudes_reference(s)
+    k = np.arange(two_s + 1, dtype=float)
+    m = k - s
+    w1 = a[1:] * a[:-1] * np.sqrt((two_s - k[:-1]) * (k[:-1] + 1.0))
+    k2 = k[:-2]
+    w2 = a[2:] * a[:-2] * np.sqrt((two_s - k2) * (k2 + 1.0) * (two_s - k2 - 1.0) * (k2 + 2.0))
+    u = q / s
+    ph1, ph2 = u * (m[:-1] + 1.0), 2.0 * u * (m[:-2] + 2.0)
+    mean_sp = complex(np.sum(w1 * np.cos(ph1)), np.sum(w1 * np.sin(ph1)))
+    cov_w = float(np.sum(w1 * (2.0 * m[:-1] + 1.0) * np.sin(ph1)))
+    shot = complex(math.exp(-u)) * complex(math.cos(u), -math.sin(u))
+    mean_sp2 = complex(np.sum(w2 * np.cos(ph2)), np.sum(w2 * np.sin(ph2))) * shot
+    ladder = (s * (s + 1.0) - float(np.sum(a * a * m * m))) / 2.0
+    return MomentSet(total_spin=s, shearing_q=q, mean_sp=mean_sp, mean_sp2=mean_sp2,
+                     var_y=ladder - mean_sp2.real / 2.0 - mean_sp.imag ** 2, var_z=s / 2.0, cov_w=cov_w)
+
+
 def floored_rel_err(a, b, floor):
     """Relative difference that ignores cancellation noise below `floor`."""
     return abs(a - b) / max(abs(a), abs(b), floor)

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,25 @@ def _fuzz_argv(command, s, size, r, mode, cfg):
     }[command]
 
 
+# each fuzz example runs under tracemalloc and a deadline: over the three tests the largest peak measured is 0.14 MB
+# and the slowest example 29 ms (validate-oracle --smax 2**52 + 1), so 4 MB and 1 s still refuse any allocation or
+# loop that grows with a size
+_FUZZ_PEAK_BYTES = 4_000_000
+_FUZZ_DEADLINE_MS = 1000
+
+
+@contextlib.contextmanager
+def _bounded_peak():
+    """Trace the allocations of one fuzz example and assert that their peak stays under _FUZZ_PEAK_BYTES."""
+    tracemalloc.start()
+    try:
+        yield
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < _FUZZ_PEAK_BYTES, peak
+
+
 def _csv_numbers(path):
     for line in path.read_text().splitlines()[1:]:
         for cell in line.split(","):
@@ -270,12 +290,12 @@ def _csv_numbers(path):
                 pass
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(derandomize=True, max_examples=150, deadline=_FUZZ_DEADLINE_MS)
 @given(command=st.sampled_from(["fig2", "validate-oracle", "raman-mc", "design", "sweep"]),
        s=st.sampled_from(_FUZZ_S), size=st.integers(0, 3), r=st.sampled_from(["0", "0.5"]),
        mode=st.sampled_from(["exact", "gaussian"]))
 def test_extreme_spins_exit_cleanly_with_finite_output(command, s, size, r, mode):
-    with tempfile.TemporaryDirectory() as tmp:
+    with _bounded_peak(), tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "system.cfg", Path(tmp) / "out"
         cfg.write_text(_SYSTEM_CFG.format(S=repr(s)), encoding="utf-8")
         _assert_clean_exit(_run(_fuzz_argv(command, s, size, r, mode, cfg), out), out)
@@ -305,7 +325,7 @@ _OPTION_ARGV = {
 }
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
+@settings(derandomize=True, max_examples=150, deadline=_FUZZ_DEADLINE_MS)
 @given(option=st.sampled_from(sorted(_OPTION_ARGV)), value=st.sampled_from(["-0.0", "5e-324", "1e300", None]),
        traj=st.integers(0, 3), mode=st.sampled_from(["exact", "gaussian"]))
 def test_extreme_option_values_exit_cleanly_with_finite_output(option, value, traj, mode):
@@ -313,7 +333,7 @@ def test_extreme_option_values_exit_cleanly_with_finite_output(option, value, tr
     argv = argv + [option, ordinary if value is None else value]
     if option == "--r":
         argv += ["--traj", str(traj), "--mode", mode]
-    with tempfile.TemporaryDirectory() as tmp:
+    with _bounded_peak(), tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "system.cfg", Path(tmp) / "out"
         cfg.write_text(_SYSTEM_CFG.format(S="1e4"), encoding="utf-8")
         _assert_clean_exit(_run([a.format(cfg=cfg) for a in argv], out), out)
@@ -332,11 +352,11 @@ _INTEGER_OPTION_ARGV = {
 }
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
+@settings(derandomize=True, max_examples=100, deadline=_FUZZ_DEADLINE_MS)
 @given(option=st.sampled_from(sorted(_INTEGER_OPTION_ARGV)), value=st.sampled_from([-1, 0, 2 ** 63, 10 ** 30]))
 def test_extreme_integer_options_are_refused_by_their_domain_or_cap(option, value):
     argv, domain, cap = _INTEGER_OPTION_ARGV[option]
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+    with _bounded_peak(), tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
         out = Path(tmp) / "out"
         code = _run(argv + [option, str(value)], out)
         if cap is None and value >= 0:  # a seed in range runs
@@ -376,6 +396,28 @@ def test_a_sweep_spin_past_the_cap_is_named_as_given(tmp_path, capsys):
     out = tmp_path / "out"
     assert _run(["sweep", "--s-min", "1e308", "--s-max", "1e308"], out) == 1
     assert capsys.readouterr().err == "sweep: total spin must be a positive half-integer with 2S <= 2**53, got 1e+308\n"
+    assert not out.exists()
+
+
+# finite cavity values whose derived Omega, eta or (2 Omega / kappa)^2 over- or underflows: each used to be refused
+# later under a derived name (eta, shearing strength) or, at delta_hz = 1e-310, by json at write time
+@pytest.mark.parametrize("key, value, message", [
+    ("g_hz", "1e200", "Omega = 2 g^2 / |Delta| (g_hz, delta_over_gamma, gamma_hz)"),
+    ("gamma_hz", "1e-310", "Omega = 2 g^2 / |Delta| (g_hz, delta_over_gamma, gamma_hz)"),
+    ("kappa_hz", "1e-300", "(2 Omega / kappa)^2 (g_hz, kappa_hz, delta_over_gamma, gamma_hz)"),
+    ("delta_hz", "1e-310", "Omega = 2 g^2 / |Delta| (g_hz, delta_hz)"),
+    ("g_hz", "1e-200", "Omega = 2 g^2 / |Delta| (g_hz, delta_over_gamma, gamma_hz)"),
+], ids=["g_hz=1e200", "gamma_hz=1e-310", "kappa_hz=1e-300", "delta_hz=1e-310", "g_hz=1e-200"])
+def test_a_cavity_value_whose_derived_coupling_overflows_is_named_by_its_keys(tmp_path, capsys, key, value, message):
+    cfg = {"S": "1e4", "g_hz": "4e5", "kappa_hz": "1e6", "delta_over_gamma": "500.0", "p0": "100.0", "t_s": "4e-4"}
+    if key == "delta_hz":
+        del cfg["delta_over_gamma"]
+    cfg[key] = value
+    path = tmp_path / "system.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()), encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run(["design", "--config", str(path)], out) == 1
+    assert capsys.readouterr().err == f"design: {message} must be positive and finite\n"
     assert not out.exists()
 
 

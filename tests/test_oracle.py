@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (apply_feedback_channel, brute_force_min_variance, channel_factor_matrix, css_amplitudes_reference,
-                      css_density_matrix, dense_channel_moments, dense_matrix, floored_rel_err, rel_err)
+                      css_density_matrix, dense_channel_moments, dense_matrix, dicke_sums_reference, floored_rel_err,
+                      rel_err)
 
 from cavsqueeze import oracle
 from cavsqueeze.dicke import build_operators, m_values
@@ -142,11 +143,42 @@ def test_oracle_sum_equals_the_full_range_sum_on_the_grid(monkeypatch):
         assert [getattr(got, f) for f in fields] == [getattr(full, f) for f in fields], (s, q)
 
 
+def test_oracle_sum_is_the_full_range_sum_to_the_bit_below_2s_1085():
+    # below 2S = 1085 no product of two amplitudes underflows to 0.0, so the product window is the whole range;
+    # 2S = 1 has no pair (k, k+2) at all
+    for two_s in range(1, 1085):
+        s = two_s / 2.0
+        qs = [0.0, 1.0, math.sqrt(s), s / 2.0]
+        row = oracle_moments_sum(s, np.array(qs))
+        for i, q in enumerate(qs):
+            full = dicke_sums_reference(s, q)
+            for name in ("mean_sp", "mean_sp2", "var_y", "cov_w"):
+                assert getattr(row, name)[i].tobytes() == np.array(getattr(full, name)).tobytes(), (s, q, name)
+
+
+@pytest.mark.parametrize("s, kept", [(542.5, 1084), (1e3, 1607), (1e4, 5409), (1e5, 17183)])
+def test_oracle_sum_drops_only_products_that_are_exactly_zero(s, kept):
+    # the widest pair (k, k+2) sets the product window lo..2S-lo; every ladder (k, k), first (k, k+1) and second
+    # (k, k+2) coherence product with an index outside it is 0.0, so only the summation grouping changes
+    a = css_amplitudes_reference(s)
+    lo = int(np.argmax(a[:-2] * a[2:] > 0.0))
+    hi = len(a) - 1 - lo
+    assert hi - lo + 1 == kept
+    for d in (0, 1, 2):
+        k = np.arange(len(a) - d)
+        assert not (a[:len(a) - d] * a[d:])[(k < lo) | (k + d > hi)].any(), d
+    # var_y cancels two ~S^2/2 sums, so a regrouping moves it by ~S eps on the S/2 floor: the worst point, S = 1e5 at
+    # Q = 1, reads 6.4e-12, and there the full-range sum is itself 1.3e-11 from the closed form
+    tol = max(1e-12, s * np.finfo(float).eps)
+    for q in (1.0, math.sqrt(s), 2.0 * math.sqrt(s), s / 2.0):
+        assert moments_disagreement(oracle_moments_sum(s, q), dicke_sums_reference(s, q), s) <= tol, (s, q)
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(s=st.integers(1, 400).map(lambda two_s: two_s / 2.0) | st.sampled_from([1e4, 1e5]),
        fracs=st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=7))
 def test_one_call_over_q_repeats_the_call_per_q_bit_for_bit(s, fracs):
-    # Q up to S/2, with 0 and repeats; at S = 1e5 a slice holds 5 rows, so 6 or 7 Q span two slices
+    # Q up to S/2, with 0 and repeats; at S = 1e5 a slice holds 7 rows, so the test below spans several slices
     qs = np.array([f * s / 2.0 for f in fracs])
     row = oracle_moments_sum(s, qs)
     each = [oracle_moments_sum(s, q) for q in qs.tolist()]
@@ -155,8 +187,18 @@ def test_one_call_over_q_repeats_the_call_per_q_bit_for_bit(s, fracs):
     assert [m.var_z for m in each] == [row.var_z] * len(qs)
 
 
+@pytest.mark.parametrize("s", [1e4, 1e5])
+def test_one_call_over_q_spanning_slices_repeats_the_call_per_q_bit_for_bit(s):
+    # 50 Q span eight slices at S = 1e5 (2**17 // 17,183 = 7 rows each) and three at S = 1e4 (24 rows)
+    qs = np.linspace(0.0, s / 2.0, 50)
+    row = oracle_moments_sum(s, qs)
+    each = [oracle_moments_sum(s, q) for q in qs.tolist()]
+    for name in ("mean_sp", "mean_sp2", "var_y", "cov_w"):
+        assert getattr(row, name).tobytes() == np.array([getattr(m, name) for m in each]).tobytes(), name
+
+
 def test_one_call_over_many_q_keeps_a_bounded_working_set():
-    # ~26,000 terms a row at S = 1e5: unsliced, 1,000 rows would hold ~1 GB
+    # 17,183 terms a row at S = 1e5: unsliced, 1,000 rows would hold ~0.7 GB
     tracemalloc.start()
     try:
         oracle_moments_sum(1e5, np.linspace(0.0, 300.0, 1000))
