@@ -254,15 +254,18 @@ def design_report(total_spin, params, pulse_time, max_excited_pop, q_target=None
     min(full-curve minimizer, Q_curv); a q_target of zero is rejected ("no
     shearing requested"), any other positive value overrides the
     recommendation.  The report gives the raw sigma^2 there and the
-    contrast-normalized xi^2 = sigma^2 / C^2, which the floors bound.
+    contrast-normalized xi^2 = sigma^2 / C^2, which the floors bound.  An
+    S eta or S (2 Omega / kappa)^2 that overflows is refused by name.
     """
     atom_count = int(twice_spin(total_spin))
+    s = float(total_spin)
+    eta = params["eta"]
+    positive("S eta", s * eta)
+    positive("S (2 Omega / kappa)^2", s * (2.0 * params["omega_shift_rad_s"] / params["kappa_rad_s"]) ** 2)
     if q_target is not None and q_target <= 0.0:
         raise ValueError("no shearing requested: q_target must be positive")
     positive("pulse_time", pulse_time)
     population("max_excited_pop", max_excited_pop)
-    s = float(total_spin)
-    eta = params["eta"]
 
     q_curv, sigma_curv_sq = curvature_optimum(s)
     q_scatt, r_opt, sigma_scatt_sq = scattering_optimum(s, eta)

@@ -122,12 +122,11 @@ class MomentSet:
     var_y is the mean-subtracted Delta S~_y^2, var_z = S/2, cov_w the
     symmetrized <{S~_y, S_z}>.  mean_sp / mean_sp2 are the complex coherence
     moments behind them.  Scalar inputs give Python scalars; array inputs give
-    arrays that broadcast against each other (total_spin, shearing_q and
-    var_z keep the shape of their own input).
+    arrays that broadcast against each other (total_spin and var_z keep
+    the shape of their own input).
     """
 
     total_spin: float
-    shearing_q: float
     mean_sp: complex
     mean_sp2: complex
     var_y: float
@@ -160,7 +159,6 @@ def raman_modified_moments(total_spin, q, r):
     second_y = (2.0 * s * s + s) / 4.0 - mean_sp2.real / 2.0
     return MomentSet(
         total_spin=_scalar(s),
-        shearing_q=_scalar(q),
         mean_sp=_scalar(mean_sp),
         mean_sp2=_scalar(mean_sp2),
         var_y=_scalar(second_y - np.square(mean_sp.imag)),

@@ -91,8 +91,7 @@ def oracle_moments_sum(total_spin, q):
     var_y = [ladder - sp2.real / 2.0 - sp.imag ** 2 for sp, sp2 in zip(mean_sp, mean_sp2)]
     scalar = np.ndim(q) == 0
     mean_sp, mean_sp2, var_y, cov_w = (c[0] if scalar else np.array(c) for c in (mean_sp, mean_sp2, var_y, cov_w))
-    return MomentSet(total_spin=s, shearing_q=float(q) if scalar else qs, mean_sp=mean_sp, mean_sp2=mean_sp2,
-                     var_y=var_y, var_z=s / 2.0, cov_w=cov_w)
+    return MomentSet(total_spin=s, mean_sp=mean_sp, mean_sp2=mean_sp2, var_y=var_y, var_z=s / 2.0, cov_w=cov_w)
 
 
 def channel_factors(total_spin, q, m, m_prime):
@@ -149,5 +148,5 @@ def channel_moments(total_spin, q):
     var_z = float(np.sum(pop * m * m)) - mean_z * mean_z
     # {S_y, S_z} has the S_y bands times m_i + m_{i+1}
     cov_w = float(np.sum(sy_terms * (m[:-1] + m[1:])).real)
-    return MomentSet(total_spin=float(total_spin), shearing_q=float(q), mean_sp=mean_sp,
-                     mean_sp2=mean_sp2, var_y=var_y, var_z=var_z, cov_w=cov_w)
+    return MomentSet(total_spin=float(total_spin), mean_sp=mean_sp, mean_sp2=mean_sp2, var_y=var_y, var_z=var_z,
+                     cov_w=cov_w)

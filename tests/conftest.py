@@ -57,17 +57,18 @@ def css_amplitudes_reference(total_spin):
     return a / np.sqrt(np.sum(a * a))
 
 
-def dicke_sums_reference(total_spin, q):
-    """The MomentSet of oracle.oracle_moments_sum at one Q, summed over the full range of k.
+def dicke_sums_reference(total_spin, q, cut=0):
+    """The MomentSet of oracle.oracle_moments_sum at one Q, summed over k = cut..2S-cut of the full range.
 
     The tests' reference for oracle.oracle_moments_sum, which sums only where
     a product of two amplitudes is not exactly 0.0: the same float64 terms,
-    in the same order, on css_amplitudes_reference, with no term dropped.
+    in the same order, on css_amplitudes_reference less cut amplitudes at
+    each end (none by default, so no term is dropped).
     """
     s = float(total_spin)
     two_s = int(twice_spin(s))
-    a = css_amplitudes_reference(s)
-    k = np.arange(two_s + 1, dtype=float)
+    a = css_amplitudes_reference(s)[cut:two_s + 1 - cut]
+    k = np.arange(cut, two_s + 1 - cut, dtype=float)
     m = k - s
     w1 = a[1:] * a[:-1] * np.sqrt((two_s - k[:-1]) * (k[:-1] + 1.0))
     k2 = k[:-2]
@@ -79,7 +80,7 @@ def dicke_sums_reference(total_spin, q):
     shot = complex(math.exp(-u)) * complex(math.cos(u), -math.sin(u))
     mean_sp2 = complex(np.sum(w2 * np.cos(ph2)), np.sum(w2 * np.sin(ph2))) * shot
     ladder = (s * (s + 1.0) - float(np.sum(a * a * m * m))) / 2.0
-    return MomentSet(total_spin=s, shearing_q=q, mean_sp=mean_sp, mean_sp2=mean_sp2,
+    return MomentSet(total_spin=s, mean_sp=mean_sp, mean_sp2=mean_sp2,
                      var_y=ladder - mean_sp2.real / 2.0 - mean_sp.imag ** 2, var_z=s / 2.0, cov_w=cov_w)
 
 
@@ -144,8 +145,8 @@ def dense_channel_moments(total_spin, q):
     var_z = float(np.sum(pop * m * m)) - mean_z * mean_z
     # {S_y, S_z} has the S_y bands times m_i + m_{i+1}
     cov_w = float(np.sum(sy_terms * (m[:-1] + m[1:])).real)
-    return MomentSet(total_spin=float(total_spin), shearing_q=float(q), mean_sp=mean_sp,
-                     mean_sp2=mean_sp2, var_y=var_y, var_z=var_z, cov_w=cov_w)
+    return MomentSet(total_spin=float(total_spin), mean_sp=mean_sp, mean_sp2=mean_sp2, var_y=var_y, var_z=var_z,
+                     cov_w=cov_w)
 
 
 def lockstep_exact_reference(rng, process, s, lag_times, m):

@@ -117,14 +117,32 @@ def test_design_report_bytes_are_pinned(tmp_path, config, flags, digest):
 
 
 # sha256 of validate-oracle's CSV at the benchmark's --smax 200: the closed forms, the oracle sums (the same
-# bits as the full-range sums on this grid) and float repr all feed it, so a change to any of them shows here.
-_ORACLE_CSV_DIGEST = "567b95ed6043998d8b8b1988e662ce09dabf6b4c301106025aba5d004901e560"
+# bits as the full-range sums on this grid), the long-format rows and float repr all feed it, so a change to any
+# of them shows here.
+_ORACLE_CSV_DIGEST = "f3f0e9668d2ddd763488c0f6b18d03532390b33d9e2210703e355f79738f8d14"
 
 
 def test_validate_oracle_bytes_are_pinned(tmp_path):
     assert _run(["validate-oracle", "--smax", "200"], tmp_path) == 0
     digest = hashlib.sha256((tmp_path / "validate_oracle.csv").read_bytes()).hexdigest()
     assert digest == _ORACLE_CSV_DIGEST
+
+
+def test_validate_oracle_writes_one_row_per_s_q_moment_under_the_long_schema(tmp_path, capsys):
+    # S and Q lead and pass ends each row, which is what perfbench's check reads; r, route, reference and metric
+    # are the dimensions later routes add rows along, so they are columns now
+    assert _run(["validate-oracle", "--smax", "200"], tmp_path) == 0
+    assert capsys.readouterr().out.startswith("80/80 rows within their bounds; wrote ")
+    header, *lines = (tmp_path / "validate_oracle.csv").read_text().splitlines()
+    assert header == "S,Q,r,moment,route,value,reference,reference_value,metric,error,bound,pass"
+    rows = [dict(zip(header.split(","), line.split(","), strict=True)) for line in lines]
+    assert len(rows) == 80
+    assert {(r["r"], r["route"], r["reference"], r["metric"], r["bound"], r["pass"]) for r in rows} == {
+        ("0.0", "sums", "closed", "relative", "1e-10", "true")}
+    # a block of five Q per (S, moment): S ascending, var_y then cov_w, Q in grid order
+    spins = ["0.5", "1.0", "2.0", "5.0", "10.0", "50.0", "100.0", "200.0"]
+    assert [(r["S"], r["moment"]) for r in rows[::5]] == [(s, m) for s in spins for m in ("var_y", "cov_w")]
+    assert [r["Q"] for r in rows[:5]] == ["0.0", "0.1", "1.0", "5.0", "0.25"]
 
 
 # sha256 of the closed-form CSVs: fig2 at three cooperativities (eta-major blocks that share the Q and 1/Q
@@ -421,6 +439,21 @@ def test_a_cavity_value_whose_derived_coupling_overflows_is_named_by_its_keys(tm
     assert not out.exists()
 
 
+# a coupling whose eta and (2 Omega / kappa)^2 are finite but overflow once multiplied by S: the first used to be
+# refused as "shearing strength", the second exited 0 with p0_required 0.0 and an overflow warning
+@pytest.mark.parametrize("cavity, message", [
+    ("kappa_hz = 1e6\ngamma_hz = 1e-300\ndelta_hz = 1e9\n", "S eta"),
+    ("kappa_hz = 1e-150\ndelta_over_gamma = 500\n", "S (2 Omega / kappa)^2"),
+], ids=["S*eta", "S*(2Omega/kappa)^2"])
+def test_design_refuses_a_product_with_s_that_overflows_by_name(tmp_path, capsys, cavity, message):
+    path = tmp_path / "system.cfg"
+    path.write_text(f"S = 1e4\ng_hz = 4e5\n{cavity}t_s = 4e-4\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run(["design", "--config", str(path)], out) == 1
+    assert capsys.readouterr().err == f"design: {message} must be positive and finite\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("r", ["1e-17", "1e-20", "5e-324"])
 def test_gaussian_mc_at_a_rate_whose_decay_rounds_to_1_runs_as_at_r_0(tmp_path, r):
     # exp(-2 r h) == 1.0 made the OU step's var_z 0, and the step divided by it (ZeroDivisionError)
@@ -636,22 +669,24 @@ def test_warnings_go_to_the_manifest_not_stderr(tmp_path, capsys, argv):
     assert entries[0]["message"].startswith("r_opt = ") and "is not small" in entries[0]["message"]
 
 
-def test_validate_oracle_failure_exits_2_and_writes_everything(tmp_path, capsys, monkeypatch):
-    # the oracle off by 1e-6 relative at one grid point, (S, Q) = (5, 1)
+@pytest.mark.parametrize("moment", ["var_y", "cov_w"])
+def test_validate_oracle_failure_exits_2_and_writes_everything(tmp_path, capsys, monkeypatch, moment):
+    # the oracle off by 1e-6 relative in one moment at one grid point, (S, Q) = (5, 1)
     oracle = cli.oracle_moments_sum
 
     def perturbed(total_spin, q):
         moments = oracle(total_spin, q)
         if total_spin == 5.0:
-            return dataclasses.replace(moments, var_y=np.where(q == 1.0, moments.var_y * (1.0 + 1e-6), moments.var_y))
+            value = getattr(moments, moment)
+            return dataclasses.replace(moments, **{moment: np.where(q == 1.0, value * (1.0 + 1e-6), value)})
         return moments
 
     monkeypatch.setattr(cli, "oracle_moments_sum", perturbed)
     assert _run(["validate-oracle"], tmp_path) == 2
-    assert capsys.readouterr().out.startswith("39/40 grid points within 1e-10; wrote ")
+    assert capsys.readouterr().out.startswith("79/80 rows within their bounds; wrote ")
     rows = [line.split(",") for line in (tmp_path / "validate_oracle.csv").read_text().splitlines()[1:]]
-    assert len(rows) == 40
-    assert [row[:2] for row in rows if row[-1] == "false"] == [["5.0", "1.0"]]
+    assert len(rows) == 80
+    assert [row[:2] + row[3:4] for row in rows if row[-1] == "false"] == [["5.0", "1.0", moment]]
     assert json.loads((tmp_path / "manifest.json").read_text())["outputs"] == ["validate_oracle.csv"]
 
 

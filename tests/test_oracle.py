@@ -174,6 +174,21 @@ def test_oracle_sum_drops_only_products_that_are_exactly_zero(s, kept):
         assert moments_disagreement(oracle_moments_sum(s, q), dicke_sums_reference(s, q), s) <= tol, (s, q)
 
 
+@pytest.mark.parametrize("s", [542.5, 1e3, 1e4, 1e5])
+def test_oracle_sum_runs_over_exactly_the_product_window(monkeypatch, s):
+    # on the full-range amplitudes the sums are the reference summed over lo..2S-lo to the bit: a window one term
+    # wider or narrower at each end, or none at all, regroups the pairwise sums or drops nonzero terms
+    a = css_amplitudes_reference(s)
+    lo = int(np.argmax(a[:-2] * a[2:] > 0.0))
+    monkeypatch.setattr(oracle, "css_support", lambda s: (0, css_amplitudes_reference(s)))
+    qs = [1.0, math.sqrt(s), 2.0 * math.sqrt(s), s / 2.0]
+    row = oracle_moments_sum(s, np.array(qs))
+    for i, q in enumerate(qs):
+        window = dicke_sums_reference(s, q, lo)
+        for name in ("mean_sp", "mean_sp2", "var_y", "cov_w"):
+            assert getattr(row, name)[i].tobytes() == np.array(getattr(window, name)).tobytes(), (q, name)
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(s=st.integers(1, 400).map(lambda two_s: two_s / 2.0) | st.sampled_from([1e4, 1e5]),
        fracs=st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=7))
