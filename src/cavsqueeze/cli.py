@@ -53,7 +53,7 @@ from . import __version__
 from .design import classify_regime, curvature_optimum, design_report, full_curve_minimum, scattering_optimum
 from .feedback import analytic_moments, correlation_integrals
 from .oracle import oracle_moments_sum
-from .params import EnsembleSpec, cavity_params, load_config, nearest_spin
+from .params import cavity_params, load_config, nearest_spin, twice_spin
 from .raman import RamanProcess, fig2_curve, sample_trajectories
 from .serialize import SCHEMA_VERSION, write_csv, write_json, write_manifest
 
@@ -135,7 +135,7 @@ class Result:
 
 
 def cmd_fig2(args):
-    spec = EnsembleSpec(total_spin=args.S)
+    twice_spin(args.S)
     if args.qmin <= 0 or args.qmax <= args.qmin or args.qpoints < 2:
         raise ValueError("need 0 < qmin < qmax and qpoints >= 2")
     if args.qpoints * len(args.eta) > MAX_FIG2_POINTS:
@@ -143,7 +143,7 @@ def cmd_fig2(args):
                          f"MAX_FIG2_POINTS = {MAX_FIG2_POINTS}")
     q_grid = (np.linspace if args.linear_grid else np.geomspace)(args.qmin, args.qmax, args.qpoints)
     # raises ValueError where Q_eff / S passes the G-factor branch
-    blocks = fig2_curve(spec.total_spin, args.eta, q_grid)
+    blocks = fig2_curve(args.S, args.eta, q_grid)
     return Result({"fig2.csv": (("eta", "Q", "sigma_min_sq", "sigma_curv_sq", "sigma_ideal_sq"), blocks)})
 
 
@@ -189,8 +189,7 @@ def _mc_health(stats, total_spin, r, corr_target, elapsed_s):
 
 
 def cmd_raman_mc(args):
-    spec = EnsembleSpec(total_spin=args.S)
-    process = RamanProcess(r=args.r, n_atoms=spec.atom_count)
+    process = RamanProcess(r=args.r, n_atoms=int(twice_spin(args.S)))
     # numpy imports numpy.random on first use (~13 ms): before the timer, so
     # that trajectories_per_s measures the simulation alone
     importlib.import_module("numpy.random")
@@ -213,7 +212,7 @@ def cmd_raman_mc(args):
         columns = (stats["lags"], stats["corr"], stats["corr_se"], target)
         files["raman_corr.csv"] = (("lag", "corr", "corr_se", "target"), [columns])
     return Result(files, seed=args.seed,
-                  mc_health=_mc_health(stats, spec.total_spin, args.r, target, elapsed_s))
+                  mc_health=_mc_health(stats, args.S, args.r, target, elapsed_s))
 
 
 def cmd_design(args):

@@ -117,9 +117,11 @@ def classify_regime(total_spin, eta):
     The criterion is an order-of-magnitude rule; points with S eta^5 within
     a factor _BOUNDARY_BAND^5 of the threshold (i.e. eta within a factor
     _BOUNDARY_BAND of the boundary coupling) carry near_boundary = True.
+    An S eta^5 that overflows is refused; one that underflows to 0.0 is kept.
     """
     s, eta = positive("S", total_spin), positive("eta", eta)
-    s_eta5 = s * np.power(eta, 5.0)
+    with np.errstate(over="ignore"):
+        s_eta5 = nonnegative("S eta^5", s * np.power(eta, 5.0))
     curvature = s_eta5 >= _REGIME_BOUNDARY * (1.0 - _BOUNDARY_RTOL)
     band = _BOUNDARY_BAND ** 5
     return (_scalar(s_eta5), _scalar(np.where(curvature, "curvature", "scattering")),
@@ -198,7 +200,8 @@ def validate_regime(total_spin, params, pulse_time, shearing_q, max_excited_pop)
     low-saturation limit (design --eps-max in a report), and the other
     limits, in thresholds, are the module constants.  Refuses a non-spin S,
     a pulse time that is not positive, a negative Q and a max_excited_pop
-    outside (0, 1]; never raises for out-of-regime inputs: all failures are
+    outside (0, 1], and a drive rate 2 p0 / (kappa t) that overflows (a
+    subnormal t_s); never raises for out-of-regime inputs: all failures are
     carried as flags, and all_ok says every flag passes.  excited_pop is
     epsilon = <c^dag c> g^2 / Delta^2 at S_z = 0; ratio_linearity is
     Omega sqrt(S/2) / kappa; identity_rel_err is how well epsilon kappa t =
@@ -213,6 +216,7 @@ def validate_regime(total_spin, params, pulse_time, shearing_q, max_excited_pop)
 
     # epsilon at S_z = 0: intracavity <c^dag c> = |beta|^2, the drive rate 2 p0/(kappa t)
     drive_rate = 2.0 * _photon_budget(s, params, shearing_q) / (kappa * pulse_time)
+    nonnegative("drive rate 2 p0 / (kappa t) (t_s)", drive_rate)
     excited_pop = drive_rate * (g / delta) ** 2
 
     kappa_t = kappa * pulse_time

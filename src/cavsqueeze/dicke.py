@@ -10,8 +10,9 @@ Coherent-spin-state amplitudes are binomial, sqrt(C(2S, S+m)) 2^-S, built in
 log space so ensembles up to S ~ 1e6 construct without overflow.  They fall
 as e^{-m^2/2S} and are exactly 0.0 in float64 past |m| ~ 38.6 sqrt(S), so
 css_support builds only the window around m = 0 that holds the nonzero ones
-(O(sqrt(S)) work; the whole range while 2S < 5980).  The spin operators are
-stored as their three bands, so applying one is O(S).
+(O(sqrt(S)) work; the whole range while 2S < 5980).  raising_coefficients
+holds the formula of S_+'s ladder coefficients c_m, which the channel reads
+beside m_values; S_z and S_x are stored as bands, so applying one is O(S).
 """
 
 import math
@@ -32,8 +33,8 @@ _LOG_UNDERFLOW = 1494.0
 
 
 def m_values(total_spin):
-    """Eigenvalues of S_z ordered +S..-S (the storage order)."""
-    return total_spin - np.arange(int(twice_spin(total_spin)) + 1)
+    """Eigenvalues of S_z ordered +S..-S (the storage order), as floats."""
+    return float(total_spin) - np.arange(int(twice_spin(total_spin)) + 1)
 
 
 @dataclass(frozen=True)
@@ -70,38 +71,32 @@ class Tridiagonal:
 
 @dataclass(frozen=True)
 class SpinOperators:
-    """Collective spin operators as complex tridiagonal bands of length ~2S+1."""
+    """S_z and S_x as complex tridiagonal bands of length ~2S+1."""
 
-    total_spin: float
     sz: Tridiagonal
-    sp: Tridiagonal
-    sm: Tridiagonal
     sx: Tridiagonal
-    sy: Tridiagonal
 
 
-def build_operators(spec, dim_cap=STATE_DIM_CAP):
-    """Construct S_z, S_+/-, S_x, S_y for the given ensemble.
+def raising_coefficients(total_spin):
+    """c_m = sqrt((S-m)(S+m+1)), the element <m+1|S_+|m>, for m = +S-1..-S (the storage order)."""
+    s, m = float(total_spin), m_values(total_spin)[1:]
+    return np.sqrt((s - m) * (s + m + 1.0))
 
-    Standard angular-momentum matrix elements,
-    S_+|m> = sqrt((S-m)(S+m+1)) |m+1>, in the m-descending storage order.
-    Raises ValueError when 2S+1 exceeds dim_cap.
+
+def build_operators(spec):
+    """Construct S_z and S_x for the given ensemble.
+
+    S_x = (S_+ + S_-)/2 from raising_coefficients, in the m-descending
+    storage order.  Raises ValueError when 2S+1 exceeds STATE_DIM_CAP.
     """
     dim = spec.dicke_dim
-    if dim > dim_cap:
-        raise ValueError(f"Dicke dimension {dim} exceeds cap {dim_cap}")
-    s = spec.total_spin
-    m = m_values(s)
-    # raising operator: |m> -> |m+1> moves one row up in m-descending storage
-    c = np.sqrt((s - m[1:]) * (s + m[1:] + 1.0)).astype(complex)
-    off, diag = np.zeros(dim - 1, dtype=complex), np.zeros(dim, dtype=complex)
+    if dim > STATE_DIM_CAP:
+        raise ValueError(f"Dicke dimension {dim} exceeds cap {STATE_DIM_CAP}")
+    c = raising_coefficients(spec.total_spin).astype(complex)
+    off = np.zeros(dim - 1, dtype=complex)
     return SpinOperators(
-        total_spin=s,
-        sz=Tridiagonal(off, m.astype(complex), off),
-        sp=Tridiagonal(off, diag, c),
-        sm=Tridiagonal(c, diag, off),
-        sx=Tridiagonal(c / 2.0, diag, c / 2.0),
-        sy=Tridiagonal(-c / 2j, diag, c / 2j),
+        sz=Tridiagonal(off, m_values(spec.total_spin).astype(complex), off),
+        sx=Tridiagonal(c / 2.0, np.zeros(dim, dtype=complex), c / 2.0),
     )
 
 

