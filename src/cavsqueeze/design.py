@@ -90,11 +90,13 @@ def scattering_optimum(total_spin, eta):
     """(Q_scatt, r_opt, sigma_sq): closed-form optimum of 1/Q + Q/(3 S eta), elementwise.
 
     Warns when r_opt >= 0.3, where the small-r expansion behind the
-    two-term form stops being trustworthy.
+    two-term form stops being trustworthy; refuses a 3 / (16 S eta) that
+    overflows.
     """
     s_eta = positive("S", total_spin) * positive("eta", eta)
     q_scatt = np.sqrt(3.0 * s_eta)
-    r_opt = np.sqrt(3.0 / (16.0 * s_eta))
+    with np.errstate(over="ignore", divide="ignore"):  # an S eta that under- or overflows is refused
+        r_opt = np.sqrt(nonnegative("3 / (16 S eta)", 3.0 / (16.0 * s_eta)))
     sigma_sq = 2.0 / np.sqrt(3.0 * s_eta)
     if (r_opt >= 0.3).any():
         warnings.warn(
@@ -200,12 +202,13 @@ def validate_regime(total_spin, params, pulse_time, shearing_q, max_excited_pop)
     low-saturation limit (design --eps-max in a report), and the other
     limits, in thresholds, are the module constants.  Refuses a non-spin S,
     a pulse time that is not positive, a negative Q and a max_excited_pop
-    outside (0, 1], and a drive rate 2 p0 / (kappa t) that overflows (a
-    subnormal t_s); never raises for out-of-regime inputs: all failures are
-    carried as flags, and all_ok says every flag passes.  excited_pop is
-    epsilon = <c^dag c> g^2 / Delta^2 at S_z = 0; ratio_linearity is
-    Omega sqrt(S/2) / kappa; identity_rel_err is how well epsilon kappa t =
-    (kappa/g)^2 Q/(8S) closes numerically.
+    outside (0, 1], then a kappa t that over- or underflows and a drive
+    rate 2 p0 / (kappa t) that overflows (a subnormal t_s); never raises
+    for out-of-regime inputs: all failures are carried as flags, and all_ok
+    says every flag passes.  excited_pop is epsilon = <c^dag c> g^2 /
+    Delta^2 at S_z = 0; ratio_linearity is Omega sqrt(S/2) / kappa;
+    identity_rel_err is how well epsilon kappa t = (kappa/g)^2 Q/(8S)
+    closes numerically.
     """
     twice_spin(total_spin)
     positive("pulse_time", pulse_time)
@@ -214,12 +217,13 @@ def validate_regime(total_spin, params, pulse_time, shearing_q, max_excited_pop)
     s = total_spin
     g, kappa, gamma, delta = params["g_rad_s"], params["kappa_rad_s"], params["gamma_rad_s"], params["delta_rad_s"]
 
+    kappa_t = kappa * pulse_time
+    positive("kappa t (kappa_hz, t_s)", kappa_t)
     # epsilon at S_z = 0: intracavity <c^dag c> = |beta|^2, the drive rate 2 p0/(kappa t)
-    drive_rate = 2.0 * _photon_budget(s, params, shearing_q) / (kappa * pulse_time)
+    drive_rate = 2.0 * _photon_budget(s, params, shearing_q) / kappa_t
     nonnegative("drive rate 2 p0 / (kappa t) (t_s)", drive_rate)
     excited_pop = drive_rate * (g / delta) ** 2
 
-    kappa_t = kappa * pulse_time
     ratio_linearity = params["omega_shift_rad_s"] * (s / 2.0) ** 0.5 / kappa
     detuning_margin = abs(delta) / max(kappa, gamma, g)
 
@@ -286,7 +290,8 @@ def design_report(total_spin, params, pulse_time, max_excited_pop, q_target=None
 
     kappa = params["kappa_rad_s"]
     kt_saturation = kappa_t_required(s, params, q_rec, max_excited_pop)
-    kt_actual = kappa * pulse_time
+    validity = validate_regime(s, params, pulse_time, q_rec, max_excited_pop)
+    kt_actual = validity["kappa_t"]
     return {
         "q_curv": q_curv,
         "sigma_curv_sq": sigma_curv_sq,
@@ -309,7 +314,7 @@ def design_report(total_spin, params, pulse_time, max_excited_pop, q_target=None
             "t_min_seconds": max(kt_saturation, MIN_KAPPA_T) / kappa,
             "satisfied": kt_actual >= max(kt_saturation, MIN_KAPPA_T),
         },
-        "validity": validate_regime(s, params, pulse_time, q_rec, max_excited_pop),
+        "validity": validity,
         "provenance": {
             "schema_version": SCHEMA_VERSION,
             "tool_version": __version__,

@@ -38,23 +38,6 @@ def m_values(total_spin):
 
 
 @dataclass(frozen=True)
-class DickeState:
-    """Pure state in the Dicke basis |S, m>, amplitudes ordered m = +S..-S."""
-
-    total_spin: float
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.shape != (int(twice_spin(self.total_spin)) + 1,):
-            raise ValueError("amplitude vector length must be 2S+1")
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state not normalized: sum |a|^2 = {norm!r}")
-
-
-@dataclass(frozen=True)
 class Tridiagonal:
     """Tridiagonal operator; upper[i] is element (i, i+1), lower[i] is (i+1, i)."""
 
@@ -128,20 +111,17 @@ def css_amplitudes(total_spin):
 
 
 def make_css(spec):
-    """Coherent spin state along +x, satisfying <S_x> = S; amplitude sqrt(C(2S, S+m)) 2^-S at m."""
-    s = spec.total_spin
-    return DickeState(total_spin=s, amplitudes=css_amplitudes(s).astype(complex))
+    """Coherent spin state along +x, satisfying <S_x> = S: the complex amplitude vector, m = +S..-S."""
+    return css_amplitudes(spec.total_spin).astype(complex)
 
 
-def expectation(state, op):
-    """<psi|op|psi> for a DickeState and any operator that supports op @ v."""
-    v = state.amplitudes
+def expectation(v, op):
+    """<v|op|v> for a complex amplitude vector v and any operator that supports op @ v."""
     return complex(v.conj() @ (op @ v))
 
 
-def variance(state, op):
-    """<op^2> - <op>^2 on a pure state (op Hermitian)."""
-    v = state.amplitudes
+def variance(v, op):
+    """<op^2> - <op>^2 on the pure state with complex amplitude vector v (op Hermitian)."""
     ov = op @ v
     second = float(np.real(ov.conj() @ ov))
     mean = float(np.real(v.conj() @ ov))

@@ -110,7 +110,9 @@ def correlation_integrals(r):
     a_closed = np.maximum(a, 0.5)
     ea = np.exp(-a_closed)
     small = a < 0.5
-    c_sq = np.where(small, sq_series, (a_closed - 1.0 + ea) * 2.0 / (a_closed * a_closed))
+    with np.errstate(over="ignore"):  # a^2 past the float range (a > 1.3e154): inf, and c_bar_sq 0.0
+        a_sq = a_closed * a_closed
+    c_sq = np.where(small, sq_series, (a_closed - 1.0 + ea) * 2.0 / a_sq)
     c_fin = np.where(small, fin_series, (1.0 - ea) / a_closed)
     return _scalar(c_sq), _scalar(c_fin)
 

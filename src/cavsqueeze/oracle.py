@@ -18,11 +18,10 @@ over the product window alone: css_support's window less the ends where
 even the widest pair a_k a_{k+2} underflows to 0.0, so every term dropped
 is exactly 0.  That is O(sqrt(S)) terms: 17,183 of css_support's 25,987 at
 S = 1e5, and all 2S+1 below 2S = 1085.  They are elementwise over Q: one
-call builds the weights once and sums the phases of every Q in slices of
-at most 2**17 // window rows, ~1 MB an array however many Q.  The
-channel's traces read only the populations and the -2..+1 diagonals of
-the sheared density matrix, so it forms those four diagonals alone: O(S)
-work and memory, up to DENSITY_DIM_CAP.
+call builds the weights once, the phases of all Q form one array and each
+row is summed on its own.  The channel's traces read only the populations
+and the -2..+1 diagonals of the sheared density matrix, so it forms those
+four diagonals alone: O(S) work and memory, up to DENSITY_DIM_CAP.
 """
 
 import math
@@ -50,10 +49,9 @@ def oracle_moments_sum(total_spin, q):
     run over the product window k = first_k+cut..2S-first_k-cut alone, cut
     the first offset into css_support's window where a_k a_{k+2} > 0.0 (0
     below 2S = 1085, so there the sums are the full-range sums to the bit).
-    The phases of every Q form one (Q, window) array, summed in slices of at
-    most 2**17 // window rows, each row bit for bit as a call at its Q
-    alone.  A scalar Q gives Python scalars, an array Q arrays, as the
-    closed forms do.
+    The phases of all Q form one (Q, window) array and each row is summed
+    on its own, bit for bit as a call at its Q alone.  A scalar Q gives
+    Python scalars, an array Q arrays, as the closed forms do.
     """
     s = float(total_spin)
     two_s = int(twice_spin(s))
@@ -73,19 +71,17 @@ def oracle_moments_sum(total_spin, q):
     # second coherence: a_{m+2} a_m c_m c_{m+1} e^{2iQ(m+2)/S}
     k2 = k[:-2]
     w2 = a[2:] * a[:-2] * np.sqrt((two_s - k2) * (k2 + 1.0) * (two_s - k2 - 1.0) * (k2 + 2.0))
-    sums = np.empty((5, len(qs)))  # Re, Im <S_+>, cov_w, Re, Im of the raw <S_+^2>
-    step = max(1, 2 ** 17 // len(a))
-    for lo in range(0, len(qs), step):
-        rows, u = slice(lo, lo + step), qs[lo:lo + step, None] / s
-        ph1 = u * (m[:-1] + 1.0)
-        sin1 = np.sin(ph1)
-        sums[:3, rows] = [np.sum(w1 * np.cos(ph1), axis=-1), np.sum(w1 * sin1, axis=-1), np.sum(w1_cov * sin1, axis=-1)]
-        ph2 = 2.0 * u * (m[:-2] + 2.0)
-        sums[3:, rows] = [np.sum(w2 * np.cos(ph2), axis=-1), np.sum(w2 * np.sin(ph2), axis=-1)]
+    # Re, Im <S_+>, cov_w, Re, Im of the raw <S_+^2>: each row of the (Q, window) phases summed on its own
+    u = qs[:, None] / s
+    ph1 = u * (m[:-1] + 1.0)
+    sin1 = np.sin(ph1)
+    totals = [np.sum(w1 * np.cos(ph1), axis=-1), np.sum(w1 * sin1, axis=-1), np.sum(w1_cov * sin1, axis=-1)]
+    ph2 = 2.0 * u * (m[:-2] + 2.0)
+    totals += [np.sum(w2 * np.cos(ph2), axis=-1), np.sum(w2 * np.sin(ph2), axis=-1)]
+    re1, im1, cov_w, re2, im2 = (row.tolist() for row in totals)
 
     # the S_z-independent photon shot-noise factor e^{-(1+i)Q/S} and var_y, per Q in math
     shot = [complex(math.exp(-x)) * complex(math.cos(x), -math.sin(x)) for x in (qs / s).tolist()]
-    re1, im1, cov_w, re2, im2 = sums.tolist()
     mean_sp, mean_sp2 = list(map(complex, re1, im1)), [z * f for z, f in zip(map(complex, re2, im2), shot)]
     ladder = (s * (s + 1.0) - float(np.sum(a * a * m * m))) / 2.0  # <S_+S_- + S_-S_+> / 4
     var_y = [ladder - sp2.real / 2.0 - sp.imag ** 2 for sp, sp2 in zip(mean_sp, mean_sp2)]

@@ -76,12 +76,14 @@ def modified_min_variance(total_spin, eta, q):
 
     Q must keep Q_eff / S = 2 eta (1 - e^{-2r}) inside the G-factor domain
     (below pi/2, so every Q is allowed for eta <= pi/4); any element outside
-    it raises ValueError before the moments are evaluated, for every S.
+    it raises ValueError before the moments are evaluated, for every S, as
+    does an r = Q / (4 S eta) that overflows.
     """
     # S first, so a non-spin gets the spin message before r is formed
     s = twice_spin(total_spin) / 2.0
     eta, q = positive("eta", eta), positive("shearing strength", q)
-    r = q / (4.0 * s * eta)
+    with np.errstate(over="ignore"):
+        r = nonnegative("Q / (4 S eta)", q / (4.0 * s * eta))
     x = -2.0 * eta * np.expm1(-2.0 * r)  # Q_eff / S
     outside = np.abs(x) >= _G_DOMAIN
     if outside.any():
@@ -171,7 +173,8 @@ def _simulate_exact(rng, process, s, lag_times, samples, sbar):
         rng.random(out=picks)
         for prev, row in zip(times, times[1:]):  # the running sum of the waiting times, event row by row
             np.add(prev, row, out=row)
-        times /= rate
+        with np.errstate(over="ignore"):  # past the float range at a subnormal rate: inf, no event in the pulse
+            times /= rate
         times += now
         picks *= n
         live_up, live_step = n_up[:, :k], step[:k]

@@ -122,7 +122,7 @@ def dense_spin_matrices(total_spin):
 
 def css_density_matrix(total_spin):
     """|CSS_+x><CSS_+x| as a dense matrix."""
-    amps = make_css(EnsembleSpec(total_spin=total_spin)).amplitudes
+    amps = make_css(EnsembleSpec(total_spin=total_spin))
     return np.outer(amps, amps.conj())
 
 

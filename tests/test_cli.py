@@ -389,7 +389,12 @@ def test_extreme_integer_options_are_refused_by_their_domain_or_cap(option, valu
 
 
 # accepted inputs whose output a writer refuses as nan or inf: run used to create --out before the writers ran; the
-# two sweeps overflow S eta^5, which classify_regime refuses by name before any writer runs
+# sweeps overflow S eta^5, which classify_regime refuses by name before any writer runs, or 3 / (16 S eta) in
+# scattering_optimum (or S eta underflows to 0.0 there), and fig2 at eta = 1e-308 overflows r = Q / (4 S eta): each
+# of the last four used to be refused as "r" by correlation_integrals, or as an inf CSV cell by the writer
+_TINY_ETA_SWEEP = ["sweep", "--eta-min", "1e-320", "--eta-max", "1e-319", "--eta-points", "2", "--s-points", "2"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["fig2", "--S", "100", "--eta", "0.1", "--qmin", "5e-324"], "CSV cells must be finite, got inf"),
     (["fig2", "--S", "100", "--eta", "0.1", "--qmax", "1e300"], "CSV cells must be finite, got nan"),
@@ -399,8 +404,14 @@ def test_extreme_integer_options_are_refused_by_their_domain_or_cap(option, valu
      "S eta^5 must be nonnegative and finite"),
     (["sweep", "--eta-min", "0.1", "--eta-max", "1e300", "--s-points", "2", "--eta-points", "2", "--full-minimum"],
      "S eta^5 must be nonnegative and finite"),
+    (["fig2", "--S", "100", "--eta", "1e-308"], "Q / (4 S eta) must be nonnegative and finite"),
+    (_TINY_ETA_SWEEP, "3 / (16 S eta) must be nonnegative and finite"),
+    (_TINY_ETA_SWEEP + ["--full-minimum"], "3 / (16 S eta) must be nonnegative and finite"),
+    (["sweep", "--s-min", "0.5", "--s-max", "0.5", "--s-points", "1", "--eta-min", "5e-324", "--eta-max", "5e-324",
+      "--eta-points", "1"], "3 / (16 S eta) must be nonnegative and finite"),
 ], ids=["fig2 --qmin 5e-324", "fig2 --qmax 1e300", "design --eps-max 5e-324", "design --q-target 1e300",
-        "sweep --eta-min 1e300", "sweep --eta-max 1e300"])
+        "sweep --eta-min 1e300", "sweep --eta-max 1e300", "fig2 --eta 1e-308", "sweep --eta-max 1e-319",
+        "sweep --eta-max 1e-319 --full-minimum", "sweep S eta = 0.0"])
 def test_a_value_refused_at_write_time_leaves_no_out(tmp_path, capsys, argv, message):
     cfg = tmp_path / "system.cfg"  # the worked example without p0
     cfg.write_text("S = 10000\ng_hz = 4e5\nkappa_hz = 1e6\ndelta_over_gamma = 500\nt_s = 4e-4\n", encoding="utf-8")
@@ -418,9 +429,10 @@ def test_a_sweep_spin_past_the_cap_is_named_as_given(tmp_path, capsys):
     assert not out.exists()
 
 
-# finite cavity values whose derived Omega, eta or (2 Omega / kappa)^2 over- or underflows, and a subnormal t_s whose
-# drive rate 2 p0 / (kappa t) overflows: each used to be refused later under a derived name (eta, shearing strength)
-# or, at delta_hz = 1e-310 and t_s = 1e-310 or 1e-320, by json at write time
+# finite cavity values whose derived Omega, eta or (2 Omega / kappa)^2 over- or underflows, a subnormal t_s whose
+# drive rate 2 p0 / (kappa t) overflows and a t_s whose kappa t overflows: each used to be refused later under a
+# derived name (eta, shearing strength) or, at delta_hz = 1e-310 and t_s = 1e-310, 1e-320 or 1e303, by json at
+# write time
 _DRIVE_RATE = "drive rate 2 p0 / (kappa t) (t_s) must be nonnegative and finite"
 
 
@@ -433,8 +445,9 @@ _DRIVE_RATE = "drive rate 2 p0 / (kappa t) (t_s) must be nonnegative and finite"
     ("g_hz", "1e-200", "Omega = 2 g^2 / |Delta| (g_hz, delta_over_gamma, gamma_hz) must be positive and finite"),
     ("t_s", "1e-310", _DRIVE_RATE),
     ("t_s", "1e-320", _DRIVE_RATE),
+    ("t_s", "1e303", "kappa t (kappa_hz, t_s) must be positive and finite"),
 ], ids=["g_hz=1e200", "gamma_hz=1e-310", "kappa_hz=1e-300", "delta_hz=1e-310", "g_hz=1e-200", "t_s=1e-310",
-        "t_s=1e-320"])
+        "t_s=1e-320", "t_s=1e303"])
 def test_a_cavity_value_whose_derived_coupling_overflows_is_named_by_its_keys(tmp_path, capsys, key, value, message):
     cfg = {"S": "1e4", "g_hz": "4e5", "kappa_hz": "1e6", "delta_over_gamma": "500.0", "p0": "100.0", "t_s": "4e-4"}
     if key == "delta_hz":
@@ -498,6 +511,41 @@ def test_design_refuses_a_product_with_s_that_overflows_by_name(tmp_path, capsys
     assert _run(["design", "--config", str(path)], out) == 1
     assert capsys.readouterr().err == f"design: {message} must be positive and finite\n"
     assert not out.exists()
+
+
+# eta = 4e-314 puts 3 / (16 S eta) past the float range: scattering_optimum refuses it before full_curve_minimum
+# reaches r = Q / (4 S eta), which used to be refused as "r"; kappa t = 6e-330 underflows to 0.0, and the drive
+# rate 2 p0 / (kappa t) used to raise ZeroDivisionError
+@pytest.mark.parametrize("cavity, message", [
+    ("g_hz = 1e-151\nkappa_hz = 1e6\ngamma_hz = 1e6\ndelta_hz = 1e-150\nt_s = 4e-4\n",
+     "3 / (16 S eta) must be nonnegative and finite"),
+    ("g_hz = 4e5\nkappa_hz = 1e-10\ndelta_over_gamma = 500\nt_s = 1e-320\n",
+     "kappa t (kappa_hz, t_s) must be positive and finite"),
+], ids=["r_opt overflow", "kappa t underflow"])
+def test_a_design_value_derived_from_several_keys_is_refused_by_name(tmp_path, capsys, cavity, message):
+    path = tmp_path / "system.cfg"
+    path.write_text(f"S = 1e4\n{cavity}", encoding="utf-8")
+    out = tmp_path / "out"
+    assert _run(["design", "--config", str(path)], out) == 1
+    assert capsys.readouterr().err == f"design: {message}\n"
+    assert not out.exists()
+
+
+# accepted extremes whose printed numbers are right but whose manifest used to record a numpy overflow warning:
+# a = 2r ~ 1e300 squared in correlation_integrals (c_bar_sq is 0.0), and waiting times past the float range at
+# r N = 5e-324 in the exact kernel (no event falls in the pulse)
+@pytest.mark.parametrize("argv", [
+    ["fig2", "--S", "100", "--eta", "1e-300", "--qpoints", "2"],
+    ["raman-mc", "--S", "0.5", "--r", "1e300", "--traj", "1", "--steps", "2", "--seed", "1", "--mode", "gaussian"],
+    ["raman-mc", "--S", "0.5", "--r", "5e-324", "--traj", "3", "--steps", "2", "--seed", "1"],
+], ids=["fig2 --eta 1e-300", "raman-mc --r 1e300", "raman-mc --r 5e-324"])
+def test_an_extreme_accepted_input_records_no_numpy_warning(tmp_path, argv):
+    out = tmp_path / "out"
+    assert _run(argv, out) == 0
+    _assert_clean_exit(0, out)
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == []
+    if "5e-324" in argv:
+        assert json.loads((out / "raman_stats.json").read_text())["stats"]["n_events"] == 0
 
 
 @pytest.mark.parametrize("r", ["1e-17", "1e-20", "5e-324"])

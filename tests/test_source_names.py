@@ -17,11 +17,14 @@ SeedSequence or a default_rng), so the Monte Carlo's stream layout has one
 owner.  Outside dicke, the program takes from dicke only the CSS amplitudes,
 m, the ladder coefficients and the channel's cap, never the spin operators
 or states, and only params and dicke name EnsembleSpec: the operator layer
-serves the benchmark alone.
+serves the benchmark alone.  Past the standard library, the package imports
+numpy alone, and the tests add only pytest, hypothesis and their own
+modules: neither may come to need scipy or mpmath.
 """
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -248,3 +251,27 @@ def ensemble_spec_names(package=PACKAGE):
 
 def test_only_params_and_dicke_name_ensemble_spec():
     assert ensemble_spec_names() == []
+
+
+def foreign_imports(root, allowed):
+    """path:line module of each absolute import under root whose top-level module is neither stdlib nor allowed."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(ROOT)}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names | allowed]
+    return found
+
+
+def test_the_package_depends_on_numpy_alone():
+    assert foreign_imports(PACKAGE, {"numpy"}) == []
+
+
+def test_the_tests_need_nothing_past_numpy_pytest_and_hypothesis():
+    assert foreign_imports(ROOT / "tests", {"numpy", "pytest", "hypothesis", "cavsqueeze", "conftest"}) == []
