@@ -35,11 +35,11 @@ rounded curve defines it.
 The dispersive readout: the drive, at omega = omega_c + kappa/2 (half a
 linewidth above the bare cavity), sees a resonance pulled by the atomic
 index of refraction to omega_c + Omega S_z, so the transmitted photon
-number has the relative slope 2 Omega / kappa at S_z = 0.  validate_regime
+number has the relative slope 2 Omega / kappa at S_z = 0.  design_report
 checks the treatment's conditions (linear in S_z, adiabatic in the cavity
 field, low saturation) against the limits below and the one settable
-limit, max_excited_pop.  validate_regime and design_report return the dicts
-that design writes to design_report.json, the first under "validity".
+limit, max_excited_pop, and returns the dict that design writes to
+design_report.json, those checks under "validity".
 """
 
 import sys
@@ -71,7 +71,7 @@ _BOUNDARY_BAND = 3.0
 # 64 eps absorbs that rounding and is far too narrow to act as a band.
 _BOUNDARY_RTOL = 64.0 * sys.float_info.epsilon
 
-# validate_regime: pass/fail limits of the operating conditions besides low
+# design_report: pass/fail limits of the operating conditions besides low
 # saturation, whose limit is the max_excited_pop argument
 MIN_KAPPA_T = 10.0  # resolve the cavity line, kappa t >> 1
 MAX_LINEARITY_RATIO = 0.1  # Omega sqrt(S/2) / kappa small
@@ -177,82 +177,6 @@ def full_curve_minimum(total_spin, eta):
             _scalar(np.take_along_axis(values, best, axis=-1)[..., 0]))
 
 
-def _photon_budget(total_spin, params, shearing_q):
-    """p0, the photons transmitted at S_z = 0 over the pulse, that gives Q = S p0 (2 Omega / kappa)^2."""
-    return shearing_q / (total_spin * (2.0 * params["omega_shift_rad_s"] / params["kappa_rad_s"]) ** 2)
-
-
-def kappa_t_required(total_spin, params, shearing_q, max_excited_pop):
-    """Minimum kappa*t so the excited-state population stays below the cap.
-
-    From epsilon * kappa * t = (kappa/g)^2 Q / (8 S): at fixed Q the pulse
-    must stretch as (kappa/g)^2 / epsilon_max.  params is a cavity_params dict.
-    """
-    twice_spin(total_spin)
-    nonnegative("shearing strength", shearing_q)
-    population("max_excited_pop", max_excited_pop)
-    return (params["kappa_rad_s"] / params["g_rad_s"]) ** 2 * shearing_q / (8.0 * total_spin * max_excited_pop)
-
-
-def validate_regime(total_spin, params, pulse_time, shearing_q, max_excited_pop):
-    """Validity checks of the dispersive, linearized, adiabatic treatment, as the report's "validity" dict.
-
-    The pulse of length pulse_time (s) shears the spin S by Q = shearing_q,
-    on the cavity of params (a cavity_params dict); max_excited_pop is the
-    low-saturation limit (design --eps-max in a report), and the other
-    limits, in thresholds, are the module constants.  Refuses a non-spin S,
-    a pulse time that is not positive, a negative Q and a max_excited_pop
-    outside (0, 1], then a kappa t that over- or underflows and a drive
-    rate 2 p0 / (kappa t) that overflows (a subnormal t_s); never raises
-    for out-of-regime inputs: all failures are carried as flags, and all_ok
-    says every flag passes.  excited_pop is epsilon = <c^dag c> g^2 /
-    Delta^2 at S_z = 0; ratio_linearity is Omega sqrt(S/2) / kappa;
-    identity_rel_err is how well epsilon kappa t = (kappa/g)^2 Q/(8S)
-    closes numerically.
-    """
-    twice_spin(total_spin)
-    positive("pulse_time", pulse_time)
-    nonnegative("shearing strength", shearing_q)
-    population("max_excited_pop", max_excited_pop)
-    s = total_spin
-    g, kappa, gamma, delta = params["g_rad_s"], params["kappa_rad_s"], params["gamma_rad_s"], params["delta_rad_s"]
-
-    kappa_t = kappa * pulse_time
-    positive("kappa t (kappa_hz, t_s)", kappa_t)
-    # epsilon at S_z = 0: intracavity <c^dag c> = |beta|^2, the drive rate 2 p0/(kappa t)
-    drive_rate = 2.0 * _photon_budget(s, params, shearing_q) / kappa_t
-    nonnegative("drive rate 2 p0 / (kappa t) (t_s)", drive_rate)
-    excited_pop = drive_rate * (g / delta) ** 2
-
-    ratio_linearity = params["omega_shift_rad_s"] * (s / 2.0) ** 0.5 / kappa
-    detuning_margin = abs(delta) / max(kappa, gamma, g)
-
-    # internal identity: epsilon kappa t = (kappa/g)^2 Q / (8S)
-    lhs = excited_pop * kappa_t
-    rhs = (kappa / g) ** 2 * shearing_q / (8.0 * s)
-    scale = max(abs(lhs), abs(rhs))
-    identity_rel_err = abs(lhs - rhs) / scale if scale > 0.0 else 0.0
-
-    flags = {
-        "excited_pop": excited_pop <= max_excited_pop,
-        "kappa_t": kappa_t >= MIN_KAPPA_T,
-        "linearity": ratio_linearity <= MAX_LINEARITY_RATIO,
-        "detuning_margin": detuning_margin >= MIN_DETUNING_MARGIN,
-    }
-    return {
-        "ratio_linearity": ratio_linearity,
-        "excited_pop": excited_pop,
-        "kappa_t": kappa_t,
-        "detuning_margin": detuning_margin,
-        "shearing_q": shearing_q,
-        "flags": flags,
-        "all_ok": all(flags.values()),
-        "identity_rel_err": identity_rel_err,
-        "thresholds": {"max_excited_pop": max_excited_pop, "min_kappa_t": MIN_KAPPA_T,
-                       "max_linearity_ratio": MAX_LINEARITY_RATIO, "min_detuning_margin": MIN_DETUNING_MARGIN},
-    }
-
-
 def design_report(total_spin, params, pulse_time, max_excited_pop, q_target=None):
     """Limits, optima and validity of one parameter set, as the dict design writes.
 
@@ -262,14 +186,24 @@ def design_report(total_spin, params, pulse_time, max_excited_pop, q_target=None
     min(full-curve minimizer, Q_curv); a q_target of zero is rejected ("no
     shearing requested"), any other positive value overrides the
     recommendation.  The report gives the raw sigma^2 there and the
-    contrast-normalized xi^2 = sigma^2 / C^2, which the floors bound.  An
-    S eta or S (2 Omega / kappa)^2 that overflows is refused by name.
+    contrast-normalized xi^2 = sigma^2 / C^2, which the floors bound.
+
+    "validity" checks the dispersive, linearized, adiabatic treatment
+    against max_excited_pop and the module limits: excited_pop is epsilon =
+    <c^dag c> (g / Delta)^2 at S_z = 0, with <c^dag c> the drive rate 2 p0
+    / (kappa t); ratio_linearity is Omega sqrt(S/2) / kappa;
+    identity_rel_err is how well epsilon kappa t = (kappa/g)^2 Q / (8S)
+    closes.  Out-of-regime inputs only clear flags; a product with S or a
+    kappa t that over- or underflows, or a quantity derived from them that
+    overflows, is refused by name.
     """
     atom_count = int(twice_spin(total_spin))
     s = float(total_spin)
     eta = params["eta"]
+    g, kappa, gamma, delta = params["g_rad_s"], params["kappa_rad_s"], params["gamma_rad_s"], params["delta_rad_s"]
     positive("S eta", s * eta)
-    positive("S (2 Omega / kappa)^2", s * (2.0 * params["omega_shift_rad_s"] / params["kappa_rad_s"]) ** 2)
+    shear_per_photon = s * (2.0 * params["omega_shift_rad_s"] / kappa) ** 2
+    positive("S (2 Omega / kappa)^2", shear_per_photon)
     if q_target is not None and q_target <= 0.0:
         raise ValueError("no shearing requested: q_target must be positive")
     positive("pulse_time", pulse_time)
@@ -288,10 +222,35 @@ def design_report(total_spin, params, pulse_time, max_excited_pop, q_target=None
     r_rec = q_rec / (4.0 * s * eta)
     contrast_sq = abs(raman_modified_moments(s, q_rec, r_rec).mean_sp) ** 2 / (s * s)
 
-    kappa = params["kappa_rad_s"]
-    kt_saturation = kappa_t_required(s, params, q_rec, max_excited_pop)
-    validity = validate_regime(s, params, pulse_time, q_rec, max_excited_pop)
-    kt_actual = validity["kappa_t"]
+    # p0 = Q / (S (2 Omega / kappa)^2) photons transmitted at S_z = 0 reach q_rec; epsilon is set there
+    p0 = q_rec / shear_per_photon
+    kappa_t = kappa * pulse_time
+    positive("kappa t (kappa_hz, t_s)", kappa_t)
+    drive_rate = 2.0 * p0 / kappa_t
+    nonnegative("drive rate 2 p0 / (kappa t) (t_s)", drive_rate)
+    g_delta_sq = (g / delta) * (g / delta)
+    nonnegative("(g / Delta)^2 (g_hz, delta_hz or delta_over_gamma)", g_delta_sq)
+    excited_pop = drive_rate * g_delta_sq
+    nonnegative("excited_pop (g_hz, delta_hz or delta_over_gamma, t_s)", excited_pop)
+    kappa_g_sq = (kappa / g) * (kappa / g)
+    nonnegative("(kappa / g)^2 (kappa_hz, g_hz)", kappa_g_sq)
+    # epsilon <= max_excited_pop at this Q needs kappa t >= (kappa / g)^2 Q / (8 S max_excited_pop)
+    kt_saturation = kappa_g_sq * q_rec / (8.0 * s * max_excited_pop)
+    nonnegative("kappa_t_min_saturation (kappa_hz, g_hz, --eps-max)", kt_saturation)
+    t_min = max(kt_saturation, MIN_KAPPA_T) / kappa
+    nonnegative("t_min_seconds (kappa_hz, --eps-max)", t_min)
+
+    ratio_linearity = params["omega_shift_rad_s"] * (s / 2.0) ** 0.5 / kappa
+    detuning_margin = abs(delta) / max(kappa, gamma, g)
+    lhs = excited_pop * kappa_t
+    rhs = kappa_g_sq * q_rec / (8.0 * s)
+    scale = max(abs(lhs), abs(rhs))
+    flags = {
+        "excited_pop": excited_pop <= max_excited_pop,
+        "kappa_t": kappa_t >= MIN_KAPPA_T,
+        "linearity": ratio_linearity <= MAX_LINEARITY_RATIO,
+        "detuning_margin": detuning_margin >= MIN_DETUNING_MARGIN,
+    }
     return {
         "q_curv": q_curv,
         "sigma_curv_sq": sigma_curv_sq,
@@ -306,15 +265,26 @@ def design_report(total_spin, params, pulse_time, max_excited_pop, q_target=None
         "xi_recommended_sq": sigma_rec / contrast_sq,  # what the floors bound
         "r_recommended": r_rec,
         "spin_shortening_flag": r_rec > 0.1,  # r beyond ~0.1: neglected vector shortening suspect
-        "p0_required": _photon_budget(s, params, q_rec),
+        "p0_required": p0,
         "t_constraints": {
-            "kappa_t_actual": kt_actual,
+            "kappa_t_actual": kappa_t,
             "kappa_t_min_resolve": MIN_KAPPA_T,
             "kappa_t_min_saturation": kt_saturation,
-            "t_min_seconds": max(kt_saturation, MIN_KAPPA_T) / kappa,
-            "satisfied": kt_actual >= max(kt_saturation, MIN_KAPPA_T),
+            "t_min_seconds": t_min,
+            "satisfied": kappa_t >= max(kt_saturation, MIN_KAPPA_T),
         },
-        "validity": validity,
+        "validity": {
+            "ratio_linearity": ratio_linearity,
+            "excited_pop": excited_pop,
+            "kappa_t": kappa_t,
+            "detuning_margin": detuning_margin,
+            "shearing_q": q_rec,
+            "flags": flags,
+            "all_ok": all(flags.values()),
+            "identity_rel_err": abs(lhs - rhs) / scale if scale > 0.0 else 0.0,
+            "thresholds": {"max_excited_pop": max_excited_pop, "min_kappa_t": MIN_KAPPA_T,
+                           "max_linearity_ratio": MAX_LINEARITY_RATIO, "min_detuning_margin": MIN_DETUNING_MARGIN},
+        },
         "provenance": {
             "schema_version": SCHEMA_VERSION,
             "tool_version": __version__,

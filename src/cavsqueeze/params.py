@@ -140,9 +140,9 @@ def cavity_params(cfg):
     delta_over_gamma (exactly one) to g, kappa, Gamma and the signed Delta,
     and derives omega_shift_rad_s = 2 g^2 / |Delta| and eta = 4 g^2 / (kappa
     Gamma).  Refuses two or no detunings, then a g, kappa or Gamma that is
-    not positive, then a zero |Delta|, then an Omega, an eta or a shearing
-    per photon (2 Omega / kappa)^2 that over- or underflows, naming the keys
-    it came from.
+    not positive, then a zero |Delta|, then a kappa Gamma, an Omega, an eta
+    or a shearing per photon (2 Omega / kappa)^2 that over- or underflows,
+    naming the keys it came from.
     """
     gamma = TWO_PI * cfg["gamma_hz"] if "gamma_hz" in cfg else DEFAULT_GAMMA
     if ("delta_hz" in cfg) == ("delta_over_gamma" in cfg):
@@ -152,6 +152,7 @@ def cavity_params(cfg):
     for name, x in (("g", g), ("kappa", kappa), ("gamma", gamma)):
         positive(name, x)
     positive("|delta|", abs(delta))
+    positive("kappa Gamma (kappa_hz, gamma_hz)", kappa * gamma)
     omega, eta = 2.0 * g * g / abs(delta), 4.0 * g * g / (kappa * gamma)
     detuning = "delta_hz" if "delta_hz" in cfg else "delta_over_gamma, gamma_hz"
     positive(f"Omega = 2 g^2 / |Delta| (g_hz, {detuning})", omega)

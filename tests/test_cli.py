@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import inspect
 import io
+import itertools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cavsqueeze
 from cavsqueeze import cli
@@ -398,7 +399,6 @@ _TINY_ETA_SWEEP = ["sweep", "--eta-min", "1e-320", "--eta-max", "1e-319", "--eta
 @pytest.mark.parametrize("argv, message", [
     (["fig2", "--S", "100", "--eta", "0.1", "--qmin", "5e-324"], "CSV cells must be finite, got inf"),
     (["fig2", "--S", "100", "--eta", "0.1", "--qmax", "1e300"], "CSV cells must be finite, got nan"),
-    (["design", "--config", "{cfg}", "--eps-max", "5e-324"], "Out of range float values are not JSON compliant: inf"),
     (["design", "--config", "{cfg}", "--q-target", "1e300"], "Out of range float values are not JSON compliant: nan"),
     (["sweep", "--eta-min", "1e300", "--eta-max", "1", "--s-points", "2", "--eta-points", "2", "--full-minimum"],
      "S eta^5 must be nonnegative and finite"),
@@ -409,7 +409,7 @@ _TINY_ETA_SWEEP = ["sweep", "--eta-min", "1e-320", "--eta-max", "1e-319", "--eta
     (_TINY_ETA_SWEEP + ["--full-minimum"], "3 / (16 S eta) must be nonnegative and finite"),
     (["sweep", "--s-min", "0.5", "--s-max", "0.5", "--s-points", "1", "--eta-min", "5e-324", "--eta-max", "5e-324",
       "--eta-points", "1"], "3 / (16 S eta) must be nonnegative and finite"),
-], ids=["fig2 --qmin 5e-324", "fig2 --qmax 1e300", "design --eps-max 5e-324", "design --q-target 1e300",
+], ids=["fig2 --qmin 5e-324", "fig2 --qmax 1e300", "design --q-target 1e300",
         "sweep --eta-min 1e300", "sweep --eta-max 1e300", "fig2 --eta 1e-308", "sweep --eta-max 1e-319",
         "sweep --eta-max 1e-319 --full-minimum", "sweep S eta = 0.0"])
 def test_a_value_refused_at_write_time_leaves_no_out(tmp_path, capsys, argv, message):
@@ -515,20 +515,65 @@ def test_design_refuses_a_product_with_s_that_overflows_by_name(tmp_path, capsys
 
 # eta = 4e-314 puts 3 / (16 S eta) past the float range: scattering_optimum refuses it before full_curve_minimum
 # reaches r = Q / (4 S eta), which used to be refused as "r"; kappa t = 6e-330 underflows to 0.0, and the drive
-# rate 2 p0 / (kappa t) used to raise ZeroDivisionError
-@pytest.mark.parametrize("cavity, message", [
-    ("g_hz = 1e-151\nkappa_hz = 1e6\ngamma_hz = 1e6\ndelta_hz = 1e-150\nt_s = 4e-4\n",
+# rate 2 p0 / (kappa t) used to raise ZeroDivisionError.  Of the drive budget's other quantities, a kappa Gamma that
+# underflows used to raise ZeroDivisionError in cavity_params, a (g / Delta)^2 or (kappa / g)^2 that overflows
+# OverflowError, and an epsilon, kappa_t_min_saturation (--eps-max 5e-324 or 1e-320) or t_min_seconds (a subnormal
+# kappa) that overflows reached json as inf
+_WORKED_CAVITY = "g_hz = 4e5\nkappa_hz = 1e6\ngamma_hz = 6.07e6\ndelta_over_gamma = 500\nt_s = 4e-4\n"
+
+
+@pytest.mark.parametrize("cavity, flags, message", [
+    ("g_hz = 1e-151\nkappa_hz = 1e6\ngamma_hz = 1e6\ndelta_hz = 1e-150\nt_s = 4e-4\n", [],
      "3 / (16 S eta) must be nonnegative and finite"),
-    ("g_hz = 4e5\nkappa_hz = 1e-10\ndelta_over_gamma = 500\nt_s = 1e-320\n",
+    ("g_hz = 4e5\nkappa_hz = 1e-10\ndelta_over_gamma = 500\nt_s = 1e-320\n", [],
      "kappa t (kappa_hz, t_s) must be positive and finite"),
-], ids=["r_opt overflow", "kappa t underflow"])
-def test_a_design_value_derived_from_several_keys_is_refused_by_name(tmp_path, capsys, cavity, message):
+    ("g_hz = 4e5\nkappa_hz = 5e-324\ngamma_hz = 5e-324\ndelta_over_gamma = 500\nt_s = 4e-4\n", [],
+     "kappa Gamma (kappa_hz, gamma_hz) must be positive and finite"),
+    ("g_hz = 1e-140\nkappa_hz = 1e6\ndelta_hz = 1e-300\nt_s = 4e-4\n", [],
+     "(g / Delta)^2 (g_hz, delta_hz or delta_over_gamma) must be nonnegative and finite"),
+    ("g_hz = 1e7\nkappa_hz = 1e159\ngamma_hz = 1e11\ndelta_hz = 1e-114\nt_s = 1e-300\n", [],
+     "excited_pop (g_hz, delta_hz or delta_over_gamma, t_s) must be nonnegative and finite"),
+    ("g_hz = 1e145\nkappa_hz = 1e300\ngamma_hz = 1e-10\ndelta_hz = 1e140\nt_s = 4e-4\n", [],
+     "(kappa / g)^2 (kappa_hz, g_hz) must be nonnegative and finite"),
+    (_WORKED_CAVITY, ["--eps-max", "5e-324"],
+     "kappa_t_min_saturation (kappa_hz, g_hz, --eps-max) must be nonnegative and finite"),
+    (_WORKED_CAVITY, ["--eps-max", "1e-320"],
+     "kappa_t_min_saturation (kappa_hz, g_hz, --eps-max) must be nonnegative and finite"),
+    ("g_hz = 1e-82\nkappa_hz = 5e-324\ngamma_hz = 1e300\ndelta_hz = 1e12\nt_s = 1e300\n", [],
+     "t_min_seconds (kappa_hz, --eps-max) must be nonnegative and finite"),
+], ids=["r_opt overflow", "kappa t underflow", "kappa Gamma underflow", "(g/Delta)^2 overflow", "excited_pop overflow",
+        "(kappa/g)^2 overflow", "--eps-max 5e-324", "--eps-max 1e-320", "t_min_seconds overflow"])
+def test_a_design_value_derived_from_several_keys_is_refused_by_name(tmp_path, capsys, cavity, flags, message):
     path = tmp_path / "system.cfg"
     path.write_text(f"S = 1e4\n{cavity}", encoding="utf-8")
     out = tmp_path / "out"
-    assert _run(["design", "--config", str(path)], out) == 1
+    assert _run(["design", "--config", str(path), *flags], out) == 1
     assert capsys.readouterr().err == f"design: {message}\n"
     assert not out.exists()
+
+
+# the config file's values, two keys at a time, at the ends of the float range on the worked system (its detuning as
+# delta_hz), and the three systems of the test above whose refusals used to be a traceback
+_CONFIG_KEYS = ("S", "g_hz", "kappa_hz", "gamma_hz", "delta_hz", "t_s")
+_CONFIG_VALUES = (5e-324, 1e-300, 1e-160, 1e160, 1e300, 1.7e308)
+_WORKED_SYSTEM = {"S": 1e4, "g_hz": 4e5, "kappa_hz": 1e6, "gamma_hz": 6.07e6, "delta_hz": 3.035e9, "t_s": 4e-4}
+
+
+@settings(derandomize=True, max_examples=200, deadline=_FUZZ_DEADLINE_MS)
+@given(keys=st.sampled_from(list(itertools.combinations(_CONFIG_KEYS, 2))),
+       values=st.tuples(st.sampled_from(_CONFIG_VALUES), st.sampled_from(_CONFIG_VALUES)))
+@example(keys=("kappa_hz", "gamma_hz"), values=(5e-324, 5e-324))
+@example(keys=("g_hz", "delta_hz"), values=(1e-140, 1e-300))
+@example(keys=("g_hz", "kappa_hz", "gamma_hz", "delta_hz"), values=(1e145, 1e300, 1e-10, 1e140))
+def test_extreme_config_values_exit_cleanly_with_finite_output(keys, values):
+    system = {**_WORKED_SYSTEM, **dict(zip(keys, values))}
+    with _bounded_peak(), tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        cfg, out = Path(tmp) / "system.cfg", Path(tmp) / "out"
+        cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in system.items()), encoding="utf-8")
+        code = _run(["design", "--config", str(cfg)], out)
+        _assert_clean_exit(code, out)
+        assert code == 0 or err.getvalue().startswith("design: ")
+        assert not any(text in err.getvalue() for text in ("Traceback", "JSON compliant", "CSV cells must be finite"))
 
 
 # accepted extremes whose printed numbers are right but whose manifest used to record a numpy overflow warning:

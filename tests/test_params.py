@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cavsqueeze import cli
-from cavsqueeze.design import (classify_regime, curvature_optimum, design_report, full_curve_minimum,
-                               kappa_t_required, scattering_optimum, validate_regime)
+from cavsqueeze.design import classify_regime, curvature_optimum, design_report, full_curve_minimum, scattering_optimum
 from cavsqueeze.dicke import css_amplitudes, css_support, m_values
 from cavsqueeze.feedback import analytic_moments, correlation_integrals, g_factor, raman_modified_moments
 from cavsqueeze.oracle import channel_moments, oracle_moments_sum
@@ -43,8 +42,6 @@ READS_S = {
     "m_values": lambda s: m_values(s),
     "css_amplitudes": lambda s: css_amplitudes(s),
     "css_support": lambda s: css_support(s),
-    "kappa_t_required": lambda s: kappa_t_required(s, PARAMS, 1.0, 1e-5),
-    "validate_regime": lambda s: validate_regime(s, PARAMS, 1.0, 1.0, 1e-5),
     "design_report": lambda s: design_report(s, PARAMS, 1.0, 1e-5),
 }
 ARRAY_VALUED = ("twice_spin", "g_factor", "raman_modified_moments", "analytic_moments", "modified_min_variance",
@@ -89,14 +86,6 @@ TAKES_AN_INPUT = {
     "classify_regime(S)": ("S", "positive", 1e4, lambda x: classify_regime(x, 0.1)),
     "classify_regime(eta)": ("eta", "positive", 0.1, lambda x: classify_regime(1e4, x)),
     "full_curve_minimum(eta)": ("eta", "positive", 0.1, lambda x: full_curve_minimum(10.0, x)),
-    "kappa_t_required(Q)": (Q, "nonnegative", 1.0, lambda x: kappa_t_required(100.0, PARAMS, x, 1e-5)),
-    "kappa_t_required(max_excited_pop)": ("max_excited_pop", "population", 1e-5,
-                                          lambda x: kappa_t_required(100.0, PARAMS, 1.0, x)),
-    "validate_regime(pulse_time)": ("pulse_time", "positive", 1.0,
-                                    lambda x: validate_regime(100.0, PARAMS, x, 1.0, 1e-5)),
-    "validate_regime(Q)": (Q, "nonnegative", 1.0, lambda x: validate_regime(100.0, PARAMS, 1.0, x, 1e-5)),
-    "validate_regime(max_excited_pop)": ("max_excited_pop", "population", 1e-5,
-                                         lambda x: validate_regime(100.0, PARAMS, 1.0, 1.0, x)),
     "design_report(pulse_time)": ("pulse_time", "positive", 1e-3, lambda x: design_report(100.0, PARAMS, x, 1e-5)),
     "design_report(max_excited_pop)": ("max_excited_pop", "population", 1e-5,
                                        lambda x: design_report(100.0, PARAMS, 1e-3, x)),
@@ -211,18 +200,18 @@ def test_drive_pulse_q_identity_exact():
     assert p0 == 7.0 / (100.0 * (2.0 * omega / kappa) ** 2)
     assert 100.0 * p0 * (2.0 * omega / kappa) ** 2 == pytest.approx(7.0, rel=1e-15)
     rate = 2.0 * p0 / (kappa * 2.5)
-    assert report["validity"]["excited_pop"] == rate * (g / delta) ** 2
+    assert report["validity"]["excited_pop"] == rate * ((g / delta) * (g / delta))
     assert rate * kappa * 2.5 / 2.0 == pytest.approx(p0, rel=1e-15)
     # Q reaches the validity checks as given, not recomputed from p0
     assert report["validity"]["shearing_q"] == report["q_recommended"] == 7.0
 
 
 def test_drive_pulse_validation():
-    # a pulse needs a positive time and a nonnegative Q; p0 is derived from Q, and a config's p0 is load_config's
-    with pytest.raises(ValueError, match="^shearing strength must be nonnegative and finite$"):
-        validate_regime(1.0, PARAMS, 1.0, -1.0, 1e-5)
+    # a pulse needs a positive time and a positive Q; p0 is derived from Q, and a config's p0 is load_config's
+    with pytest.raises(ValueError, match="^no shearing requested: q_target must be positive$"):
+        design_report(1.0, PARAMS, 1.0, 1e-5, q_target=-1.0)
     with pytest.raises(ValueError, match="^pulse_time must be positive and finite$"):
-        validate_regime(1.0, PARAMS, 0.0, 1.0, 1e-5)
+        design_report(1.0, PARAMS, 0.0, 1e-5, q_target=1.0)
 
 
 def test_config_round_trip(tmp_path):
