@@ -239,6 +239,7 @@ def design_report(total_spin, params, pulse_time, max_excited_pop, q_target=None
     nonnegative("kappa_t_min_saturation (kappa_hz, g_hz, --eps-max)", kt_saturation)
     t_min = max(kt_saturation, MIN_KAPPA_T) / kappa
     nonnegative("t_min_seconds (kappa_hz, --eps-max)", t_min)
+    positive("contrast_sq = |<S~_+>|^2 / S^2 (--q-target)", contrast_sq)  # underflows to 0 at a large Q
 
     ratio_linearity = params["omega_shift_rad_s"] * (s / 2.0) ** 0.5 / kappa
     detuning_margin = abs(delta) / max(kappa, gamma, g)

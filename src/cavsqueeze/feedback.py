@@ -151,7 +151,14 @@ def raman_modified_moments(total_spin, q, r):
     g_half = g_factor(s, q_eff / 2.0)
     two_s = 2.0 * s
     xi_var = np.maximum(c_sq - c_fin * c_fin, 0.0)  # >= 0 by Cauchy-Schwarz
-    d1 = np.exp(-q * q * xi_var / (4.0 * s))
+    with np.errstate(invalid="ignore"):  # inf * 0 where Q^2 overflows and xi_var is 0: refused below
+        exponent = -q * q * xi_var
+    undefined = exponent != exponent
+    if undefined.any():
+        raise ValueError(f"Q = {float(np.broadcast_to(q, undefined.shape)[undefined][0])!r}: the dephasing "
+                         "Q^2 (c_bar_sq - c_bar_fin^2) is inf * 0, Q^2 past the float range where "
+                         "c_bar_sq - c_bar_fin^2 is 0 (at r = 0, or once (2r)^2 overflows)")
+    d1 = np.exp(exponent / (4.0 * s))
 
     mean_sp = d1 * s * g_half * np.exp(1j * (q_eff / (2.0 * s)))
     # the factor 2S - 1 makes <S_+^2> vanish on a single spin-1/2

@@ -47,7 +47,8 @@ from .params import nonnegative, positive, twice_spin
 # stream layout, so changing either changes seeded output.
 _CHUNK = 2048
 _BLOCK = 32
-_LOOKUP = 2 ** 14  # lag samples per pass of the exact-mode lookup; each copies _BLOCK times, ~4 MiB a pass
+_LOOKUP = 2 ** 14  # lag samples per pass of the exact-mode lookup; each holds ~6 index or time arrays, ~1 MiB a pass
+_PROBES = [_BLOCK >> i for i in range(1, _BLOCK.bit_length())]  # its search steps _BLOCK / 2, ..., 1 (_BLOCK = 2^5)
 # Gaussian-mode steps with u = theta h below this take 1 - d and 1 - d^2 (d = e^-u) from expm1 and the var_i
 # bracket u - 2(1 - d) + (1 - d^2)/2 ~ u^3/3 from its series, exact to rounding there.  The direct bracket loses
 # ~3 eps / u^3 relative: 1.6e-7 at the switch, far below Monte Carlo noise, but 2e27 at u = 1e-15.
@@ -56,7 +57,7 @@ _SERIES_BELOW = 1e-3
 # Refusal limits from costs measured on a 2-vCPU host.  Exact mode costs ~16-27 us per _PASS_ROWS trajectories x
 # r N event on 512 to 4,096 trajectories at 4 lags (~8-13 s at the limit), and ~6-8 us per event on one trajectory;
 # gaussian mode ~14 us per step on one trajectory (~7 s; full chunks meet the sample limit first).  A sample costs
-# 8 B and ~65-90 ns with its share of the reduction (256 MiB, ~3 s), ~150-160 ns in exact mode at 2,048 lags.
+# 8 B and ~65-90 ns with its share of the reduction (256 MiB, ~3 s), ~60-75 ns in exact mode at 2,048 lags.
 MAX_LOCKSTEP = 500_000  # ceil(n_traj / _PASS_ROWS) * (r N exact, time_steps gaussian)
 _PASS_ROWS = 512  # trajectories a lockstep pass counts: a cost unit, not the stream chunk
 MAX_SAMPLE_ELEMENTS = 2 ** 25  # n_traj * (time_steps + 1)
@@ -112,7 +113,9 @@ def fig2_curve(total_spin, etas, q_grid):
         for e in eta:
             modified_min_variance(s, e, q)
         raise
-    q_list, ideal = q.tolist(), (1.0 / q).tolist()
+    with np.errstate(over="ignore"):  # past the float range at a subnormal Q: refused
+        ideal = nonnegative("sigma_ideal_sq = 1 / Q (--qmin)", 1.0 / q)
+    q_list, ideal = q.tolist(), ideal.tolist()
     return [(e, q_list, row, sigma_curv_sq, ideal) for e, row in zip(eta.tolist(), sigma.tolist())]
 
 
@@ -144,9 +147,12 @@ def _simulate_exact(rng, process, s, lag_times, samples, sbar):
     k live rows (those whose last block time is before the pulse end, 1)
     draw the next _BLOCK waiting times, then the _BLOCK picks, each straight
     into a (_BLOCK, k) buffer, and the only per-event Python step is the +-1
-    chain of n_up.  The integral of S_z and each lag sample (the level after
-    the events at or before the lag) are array operations over the block,
-    scattered back through the live index.  Returns the number of jumps.
+    chain of n_up.  Each lag sample (the level after the events at or before
+    the lag) comes from a binary search over the block's sorted event times;
+    those times are then clipped at 1 in place, and their differences, held
+    in the spent pick buffer, integrate S_z.  Both are array operations over
+    the block, scattered back through the live index.  Returns the number
+    of jumps.
     """
     m = len(sbar)
     n = process.n_atoms
@@ -156,12 +162,10 @@ def _simulate_exact(rng, process, s, lag_times, samples, sbar):
     sbar[:] = sz if rate == 0.0 else 0.0  # S_z held over the pulse, or the start of its running integral
     if rate == 0.0:
         return 0
-    # flat block buffers: with k live trajectories the first _BLOCK * k elements are a (_BLOCK, k) array,
-    # one row per event and one column per live trajectory
-    times_at, picks_at = np.empty(_BLOCK * m), np.empty(_BLOCK * m)
-    n_up = np.empty((_BLOCK + 1, m))  # n_up[j]: atoms up before the block's event j
+    # flat block buffers: with k live trajectories the first _BLOCK * k elements (_BLOCK + 1 rows of up_at)
+    # are a (_BLOCK, k) array, one row per event and one column per live trajectory
+    times_at, picks_at, up_at = np.empty(_BLOCK * m), np.empty(_BLOCK * m), np.empty((_BLOCK + 1) * m)
     step = np.empty(m)
-    clipped_at = np.empty((_BLOCK + 1, m))  # block start, then event times clipped at 1
     live = np.arange(m)
     now = np.zeros(m)  # block start of each live trajectory, always before 1
     up = sz + s
@@ -169,6 +173,7 @@ def _simulate_exact(rng, process, s, lag_times, samples, sbar):
     while live.size:
         k = live.size
         times, picks = (buf[:_BLOCK * k].reshape(_BLOCK, k) for buf in (times_at, picks_at))
+        live_up = up_at[:(_BLOCK + 1) * k].reshape(_BLOCK + 1, k)  # live_up[j]: atoms up before the block's event j
         rng.standard_exponential(out=times)
         rng.random(out=picks)
         for prev, row in zip(times, times[1:]):  # the running sum of the waiting times, event row by row
@@ -177,7 +182,7 @@ def _simulate_exact(rng, process, s, lag_times, samples, sbar):
             times /= rate
         times += now
         picks *= n
-        live_up, live_step = n_up[:, :k], step[:k]
+        live_step = step[:k]
         live_up[0] = up
         for pick, before, after in zip(picks, live_up, live_up[1:]):
             # copysign(1, 0) = +1: a pick on the boundary u N = n_up flips up
@@ -186,12 +191,6 @@ def _simulate_exact(rng, process, s, lag_times, samples, sbar):
             np.add(before, live_step, out=after)
         level = live_up[:_BLOCK]  # live_up[_BLOCK] keeps the count carried to the next block
         level -= s  # S_z held from event j - 1 (or now) to event j
-        clipped, held_for = clipped_at[:, :k], picks  # the chain has spent the picks
-        clipped[0] = now
-        np.minimum(times, 1.0, out=clipped[1:])
-        np.subtract(clipped[1:], clipped[:-1], out=held_for)
-        sbar[live] += np.einsum("jk,jk->k", level, held_for)
-        n_events += int(np.count_nonzero(times < 1.0))
         last = times[-1]
         # the block's lag samples: each live trajectory's lags in [now, last), one run of lag indices;
         # the runs are numbered end to end, and a pass takes _LOOKUP of those numbers
@@ -202,8 +201,20 @@ def _simulate_exact(rng, process, s, lag_times, samples, sbar):
             number = np.arange(at, min(at + _LOOKUP, ends[-1]))
             rows = np.searchsorted(ends, number, side="right")
             lags = number + shift[rows]
-            passed = (times[:, rows] <= lag_times[lags]).sum(axis=0, dtype=np.uint8)  # at most _BLOCK events
-            samples[live[rows], lags] = level[passed, rows]
+            at_lag = lag_times[lags]
+            # a lag sample lies before last = times[-1], so at most _BLOCK - 1 events come at or before it, and
+            # log2(_BLOCK) probes of a binary search over the sorted times count them: unclipped, so a lag at 1
+            # passes no event after the pulse end
+            event = rows.copy()  # flat index j k + row into the block buffers: j events come at or before the lag
+            for probe in _PROBES:
+                event += (probe * k) * (times_at.take(event + (probe - 1) * k) <= at_lag)
+            samples[live[rows], lags] = up_at.take(event)  # level[j]
+        np.minimum(times, 1.0, out=times)  # only times >= 1 change: times < 1 and last < 1 (a view) read as before
+        held_for = picks  # the chain has spent the picks
+        np.subtract(times[0], now, out=held_for[0])
+        np.subtract(times[1:], times[:-1], out=held_for[1:])
+        sbar[live] += np.einsum("jk,jk->k", level, held_for)
+        n_events += int(np.count_nonzero(times < 1.0))
         going = last < 1.0
         live, now, up = live[going], last[going], live_up[_BLOCK][going]
     return n_events

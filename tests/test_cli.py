@@ -84,6 +84,10 @@ _MC_DIGESTS = [
     (["raman-mc", "--S", "1e5", "--r", "0.05", "--traj", "4096", "--steps", "64", "--mode", "gaussian",
       "--seed", "5", "--corr-csv"], "aa8738059cfa0cfa28f0a2996dc73bc56cd7b225f391e6d55ce1c4687ec8a20f",
      "0f9b31b8444bd95f2401e2a9c462187a148e894835b06919dd846d4093db5743"),
+    # 64 lags: most blocks hold several lag samples, each found by the exact mode's binary search
+    (["raman-mc", "--S", "50", "--r", "1.0", "--traj", "600", "--steps", "64", "--seed", "5", "--corr-csv"],
+     "84ad83a9adf2b2d2912a0bf9a2d0dd9e204ee5f8287c899a7b0fac87ce34cc5b",
+     "cfe2c2e0a7c23308d91be14867d216a1285ae933286011b9f8e70c7160fbfa82"),
     # one trajectory: every standard error undefined, null in the JSON and an empty CSV cell
     (["raman-mc", "--S", "20", "--r", "0.5", "--traj", "1", "--seed", "5", "--corr-csv"],
      "9f8e35e2b7e66429750d3f8161194acc07f6a7f9881a9a7603dbf90945670803",
@@ -91,7 +95,7 @@ _MC_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("argv, stats, corr", _MC_DIGESTS, ids=["exact", "gaussian", "one-trajectory"])
+@pytest.mark.parametrize("argv, stats, corr", _MC_DIGESTS, ids=["exact", "gaussian", "exact-64-lags", "one-trajectory"])
 def test_seeded_mc_bytes_are_pinned(tmp_path, argv, stats, corr):
     assert _run(argv, tmp_path) == 0
     for name, digest in (("raman_stats.json", stats), ("raman_corr.csv", corr)):
@@ -389,17 +393,22 @@ def test_extreme_integer_options_are_refused_by_their_domain_or_cap(option, valu
             assert "Traceback" not in err.getvalue()
 
 
-# accepted inputs whose output a writer refuses as nan or inf: run used to create --out before the writers ran; the
+# accepted inputs whose output a writer refused as nan or inf: run used to create --out before the writers ran.  A
+# subnormal --qmin overflows fig2's 1 / Q, and a Q of 1e300 overflows Q^2 where (2r)^2 overflows too, which makes the
+# dephasing inf * 0: those three were refused only by the writers' catch-alls, and are now refused by name.  The
 # sweeps overflow S eta^5, which classify_regime refuses by name before any writer runs, or 3 / (16 S eta) in
 # scattering_optimum (or S eta underflows to 0.0 there), and fig2 at eta = 1e-308 overflows r = Q / (4 S eta): each
 # of the last four used to be refused as "r" by correlation_integrals, or as an inf CSV cell by the writer
+_INF_TIMES_ZERO = ("the dephasing Q^2 (c_bar_sq - c_bar_fin^2) is inf * 0, Q^2 past the float range where "
+                   "c_bar_sq - c_bar_fin^2 is 0 (at r = 0, or once (2r)^2 overflows)")
 _TINY_ETA_SWEEP = ["sweep", "--eta-min", "1e-320", "--eta-max", "1e-319", "--eta-points", "2", "--s-points", "2"]
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["fig2", "--S", "100", "--eta", "0.1", "--qmin", "5e-324"], "CSV cells must be finite, got inf"),
-    (["fig2", "--S", "100", "--eta", "0.1", "--qmax", "1e300"], "CSV cells must be finite, got nan"),
-    (["design", "--config", "{cfg}", "--q-target", "1e300"], "Out of range float values are not JSON compliant: nan"),
+    (["fig2", "--S", "100", "--eta", "0.1", "--qmin", "5e-324"],
+     "sigma_ideal_sq = 1 / Q (--qmin) must be nonnegative and finite"),
+    (["fig2", "--S", "100", "--eta", "0.1", "--qmax", "1e300"], f"Q = 6.080224261649427e+156: {_INF_TIMES_ZERO}"),
+    (["design", "--config", "{cfg}", "--q-target", "1e300"], f"Q = 1e+300: {_INF_TIMES_ZERO}"),
     (["sweep", "--eta-min", "1e300", "--eta-max", "1", "--s-points", "2", "--eta-points", "2", "--full-minimum"],
      "S eta^5 must be nonnegative and finite"),
     (["sweep", "--eta-min", "0.1", "--eta-max", "1e300", "--s-points", "2", "--eta-points", "2", "--full-minimum"],
@@ -518,7 +527,8 @@ def test_design_refuses_a_product_with_s_that_overflows_by_name(tmp_path, capsys
 # rate 2 p0 / (kappa t) used to raise ZeroDivisionError.  Of the drive budget's other quantities, a kappa Gamma that
 # underflows used to raise ZeroDivisionError in cavity_params, a (g / Delta)^2 or (kappa / g)^2 that overflows
 # OverflowError, and an epsilon, kappa_t_min_saturation (--eps-max 5e-324 or 1e-320) or t_min_seconds (a subnormal
-# kappa) that overflows reached json as inf
+# kappa) that overflows reached json as inf.  A --q-target of 2e5 or more underflows the contrast C^2 to 0.0, and
+# xi^2 = sigma^2 / C^2 used to raise ZeroDivisionError
 _WORKED_CAVITY = "g_hz = 4e5\nkappa_hz = 1e6\ngamma_hz = 6.07e6\ndelta_over_gamma = 500\nt_s = 4e-4\n"
 
 
@@ -541,8 +551,11 @@ _WORKED_CAVITY = "g_hz = 4e5\nkappa_hz = 1e6\ngamma_hz = 6.07e6\ndelta_over_gamm
      "kappa_t_min_saturation (kappa_hz, g_hz, --eps-max) must be nonnegative and finite"),
     ("g_hz = 1e-82\nkappa_hz = 5e-324\ngamma_hz = 1e300\ndelta_hz = 1e12\nt_s = 1e300\n", [],
      "t_min_seconds (kappa_hz, --eps-max) must be nonnegative and finite"),
+    *[(_WORKED_CAVITY, ["--q-target", q], "contrast_sq = |<S~_+>|^2 / S^2 (--q-target) must be positive and finite")
+      for q in ("2e5", "1e6", "1e8")],
 ], ids=["r_opt overflow", "kappa t underflow", "kappa Gamma underflow", "(g/Delta)^2 overflow", "excited_pop overflow",
-        "(kappa/g)^2 overflow", "--eps-max 5e-324", "--eps-max 1e-320", "t_min_seconds overflow"])
+        "(kappa/g)^2 overflow", "--eps-max 5e-324", "--eps-max 1e-320", "t_min_seconds overflow",
+        "--q-target 2e5", "--q-target 1e6", "--q-target 1e8"])
 def test_a_design_value_derived_from_several_keys_is_refused_by_name(tmp_path, capsys, cavity, flags, message):
     path = tmp_path / "system.cfg"
     path.write_text(f"S = 1e4\n{cavity}", encoding="utf-8")

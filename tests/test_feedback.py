@@ -6,7 +6,7 @@ import pytest
 
 from conftest import floored_rel_err, golden_section_min, rel_err
 
-from cavsqueeze.feedback import analytic_moments, g_factor, min_variance
+from cavsqueeze.feedback import analytic_moments, g_factor, min_variance, raman_modified_moments
 from cavsqueeze.oracle import oracle_moments_sum
 from cavsqueeze.params import cavity_params
 
@@ -168,6 +168,17 @@ class TestAnalyticMoments:
     def test_rejects_negative_q(self):
         with pytest.raises(ValueError):
             analytic_moments(10.0, -1.0)
+
+    def test_refuses_a_dephasing_of_inf_times_zero_by_name(self):
+        # Q^2 overflows where c_bar_sq - c_bar_fin^2 is 0: at r = 0, and once (2r)^2 overflows and c_bar_sq is 0.0
+        # (the overflow of Q^2 warns, as it does where the moments stay finite)
+        with np.errstate(over="ignore"):
+            for r in (0.0, 1e154):
+                with pytest.raises(ValueError, match=r"^Q = 1e\+160: the dephasing .* is inf \* 0"):
+                    raman_modified_moments(100.0, np.array([1.0, 1e160]), r)
+            # where c_bar_sq - c_bar_fin^2 > 0, Q^2 = inf damps the coherences to 0 and the moments stay finite
+            moments = raman_modified_moments(100.0, 1e160, 1e150)
+        assert moments.mean_sp == 0.0 and math.isfinite(moments.var_y)
 
 
 class TestLargeSVariance:

@@ -544,8 +544,10 @@ class TestExactBlockKernel:
             assert np.array_equal(samples, _replay_blocks(_stream(seed), process, 50.0, lag_times, 3)[0])
 
     def test_lag_lookup_memory_is_bounded(self):
-        # r N = 1: the first block of a full chunk spans all 1025 lags, 5e5 lag samples that would
-        # copy 32 event times each (128 MiB) in one pass; the passes keep the peak under 10 x samples
+        # r N = 1: the first block of a full chunk spans all 1025 lags, 2.1e6 lag samples that would copy
+        # 32 event times each (512 MiB) in one pass.  The passes of a binary search hold a few arrays of
+        # _LOOKUP samples: with the block buffers, the kernel's own transient stays under a quarter of the
+        # samples
         lag_times = np.linspace(0.0, 1.0, 1025)
         tracemalloc.start()
         try:
@@ -554,7 +556,7 @@ class TestExactBlockKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * samples.nbytes
+        assert peak - samples.nbytes < 0.25 * samples.nbytes
 
     @pytest.mark.parametrize("s, r", [(50.0, 1.0), (2.5, 0.3), (0.5, 2.0)])
     def test_agrees_with_lockstep_reference(self, s, r):
