@@ -29,8 +29,8 @@ Q_edge = -2 S eta ln(1 - pi/(4 eta)) the G-factor domain edge (Q_eff / S =
 pi/2; infinite for eta <= pi/4), which holds the minimiser for every S
 down to S eta = 1e-3 (at S = 1/2 and eta >~ 2 it is Q_edge), and rescans
 the neighbourhood of the best point four times, five array calls of the
-curve in all: Q to ~1e-7 relative, the precision to which the flat,
-rounded curve defines it.
+curve in all: Q to a few 1e-7 relative up to S ~ 1e3, and above that to
+the precision the curve's own rounding allows (full_curve_minimum).
 
 The dispersive readout: the drive, at omega = omega_c + kappa/2 (half a
 linewidth above the bare cavity), sees a resonance pulled by the atomic
@@ -146,12 +146,15 @@ def full_curve_minimum(total_spin, eta):
     of (S, eta).
 
     Precision: the last grid steps are ln(q_hi / q_lo) (2/63)^4 / 63
-    relative in Q, from 7e-8 to 1.4e-7 over the default sweep grid (bracket
-    ratios 83 to 4.2e3).  Finer steps would add nothing: near its minimum
-    the curve is flat to rounding (sigma^2 changes by ~1e-14 relative when
-    Q moves by 1e-7 at (S, eta) = (1e3, 0.1)), so Q has about 7 meaningful
-    digits, and sigma^2 at the returned point is within rounding of the
-    minimum.
+    relative in Q, 7e-8 to 1.4e-7 over the default sweep grid.  The curve is
+    flat near its minimum (sigma^2 moves ~1e-14 relative for 1e-7 in Q at
+    (S, eta) = (1e3, 0.1)), so its rounding, which grows with S (ROADMAP.md
+    item 15), sets how well Q is defined.  Against the vertex of a polynomial
+    fit over Q e^{+-0.05}, the worst relative error of Q over eta in [1e-4,
+    10] is <= 3.6e-7 for S from 1 to 300, 5.6e-7 at 1e3, 1.7e-6 at 1e4,
+    3.5e-5 at 1e6 and 5.3e-4 at 1e8; at S = 1/2, eta = 1e-4 the curve is
+    flat to rounding over +-5% in Q.  sigma^2 at the returned point is within
+    the curve's rounding of its minimum.
 
     The minimized value is the raw sigma^2 normalized to S/2, not the
     contrast-normalized xi^2 = sigma^2 / C^2 that the closed-form floors

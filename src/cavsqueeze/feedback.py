@@ -108,12 +108,11 @@ def correlation_integrals(r):
         sq_series = sq_series * x + sq_coef
         fin_series = fin_series * x + fin_coef
     a_closed = np.maximum(a, 0.5)
-    ea = np.exp(-a_closed)
+    closed_fin = (1.0 - np.exp(-a_closed)) / a_closed
     small = a < 0.5
-    with np.errstate(over="ignore"):  # a^2 past the float range (a > 1.3e154): inf, and c_bar_sq 0.0
-        a_sq = a_closed * a_closed
-    c_sq = np.where(small, sq_series, (a_closed - 1.0 + ea) * 2.0 / a_sq)
-    c_fin = np.where(small, fin_series, (1.0 - ea) / a_closed)
+    # c_bar_sq = 2 (a - 1 + e^-a) / a^2 = 2 (1 - c_bar_fin) / a, without the a^2 that overflows past a = 1.3e154
+    c_sq = np.where(small, sq_series, 2.0 * (1.0 - closed_fin) / a_closed)
+    c_fin = np.where(small, fin_series, closed_fin)
     return _scalar(c_sq), _scalar(c_fin)
 
 
@@ -157,7 +156,7 @@ def raman_modified_moments(total_spin, q, r):
     if undefined.any():
         raise ValueError(f"Q = {float(np.broadcast_to(q, undefined.shape)[undefined][0])!r}: the dephasing "
                          "Q^2 (c_bar_sq - c_bar_fin^2) is inf * 0, Q^2 past the float range where "
-                         "c_bar_sq - c_bar_fin^2 is 0 (at r = 0, or once (2r)^2 overflows)")
+                         "c_bar_sq - c_bar_fin^2 is 0 (at r = 0 or below ~5e-17, or where 2r overflows)")
     d1 = np.exp(exponent / (4.0 * s))
 
     mean_sp = d1 * s * g_half * np.exp(1j * (q_eff / (2.0 * s)))

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feedback import _G_DOMAIN, min_variance, raman_modified_moments
+from .feedback import _G_DOMAIN, correlation_integrals, min_variance, raman_modified_moments
 from .params import nonnegative, positive, twice_spin
 
 # Trajectories per chunk: one kernel call and one PCG64 stream each, ~0.5 MiB a block buffer; exact
@@ -49,14 +49,10 @@ _CHUNK = 2048
 _BLOCK = 32
 _LOOKUP = 2 ** 14  # lag samples per pass of the exact-mode lookup; each holds ~6 index or time arrays, ~1 MiB a pass
 _PROBES = [_BLOCK >> i for i in range(1, _BLOCK.bit_length())]  # its search steps _BLOCK / 2, ..., 1 (_BLOCK = 2^5)
-# Gaussian-mode steps with u = theta h below this take 1 - d and 1 - d^2 (d = e^-u) from expm1 and the var_i
-# bracket u - 2(1 - d) + (1 - d^2)/2 ~ u^3/3 from its series, exact to rounding there.  The direct bracket loses
-# ~3 eps / u^3 relative: 1.6e-7 at the switch, far below Monte Carlo noise, but 2e27 at u = 1e-15.
-_SERIES_BELOW = 1e-3
 
 # Refusal limits from costs measured on a 2-vCPU host.  Exact mode costs ~16-27 us per _PASS_ROWS trajectories x
 # r N event on 512 to 4,096 trajectories at 4 lags (~8-13 s at the limit), and ~6-8 us per event on one trajectory;
-# gaussian mode ~14 us per step on one trajectory (~7 s; full chunks meet the sample limit first).  A sample costs
+# gaussian mode ~7-11 us per step on one trajectory (~4-6 s; full chunks meet the sample limit first).  A sample costs
 # 8 B and ~65-90 ns with its share of the reduction (256 MiB, ~3 s), ~60-75 ns in exact mode at 2,048 lags.
 MAX_LOCKSTEP = 500_000  # ceil(n_traj / _PASS_ROWS) * (r N exact, time_steps gaussian)
 _PASS_ROWS = 512  # trajectories a lockstep pass counts: a cost unit, not the stream chunk
@@ -224,40 +220,35 @@ def _simulate_gaussian(rng, process, s, lag_times, samples, sbar):
     """Ornstein-Uhlenbeck aggregate trajectories of one chunk, with exact joint sampling.
 
     samples and sbar are as in _simulate_exact.  theta = 2 r, stationary
-    variance S/2; per step the pair (S_z(end), integral of S_z) is drawn
-    from its exact joint Gaussian, whose coefficients are scalars shared by
-    the whole chunk, with (2, m) standard normals drawn straight into one
-    buffer.
+    variance S/2; a step of length h draws (S_z(end), integral of S_z) from
+    their exact joint Gaussian given S_z(start), whose moments come from
+    correlation_integrals(r h) at a = theta h, d = e^-a: the integral's mean
+    S_z(start) h c_bar_fin and variance (S/2) h^2 (c_bar_sq - c_bar_fin^2),
+    Var S_z(end) = (S/2)(1 - d^2) and the covariance (S/2) h c_bar_fin (1 - d).
+    Their gains are formed once, as arrays over the steps; each step draws
+    (2, m) standard normals straight into one buffer.
     """
-    theta = 2.0 * process.r
     var_st = s / 2.0
+    h = np.diff(lag_times)
+    c_sq, c_fin = correlation_integrals(process.r * h)
+    decay = np.exp(-2.0 * (process.r * h))
+    mean_gain = h * c_fin
+    sd_z = np.sqrt(var_st * (1.0 - decay * decay))
+    cov_zi = var_st * mean_gain * (1.0 - decay)
+    # where d rounds to 1, sd_z and cov_zi are 0 and both noise gains 0: S_z holds bit for bit, as at r = 0
+    gain_z = cov_zi / np.where(sd_z > 0.0, sd_z, 1.0)
+    var_resid = var_st * h * h * (c_sq - c_fin * c_fin) - gain_z * gain_z  # Var of the integral given both ends
+    gain_i = np.sqrt(np.where(sd_z > 0.0, np.maximum(var_resid, 0.0), 0.0))
     z = rng.normal(0.0, math.sqrt(var_st), size=len(sbar))
     samples[:, 0] = z
     sbar[:] = 0.0  # the running integral of S_z
     x = np.empty((2, len(sbar)))
-    for i in range(1, len(lag_times)):
-        h = lag_times[i] - lag_times[i - 1]
-        decay = math.exp(-theta * h)
-        if decay == 1.0:  # theta = 0, or so small that the step's decay rounds to 1 (var_z would be 0)
-            sbar += z * h
-            samples[:, i] = z
-            continue
-        u = theta * h
-        if u < _SERIES_BELOW:
-            # u - 2(1 - d) + (1 - d^2)/2 = sum_{n>=3} (-1)^(n+1) (2^(n-1) - 2) u^n / n!, to u^7
-            one_m_d, one_m_d2 = -math.expm1(-u), -math.expm1(-2.0 * u)
-            var_i = 2.0 * var_st * theta * h ** 3 * (1 / 3 - u * (1 / 4 - u * (7 / 60 - u * (1 / 24 - u * 31 / 2520))))
-        else:
-            one_m_d, one_m_d2 = 1.0 - decay, 1.0 - decay * decay
-            var_i = (2.0 * var_st / theta) * (h - 2.0 * one_m_d / theta + one_m_d2 / (2.0 * theta))
-        var_z = var_st * one_m_d2
-        cov_zi = var_st * one_m_d ** 2 / theta
-        sd_z = math.sqrt(var_z)
-        resid = max(var_i - cov_zi * cov_zi / var_z, 0.0)
+    x1, x2 = x
+    steps = zip(mean_gain.tolist(), gain_z.tolist(), gain_i.tolist(), decay.tolist(), sd_z.tolist())
+    for i, (mean, g_z, g_i, d, sd) in enumerate(steps, start=1):
         rng.standard_normal(out=x)
-        x1, x2 = x
-        sbar += z * (one_m_d / theta) + (cov_zi / sd_z) * x1 + math.sqrt(resid) * x2
-        z = z * decay + sd_z * x1
+        sbar += z * mean + g_z * x1 + g_i * x2
+        z = z * d + sd * x1
         samples[:, i] = z
     return 0
 

@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -190,6 +191,28 @@ def lockstep_exact_reference(rng, process, s, lag_times, m):
         down = rng.random(m) * n < sz + s
         sz = sz + jump * np.where(down, -1.0, 1.0)
         now = end
+
+
+def ou_step_moments_reference(var_st, theta, h):
+    """The moments of one Ornstein-Uhlenbeck step given S_z(start), as Decimals at 60 digits.
+
+    The tests' reference for raman._simulate_gaussian.  For rate theta,
+    stationary variance var_st and step h, with d = e^{-theta h}, returns
+    (d, (1 - d) / theta, var_st (1 - d^2), var_st (1 - d)^2 / theta,
+    (2 var_st / theta)(h - 2 (1 - d) / theta + (1 - d^2) / (2 theta))): the
+    mean of S_z(end) and of the integral of S_z over the step per unit
+    S_z(start), Var S_z(end), their covariance and Var of the integral.
+    These are the textbook forms; the bracket of the last is O((theta h)^3)
+    built from O(theta h) terms, which costs ~3 log10(1 / (theta h)) of the
+    60 digits, so 24 or more remain down to theta h = 1e-12.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        var_st, theta, h = (decimal.Decimal(x) for x in (var_st, theta, h))
+        d = (-theta * h).exp()
+        one_m_d, one_m_d2 = 1 - d, 1 - d * d
+        return (d, one_m_d / theta, var_st * one_m_d2, var_st * one_m_d * one_m_d / theta,
+                2 * var_st / theta * (h - 2 * one_m_d / theta + one_m_d2 / (2 * theta)))
 
 
 def fsum_mean_se_reference(values):

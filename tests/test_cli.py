@@ -82,7 +82,7 @@ _MC_DIGESTS = [
     (MC_ARGV, "a09783f9108e165a2b0b4afe0499070dc5e502fa089bffcb0213ae3f03901844",
      "43f0b2cfc2e0e66901206d15eb21eda934cb1c53bd13b2a6673c6b885416e524"),
     (["raman-mc", "--S", "1e5", "--r", "0.05", "--traj", "4096", "--steps", "64", "--mode", "gaussian",
-      "--seed", "5", "--corr-csv"], "aa8738059cfa0cfa28f0a2996dc73bc56cd7b225f391e6d55ce1c4687ec8a20f",
+      "--seed", "5", "--corr-csv"], "492f764028e85fa892eb23a515bc8d90a00f7870556305cae6332129aae7fd6f",
      "0f9b31b8444bd95f2401e2a9c462187a148e894835b06919dd846d4093db5743"),
     # 64 lags: most blocks hold several lag samples, each found by the exact mode's binary search
     (["raman-mc", "--S", "50", "--r", "1.0", "--traj", "600", "--steps", "64", "--seed", "5", "--corr-csv"],
@@ -394,21 +394,19 @@ def test_extreme_integer_options_are_refused_by_their_domain_or_cap(option, valu
 
 
 # accepted inputs whose output a writer refused as nan or inf: run used to create --out before the writers ran.  A
-# subnormal --qmin overflows fig2's 1 / Q, and a Q of 1e300 overflows Q^2 where (2r)^2 overflows too, which makes the
-# dephasing inf * 0: those three were refused only by the writers' catch-alls, and are now refused by name.  The
+# subnormal --qmin overflows fig2's 1 / Q, and a --q-target of 1e300 underflows the contrast C^2 to 0.0: both were
+# refused only by the writers' catch-alls, and are now refused by name.  The
 # sweeps overflow S eta^5, which classify_regime refuses by name before any writer runs, or 3 / (16 S eta) in
 # scattering_optimum (or S eta underflows to 0.0 there), and fig2 at eta = 1e-308 overflows r = Q / (4 S eta): each
 # of the last four used to be refused as "r" by correlation_integrals, or as an inf CSV cell by the writer
-_INF_TIMES_ZERO = ("the dephasing Q^2 (c_bar_sq - c_bar_fin^2) is inf * 0, Q^2 past the float range where "
-                   "c_bar_sq - c_bar_fin^2 is 0 (at r = 0, or once (2r)^2 overflows)")
 _TINY_ETA_SWEEP = ["sweep", "--eta-min", "1e-320", "--eta-max", "1e-319", "--eta-points", "2", "--s-points", "2"]
 
 
 @pytest.mark.parametrize("argv, message", [
     (["fig2", "--S", "100", "--eta", "0.1", "--qmin", "5e-324"],
      "sigma_ideal_sq = 1 / Q (--qmin) must be nonnegative and finite"),
-    (["fig2", "--S", "100", "--eta", "0.1", "--qmax", "1e300"], f"Q = 6.080224261649427e+156: {_INF_TIMES_ZERO}"),
-    (["design", "--config", "{cfg}", "--q-target", "1e300"], f"Q = 1e+300: {_INF_TIMES_ZERO}"),
+    (["design", "--config", "{cfg}", "--q-target", "1e300"],
+     "contrast_sq = |<S~_+>|^2 / S^2 (--q-target) must be positive and finite"),
     (["sweep", "--eta-min", "1e300", "--eta-max", "1", "--s-points", "2", "--eta-points", "2", "--full-minimum"],
      "S eta^5 must be nonnegative and finite"),
     (["sweep", "--eta-min", "0.1", "--eta-max", "1e300", "--s-points", "2", "--eta-points", "2", "--full-minimum"],
@@ -418,7 +416,7 @@ _TINY_ETA_SWEEP = ["sweep", "--eta-min", "1e-320", "--eta-max", "1e-319", "--eta
     (_TINY_ETA_SWEEP + ["--full-minimum"], "3 / (16 S eta) must be nonnegative and finite"),
     (["sweep", "--s-min", "0.5", "--s-max", "0.5", "--s-points", "1", "--eta-min", "5e-324", "--eta-max", "5e-324",
       "--eta-points", "1"], "3 / (16 S eta) must be nonnegative and finite"),
-], ids=["fig2 --qmin 5e-324", "fig2 --qmax 1e300", "design --q-target 1e300",
+], ids=["fig2 --qmin 5e-324", "design --q-target 1e300",
         "sweep --eta-min 1e300", "sweep --eta-max 1e300", "fig2 --eta 1e-308", "sweep --eta-max 1e-319",
         "sweep --eta-max 1e-319 --full-minimum", "sweep S eta = 0.0"])
 def test_a_value_refused_at_write_time_leaves_no_out(tmp_path, capsys, argv, message):
@@ -428,6 +426,21 @@ def test_a_value_refused_at_write_time_leaves_no_out(tmp_path, capsys, argv, mes
     assert _run([a.format(cfg=cfg) for a in argv], out) == 1
     assert capsys.readouterr().err == f"{argv[0]}: {message}\n"
     assert not out.exists()
+
+
+def test_fig2_where_q_squared_overflows_dephases_to_the_css(tmp_path):
+    # Q^2 overflows from Q = 1.3e154 on, and (2r)^2 from r = Q / (4 S eta) = 6.7e153 (Q = 2.7e155), where c_bar_sq
+    # read 0.0: the dephasing Q^2 (c_bar_sq - c_bar_fin^2) was refused as inf * 0 at Q = 6.1e156, the first grid
+    # point past both.  c_bar_sq = 2 (1 - c_bar_fin) / 2r stays positive, so the coherences dephase to 0 and sigma^2
+    # is the CSS's 1 from Q = 1.035e3 on
+    out = tmp_path / "out"
+    assert _run(["fig2", "--S", "100", "--eta", "0.1", "--qmax", "1e300"], out) == 0
+    _assert_clean_exit(0, out)
+    header, *lines = (out / "fig2.csv").read_text().splitlines()
+    assert header.startswith("eta,Q,sigma_min_sq,") and len(lines) == 200
+    rows = [[float(cell) for cell in line.split(",")] for line in lines]
+    tail = [sigma for _, q, sigma, *_ in rows if q >= 1.035e3]
+    assert len(tail) == 198 and set(tail) == {1.0}
 
 
 def test_a_sweep_spin_past_the_cap_is_named_as_given(tmp_path, capsys):
@@ -590,7 +603,7 @@ def test_extreme_config_values_exit_cleanly_with_finite_output(keys, values):
 
 
 # accepted extremes whose printed numbers are right but whose manifest used to record a numpy overflow warning:
-# a = 2r ~ 1e300 squared in correlation_integrals (c_bar_sq is 0.0), and waiting times past the float range at
+# a = 2r ~ 1e300 in correlation_integrals (whose square overflowed), and waiting times past the float range at
 # r N = 5e-324 in the exact kernel (no event falls in the pulse)
 @pytest.mark.parametrize("argv", [
     ["fig2", "--S", "100", "--eta", "1e-300", "--qpoints", "2"],
@@ -620,10 +633,11 @@ def test_gaussian_mc_at_a_rate_whose_decay_rounds_to_1_runs_as_at_r_0(tmp_path, 
     assert stats[r] == stats["0"]
 
 
-@pytest.mark.parametrize("r", ["1e-15", "1e-12", "1e-9"])
+@pytest.mark.parametrize("r", ["1e-15", "1e-12", "1e-9", "5e-4", "2e-3"])
 def test_gaussian_mc_at_a_tiny_rate_stays_on_its_targets(tmp_path, r):
     # the OU step's var_i bracket, O((theta h)^3) built from O(theta h) terms, cancelled: mean_sz_bar_sq read
-    # 7.997e12, 2.2e8 and 294.9 at these rates against 9.811 at r = 0
+    # 7.997e12, 2.2e8 and 294.9 at the first three rates against 9.811 at r = 0.  At --steps 2, theta h = r: the
+    # last two sit on either side of theta h = 1e-3, where the step used to switch from a series to that bracket
     argv = ["raman-mc", "--S", "20", "--r", r, "--traj", "2000", "--steps", "2", "--seed", "1", "--mode", "gaussian"]
     assert _run(argv, tmp_path) == 0
     assert json.loads((tmp_path / "manifest.json").read_text())["mc_health"]["worst_z"] < 3.0

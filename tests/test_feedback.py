@@ -6,7 +6,7 @@ import pytest
 
 from conftest import floored_rel_err, golden_section_min, rel_err
 
-from cavsqueeze.feedback import analytic_moments, g_factor, min_variance, raman_modified_moments
+from cavsqueeze.feedback import analytic_moments, correlation_integrals, g_factor, min_variance, raman_modified_moments
 from cavsqueeze.oracle import oracle_moments_sum
 from cavsqueeze.params import cavity_params
 
@@ -170,15 +170,24 @@ class TestAnalyticMoments:
             analytic_moments(10.0, -1.0)
 
     def test_refuses_a_dephasing_of_inf_times_zero_by_name(self):
-        # Q^2 overflows where c_bar_sq - c_bar_fin^2 is 0: at r = 0, and once (2r)^2 overflows and c_bar_sq is 0.0
-        # (the overflow of Q^2 warns, as it does where the moments stay finite)
+        # Q^2 overflows where c_bar_sq - c_bar_fin^2 is 0: at r = 0, at an r whose c_bar_* round to 1, and where
+        # 2r overflows (the overflow of Q^2 warns, as it does where the moments stay finite)
         with np.errstate(over="ignore"):
-            for r in (0.0, 1e154):
-                with pytest.raises(ValueError, match=r"^Q = 1e\+160: the dephasing .* is inf \* 0"):
+            for r in (0.0, 1e-17, 1e308):
+                with pytest.raises(ValueError, match=r"^Q = 1e\+160: the dephasing .* is inf \* 0, .*"
+                                                     r"\(at r = 0 or below ~5e-17, or where 2r overflows\)$"):
                     raman_modified_moments(100.0, np.array([1.0, 1e160]), r)
-            # where c_bar_sq - c_bar_fin^2 > 0, Q^2 = inf damps the coherences to 0 and the moments stay finite
-            moments = raman_modified_moments(100.0, 1e160, 1e150)
-        assert moments.mean_sp == 0.0 and math.isfinite(moments.var_y)
+            # where c_bar_sq - c_bar_fin^2 > 0, Q^2 = inf damps the coherences to 0 and the moments stay finite:
+            # c_bar_sq = 2 (1 - c_bar_fin) / 2r is 1e-154 at r = 1e154, where (2r)^2 would overflow
+            for r in (1e150, 1e154):
+                moments = raman_modified_moments(100.0, 1e160, r)
+                assert moments.mean_sp == 0.0 and math.isfinite(moments.var_y), r
+
+    def test_dephasing_survives_where_the_square_of_2r_would_overflow(self):
+        # c_bar_sq read 0.0 once (2r)^2 overflowed, and the moments dropped a dephasing e^{-Q S eta} that is 0 here
+        # (S = 1/2, Q = 2e150, r = Q / (4 S eta) = 1e154 at eta = 1e-4)
+        assert correlation_integrals(1e154)[0] == pytest.approx(1e-154, rel=1e-15)
+        assert raman_modified_moments(0.5, 2e150, 1e154).mean_sp == 0.0
 
 
 class TestLargeSVariance:

@@ -1,10 +1,12 @@
+import decimal
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import fsum_mean_se_reference, golden_section_min, lockstep_exact_reference, rel_err
+from conftest import (fsum_mean_se_reference, golden_section_min, lockstep_exact_reference, ou_step_moments_reference,
+                      rel_err)
 
 from cavsqueeze import raman
 from cavsqueeze.design import full_curve_minimum
@@ -401,6 +403,41 @@ class TestReduction:
             for (mean, se), (ref_mean, ref_se) in zip(got, ref):
                 assert rel_err(mean, ref_mean) <= 1e-13, (seed, mean, ref_mean)
                 assert rel_err(se, ref_se) <= 1e-13, (seed, se, ref_se)
+
+
+class TestGaussianStep:
+    # the bound was fixed from the reference before the kernel ran: the kernel forms each moment to a few eps on
+    # its scale (S/2, (S/2) h^2), so a noise gain sqrt(V) carries ~eps / min(theta h, 1) of relative error, where
+    # V is O(theta h) of that scale.  Each term of an output may be off by 64 times that
+    @pytest.mark.parametrize("theta_h", [1e-12, 1e-9, 1e-3, 1.5625e-3, 0.5, 3.0])
+    def test_one_step_matches_the_decimal_moments(self, theta_h):
+        # one step (time_steps = 1, so h = 1 and theta h = 2r) on scripted draws, one (S_z(0), x1, x2) a row:
+        # S_z(end) = d S_z(0) + sd_z x1 and the integral m S_z(0) + (cov / sd_z) x1 + sqrt(var_i - cov^2 / var_z) x2
+        draws = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [3.5, -1.2, 0.7], [-5.0, 2.0, -1.5]]
+
+        class Scripted:
+            def normal(self, loc, scale, size):
+                assert (loc, scale, size) == (0.0, 5.0, len(draws))  # S = 50
+                return np.array([z0 for z0, _, _ in draws])
+
+            def standard_normal(self, out):
+                out[...] = np.array([x for _, *x in draws]).T
+
+        samples, sbar, _ = _one_chunk(raman._simulate_gaussian)(
+            Scripted(), RamanProcess(r=theta_h / 2.0, n_atoms=100), 50.0, np.array([0.0, 1.0]), len(draws))
+        d, mean, var_z, cov, var_i = ou_step_moments_reference(25.0, theta_h, 1.0)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            gain_z = cov / var_z.sqrt()
+            gains = [(d, var_z.sqrt()), (mean, gain_z, (var_i - gain_z * gain_z).sqrt())]
+            tol = 64 * decimal.Decimal(np.finfo(float).eps) / decimal.Decimal(min(theta_h, 1.0))
+            for row, z0_x in enumerate(draws):
+                z0_x = [decimal.Decimal(v) for v in z0_x]
+                for got, output_gains, inputs in ((samples[row, 1], gains[0], [z0_x[0], z0_x[1]]),
+                                                  (sbar[row], gains[1], z0_x)):
+                    terms = [g * v for g, v in zip(output_gains, inputs)]
+                    err = abs(decimal.Decimal(float(got)) - sum(terms))
+                    assert err <= tol * sum(abs(term) for term in terms), (row, float(got), float(sum(terms)))
 
 
 def _replay_blocks(rng, process, s, lag_times, m):
