@@ -196,7 +196,8 @@ def cmd_raman_mc(args):
     started = time.perf_counter()
     stats = sample_trajectories(process, args.traj, args.steps, seed=args.seed, mode=args.mode)
     elapsed_s = time.perf_counter() - started
-    target = np.exp(-2.0 * args.r * np.array(stats["lags"])).tolist()
+    with np.errstate(over="ignore"):  # -2 r lag past the float range is -inf, whose exp is 0; r lag at lag 0 is 0
+        target = np.exp(-2.0 * (args.r * np.array(stats["lags"]))).tolist()
     files = {"raman_stats.json": {
         "schema_version": SCHEMA_VERSION,
         "total_spin": args.S,

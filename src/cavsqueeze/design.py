@@ -48,9 +48,9 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .feedback import _G_DOMAIN, _scalar, raman_modified_moments
+from .feedback import _G_DOMAIN, _scalar, min_variance
 from .params import nonnegative, population, positive, twice_spin
-from .raman import modified_min_variance
+from .raman import _modified_moments, modified_min_variance
 from .serialize import SCHEMA_VERSION
 
 # full_curve_minimum: points of each logarithmic scan, and the rescans of
@@ -189,7 +189,9 @@ def design_report(total_spin, params, pulse_time, max_excited_pop, q_target=None
     min(full-curve minimizer, Q_curv); a q_target of zero is rejected ("no
     shearing requested"), any other positive value overrides the
     recommendation.  The report gives the raw sigma^2 there and the
-    contrast-normalized xi^2 = sigma^2 / C^2, which the floors bound.
+    contrast-normalized xi^2 = sigma^2 / C^2, which the floors bound; both
+    come from one MomentSet, evaluated once at the recommended Q with
+    modified_min_variance's checks.
 
     "validity" checks the dispersive, linearized, adiabatic treatment
     against max_excited_pop and the module limits: excited_pop is epsilon =
@@ -221,9 +223,11 @@ def design_report(total_spin, params, pulse_time, max_excited_pop, q_target=None
     else:
         q_full, _ = full_curve_minimum(s, eta)
         q_rec = min(q_full, q_curv)
-    sigma_rec = modified_min_variance(s, eta, q_rec)
+    # one MomentSet gives sigma^2 and C^2, with modified_min_variance's refusals of r and of the G-factor domain
+    moments = _modified_moments(s, eta, q_rec)
+    sigma_rec = min_variance(moments)
     r_rec = q_rec / (4.0 * s * eta)
-    contrast_sq = abs(raman_modified_moments(s, q_rec, r_rec).mean_sp) ** 2 / (s * s)
+    contrast_sq = abs(moments.mean_sp) ** 2 / (s * s)
 
     # p0 = Q / (S (2 Omega / kappa)^2) photons transmitted at S_z = 0 reach q_rec; epsilon is set there
     p0 = q_rec / shear_per_photon

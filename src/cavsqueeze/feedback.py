@@ -19,6 +19,11 @@ agreement at small S.
 
 raman_modified_moments evaluates these forms, broadcast over (S, Q, r), with
 the Raman-scattering substitution below; analytic_moments is its r = 0 case.
+Inputs are checked where they enter: raman_modified_moments checks Q, then
+r, and its body _moment_set takes them as checked, so only S is checked
+there, once, by g_factor; correlation_integrals checks r around the same
+unchecked _integrals.  raman.modified_min_variance checks S, eta, Q and r
+itself and calls the body directly.
 
 Substitution recipe: Raman flips make the spin precess with the time
 average Sbar_z (the raman module has the telegraph model), whose normalized
@@ -99,21 +104,39 @@ def correlation_integrals(r):
 
     Closed forms of the exponential-kernel time integrals (the raman module
     derives them); a series is used below 2r = 0.5, where the closed forms
-    lose digits to cancellation.
+    lose digits to cancellation.  Past the float range of 2r they read
+    c_bar_fin = 1/(2r) and c_bar_sq = (1 - c_bar_fin)/r, formed from r.
     """
-    a = 2.0 * nonnegative("r", r)
-    x = -np.minimum(a, 0.5)
-    sq_series = fin_series = 0.0
-    for sq_coef, fin_coef in _SERIES:
+    c_sq, c_fin = _integrals(nonnegative("r", r))
+    return _scalar(c_sq), _scalar(c_fin)
+
+
+def _integrals(r):
+    """correlation_integrals at a checked r, as arrays or numpy scalars; a branch is formed only if some r takes it."""
+    small = r < 0.25
+    if small.all():
+        return _series(r)
+    # 2 max(r, 1/4) is exactly max(2r, 1/2) = a, and halving a numerator in [0, 2] is exact, so each quotient over
+    # r is the one over a, bit for bit, wherever 2r is finite; past that, -2r is -inf and e^-2r is 0
+    r_closed = np.maximum(r, 0.25)
+    with np.errstate(over="ignore"):
+        closed_fin = 0.5 * (1.0 - np.exp(-2.0 * r_closed)) / r_closed
+    # c_bar_sq = 2 (a - 1 + e^-a) / a^2 = (1 - c_bar_fin) / r, without the a^2 that overflows past a = 1.3e154
+    closed_sq = (1.0 - closed_fin) / r_closed
+    if not small.any():
+        return closed_sq, closed_fin
+    sq_series, fin_series = _series(np.minimum(r, 0.25))  # capped, so the discarded terms cannot overflow
+    return np.where(small, sq_series, closed_sq), np.where(small, fin_series, closed_fin)
+
+
+def _series(r):
+    """The series (c_bar_sq, c_bar_fin) at r <= 1/4 by Horner's rule, in Python floats at a 0-d r."""
+    x = _scalar(-2.0 * r)
+    sq_series, fin_series = _SERIES[0]
+    for sq_coef, fin_coef in _SERIES[1:]:
         sq_series = sq_series * x + sq_coef
         fin_series = fin_series * x + fin_coef
-    a_closed = np.maximum(a, 0.5)
-    closed_fin = (1.0 - np.exp(-a_closed)) / a_closed
-    small = a < 0.5
-    # c_bar_sq = 2 (a - 1 + e^-a) / a^2 = 2 (1 - c_bar_fin) / a, without the a^2 that overflows past a = 1.3e154
-    c_sq = np.where(small, sq_series, 2.0 * (1.0 - closed_fin) / a_closed)
-    c_fin = np.where(small, fin_series, closed_fin)
-    return _scalar(c_sq), _scalar(c_fin)
+    return sq_series, fin_series
 
 
 @dataclass(frozen=True)
@@ -140,11 +163,16 @@ def raman_modified_moments(total_spin, q, r):
 
     This is the one closed-form body: analytic_moments is its r = 0 case by
     construction.  var_z stays S/2 (the telegraph process is stationary on
-    the CSS ensemble).
+    the CSS ensemble).  Q, then r, then S are checked, in that order.
     """
     # 0-d inputs become numpy scalars, whose arithmetic costs less than 0-d arrays'
     s, q = np.asarray(total_spin, dtype=float)[()], nonnegative("shearing strength", q)
-    c_sq, c_fin = correlation_integrals(r)
+    return _moment_set(s, q, nonnegative("r", r))
+
+
+def _moment_set(s, q, r):
+    """raman_modified_moments at a float S, a checked Q and a checked r: only S is checked here."""
+    c_sq, c_fin = _integrals(r)
     q_eff = q * c_fin
     # g_factor is where S is checked (params.twice_spin), so 2S below is exact
     g_half = g_factor(s, q_eff / 2.0)
@@ -156,7 +184,7 @@ def raman_modified_moments(total_spin, q, r):
     if undefined.any():
         raise ValueError(f"Q = {float(np.broadcast_to(q, undefined.shape)[undefined][0])!r}: the dephasing "
                          "Q^2 (c_bar_sq - c_bar_fin^2) is inf * 0, Q^2 past the float range where "
-                         "c_bar_sq - c_bar_fin^2 is 0 (at r = 0 or below ~5e-17, or where 2r overflows)")
+                         "c_bar_sq - c_bar_fin^2 is 0 (at r = 0 or below ~5e-17)")
     d1 = np.exp(exponent / (4.0 * s))
 
     mean_sp = d1 * s * g_half * np.exp(1j * (q_eff / (2.0 * s)))

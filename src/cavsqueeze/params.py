@@ -39,6 +39,8 @@ def twice_spin(total_spin):
     """2S as float, elementwise; ValueError names the first S that is no positive half-integer with 2S <= 2**53."""
     s = np.asarray(total_spin, dtype=float)
     two_s = 2.0 * s
+    if s.ndim == 0 and 1.0 <= float(two_s) <= MAX_TWICE_SPIN and float(two_s).is_integer():
+        return two_s[()]  # a spin given as a scalar, checked in Python floats
     spin = (two_s >= 1.0) & (two_s <= MAX_TWICE_SPIN) & (two_s == np.rint(two_s))
     if not spin.all():
         bad = s[~spin][0].item()
@@ -50,6 +52,8 @@ def twice_spin(total_spin):
 def nonnegative(name, x):
     """x as float, elementwise; ValueError unless every element is >= 0 and finite (nan refused)."""
     v = np.asarray(x, dtype=float)
+    if v.ndim == 0 and 0.0 <= float(v) < math.inf:
+        return v[()]  # a scalar, checked in Python floats
     if not ((v >= 0.0) & (v < math.inf)).all():
         raise ValueError(f"{name} must be nonnegative and finite")
     return v[()]
@@ -58,6 +62,8 @@ def nonnegative(name, x):
 def positive(name, x):
     """x as float, elementwise; ValueError unless every element is > 0 and finite (nan refused)."""
     v = np.asarray(x, dtype=float)
+    if v.ndim == 0 and 0.0 < float(v) < math.inf:
+        return v[()]  # a scalar, checked in Python floats
     if not ((v > 0.0) & (v < math.inf)).all():
         raise ValueError(f"{name} must be positive and finite")
     return v[()]

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feedback import _G_DOMAIN, correlation_integrals, min_variance, raman_modified_moments
+from .feedback import _G_DOMAIN, _moment_set, correlation_integrals, min_variance
 from .params import nonnegative, positive, twice_spin
 
 # Trajectories per chunk: one kernel call and one PCG64 stream each, ~0.5 MiB a block buffer; exact
@@ -76,6 +76,11 @@ def modified_min_variance(total_spin, eta, q):
     it raises ValueError before the moments are evaluated, for every S, as
     does an r = Q / (4 S eta) that overflows.
     """
+    return min_variance(_modified_moments(total_spin, eta, q))
+
+
+def _modified_moments(total_spin, eta, q):
+    """The MomentSet behind modified_min_variance, with its checks: the body takes Q and r as checked here."""
     # S first, so a non-spin gets the spin message before r is formed
     s = twice_spin(total_spin) / 2.0
     eta, q = positive("eta", eta), positive("shearing strength", q)
@@ -86,7 +91,7 @@ def modified_min_variance(total_spin, eta, q):
     if outside.any():
         raise ValueError(f"Q_eff / S = {float(np.asarray(x)[outside][0])!r}: outside the principal branch "
                          "|Q_eff / S| < pi/2 of the G factor")
-    return min_variance(raman_modified_moments(s, q, r))
+    return _moment_set(s, q, r)
 
 
 def fig2_curve(total_spin, etas, q_grid):
@@ -205,6 +210,11 @@ def _simulate_exact(rng, process, s, lag_times, samples, sbar):
             for probe in _PROBES:
                 event += (probe * k) * (times_at.take(event + (probe - 1) * k) <= at_lag)
             samples[live[rows], lags] = up_at.take(event)  # level[j]
+        # a block whose last event lands on 1 exactly ends the trajectory before its t = 1 sample, which comes
+        # after all _BLOCK events: the carried count, where the search above reaches only _BLOCK - 1 of them
+        ends_at_1 = last == 1.0
+        if ends_at_1.any():
+            samples[live[ends_at_1], -1] = live_up[_BLOCK][ends_at_1] - s
         np.minimum(times, 1.0, out=times)  # only times >= 1 change: times < 1 and last < 1 (a view) read as before
         held_for = picks  # the chain has spent the picks
         np.subtract(times[0], now, out=held_for[0])
@@ -231,7 +241,8 @@ def _simulate_gaussian(rng, process, s, lag_times, samples, sbar):
     var_st = s / 2.0
     h = np.diff(lag_times)
     c_sq, c_fin = correlation_integrals(process.r * h)
-    decay = np.exp(-2.0 * (process.r * h))
+    with np.errstate(over="ignore"):  # -2 r h past the float range is -inf: the step forgets S_z(start)
+        decay = np.exp(-2.0 * (process.r * h))
     mean_gain = h * c_fin
     sd_z = np.sqrt(var_st * (1.0 - decay * decay))
     cov_zi = var_st * mean_gain * (1.0 - decay)

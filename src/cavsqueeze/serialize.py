@@ -3,11 +3,13 @@
 Floats are written with Python's shortest round-trip representation
 (repr), so CSV/JSON outputs are byte-stable and parse back exactly, and
 both writers refuse a nan or infinite float before they create the file or
-its directory: each makes the directory only once its text is built.  A CSV
-is written from blocks of columns (write_csv), and a column that recurs
-across blocks, such as fig2's Q grid, is formatted once per file.  Every
-CLI run writes a manifest beside its outputs (write_manifest): the argv,
-the outputs in write order, the warnings raised as {"category", "message"}
+its directory: each makes the directory only once its text is built, and
+only when it is missing.  A CSV is written from blocks of columns
+(write_csv), and a column that recurs across blocks, such as fig2's Q grid,
+is formatted once per file: at once, by one map(repr), when its cells are
+all finite Python floats, and cell by cell otherwise.  Every CLI run
+writes a manifest beside its outputs (write_manifest): the argv, the
+outputs in write order, the warnings raised as {"category", "message"}
 entries (an empty list when none), the environment (seeded Monte Carlo
 bytes follow numpy's generators) and the wall time, which makes it the one
 file excluded from the byte-identical reproducibility guarantee.
@@ -63,9 +65,17 @@ def _rows(blocks):
         rows = next((len(c) for c in block if isinstance(c, list)), 1)
         for column in block:
             if isinstance(column, list) and id(column) not in formatted:
-                formatted[id(column)] = (column, list(map(format_value, column)))
+                formatted[id(column)] = (column, _cells(column))
         columns = [formatted[id(c)][1] if isinstance(c, list) else [format_value(c)] * rows for c in block]
         yield from map(",".join, zip(*columns, strict=True))
+
+
+def _cells(column):
+    """A list column's cells: one map(repr) if all are Python floats with a finite sum (none nan or inf), else
+    format_value each, which also takes a sum that overflows."""
+    if set(map(type, column)) == {float} and math.isfinite(sum(column)):
+        return list(map(repr, column))
+    return list(map(format_value, column))
 
 
 def write_json(path, obj):
@@ -74,9 +84,13 @@ def write_json(path, obj):
 
 
 def _write_text(path, text):
-    """Write built text to path, creating its directory (and any missing parents) first."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """Write built text to path, creating its directory (and any missing parents) only when it is missing."""
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    with fh:
         fh.write(text)
 
 

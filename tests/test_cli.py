@@ -604,12 +604,21 @@ def test_extreme_config_values_exit_cleanly_with_finite_output(keys, values):
 
 # accepted extremes whose printed numbers are right but whose manifest used to record a numpy overflow warning:
 # a = 2r ~ 1e300 in correlation_integrals (whose square overflowed), and waiting times past the float range at
-# r N = 5e-324 in the exact kernel (no event falls in the pulse)
+# r N = 5e-324 in the exact kernel (no event falls in the pulse).  Past r ~ 9e307, 2r itself overflowed: the lag
+# target -2r lag was -inf * 0 = nan at lag 0 (refused by the CSV writer, and by json in mc_health at --steps 1),
+# the gaussian step's decay overflowed and c_bar_sq, c_bar_fin read 0.0
+_GAUSSIAN_2R_OVERFLOWS = ["raman-mc", "--S", "0.5", "--traj", "2", "--seed", "1", "--mode", "gaussian"]
+
+
 @pytest.mark.parametrize("argv", [
     ["fig2", "--S", "100", "--eta", "1e-300", "--qpoints", "2"],
     ["raman-mc", "--S", "0.5", "--r", "1e300", "--traj", "1", "--steps", "2", "--seed", "1", "--mode", "gaussian"],
     ["raman-mc", "--S", "0.5", "--r", "5e-324", "--traj", "3", "--steps", "2", "--seed", "1"],
-], ids=["fig2 --eta 1e-300", "raman-mc --r 1e300", "raman-mc --r 5e-324"])
+    [*_GAUSSIAN_2R_OVERFLOWS, "--r", "1e308", "--steps", "2", "--corr-csv"],
+    [*_GAUSSIAN_2R_OVERFLOWS, "--r", "1e308", "--steps", "2"],
+    [*_GAUSSIAN_2R_OVERFLOWS, "--r", "1.7e308", "--steps", "1"],
+], ids=["fig2 --eta 1e-300", "raman-mc --r 1e300", "raman-mc --r 5e-324", "raman-mc --r 1e308 --corr-csv",
+        "raman-mc --r 1e308", "raman-mc --r 1.7e308 --steps 1"])
 def test_an_extreme_accepted_input_records_no_numpy_warning(tmp_path, argv):
     out = tmp_path / "out"
     assert _run(argv, out) == 0
@@ -617,6 +626,27 @@ def test_an_extreme_accepted_input_records_no_numpy_warning(tmp_path, argv):
     assert json.loads((out / "manifest.json").read_text())["warnings"] == []
     if "5e-324" in argv:
         assert json.loads((out / "raman_stats.json").read_text())["stats"]["n_events"] == 0
+    if "--corr-csv" in argv:
+        # the target e^{-2 r lag} is 1 at lag 0 and 0 past it
+        assert [line.rpartition(",")[2] for line in (out / "raman_corr.csv").read_text().splitlines()] == [
+            "target", "1.0", "0.0", "0.0"]
+
+
+def test_raman_mc_makes_its_out_once_and_a_run_refused_at_write_time_none(tmp_path, monkeypatch):
+    made = []
+    mkdir = Path.mkdir
+    monkeypatch.setattr(Path, "mkdir", lambda self, *args, **kwargs: made.append(self) or mkdir(self, *args, **kwargs))
+    argv = ["raman-mc", "--S", "2", "--r", "0.5", "--traj", "8", "--steps", "2", "--seed", "1", "--corr-csv"]
+    out = tmp_path / "out"
+    assert _run(argv, out) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "raman_corr.csv", "raman_stats.json"]
+    assert made == [out]
+    # a nan estimate reaches the JSON writer, which refuses it before the file or --out exists
+    sample = cli.sample_trajectories
+    monkeypatch.setattr(cli, "sample_trajectories", lambda *a, **k: {**sample(*a, **k), "cov_bar_final": math.nan})
+    refused = tmp_path / "refused"
+    assert _run(argv, refused) == 1
+    assert not refused.exists()
 
 
 @pytest.mark.parametrize("r", ["1e-17", "1e-20", "5e-324"])

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import golden_section_min, rel_err
 
-from cavsqueeze import design
+from cavsqueeze import design, feedback
 from cavsqueeze.design import (
     classify_regime,
     curvature_optimum,
@@ -14,9 +15,9 @@ from cavsqueeze.design import (
     full_curve_minimum,
     scattering_optimum,
 )
-from cavsqueeze.feedback import min_variance
+from cavsqueeze.feedback import min_variance, raman_modified_moments
 from cavsqueeze.params import cavity_params
-from cavsqueeze.raman import modified_min_variance, raman_modified_moments
+from cavsqueeze.raman import modified_min_variance
 
 WORKED = dict(g_hz=0.4e6, kappa_hz=1e6, gamma_hz=6.07e6, delta_over_gamma=500.0)
 
@@ -324,6 +325,34 @@ class TestDesignReport:
         assert 0.0 < report["contrast_sq"] < 1.0
         assert report["xi_recommended_sq"] * report["contrast_sq"] == pytest.approx(
             report["sigma_recommended_sq"], rel=1e-14)
+
+    @pytest.mark.parametrize("q_target, evaluations", [(20.0, 1), (None, 6)])
+    def test_the_recommended_point_is_evaluated_once(self, monkeypatch, q_target, evaluations):
+        # the closed-form body calls g_factor once an evaluation: full_curve_minimum's five rounds, then one
+        # MomentSet at the recommended Q for both sigma^2 and C^2
+        calls = []
+        g_factor = feedback.g_factor
+        monkeypatch.setattr(feedback, "g_factor", lambda *args: calls.append(args) or g_factor(*args))
+        s, params = self._system()
+        design_report(s, params, 400e-6, 1e-5, q_target=q_target)
+        assert len(calls) == evaluations
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(twice_s=st.integers(20, 2_000_000), g_hz=st.floats(1e4, 2e6), kappa_hz=st.floats(1e5, 1e7),
+           delta_over_gamma=st.floats(20.0, 5e3), fraction=st.none() | st.floats(0.05, 2.0))
+    def test_sigma_and_contrast_are_the_closed_forms_at_the_recommended_point(self, twice_s, g_hz, kappa_hz,
+                                                                               delta_over_gamma, fraction):
+        # S eta > 3 keeps r_opt under its 0.3 warning; a Q at most 2 Q_curv keeps Q_eff / S <= Q / S < pi / 2
+        s = twice_s / 2.0
+        params = cavity_params(dict(g_hz=g_hz, kappa_hz=kappa_hz, gamma_hz=6.07e6, delta_over_gamma=delta_over_gamma))
+        eta = params["eta"]
+        assume(s * eta > 3.0)
+        q_target = None if fraction is None else fraction * min(curvature_optimum(s)[0], math.sqrt(3.0 * s * eta))
+        report = design_report(s, params, 400e-6, 1e-5, q_target=q_target)
+        q_rec, r_rec = report["q_recommended"], report["r_recommended"]
+        assert report["sigma_recommended_sq"].hex() == modified_min_variance(s, eta, q_rec).hex()
+        contrast_sq = abs(raman_modified_moments(s, q_rec, r_rec).mean_sp) ** 2 / (s * s)
+        assert report["contrast_sq"].hex() == contrast_sq.hex()
 
     def test_regime_flags_surface_not_raise(self):
         # hopeless parameters must produce a report with failing flags

@@ -58,6 +58,21 @@ class TestCorrelationIntegrals:
         with pytest.raises(ValueError):
             correlation_integrals(-0.1)
 
+    def test_an_array_on_one_side_or_both_of_the_seam_equals_scalar_calls_bitwise(self):
+        # the series is formed only where some r < 1/4 takes it and the closed form only where some r >= 1/4
+        # does, in Python floats at a scalar r
+        below, above = [0.0, 5e-324, 1e-9, 0.1, np.nextafter(0.25, 0.0)], [0.25, 0.7, 30.0, 8e307, 1.7e308]
+        for rs in (below, above, below + above):
+            batch = correlation_integrals(np.array(rs))
+            for i, r in enumerate(rs):
+                assert [float(c[i]).hex() for c in batch] == [c.hex() for c in correlation_integrals(r)], r
+
+    @pytest.mark.parametrize("r", [9e307, 1e308, 1.7976931348623157e308])
+    def test_past_the_float_range_of_2r(self, r):
+        # c_bar_fin = 1/(2r) and c_bar_sq = (1 - c_bar_fin)/r, formed from r: they read 0.0 once 2r overflowed
+        c_sq, c_fin = correlation_integrals(r)
+        assert c_fin == 0.5 / r and c_sq == (1.0 - c_fin) / r and c_sq > 0.0
+
 
 class TestModifiedMoments:
     def test_continuous_at_zero_r(self):
@@ -570,6 +585,26 @@ class TestExactBlockKernel:
         assert np.array_equal(samples[m:], expected)
         assert n_events == alone_events + 4
         assert np.array_equal(sbar[[m, 2 * m - 1]], [0.5 - first / 2.0] * 2)
+
+    def test_a_block_whose_last_event_lands_on_1_samples_t_1_after_all_its_events(self):
+        # S = 1, r = 1: every waiting time 2/32 at rate r N = 2 puts event j at j/32, the 32nd on 1.0 exactly, and
+        # every pick u N = 1.5 steps the up count 0 -> 1 -> 2 -> 1 -> ... to 2 after 32 events.  The t = 1 sample is
+        # not in the block's [now, last) and the trajectory leaves with it: it read the starting S_z = -1
+        class Scripted:
+            def binomial(self, n, p, size):
+                return np.zeros(size)  # S_z = -1: no atom up
+
+            def standard_exponential(self, out):
+                out[...] = 2.0 / 32.0
+
+            def random(self, out):
+                out[...] = 0.75
+
+        samples, sbar, n_events = _one_chunk(raman._simulate_exact)(Scripted(), RamanProcess(r=1.0, n_atoms=2),
+                                                                    1.0, np.linspace(0.0, 1.0, 5), 1)
+        assert samples.tolist() == [[-1.0, 1.0, 1.0, 1.0, 1.0]]
+        assert n_events == 31  # the event on 1.0 is the pulse's end, as before
+        assert sbar.tolist() == [(-1.0 + 0.0 + 15 * (1.0 + 0.0)) / 32.0]
 
     def test_lag_lookup_in_several_passes(self, monkeypatch):
         # 3 lag samples per pass: a block (0.16 of the pulse at r N = 200) holds ~8 samples of its

@@ -1,10 +1,11 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cavsqueeze.serialize import format_value, write_csv
+from cavsqueeze.serialize import format_value, write_csv, write_json
 
 HEADER = ("a", "b", "c", "d")
 # one column of cells that repr, str and the empty cell all write; -0.0 and 0.0 compare equal but write apart
@@ -76,3 +77,38 @@ def test_non_finite_cells_are_refused_before_the_file_opens(tmp_path):
             with pytest.raises(ValueError, match="finite"):
                 write_csv(path, HEADER, [(0.0, [1.0], [2.0], 3.0), block])
     assert not path.exists()
+
+
+def test_a_column_whose_sum_overflows_is_written_cell_by_cell(tmp_path):
+    # every cell is a finite float, but the sum that vouches for a whole column at once is inf
+    path = tmp_path / "out.csv"
+    write_csv(path, ("a", "b"), [([1e308, 1e308], [-1e308, 1e308])])
+    assert path.read_text() == "a,b\n1e+308,-1e+308\n1e+308,1e+308\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_float_column_with_one_non_finite_cell_is_refused_before_its_directory_exists(tmp_path, bad):
+    path = tmp_path / "new" / "out.csv"
+    with pytest.raises(ValueError, match="finite"):
+        write_csv(path, ("a", "b"), [([0.5, 1.5, 2.5], [1.0, bad, 3.0])])
+    assert not path.parent.exists()
+
+
+def test_columns_mixing_floats_with_none_or_bool_keep_their_text(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, ("a", "b", "c"), [([0.1, None, -0.0], [True, 2.5, False], [1.0, np.float64(0.25), 7])])
+    assert path.read_text() == "a,b,c\n0.1,true,1.0\n,2.5,0.25\n-0.0,false,7\n"
+
+
+def test_the_directory_is_made_once_and_only_when_missing(tmp_path, monkeypatch):
+    made = []
+    mkdir = Path.mkdir
+    monkeypatch.setattr(Path, "mkdir", lambda self, *args, **kwargs: made.append(self) or mkdir(self, *args, **kwargs))
+    out = tmp_path / "a" / "b"
+    write_csv(out / "one.csv", ("x",), [([0.5],)])
+    assert out in made
+    made.clear()
+    write_json(out / "two.json", {"y": 1.0})
+    write_csv(out / "three.csv", ("x",), [([0.5],)])
+    assert made == []
+    assert sorted(p.name for p in out.iterdir()) == ["one.csv", "three.csv", "two.json"]
