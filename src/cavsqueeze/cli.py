@@ -31,7 +31,8 @@ nan or infinite number included, printed to stderr as "<subcommand>:
 <message>"), 2 validation-suite failure (a validate-oracle row past its
 bound).  Data files are byte-identical for an identical invocation and
 seed (the Monte Carlo draws one PCG64 stream per 2,048-trajectory chunk,
-child c of SeedSequence(seed)); the manifest, with its wall time, is the
+child c of SeedSequence(seed)) per (numpy version, dispatch level), both
+in the manifest's environment; the manifest, with its wall time, is the
 exception.  raman-mc runs in units of the pulse, so its "pulse_time_s" is
 the constant 1.0 (and "flip_rate_per_atom" is r), kept for schema
 stability.
@@ -50,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .design import classify_regime, curvature_optimum, design_report, full_curve_minimum, scattering_optimum
+from .design import design_report, full_curve_minimum, operating_point
 from .feedback import analytic_moments, correlation_integrals
 from .oracle import oracle_moments_sum
 from .params import cavity_params, load_config, nearest_spin, twice_spin
@@ -232,9 +233,8 @@ def cmd_sweep(args):
     spins = nearest_spin(np.geomspace(args.s_min, args.s_max, args.s_points))
     s, eta = (g.ravel() for g in np.meshgrid(spins, np.geomspace(args.eta_min, args.eta_max, args.eta_points),
                                               indexing="ij"))
-    header = ["S", "eta", "s_eta5", "regime", "near_boundary",
-              "q_curv", "sigma_curv_sq", "q_scatt", "r_opt", "sigma_scatt_sq"]
-    columns = [s, eta, *classify_regime(s, eta), *curvature_optimum(s), *scattering_optimum(s, eta)]
+    point = operating_point(s, eta)
+    header, columns = ["S", "eta", *point], [s, eta, *point.values()]
     if args.full_minimum:
         header += ["q_full", "sigma_full_sq"]
         columns += full_curve_minimum(s, eta)

@@ -17,7 +17,7 @@ normalized to S/2 only, so it can fall below a floor by about the factor
 C^2: at (S, eta) = (1e3, 0.1) the raw minimum is 7% under the scattering
 floor, while xi^2 stays above it.
 
-The binding limit is the larger floor.  classify_regime calls curvature
+The binding limit is the larger floor.  operating_point calls curvature
 binding iff S eta^5 >= 1; the floors themselves cross at S eta^5 =
 36 (64/75)^5 ~ 16.3, inside the factor-3^5 near_boundary band, so the
 rule and a direct comparison of the floors may disagree only within that
@@ -60,7 +60,7 @@ _SCAN_POINTS = 64
 _REFINE_ROUNDS = 4
 _SCAN_STEPS = np.arange(_SCAN_POINTS) / (_SCAN_POINTS - 1)
 
-# classify_regime: curvature binds iff S eta^5 >= _REGIME_BOUNDARY (1 by
+# operating_point: curvature binds iff S eta^5 >= _REGIME_BOUNDARY (1 by
 # convention); near_boundary within a factor _BOUNDARY_BAND^5 of it.
 _REGIME_BOUNDARY = 1.0
 _BOUNDARY_BAND = 3.0
@@ -78,56 +78,41 @@ MAX_LINEARITY_RATIO = 0.1  # Omega sqrt(S/2) / kappa small
 MIN_DETUNING_MARGIN = 10.0  # |Delta| >> kappa, Gamma, g
 
 
-def curvature_optimum(total_spin):
-    """(Q_curv, sigma_curv_sq): closed-form optimum of 1/Q + Q^4/(24 S^2), elementwise."""
-    s = positive("S", total_spin)
-    q_curv = 6.0 ** 0.2 * np.power(s, 0.4)
-    sigma_curv_sq = 1.25 * 6.0 ** (-0.2) * np.power(s, -0.4)
-    return _scalar(q_curv), _scalar(sigma_curv_sq)
+def _q_curv(s):
+    """Q_curv = 6^{1/5} S^{2/5}, the minimizer of 1/Q + Q^4/(24 S^2), at a checked S."""
+    return 6.0 ** 0.2 * np.power(s, 0.4)
 
 
-def scattering_optimum(total_spin, eta):
-    """(Q_scatt, r_opt, sigma_sq): closed-form optimum of 1/Q + Q/(3 S eta), elementwise.
+def operating_point(total_spin, eta):
+    """The closed-form floors, optima and regime of (S, eta), elementwise: the dict sweep writes after S and eta.
 
-    Warns when r_opt >= 0.3, where the small-r expansion behind the
-    two-term form stops being trustworthy; refuses a 3 / (16 S eta) that
-    overflows.
-    """
-    s_eta = positive("S", total_spin) * positive("eta", eta)
-    q_scatt = np.sqrt(3.0 * s_eta)
-    with np.errstate(over="ignore", divide="ignore"):  # an S eta that under- or overflows is refused
-        r_opt = np.sqrt(nonnegative("3 / (16 S eta)", 3.0 / (16.0 * s_eta)))
-    sigma_sq = 2.0 / np.sqrt(3.0 * s_eta)
-    if (r_opt >= 0.3).any():
-        warnings.warn(
-            f"r_opt = {np.max(r_opt):.3g} is not small; the low-scattering expansion "
-            "behind this optimum is unreliable",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return _scalar(q_scatt), _scalar(r_opt), _scalar(sigma_sq)
-
-
-def classify_regime(total_spin, eta):
-    """(s_eta5, regime, near_boundary), elementwise: regime is "curvature" iff S eta^5 >= 1, else "scattering".
-
-    The threshold 1 is the convention, _REGIME_BOUNDARY.  The comparison
-    allows a relative rounding slack of 64 machine epsilons (_BOUNDARY_RTOL,
-    about 1.4e-14), so eta = S**-0.2 counts as on the boundary whichever way
-    S eta^5 rounds; S eta^5 = 1 - 1e-9 is still scattering-limited.
-
-    The criterion is an order-of-magnitude rule; points with S eta^5 within
-    a factor _BOUNDARY_BAND^5 of the threshold (i.e. eta within a factor
-    _BOUNDARY_BAND of the boundary coupling) carry near_boundary = True.
-    An S eta^5 that overflows is refused; one that underflows to 0.0 is kept.
+    Keys, in sweep's column order: s_eta5, regime and near_boundary (module
+    docstring), q_curv, sigma_curv_sq, q_scatt, r_opt and sigma_scatt_sq.  S
+    and eta are checked once; an S eta^5 or 3 / (16 S eta) that overflows is
+    refused by name, an S eta^5 that underflows to 0.0 kept.  Warns when
+    r_opt >= 0.3, where the small-r expansion behind Q_scatt is unreliable.
     """
     s, eta = positive("S", total_spin), positive("eta", eta)
     with np.errstate(over="ignore"):
         s_eta5 = nonnegative("S eta^5", s * np.power(eta, 5.0))
+    s_eta = s * eta
+    with np.errstate(over="ignore", divide="ignore"):  # an S eta that under- or overflows is refused
+        r_opt = np.sqrt(nonnegative("3 / (16 S eta)", 3.0 / (16.0 * s_eta)))
+    if (r_opt >= 0.3).any():
+        warnings.warn(f"r_opt = {np.max(r_opt):.3g} is not small; the low-scattering expansion behind this "
+                      "optimum is unreliable", RuntimeWarning, stacklevel=2)
     curvature = s_eta5 >= _REGIME_BOUNDARY * (1.0 - _BOUNDARY_RTOL)
     band = _BOUNDARY_BAND ** 5
-    return (_scalar(s_eta5), _scalar(np.where(curvature, "curvature", "scattering")),
-            _scalar((_REGIME_BOUNDARY / band <= s_eta5) & (s_eta5 <= _REGIME_BOUNDARY * band)))
+    return {
+        "s_eta5": _scalar(s_eta5),
+        "regime": _scalar(np.where(curvature, "curvature", "scattering")),
+        "near_boundary": _scalar((_REGIME_BOUNDARY / band <= s_eta5) & (s_eta5 <= _REGIME_BOUNDARY * band)),
+        "q_curv": _scalar(_q_curv(s)),
+        "sigma_curv_sq": _scalar(1.25 * 6.0 ** (-0.2) * np.power(s, -0.4)),
+        "q_scatt": _scalar(np.sqrt(3.0 * s_eta)),
+        "r_opt": _scalar(r_opt),
+        "sigma_scatt_sq": _scalar(2.0 / np.sqrt(3.0 * s_eta)),
+    }
 
 
 def full_curve_minimum(total_spin, eta):
@@ -162,8 +147,7 @@ def full_curve_minimum(total_spin, eta):
     (S, eta) = (1e3, 0.1)), and the xi^2 minimizer lies 5-15% lower in Q.
     """
     s, eta = (twice_spin(total_spin) / 2.0)[..., None], positive("eta", eta)[..., None]  # both before np.sqrt
-    q_curv, _ = curvature_optimum(s)
-    q_scatt = np.sqrt(3.0 * s * eta)
+    q_curv, q_scatt = _q_curv(s), np.sqrt(3.0 * s * eta)
     lo = 0.05 * np.minimum(q_curv, q_scatt)
     # Q_edge at Q_eff / S = (1 - 1e-12) pi/2, inf where never reached; a margin on Q
     # instead would vanish in Q_eff / S as eta -> pi/4, and the edge point be refused
@@ -188,7 +172,12 @@ def design_report(total_spin, params, pulse_time, max_excited_pop, q_target=None
     low-saturation limit, epsilon <= max_excited_pop.  The recommended Q is
     min(full-curve minimizer, Q_curv); a q_target of zero is rejected ("no
     shearing requested"), any other positive value overrides the
-    recommendation.  The report gives the raw sigma^2 there and the
+    recommendation.  The Q_curv cap moves Q from the raw-sigma^2 minimizer
+    (sweep --full-minimum's q_full) toward the lower xi^2 minimizer: on the
+    default sweep grid it binds at 27 of 99 points (every S, at eta = 1,
+    3.16 and 10), where Q sits up to 4.9% below q_full, raw sigma^2 rises by
+    at most 0.67% and xi^2 falls by up to 3.5%; ROADMAP item 2 decides
+    whether it stays.  The report gives the raw sigma^2 there and the
     contrast-normalized xi^2 = sigma^2 / C^2, which the floors bound; both
     come from one MomentSet, evaluated once at the recommended Q with
     modified_min_variance's checks.
@@ -214,15 +203,15 @@ def design_report(total_spin, params, pulse_time, max_excited_pop, q_target=None
     positive("pulse_time", pulse_time)
     population("max_excited_pop", max_excited_pop)
 
-    q_curv, sigma_curv_sq = curvature_optimum(s)
-    q_scatt, r_opt, sigma_scatt_sq = scattering_optimum(s, eta)
-    _, regime, near_boundary = classify_regime(s, eta)
+    point = operating_point(s, eta)  # sweep's columns after S and eta, its s_eta5 left out
+    del point["s_eta5"]
+    point["limiting_regime"] = point.pop("regime")
 
     if q_target is not None:
         q_rec = float(q_target)
     else:
         q_full, _ = full_curve_minimum(s, eta)
-        q_rec = min(q_full, q_curv)
+        q_rec = min(q_full, point["q_curv"])
     # one MomentSet gives sigma^2 and C^2, with modified_min_variance's refusals of r and of the G-factor domain
     moments = _modified_moments(s, eta, q_rec)
     sigma_rec = min_variance(moments)
@@ -260,13 +249,7 @@ def design_report(total_spin, params, pulse_time, max_excited_pop, q_target=None
         "detuning_margin": detuning_margin >= MIN_DETUNING_MARGIN,
     }
     return {
-        "q_curv": q_curv,
-        "sigma_curv_sq": sigma_curv_sq,
-        "q_scatt": q_scatt,
-        "r_opt": r_opt,
-        "sigma_scatt_sq": sigma_scatt_sq,
-        "limiting_regime": regime,
-        "near_boundary": near_boundary,
+        **point,
         "q_recommended": q_rec,
         "sigma_recommended_sq": sigma_rec,  # raw sigma^2, normalized to S/2
         "contrast_sq": contrast_sq,  # C^2 = |<S~_+>|^2 / S^2 at the recommended point

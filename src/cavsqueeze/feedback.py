@@ -178,7 +178,9 @@ def _moment_set(s, q, r):
     g_half = g_factor(s, q_eff / 2.0)
     two_s = 2.0 * s
     xi_var = np.maximum(c_sq - c_fin * c_fin, 0.0)  # >= 0 by Cauchy-Schwarz
-    with np.errstate(invalid="ignore"):  # inf * 0 where Q^2 overflows and xi_var is 0: refused below
+    # Q^2 past the float range gives an exponent of -inf, the right limit (d1 = 0); inf * 0 where xi_var is 0
+    # as well is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
         exponent = -q * q * xi_var
     undefined = exponent != exponent
     if undefined.any():

@@ -11,10 +11,13 @@ all finite Python floats, and cell by cell otherwise.  Every CLI run
 writes a manifest beside its outputs (write_manifest): the argv, the
 outputs in write order, the warnings raised as {"category", "message"}
 entries (an empty list when none), the environment (seeded Monte Carlo
-bytes follow numpy's generators) and the wall time, which makes it the one
-file excluded from the byte-identical reproducibility guarantee.
+bytes follow numpy's generators, and exp, log, log1p, expm1 and power
+differ in last bits between the kernel targets numpy_dispatch records) and
+the wall time, which makes it the one file excluded from the byte-identical
+guarantee; that holds per (numpy version, dispatch level).
 """
 
+import functools
 import json
 import math
 import sys
@@ -94,6 +97,15 @@ def _write_text(path, text):
         fh.write(text)
 
 
+@functools.cache
+def _numpy_dispatch():
+    """The target of numpy's current float64 kernel for each ufunc the package calls; None where numpy < 2.0."""
+    ufuncs = ("exp", "log", "log1p", "expm1", "power", "sin", "cos", "sqrt")
+    introspect = getattr(np.lib, "introspect", None)
+    info = introspect.opt_func_info(func_name=f"^({'|'.join(ufuncs)})$", signature="float64") if introspect else {}
+    return {name: next(iter(info.get(name, {}).values()), {}).get("current") for name in ufuncs}
+
+
 def write_manifest(path, command, outputs, started, seed=None, config=None, mc_health=None, warnings=()):
     """Write the record of one CLI run: its argv, the files it wrote in order, and the warnings it raised.
 
@@ -104,7 +116,8 @@ def write_manifest(path, command, outputs, started, seed=None, config=None, mc_h
         "command": list(command),
         "seed": seed,
         "config": config,
-        "environment": {"python": sys.version, "numpy": np.__version__, "platform": sys.platform},
+        "environment": {"python": sys.version, "numpy": np.__version__, "numpy_dispatch": _numpy_dispatch(),
+                        "platform": sys.platform},
         "outputs": list(outputs),
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,

@@ -21,6 +21,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import cavsqueeze
 from cavsqueeze import cli
+from cavsqueeze.design import design_report
+from cavsqueeze.params import cavity_params
 from cavsqueeze.serialize import write_json
 
 MC_ARGV = ["raman-mc", "--S", "20", "--r", "0.5", "--traj", "600", "--steps", "4",
@@ -163,6 +165,21 @@ _CLOSED_FORM_CSV_DIGESTS = [
 def test_closed_form_csv_bytes_are_pinned(tmp_path, argv, name, digest):
     assert _run(argv, tmp_path) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_design_prints_the_limits_of_the_sweep_row_at_its_s_and_eta(tmp_path):
+    # (S, eta) = (1e5, 0.1) sits on S eta^5 = 1; S eta >= 10 everywhere keeps r_opt under its warning
+    assert _run(["sweep", "--s-min", "1e3", "--s-max", "1e5", "--s-points", "3",
+                 "--eta-min", "1e-2", "--eta-max", "10", "--eta-points", "4"], tmp_path) == 0
+    header, *lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","), strict=True)) for line in lines]
+    assert len(rows) == 12 and any(abs(float(row["s_eta5"]) - 1.0) < 1e-12 for row in rows)
+    params = cavity_params({"g_hz": 4e5, "kappa_hz": 1e6, "gamma_hz": 6.07e6, "delta_over_gamma": 500.0})
+    for row in rows:
+        report = design_report(float(row["S"]), {**params, "eta": float(row["eta"])}, 4e-4, 1e-5)
+        for key in ("q_curv", "sigma_curv_sq", "q_scatt", "r_opt", "sigma_scatt_sq"):
+            assert report[key].hex() == float(row[key]).hex(), (row["S"], row["eta"], key)
+        assert (report["limiting_regime"], report["near_boundary"]) == (row["regime"], row["near_boundary"] == "true")
 
 
 @pytest.mark.parametrize("etas, message", [
@@ -396,8 +413,8 @@ def test_extreme_integer_options_are_refused_by_their_domain_or_cap(option, valu
 # accepted inputs whose output a writer refused as nan or inf: run used to create --out before the writers ran.  A
 # subnormal --qmin overflows fig2's 1 / Q, and a --q-target of 1e300 underflows the contrast C^2 to 0.0: both were
 # refused only by the writers' catch-alls, and are now refused by name.  The
-# sweeps overflow S eta^5, which classify_regime refuses by name before any writer runs, or 3 / (16 S eta) in
-# scattering_optimum (or S eta underflows to 0.0 there), and fig2 at eta = 1e-308 overflows r = Q / (4 S eta): each
+# sweeps overflow S eta^5, which operating_point refuses by name before any writer runs, or 3 / (16 S eta) in
+# operating_point (or S eta underflows to 0.0 there), and fig2 at eta = 1e-308 overflows r = Q / (4 S eta): each
 # of the last four used to be refused as "r" by correlation_integrals, or as an inf CSV cell by the writer
 _TINY_ETA_SWEEP = ["sweep", "--eta-min", "1e-320", "--eta-max", "1e-319", "--eta-points", "2", "--s-points", "2"]
 
@@ -516,7 +533,7 @@ def test_an_s_eta5_that_underflows_is_scattering_limited(tmp_path):
     _assert_clean_exit(0, out)
     rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
     assert [(float(row[2]), row[3]) for row in rows] == [(0.0, "scattering")] * 4
-    # the one warning is scattering_optimum's r_opt >> 0.3, no numpy floating-point warning
+    # the one warning is operating_point's r_opt >> 0.3, no numpy floating-point warning
     assert [w["message"][:6] for w in json.loads((out / "manifest.json").read_text())["warnings"]] == ["r_opt "]
 
 
@@ -535,7 +552,7 @@ def test_design_refuses_a_product_with_s_that_overflows_by_name(tmp_path, capsys
     assert not out.exists()
 
 
-# eta = 4e-314 puts 3 / (16 S eta) past the float range: scattering_optimum refuses it before full_curve_minimum
+# eta = 4e-314 puts 3 / (16 S eta) past the float range: operating_point refuses it before full_curve_minimum
 # reaches r = Q / (4 S eta), which used to be refused as "r"; kappa t = 6e-330 underflows to 0.0, and the drive
 # rate 2 p0 / (kappa t) used to raise ZeroDivisionError.  Of the drive budget's other quantities, a kappa Gamma that
 # underflows used to raise ZeroDivisionError in cavity_params, a (g / Delta)^2 or (kappa / g)^2 that overflows
@@ -606,7 +623,8 @@ def test_extreme_config_values_exit_cleanly_with_finite_output(keys, values):
 # a = 2r ~ 1e300 in correlation_integrals (whose square overflowed), and waiting times past the float range at
 # r N = 5e-324 in the exact kernel (no event falls in the pulse).  Past r ~ 9e307, 2r itself overflowed: the lag
 # target -2r lag was -inf * 0 = nan at lag 0 (refused by the CSV writer, and by json in mc_health at --steps 1),
-# the gaussian step's decay overflowed and c_bar_sq, c_bar_fin read 0.0
+# the gaussian step's decay overflowed and c_bar_sq, c_bar_fin read 0.0.  Past Q ~ 1.3e154 the dephasing's Q^2
+# overflowed, though its limit, a coherence damped to 0, was printed right
 _GAUSSIAN_2R_OVERFLOWS = ["raman-mc", "--S", "0.5", "--traj", "2", "--seed", "1", "--mode", "gaussian"]
 
 
@@ -617,8 +635,9 @@ _GAUSSIAN_2R_OVERFLOWS = ["raman-mc", "--S", "0.5", "--traj", "2", "--seed", "1"
     [*_GAUSSIAN_2R_OVERFLOWS, "--r", "1e308", "--steps", "2", "--corr-csv"],
     [*_GAUSSIAN_2R_OVERFLOWS, "--r", "1e308", "--steps", "2"],
     [*_GAUSSIAN_2R_OVERFLOWS, "--r", "1.7e308", "--steps", "1"],
+    ["fig2", "--S", "100", "--eta", "1e-6", "--qmin", "1e155", "--qmax", "1e156", "--qpoints", "2"],
 ], ids=["fig2 --eta 1e-300", "raman-mc --r 1e300", "raman-mc --r 5e-324", "raman-mc --r 1e308 --corr-csv",
-        "raman-mc --r 1e308", "raman-mc --r 1.7e308 --steps 1"])
+        "raman-mc --r 1e308", "raman-mc --r 1.7e308 --steps 1", "fig2 --qmin 1e155"])
 def test_an_extreme_accepted_input_records_no_numpy_warning(tmp_path, argv):
     out = tmp_path / "out"
     assert _run(argv, out) == 0
@@ -850,7 +869,12 @@ def test_manifest_records_argv_once(tmp_path, argv):
 def test_manifest_records_the_environment(tmp_path):
     assert _run(["fig2", "--S", "100", "--eta", "0.1", "--qpoints", "5"], tmp_path) == 0
     environment = json.loads((tmp_path / "manifest.json").read_text())["environment"]
+    dispatch = environment.pop("numpy_dispatch")
     assert environment == {"python": sys.version, "numpy": np.__version__, "platform": sys.platform}
+    # numpy's current float64 kernel of each ufunc the package calls, whose bits the pinned digests follow
+    info = np.lib.introspect.opt_func_info(signature="float64")
+    names = ("exp", "log", "log1p", "expm1", "power", "sin", "cos", "sqrt")
+    assert dispatch == {name: next(iter(info[name].values()))["current"] for name in names}
 
 
 @pytest.mark.parametrize("argv", [["design", "--config", "{cfg}"], ["sweep"]])

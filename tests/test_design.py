@@ -8,13 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import golden_section_min, rel_err
 
 from cavsqueeze import design, feedback
-from cavsqueeze.design import (
-    classify_regime,
-    curvature_optimum,
-    design_report,
-    full_curve_minimum,
-    scattering_optimum,
-)
+from cavsqueeze.design import design_report, full_curve_minimum, operating_point
 from cavsqueeze.feedback import min_variance, raman_modified_moments
 from cavsqueeze.params import cavity_params
 from cavsqueeze.raman import modified_min_variance
@@ -33,16 +27,34 @@ class TestGoldenSection:
         assert x == pytest.approx(math.pi, abs=1e-7)
 
 
+def _curvature(s):
+    """operating_point's (q_curv, sigma_curv_sq) at eta = 10, where r_opt < 0.3 (no warning) for every S >= 1/2."""
+    point = operating_point(s, 10.0)
+    return point["q_curv"], point["sigma_curv_sq"]
+
+
+def _scattering(s, eta):
+    """operating_point's (q_scatt, r_opt, sigma_scatt_sq)."""
+    point = operating_point(s, eta)
+    return point["q_scatt"], point["r_opt"], point["sigma_scatt_sq"]
+
+
+def _regime(s, eta):
+    """operating_point's (s_eta5, regime, near_boundary)."""
+    point = operating_point(s, eta)
+    return point["s_eta5"], point["regime"], point["near_boundary"]
+
+
 class TestCurvatureOptimum:
     def test_closed_form_values_reference_spin(self):
-        q_curv, sigma_curv = curvature_optimum(1e4)
+        q_curv, sigma_curv = _curvature(1e4)
         assert q_curv == pytest.approx(56.968, rel=1e-4)
         assert sigma_curv == pytest.approx(0.021942, rel=1e-4)
 
     def test_matches_numerical_minimizer(self):
         # golden-section oracle on the two-term form
         for s in (100.0, 1e4, 1e6):
-            q_curv, sigma_curv = curvature_optimum(s)
+            q_curv, sigma_curv = _curvature(s)
             q_num, val_num = golden_section_min(
                 lambda q: 1.0 / q + q**4 / (24.0 * s * s), 0.5 * q_curv, 2.0 * q_curv
             )
@@ -50,54 +62,54 @@ class TestCurvatureOptimum:
             assert rel_err(val_num, sigma_curv) < 1e-6
 
     def test_algebraic_identity(self):
-        q_curv, sigma_curv = curvature_optimum(777.0)
+        q_curv, sigma_curv = _curvature(777.0)
         assert sigma_curv == pytest.approx(1.25 / q_curv, rel=1e-12)
 
     def test_refuses_only_nonpositive_spin(self):
         # no S >= 1 rule of its own: S = 1/2 gets the closed form, as in fig2's curvature column
         for s in (0.0, -1.0, np.array([100.0, 0.0])):
             with pytest.raises(ValueError, match="positive"):
-                curvature_optimum(s)
-        q_curv, sigma_curv = curvature_optimum(0.5)
+                _curvature(s)
+        q_curv, sigma_curv = _curvature(0.5)
         assert q_curv == pytest.approx(6.0 ** 0.2 * 0.5 ** 0.4, rel=1e-15)
         assert sigma_curv == pytest.approx(1.25 * 6.0 ** (-0.2) * 0.5 ** (-0.4), rel=1e-15)
 
 
 class TestScatteringOptimum:
     def test_reference_values(self):
-        q_scatt, r_opt, sigma_sq = scattering_optimum(1e4, 0.1)
+        q_scatt, r_opt, sigma_sq = _scattering(1e4, 0.1)
         assert q_scatt == pytest.approx(54.772, rel=1e-4)
         assert r_opt == pytest.approx(0.013693, rel=1e-4)
         assert sigma_sq == pytest.approx(0.036515, rel=1e-4)
 
     def test_identity_q_equals_4_s_eta_r(self):
         for s, eta in [(1e4, 0.1), (100.0, 2.0), (1e6, 1e-3)]:
-            q_scatt, r_opt, _ = scattering_optimum(s, eta)
+            q_scatt, r_opt, _ = _scattering(s, eta)
             assert rel_err(q_scatt, 4.0 * s * eta * r_opt) < 1e-12
 
     def test_unbounded_improvement(self):
-        _, _, big = scattering_optimum(1e3, 0.1)
-        _, _, small = scattering_optimum(1e12, 0.1)
+        _, _, big = _scattering(1e3, 0.1)
+        _, _, small = _scattering(1e12, 0.1)
         assert small < 1e-3 * big
 
     def test_warns_when_r_opt_large(self):
         with pytest.warns(RuntimeWarning, match="r_opt"):
-            scattering_optimum(10.0, 0.1)
+            operating_point(10.0, 0.1)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            scattering_optimum(10.0, 0.0)
+            operating_point(10.0, 0.0)
 
 
 class TestClassifyRegime:
     def test_reference_points(self):
-        assert classify_regime(1e4, 0.001)[1] == "scattering"
-        assert classify_regime(1e4, 1.0)[1] == "curvature"
+        assert operating_point(1e4, 0.001)["regime"] == "scattering"
+        assert operating_point(1e4, 1.0)["regime"] == "curvature"
 
     def test_boundary_convention(self):
         s = 1e4
         eta_boundary = s ** (-0.2)
-        s_eta5, regime, near_boundary = classify_regime(s, eta_boundary)
+        s_eta5, regime, near_boundary = _regime(s, eta_boundary)
         assert s_eta5 == pytest.approx(1.0, rel=1e-10)
         assert regime == "curvature"
         assert near_boundary
@@ -105,16 +117,17 @@ class TestClassifyRegime:
     def test_boundary_rounding_tolerance_width(self):
         # eta = S**-0.2 puts S eta^5 at or a few eps below 1: always curvature
         for s in (3.0, 316.2277660168379, 1e4, 1e5, 7.7e6, 1e9):
-            assert classify_regime(s, s ** (-0.2))[1] == "curvature", s
+            assert operating_point(s, s ** (-0.2))["regime"] == "curvature", s
         # the two boundary points of the default sweep grid before its S is rounded to spins
         s_grid = np.geomspace(1e2, 1e6, 9)
         eta_grid = np.geomspace(1e-4, 10.0, 11)
         for s, eta in ((s_grid[1], eta_grid[7]), (s_grid[6], eta_grid[6])):
-            assert classify_regime(s, eta)[1] == "curvature", (s, eta)
+            assert operating_point(s, eta)["regime"] == "curvature", (s, eta)
         # the slack is rounding-sized, not a band: at most ~64 eps
         eps = np.finfo(float).eps
         for deficit in (1e-9, 128.0 * eps):
-            s_eta5, regime, _ = classify_regime(1.0, (1.0 - deficit) ** 0.2)
+            with pytest.warns(RuntimeWarning, match="r_opt"):  # S eta ~ 1 puts r_opt at ~0.43
+                s_eta5, regime, _ = _regime(1.0, (1.0 - deficit) ** 0.2)
             assert s_eta5 < 1.0 - 0.75 * deficit
             assert regime == "scattering", deficit
 
@@ -122,10 +135,10 @@ class TestClassifyRegime:
         # outside a factor-3 band in eta around the S eta^5 = 1 boundary the
         # rule must agree with comparing the two floors directly
         s, eta = (g.ravel() for g in np.meshgrid(np.geomspace(1e2, 1e6, 13), np.geomspace(1e-4, 10.0, 13)))
-        _, sigma_curv = curvature_optimum(s)
         with pytest.warns(RuntimeWarning, match="r_opt"):  # the small-S eta corner
-            _, _, sigma_scatt = scattering_optimum(s, eta)
-        _, regime, near_boundary = classify_regime(s, eta)
+            point = operating_point(s, eta)
+        sigma_curv, sigma_scatt = point["sigma_curv_sq"], point["sigma_scatt_sq"]
+        regime, near_boundary = point["regime"], point["near_boundary"]
         direct = np.where(sigma_curv >= sigma_scatt, "curvature", "scattering")
         total = agree = banded = 0
         for i in range(s.size):
@@ -153,7 +166,7 @@ def _domain_edge(s, eta, margin=0.0):
 
 def _search_bracket(s, eta):
     """The Q bracket documented in full_curve_minimum."""
-    q_curv, _ = curvature_optimum(s)
+    q_curv, _ = _curvature(s)
     q_scatt = math.sqrt(3.0 * s * eta)
     return 0.05 * min(q_curv, q_scatt), min(4.0 * max(q_curv, q_scatt), _domain_edge(s, eta, 1e-12))
 
@@ -173,7 +186,7 @@ class TestFullCurveMinimum:
         # expansions to apply
         for s in np.geomspace(1e2, 1e6, 5):
             for eta in np.geomspace(1e-4, 10.0, 6):
-                q_curv, sigma_curv = curvature_optimum(s)
+                q_curv, sigma_curv = _curvature(s)
                 q_scatt = math.sqrt(3.0 * s * eta)
                 sigma_scatt = 2.0 / q_scatt
                 floor = max(sigma_curv, sigma_scatt)
@@ -347,7 +360,7 @@ class TestDesignReport:
         params = cavity_params(dict(g_hz=g_hz, kappa_hz=kappa_hz, gamma_hz=6.07e6, delta_over_gamma=delta_over_gamma))
         eta = params["eta"]
         assume(s * eta > 3.0)
-        q_target = None if fraction is None else fraction * min(curvature_optimum(s)[0], math.sqrt(3.0 * s * eta))
+        q_target = None if fraction is None else fraction * min(_curvature(s)[0], math.sqrt(3.0 * s * eta))
         report = design_report(s, params, 400e-6, 1e-5, q_target=q_target)
         q_rec, r_rec = report["q_recommended"], report["r_recommended"]
         assert report["sigma_recommended_sq"].hex() == modified_min_variance(s, eta, q_rec).hex()

@@ -170,19 +170,17 @@ class TestAnalyticMoments:
             analytic_moments(10.0, -1.0)
 
     def test_refuses_a_dephasing_of_inf_times_zero_by_name(self):
-        # Q^2 overflows where c_bar_sq - c_bar_fin^2 is 0: at r = 0 and at an r whose c_bar_* round to 1 (the
-        # overflow of Q^2 warns, as it does where the moments stay finite)
-        with np.errstate(over="ignore"):
-            for r in (0.0, 1e-17):
-                with pytest.raises(ValueError, match=r"^Q = 1e\+160: the dephasing .* is inf \* 0, .*"
-                                                     r"\(at r = 0 or below ~5e-17\)$"):
-                    raman_modified_moments(100.0, np.array([1.0, 1e160]), r)
-            # where c_bar_sq - c_bar_fin^2 > 0, Q^2 = inf damps the coherences to 0 and the moments stay finite:
-            # c_bar_sq = 2 (1 - c_bar_fin) / 2r is 1e-154 at r = 1e154, where (2r)^2 would overflow, and
-            # (1 - c_bar_fin) / r ~ 1e-308 at r = 1e308, where 2r itself would
-            for r in (1e150, 1e154, 1e308):
-                moments = raman_modified_moments(100.0, 1e160, r)
-                assert moments.mean_sp == 0.0 and math.isfinite(moments.var_y), r
+        # Q^2 overflows where c_bar_sq - c_bar_fin^2 is 0: at r = 0 and at an r whose c_bar_* round to 1
+        for r in (0.0, 1e-17):
+            with pytest.raises(ValueError, match=r"^Q = 1e\+160: the dephasing .* is inf \* 0, .*"
+                                                 r"\(at r = 0 or below ~5e-17\)$"):
+                raman_modified_moments(100.0, np.array([1.0, 1e160]), r)
+        # where c_bar_sq - c_bar_fin^2 > 0, Q^2 = inf damps the coherences to 0 and the moments stay finite:
+        # c_bar_sq = 2 (1 - c_bar_fin) / 2r is 1e-154 at r = 1e154, where (2r)^2 would overflow, and
+        # (1 - c_bar_fin) / r ~ 1e-308 at r = 1e308, where 2r itself would
+        for r in (1e150, 1e154, 1e308):
+            moments = raman_modified_moments(100.0, 1e160, r)
+            assert moments.mean_sp == 0.0 and math.isfinite(moments.var_y), r
 
     def test_dephasing_survives_where_the_square_of_2r_would_overflow(self):
         # c_bar_sq read 0.0 once (2r)^2 overflowed, and the moments dropped a dephasing e^{-Q S eta} that is 0 here

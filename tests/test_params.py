@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cavsqueeze import cli
-from cavsqueeze.design import classify_regime, curvature_optimum, design_report, full_curve_minimum, scattering_optimum
+from cavsqueeze.design import design_report, full_curve_minimum, operating_point
 from cavsqueeze.dicke import css_amplitudes, css_support, m_values
 from cavsqueeze.feedback import analytic_moments, correlation_integrals, g_factor, raman_modified_moments
 from cavsqueeze.oracle import channel_moments, oracle_moments_sum
@@ -67,9 +67,10 @@ def test_every_function_that_reads_s_refuses_a_non_spin():
 Q = "shearing strength"
 HZ = {"g_hz": 4e5, "kappa_hz": 1e6, "delta_hz": 3e9}  # a config's cavity, the detuning independent of Gamma
 
-# every public function that takes Q, r, eta, a pulse time, g, kappa, Gamma or max_excited_pop (and design's optima,
-# S), once per such input: (name in the message, rule, a valid value, call at that input).  design_report's q_target
-# is left out: q_target <= 0 is its own refusal ("no shearing requested").  load_config's p0 has its own message
+# every public function that takes Q, r, eta, a pulse time, g, kappa, Gamma or max_excited_pop (and
+# operating_point, S), once per such input: (name in the message, rule, a valid value, call at that input).
+# design_report's q_target is left out: q_target <= 0 is its own refusal ("no shearing requested").  load_config's
+# p0 has its own message
 TAKES_AN_INPUT = {
     "raman_modified_moments(Q)": (Q, "nonnegative", 1.0, lambda x: raman_modified_moments(5.0, x, 0.1)),
     "raman_modified_moments(r)": ("r", "nonnegative", 0.1, lambda x: raman_modified_moments(5.0, 1.0, x)),
@@ -80,11 +81,8 @@ TAKES_AN_INPUT = {
     "fig2_curve(eta)": ("eta", "positive", 0.1, lambda x: fig2_curve(10.0, x, [1.0, 2.0])),
     "fig2_curve(Q)": (Q, "positive", 2.0, lambda x: fig2_curve(10.0, 0.1, [1.0, x])),
     "RamanProcess(r)": ("r", "nonnegative", 0.1, lambda x: RamanProcess(r=x, n_atoms=10)),
-    "curvature_optimum(S)": ("S", "positive", 1e4, lambda x: curvature_optimum(x)),
-    "scattering_optimum(S)": ("S", "positive", 1e4, lambda x: scattering_optimum(x, 0.1)),
-    "scattering_optimum(eta)": ("eta", "positive", 0.1, lambda x: scattering_optimum(1e4, x)),
-    "classify_regime(S)": ("S", "positive", 1e4, lambda x: classify_regime(x, 0.1)),
-    "classify_regime(eta)": ("eta", "positive", 0.1, lambda x: classify_regime(1e4, x)),
+    "operating_point(S)": ("S", "positive", 1e4, lambda x: operating_point(x, 0.1)),
+    "operating_point(eta)": ("eta", "positive", 0.1, lambda x: operating_point(1e4, x)),
     "full_curve_minimum(eta)": ("eta", "positive", 0.1, lambda x: full_curve_minimum(10.0, x)),
     "design_report(pulse_time)": ("pulse_time", "positive", 1e-3, lambda x: design_report(100.0, PARAMS, x, 1e-5)),
     "design_report(max_excited_pop)": ("max_excited_pop", "population", 1e-5,
@@ -97,8 +95,7 @@ TAKES_AN_INPUT = {
 }
 ARRAY_INPUTS = ("raman_modified_moments(Q)", "raman_modified_moments(r)", "analytic_moments(Q)",
                 "correlation_integrals(r)", "modified_min_variance(eta)", "modified_min_variance(Q)",
-                "curvature_optimum(S)", "scattering_optimum(S)", "scattering_optimum(eta)", "classify_regime(S)",
-                "classify_regime(eta)", "full_curve_minimum(eta)", "oracle_moments_sum(Q)")
+                "operating_point(S)", "operating_point(eta)", "full_curve_minimum(eta)", "oracle_moments_sum(Q)")
 
 
 def _refuses_with(call, x, message):
