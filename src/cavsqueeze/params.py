@@ -18,7 +18,13 @@ Conventions used throughout the package:
   * single-atom cooperativity eta = 4 g^2 / (kappa Gamma),
   * a drive pulse is summarised by p0, the mean photon number transmitted
     at S_z = 0 during the pulse time t, with p0 = |beta|^2 kappa t / 2, and
-    by the dimensionless shearing strength Q = S p0 (2 Omega / kappa)^2.
+    by the dimensionless shearing strength Q = S p0 (2 Omega / kappa)^2,
+  * design_report's excited population epsilon gives epsilon Gamma t =
+    Q / (2 S eta) = 2 r photons scattered per atom over the pulse, twice the
+    telegraph flip rate r = Q / (4 S eta): the factor 2 holds by algebra,
+    from eta = 4 g^2 / (kappa Gamma) and p0 = Q / (S (2 Omega / kappa)^2).
+    Which of the two is the model's photon count per atom is still open
+    (ROADMAP item 24).
 """
 
 import math

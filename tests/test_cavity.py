@@ -65,10 +65,14 @@ def test_worked_example_linearity_ratio():
 
 
 def test_excited_pop_identity():
-    # eps * kappa * t = (kappa/g)^2 Q / (8S) as an exact identity
+    # eps * kappa * t = (kappa/g)^2 Q / (8S) as an exact identity: the report's epsilon and kappa t against the params
+    params = cavity_params(WORKED)
     for p0, t in [(10.0, 1e-4), (1234.5, 7e-4), (0.3, 3e-5)]:
-        report = _worked_report(p0=p0, t=t)["validity"]
-        assert report["identity_rel_err"] <= 1e-10
+        report = _worked_report(p0=p0, t=t)
+        s, q = report["provenance"]["total_spin"], report["q_recommended"]
+        lhs = report["validity"]["excited_pop"] * report["validity"]["kappa_t"]
+        rhs = (params["kappa_rad_s"] / params["g_rad_s"]) ** 2 * q / (8.0 * s)
+        assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 def test_kappa_t_requirement_worked_example():
@@ -101,6 +105,9 @@ def test_flags_fire_under_tight_thresholds():
 
 def test_report_serializable():
     report = _worked_report()
-    assert set(report["validity"]) >= {"ratio_linearity", "excited_pop", "kappa_t",
-                                       "detuning_margin", "flags", "identity_rel_err"}
+    # each number once: no key repeats another key, a constant, a flag's condition or an algebraic identity
+    assert set(report["validity"]) == {"ratio_linearity", "excited_pop", "kappa_t", "detuning_margin",
+                                       "flags", "all_ok", "thresholds"}
+    assert set(report["t_constraints"]) == {"kappa_t_min_saturation", "t_min_seconds"}
+    assert set(report["provenance"]) == {"schema_version", "tool_version", "total_spin", "pulse_time_s", "params"}
     json.dumps(report, allow_nan=False)

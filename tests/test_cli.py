@@ -23,7 +23,7 @@ import cavsqueeze
 from cavsqueeze import cli
 from cavsqueeze.design import design_report
 from cavsqueeze.params import cavity_params
-from cavsqueeze.serialize import write_json
+from cavsqueeze.serialize import _numpy_dispatch, write_json
 
 MC_ARGV = ["raman-mc", "--S", "20", "--r", "0.5", "--traj", "600", "--steps", "4",
            "--seed", "5", "--corr-csv"]
@@ -77,6 +77,29 @@ def test_raman_mc_runs_at_the_seed_range_ends(tmp_path):
         assert json.loads((tmp_path / str(seed) / "manifest.json").read_text())["seed"] == seed
 
 
+# Which pins follow numpy's dispatch level.  numpy runs each float64 ufunc on a CPU-specific kernel, recorded as
+# the manifest's numpy_dispatch, and exp, log, log1p, expm1 and power differ in their last bits between the AVX-512
+# (X86_V4) and AVX2 (X86_V3) kernels.  The MC and design pins are one digest each: their bytes are the same under
+# both (the MC's target column is formed with scalar math.exp for that reason).  The fig2, sweep and
+# validate-oracle pins hold one digest per dispatch of those five ufuncs, and a dispatch with no digest fails and
+# names itself.  test_every_pin_holds_under_numpys_avx2_kernels checks the second set in a child process.
+_DISPATCH_UFUNCS = ("exp", "log", "log1p", "expm1", "power")
+_X86_V4 = ("X86_V4",) * 5
+_X86_V3 = ("X86_V3", "X86_V3", "baseline(X86_V2)", "baseline(X86_V2)", "baseline(X86_V2)")
+
+
+def _dispatch_key(dispatch):
+    return tuple(dispatch[name] for name in _DISPATCH_UFUNCS)
+
+
+def _digest_at(digests, dispatch):
+    """The digest pinned for a numpy_dispatch; a dispatch with none fails the test and is named."""
+    key = _dispatch_key(dispatch)
+    if key not in digests:
+        pytest.fail(f"no digest pinned for numpy dispatch {dict(zip(_DISPATCH_UFUNCS, key))}")
+    return digests[key]
+
+
 # sha256 of the seeded MC outputs.  They depend on numpy's Generator streams (SeedSequence, PCG64 and the
 # binomial, exponential, uniform and normal samplers) as well as on _CHUNK, _BLOCK and the draw order, so a
 # numpy release that changes a sampler, or a change to the stream layout, has to edit them on purpose.
@@ -85,11 +108,11 @@ _MC_DIGESTS = [
      "43f0b2cfc2e0e66901206d15eb21eda934cb1c53bd13b2a6673c6b885416e524"),
     (["raman-mc", "--S", "1e5", "--r", "0.05", "--traj", "4096", "--steps", "64", "--mode", "gaussian",
       "--seed", "5", "--corr-csv"], "492f764028e85fa892eb23a515bc8d90a00f7870556305cae6332129aae7fd6f",
-     "0f9b31b8444bd95f2401e2a9c462187a148e894835b06919dd846d4093db5743"),
+     "27e6b3090078fc7d56edb4e3b72c2ebe6963ea2ee74eff56ef0eb31d7b242bf3"),
     # 64 lags: most blocks hold several lag samples, each found by the exact mode's binary search
     (["raman-mc", "--S", "50", "--r", "1.0", "--traj", "600", "--steps", "64", "--seed", "5", "--corr-csv"],
      "84ad83a9adf2b2d2912a0bf9a2d0dd9e204ee5f8287c899a7b0fac87ce34cc5b",
-     "cfe2c2e0a7c23308d91be14867d216a1285ae933286011b9f8e70c7160fbfa82"),
+     "fc567fa718c1d07314bed97568c18e0b548d5e507d0b8311be64bd09b82d697c"),
     # one trajectory: every standard error undefined, null in the JSON and an empty CSV cell
     (["raman-mc", "--S", "20", "--r", "0.5", "--traj", "1", "--seed", "5", "--corr-csv"],
      "9f8e35e2b7e66429750d3f8161194acc07f6a7f9881a9a7603dbf90945670803",
@@ -108,10 +131,10 @@ def test_seeded_mc_bytes_are_pinned(tmp_path, argv, stats, corr):
 # validity flag; the closed forms, the full-curve minimiser, the report's keys and float repr all feed them.
 _WORKED_CFG = "S = 10000\ng_hz = 4e5\nkappa_hz = 1e6\ngamma_hz = 6.07e6\ndelta_over_gamma = 500\np0 = 10\nt_s = 4e-4\n"
 _DESIGN_DIGESTS = [
-    (_WORKED_CFG, [], "9c4108e0de0e941b2324e56319e1c8ed31090a438f8e1ed247ea2692009092aa"),
-    (_WORKED_CFG, ["--q-target", "20"], "f3f1acf549ccdf40863b22dcfd686f3a74d3e46ea7d4abe4c391b745def59cf3"),
+    (_WORKED_CFG, [], "42ef3fd892ee2b0780694760fe748f760dcce18c2ecaa1da94890546375d2f47"),
+    (_WORKED_CFG, ["--q-target", "20"], "c5b130940670eb37400fbd89c69aa0fd948090f0cfcbf60b5c9740af27c355e2"),
     ("S = 100\ng_hz = 4e5\nkappa_hz = 1e6\ndelta_over_gamma = 2\nt_s = 1e-8\n", [],
-     "68a3456684de280b7da277f08a437b17fb0fb75827c53976236c9623538b6a89"),
+     "973c72b4d1d2c9dcc37926eb0990d9beb101f6f47f658618a2377a74c347cd95"),
 ]
 
 
@@ -126,13 +149,16 @@ def test_design_report_bytes_are_pinned(tmp_path, config, flags, digest):
 # sha256 of validate-oracle's CSV at the benchmark's --smax 200: the closed forms, the oracle sums (the same
 # bits as the full-range sums on this grid), the long-format rows and float repr all feed it, so a change to any
 # of them shows here.
-_ORACLE_CSV_DIGEST = "f3f0e9668d2ddd763488c0f6b18d03532390b33d9e2210703e355f79738f8d14"
+_ORACLE_CSV_DIGESTS = {
+    _X86_V4: "f3f0e9668d2ddd763488c0f6b18d03532390b33d9e2210703e355f79738f8d14",
+    _X86_V3: "943741df60426d664325b763ea785137bd5c8988efb2c1ca55c1cc51fbfc4862",
+}
 
 
 def test_validate_oracle_bytes_are_pinned(tmp_path):
     assert _run(["validate-oracle", "--smax", "200"], tmp_path) == 0
     digest = hashlib.sha256((tmp_path / "validate_oracle.csv").read_bytes()).hexdigest()
-    assert digest == _ORACLE_CSV_DIGEST
+    assert digest == _digest_at(_ORACLE_CSV_DIGESTS, _numpy_dispatch())
 
 
 def test_validate_oracle_writes_one_row_per_s_q_moment_under_the_long_schema(tmp_path, capsys):
@@ -156,15 +182,52 @@ def test_validate_oracle_writes_one_row_per_s_q_moment_under_the_long_schema(tmp
 # columns) and the default sweep --full-minimum; the closed forms, the writer and float repr all feed them.
 _CLOSED_FORM_CSV_DIGESTS = [
     (["fig2", "--S", "1000", "--eta", "0.01", "--eta", "0.1", "--eta", "1"], "fig2.csv",
-     "5830097a1bf55fe66793e1da14d8daa8e94b42d2e91f50008cabe721420c4349"),
-    (["sweep", "--full-minimum"], "sweep.csv", "980ed35c6792920d2706716e5866caea99d97874edbeb0f9248a3039faf9db4e"),
+     {_X86_V4: "5830097a1bf55fe66793e1da14d8daa8e94b42d2e91f50008cabe721420c4349",
+      _X86_V3: "40e32cd3f71c72825a0ee47c691adfd49eafac76cbafd0742f3208a24ca031f0"}),
+    (["sweep", "--full-minimum"], "sweep.csv",
+     {_X86_V4: "980ed35c6792920d2706716e5866caea99d97874edbeb0f9248a3039faf9db4e",
+      _X86_V3: "b41446883fa0e82cf998fdfb02181daaf937a598d1bb65487851311113d6be28"}),
 ]
 
 
-@pytest.mark.parametrize("argv, name, digest", _CLOSED_FORM_CSV_DIGESTS, ids=["fig2", "sweep"])
-def test_closed_form_csv_bytes_are_pinned(tmp_path, argv, name, digest):
+@pytest.mark.parametrize("argv, name, digests", _CLOSED_FORM_CSV_DIGESTS, ids=["fig2", "sweep"])
+def test_closed_form_csv_bytes_are_pinned(tmp_path, argv, name, digests):
     assert _run(argv, tmp_path) == 0
-    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == _digest_at(digests, _numpy_dispatch())
+
+
+# a child that runs each argv of argv[1] (JSON) through cli.run and prints its dispatch and the exit codes
+_PIN_CHILD = """import contextlib, json, sys
+from cavsqueeze import cli, serialize
+with contextlib.redirect_stdout(sys.stderr):
+    codes = [cli.run(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"dispatch": serialize._numpy_dispatch(), "codes": codes}))
+"""
+
+
+def test_every_pin_holds_under_numpys_avx2_kernels(tmp_path):
+    # NPY_DISABLE_CPU_FEATURES makes the child run numpy's AVX2 kernels, as a host without AVX-512 would; it is
+    # that one process's environment, no machine setting
+    runs = [(argv, {"raman_stats.json": stats, "raman_corr.csv": corr}) for argv, stats, corr in _MC_DIGESTS]
+    for i, (config, flags, digest) in enumerate(_DESIGN_DIGESTS):
+        (tmp_path / f"design{i}.cfg").write_text(config, encoding="utf-8")
+        runs.append((["design", "--config", str(tmp_path / f"design{i}.cfg"), *flags], {"design_report.json": digest}))
+    runs.append((["validate-oracle", "--smax", "200"], {"validate_oracle.csv": _ORACLE_CSV_DIGESTS}))
+    runs += [(argv, {name: digests}) for argv, name, digests in _CLOSED_FORM_CSV_DIGESTS]
+    argvs = [argv + ["--out", str(tmp_path / str(i))] for i, (argv, _) in enumerate(runs)]
+    env = dict(os.environ, PYTHONPATH=str(Path(cavsqueeze.__file__).parents[1]),
+               NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    done = subprocess.run([sys.executable, "-c", _PIN_CHILD, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    child = json.loads(done.stdout)
+    if _dispatch_key(child["dispatch"]) == _dispatch_key(_numpy_dispatch()):
+        pytest.skip("the child runs the same numpy kernels as this process: this host has no second level to check")
+    assert child["codes"] == [0] * len(runs)
+    for i, (argv, digests) in enumerate(runs):
+        for name, digest in digests.items():
+            pinned = digest if isinstance(digest, str) else _digest_at(digest, child["dispatch"])
+            assert hashlib.sha256((tmp_path / str(i) / name).read_bytes()).hexdigest() == pinned, (argv, name)
 
 
 def test_design_prints_the_limits_of_the_sweep_row_at_its_s_and_eta(tmp_path):
@@ -933,8 +996,7 @@ def test_design_eps_max_is_the_one_excited_population_limit(tmp_path):
     for eps in ("1e-5", "1e-3"):
         assert _run(["design", "--config", str(cfg), "--eps-max", eps], tmp_path / eps) == 0
         report = json.loads((tmp_path / eps / "design_report.json").read_text())
-        limits = (report["provenance"]["max_excited_pop"], report["validity"]["thresholds"]["max_excited_pop"])
-        assert limits == (float(eps), float(eps))
+        assert report["validity"]["thresholds"]["max_excited_pop"] == float(eps)
         validity[eps] = report["validity"]
     assert validity["1e-5"]["excited_pop"] == validity["1e-3"]["excited_pop"]
     assert 1e-5 < validity["1e-3"]["excited_pop"] < 1e-3

@@ -199,8 +199,7 @@ def test_drive_pulse_q_identity_exact():
     rate = 2.0 * p0 / (kappa * 2.5)
     assert report["validity"]["excited_pop"] == rate * ((g / delta) * (g / delta))
     assert rate * kappa * 2.5 / 2.0 == pytest.approx(p0, rel=1e-15)
-    # Q reaches the validity checks as given, not recomputed from p0
-    assert report["validity"]["shearing_q"] == report["q_recommended"] == 7.0
+    assert report["q_recommended"] == 7.0
 
 
 def test_drive_pulse_validation():
