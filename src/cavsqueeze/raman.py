@@ -47,12 +47,13 @@ from .params import nonnegative, positive, twice_spin
 # stream layout, so changing either changes seeded output.
 _CHUNK = 2048
 _BLOCK = 32
+_ROLL = 8  # gaussian steps per normal draw and per copy into the samples: not part of the stream layout
 _LOOKUP = 2 ** 14  # lag samples per pass of the exact-mode lookup; each holds ~6 index or time arrays, ~1 MiB a pass
 _PROBES = [_BLOCK >> i for i in range(1, _BLOCK.bit_length())]  # its search steps _BLOCK / 2, ..., 1 (_BLOCK = 2^5)
 
-# Refusal limits from costs measured on a 2-vCPU host.  Exact mode costs ~16-27 us per _PASS_ROWS trajectories x
-# r N event on 512 to 4,096 trajectories at 4 lags (~8-13 s at the limit), and ~6-8 us per event on one trajectory;
-# gaussian mode ~7-11 us per step on one trajectory (~4-6 s; full chunks meet the sample limit first).  A sample costs
+# Refusal limits from costs measured on a 2-vCPU host.  Exact mode costs ~11-35 us per _PASS_ROWS trajectories x
+# r N event on 512 to 4,096 trajectories at 4 lags (~6-17 s at the limit), and ~5-10 us per event on one trajectory;
+# gaussian mode ~7-14 us per step on one trajectory (~4-7 s; full chunks meet the sample limit first).  A sample costs
 # 8 B and ~65-90 ns with its share of the reduction (256 MiB, ~3 s), ~60-75 ns in exact mode at 2,048 lags.
 MAX_LOCKSTEP = 500_000  # ceil(n_traj / _PASS_ROWS) * (r N exact, time_steps gaussian)
 _PASS_ROWS = 512  # trajectories a lockstep pass counts: a cost unit, not the stream chunk
@@ -149,11 +150,12 @@ def _simulate_exact(rng, process, s, lag_times, samples, sbar):
     draw the next _BLOCK waiting times, then the _BLOCK picks, each straight
     into a (_BLOCK, k) buffer, and the only per-event Python step is the +-1
     chain of n_up.  Each lag sample (the level after the events at or before
-    the lag) comes from a binary search over the block's sorted event times;
-    those times are then clipped at 1 in place, and their differences, held
-    in the spent pick buffer, integrate S_z.  Both are array operations over
-    the block, scattered back through the live index.  Returns the number
-    of jumps.
+    the lag) comes from a binary search over the block's sorted event times,
+    from the lag where the row's last block stopped; those times are then
+    clipped at 1 in place, unless none reaches 1 and all _BLOCK k events
+    count, and their differences, held in the spent pick buffer, integrate
+    S_z.  Both are array operations over the block, scattered back through
+    the live index.  Returns the number of jumps.
     """
     m = len(sbar)
     n = process.n_atoms
@@ -170,6 +172,7 @@ def _simulate_exact(rng, process, s, lag_times, samples, sbar):
     live = np.arange(m)
     now = np.zeros(m)  # block start of each live trajectory, always before 1
     up = sz + s
+    start = np.zeros(m, dtype=np.intp)  # first lag index at or after now: the stop of the row's last block
     n_events = 0
     while live.size:
         k = live.size
@@ -193,10 +196,12 @@ def _simulate_exact(rng, process, s, lag_times, samples, sbar):
         level = live_up[:_BLOCK]  # live_up[_BLOCK] keeps the count carried to the next block
         level -= s  # S_z held from event j - 1 (or now) to event j
         last = times[-1]
+        going = last < 1.0
+        stay = going.all()  # no time reaches 1: nothing to clip, and every event counts
         # the block's lag samples: each live trajectory's lags in [now, last), one run of lag indices;
         # the runs are numbered end to end, and a pass takes _LOOKUP of those numbers
         stop = np.searchsorted(lag_times, last)
-        ends = np.cumsum(stop - np.searchsorted(lag_times, now))  # number past each trajectory's run
+        ends = np.cumsum(stop - start)  # number past each trajectory's run
         shift = stop - ends
         for at in range(0, ends[-1], _LOOKUP):
             number = np.arange(at, min(at + _LOOKUP, ends[-1]))
@@ -215,14 +220,14 @@ def _simulate_exact(rng, process, s, lag_times, samples, sbar):
         ends_at_1 = last == 1.0
         if ends_at_1.any():
             samples[live[ends_at_1], -1] = live_up[_BLOCK][ends_at_1] - s
-        np.minimum(times, 1.0, out=times)  # only times >= 1 change: times < 1 and last < 1 (a view) read as before
+        if not stay:  # only times >= 1 change: times < 1 and last < 1 (a view) read as before
+            np.minimum(times, 1.0, out=times)
         held_for = picks  # the chain has spent the picks
         np.subtract(times[0], now, out=held_for[0])
         np.subtract(times[1:], times[:-1], out=held_for[1:])
         sbar[live] += np.einsum("jk,jk->k", level, held_for)
-        n_events += int(np.count_nonzero(times < 1.0))
-        going = last < 1.0
-        live, now, up = live[going], last[going], live_up[_BLOCK][going]
+        n_events += _BLOCK * k if stay else int(np.count_nonzero(times < 1.0))
+        live, now, up, start = live[going], last[going], live_up[_BLOCK][going], stop[going]
     return n_events
 
 
@@ -235,8 +240,11 @@ def _simulate_gaussian(rng, process, s, lag_times, samples, sbar):
     correlation_integrals(r h) at a = theta h, d = e^-a: the integral's mean
     S_z(start) h c_bar_fin and variance (S/2) h^2 (c_bar_sq - c_bar_fin^2),
     Var S_z(end) = (S/2)(1 - d^2) and the covariance (S/2) h c_bar_fin (1 - d).
-    Their gains are formed once, as arrays over the steps; each step draws
-    (2, m) standard normals straight into one buffer.
+    Their gains are formed once, as arrays over the steps.  The steps go in
+    rolls of _ROLL: one draw fills a (_ROLL, 2, m) buffer, the bits of one
+    (2, m) draw a step as the stream fills in order; each step's S_z takes
+    the contiguous row of its spent first normals, and the roll's rows are
+    copied into samples at once.
     """
     var_st = s / 2.0
     h = np.diff(lag_times)
@@ -253,14 +261,16 @@ def _simulate_gaussian(rng, process, s, lag_times, samples, sbar):
     z = rng.normal(0.0, math.sqrt(var_st), size=len(sbar))
     samples[:, 0] = z
     sbar[:] = 0.0  # the running integral of S_z
-    x = np.empty((2, len(sbar)))
-    x1, x2 = x
+    x = np.empty((_ROLL, 2, len(sbar)))
+    views = list(zip(x[:, 0], x[:, 1]))
     steps = zip(mean_gain.tolist(), gain_z.tolist(), gain_i.tolist(), decay.tolist(), sd_z.tolist())
-    for i, (mean, g_z, g_i, d, sd) in enumerate(steps, start=1):
-        rng.standard_normal(out=x)
-        sbar += z * mean + g_z * x1 + g_i * x2
-        z = z * d + sd * x1
-        samples[:, i] = z
+    for a in range(1, len(h) + 1, _ROLL):
+        roll, z = views[:len(h) + 1 - a], z.copy()  # the draw overwrites the row z ended the last roll in
+        rng.standard_normal(out=x[:len(roll)])
+        for (x1, x2), (mean, g_z, g_i, d, sd) in zip(roll, steps):  # roll first: its end takes no step
+            sbar += z * mean + g_z * x1 + g_i * x2
+            z = np.add(z * d, sd * x1, out=x1)  # x1 is spent: the step's S_z takes its row
+        samples[:, a:a + len(roll)] = x[:len(roll), 0].T
     return 0
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 
 from cavsqueeze.dicke import m_values, make_css, raising_coefficients
-from cavsqueeze.feedback import MomentSet
+from cavsqueeze.feedback import MomentSet, correlation_integrals
 from cavsqueeze.oracle import channel_factors, oracle_moments_sum
 from cavsqueeze.params import EnsembleSpec, twice_spin
 
@@ -191,6 +191,40 @@ def lockstep_exact_reference(rng, process, s, lag_times, m):
         down = rng.random(m) * n < sz + s
         sz = sz + jump * np.where(down, -1.0, 1.0)
         now = end
+
+
+def gaussian_per_step_reference(rng, process, s, lag_times, samples, sbar):
+    """The gaussian kernel one step at a time, with the kernel's signature and return value.
+
+    The tests' bit-for-bit reference for raman._simulate_gaussian, which
+    draws the normals of several steps at once and copies their S_z into
+    samples once per roll: the same gains and update expressions, with one
+    (2, m) standard_normal draw per step and each step's S_z written as one
+    column of samples.
+    """
+    var_st = s / 2.0
+    h = np.diff(lag_times)
+    c_sq, c_fin = correlation_integrals(process.r * h)
+    with np.errstate(over="ignore"):
+        decay = np.exp(-2.0 * (process.r * h))
+    mean_gain = h * c_fin
+    sd_z = np.sqrt(var_st * (1.0 - decay * decay))
+    cov_zi = var_st * mean_gain * (1.0 - decay)
+    gain_z = cov_zi / np.where(sd_z > 0.0, sd_z, 1.0)
+    var_resid = var_st * h * h * (c_sq - c_fin * c_fin) - gain_z * gain_z
+    gain_i = np.sqrt(np.where(sd_z > 0.0, np.maximum(var_resid, 0.0), 0.0))
+    z = rng.normal(0.0, math.sqrt(var_st), size=len(sbar))
+    samples[:, 0] = z
+    sbar[:] = 0.0
+    x = np.empty((2, len(sbar)))
+    x1, x2 = x
+    steps = zip(mean_gain.tolist(), gain_z.tolist(), gain_i.tolist(), decay.tolist(), sd_z.tolist())
+    for i, (mean, g_z, g_i, d, sd) in enumerate(steps, start=1):
+        rng.standard_normal(out=x)
+        sbar += z * mean + g_z * x1 + g_i * x2
+        z = z * d + sd * x1
+        samples[:, i] = z
+    return 0
 
 
 def ou_step_moments_reference(var_st, theta, h):

@@ -1,12 +1,13 @@
 import decimal
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import (fsum_mean_se_reference, golden_section_min, lockstep_exact_reference, ou_step_moments_reference,
-                      rel_err)
+from conftest import (fsum_mean_se_reference, gaussian_per_step_reference, golden_section_min, lockstep_exact_reference,
+                      ou_step_moments_reference, rel_err)
 
 from cavsqueeze import raman
 from cavsqueeze.design import full_curve_minimum
@@ -455,6 +456,44 @@ class TestGaussianStep:
                     assert err <= tol * sum(abs(term) for term in terms), (row, float(got), float(sum(terms)))
 
 
+class TestGaussianRolls:
+    # the kernel draws the normals of up to _ROLL steps at once and copies their S_z into samples once a roll;
+    # the stream fills in order, so every bit must equal one (2, m) draw and one samples column a step
+    @pytest.mark.parametrize("steps", sorted({1, raman._ROLL - 1, raman._ROLL, raman._ROLL + 1,
+                                              2 * raman._ROLL + 1, 64}))
+    @pytest.mark.parametrize("m", [1, 3, raman._CHUNK])
+    @pytest.mark.parametrize("r", [0.0, 0.7])
+    def test_rolls_equal_the_per_step_draws_bitwise(self, steps, m, r):
+        process, lag_times = RamanProcess(r=r, n_atoms=100), np.linspace(0.0, 1.0, steps + 1)
+        for seed in range(2):
+            samples, sbar, _ = _one_chunk(raman._simulate_gaussian)(_stream(seed), process, 50.0, lag_times, m)
+            ref_samples, ref_sbar, _ = _one_chunk(gaussian_per_step_reference)(_stream(seed), process, 50.0,
+                                                                               lag_times, m)
+            assert samples.tobytes() == ref_samples.tobytes(), seed
+            assert sbar.tobytes() == ref_sbar.tobytes(), seed
+
+    def test_two_chunks_the_second_of_width_1_equal_the_per_step_run(self, monkeypatch):
+        process, n_traj, steps = RamanProcess(r=0.7, n_atoms=100), raman._CHUNK + 1, 2 * raman._ROLL + 1
+        stats = sample_trajectories(process, n_traj, steps, seed=11, mode="gaussian")
+        monkeypatch.setattr(raman, "_simulate_gaussian", gaussian_per_step_reference)
+        ref = sample_trajectories(process, n_traj, steps, seed=11, mode="gaussian")
+        assert json.dumps(stats) == json.dumps(ref)
+
+    def test_transient_memory_is_bounded_by_the_roll(self):
+        # a full chunk over 1,024 steps: the roll buffer holds 2 _ROLL m doubles, the per-step gains and their
+        # lists ~2 _ROLL m more at this step count.  Drawing every step's normals at once would take 2 * 1024 m
+        # doubles, 256 times the bound's unit at _ROLL = 8
+        m, lag_times = raman._CHUNK, np.linspace(0.0, 1.0, 1025)
+        samples, sbar, rng = np.empty((m, len(lag_times))), np.empty(m), _stream(1)
+        tracemalloc.start()
+        try:
+            raman._simulate_gaussian(rng, RamanProcess(r=0.05, n_atoms=1000), 500.0, lag_times, samples, sbar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * raman._ROLL * m * 8
+
+
 def _replay_blocks(rng, process, s, lag_times, m):
     """The block kernel's draws replayed event by event, one trajectory at a time.
 
@@ -499,6 +538,9 @@ class TestExactBlockKernel:
         (2.5, 20.0, 1), (2.5, 20.0, 3),  # half-integer spin, r N = 100
         (2.5, 0.1, 3),  # r N = 0.5: most trajectories never jump
         (50.0, 6.0, 3),  # r N = 600: ~19 blocks, rows of the chunk leave in different blocks
+        # a full chunk at r N = 100: no row ends in its first block, which runs with every row live and nothing to
+        # clip (fewer than 32 events in the pulse: P ~ 7e-16 a row)
+        (50.0, 1.0, raman._CHUNK),
     ])
     def test_block_bookkeeping(self, s, r, m):
         process = RamanProcess(r=r, n_atoms=round(2 * s))
@@ -519,6 +561,39 @@ class TestExactBlockKernel:
             staggered += len(set(blocks)) > 1
         # several blocks per row: finished rows must drop out while the others draw on
         assert (staggered > 0) == (m > 1 and r * round(2 * s) > raman._BLOCK)
+
+    def test_a_block_in_which_every_row_ends(self):
+        # one block of scripted draws at rate r N = 2 on 3 rows with S_z(0) = 0: row 0 has no event in the pulse,
+        # row 1 ten (0.05, ..., 0.5) and row 2 thirty-one (0.03, ..., 0.93), and each row's later events come past
+        # 1.  Every row ends in this block, so its times are clipped and only the 41 events before 1 count
+        m, lag_times = 3, np.linspace(0.0, 1.0, 17)
+        waits = np.full((raman._BLOCK, m), 4.0)
+        waits[:10, 1], waits[:31, 2] = 0.1, 0.06
+        picks = np.random.default_rng(7).random((raman._BLOCK, m))
+
+        def fill(values, size, out):
+            assert (size or out.shape) == values.shape  # one block of all 3 rows
+            if out is None:
+                return values.copy()
+            out[...] = values
+
+        class Scripted:
+            def binomial(self, n, p, size):
+                return np.ones(size)  # one of the two atoms up
+
+            def standard_exponential(self, size=None, out=None):
+                return fill(waits, size, out)
+
+            def random(self, size=None, out=None):
+                return fill(picks, size, out)
+
+        process = RamanProcess(r=1.0, n_atoms=2)
+        samples, sbar, n_events = _one_chunk(raman._simulate_exact)(Scripted(), process, 1.0, lag_times, m)
+        ref_samples, ref_sbar, ref_events, blocks = _replay_blocks(Scripted(), process, 1.0, lag_times, m)
+        assert blocks == [1, 1, 1]
+        assert n_events == ref_events == 41
+        assert np.array_equal(samples, ref_samples)
+        assert np.allclose(sbar, ref_sbar, rtol=0.0, atol=1e-12)
 
     def test_lag_lookup_at_an_event_next_to_a_lag(self):
         # one block of scripted draws at rate r N = 2: the first and last rows of a full chunk jump at
