@@ -9,19 +9,19 @@ shift, the coherence moments of the sheared spin on a CSS along +x are
     <S~_y^2> =  S^2/2 + S/4 - (S^2/2 - S/4) e^{-Q/S} G(Q)
     W = <{S~_y, S_z}> = (2S^2 - S) sin(Q/(2S)) G(Q/2)
 
-with G(u) = cos^{2S-1}(u/S) and Q the dimensionless shearing strength.
-The e^{-Q/S} damping is photon shot noise on the second coherence; the
-G factors carry the Bloch-sphere curvature.  The residual mean rotation
-Q/(2S) makes <S~_y> = S G(Q/2) sin(Q/(2S)) slightly nonzero, and the
-variance proper subtracts it:  Delta S~_y^2 = <S~_y^2> - <S~_y>^2.  The
-subtraction is O(1/S) relative at large S but matters for exact-oracle
-agreement at small S.
+with G(u) = cos^{2S-1}(u/S) (g_factor) and Q the dimensionless shearing
+strength.  The e^{-Q/S} damping is photon shot noise on the second
+coherence; the G factors carry the Bloch-sphere curvature.  The residual
+mean rotation Q/(2S) makes <S~_y> = S G(Q/2) sin(Q/(2S)) slightly
+nonzero, and the variance proper subtracts it:  Delta S~_y^2 = <S~_y^2> -
+<S~_y>^2.  The subtraction is O(1/S) relative at large S but matters for
+exact-oracle agreement at small S.
 
 raman_modified_moments evaluates these forms, broadcast over (S, Q, r), with
 the Raman-scattering substitution below; analytic_moments is its r = 0 case.
-Inputs are checked where they enter: raman_modified_moments checks Q, then
-r, and its body _moment_set takes them as checked, so only S is checked
-there, once, by g_factor; correlation_integrals checks r around the same
+Inputs are checked once, where they enter: raman_modified_moments checks Q,
+then r, then S, and its body _moment_set takes them and the 2S of
+params.twice_spin as checked; correlation_integrals checks r around the same
 unchecked _integrals.  raman.modified_min_variance checks S, eta, Q and r
 itself and calls the body directly.
 
@@ -70,21 +70,19 @@ def _scalar(value):
     return value.item() if value.ndim == 0 else value
 
 
-def _cos_power(x, power):
-    """cos(x)**power elementwise for integer-valued power >= 0 and any argument.
+def _cos_power(half, half_sin, power):
+    """cos(2 half)**power elementwise for integer-valued power >= 0 and any argument, given half_sin = sin(half).
 
-    exp(power ln cos x) inside the G-factor domain, which keeps full precision
-    at large powers (cos^19999 at S = 1e4); the signed integer power past it.
+    exp(power ln cos 2half) inside the G-factor domain, which keeps full precision at large powers (cos^19999 at
+    S = 1e4); the signed integer power past it, where the caller ignores the warnings of ln cos 2half <= 0.
     """
-    # ln cos x through 1 - cos x = 2 sin^2(x/2): full relative precision at
-    # small x, where cos(x) - 1 would vanish into the last bits of 1.0
-    half_sin = np.sin(x / 2.0)
-    inside = np.abs(x) < _G_DOMAIN
-    with np.errstate(divide="ignore", invalid="ignore"):  # ln of cos x <= 0 past the branch, discarded
-        log_form = np.exp(power * np.log1p(-2.0 * half_sin * half_sin))
+    # ln cos 2h through 1 - cos 2h = 2 sin^2(h): full relative precision at
+    # small h, where cos(2h) - 1 would vanish into the last bits of 1.0
+    inside = np.abs(half) < _G_DOMAIN / 2.0
+    log_form = np.exp(power * np.log1p(-2.0 * half_sin * half_sin))
     if inside.all():
         return log_form
-    return np.where(inside, log_form, np.power(np.cos(x), power))
+    return np.where(inside, log_form, np.power(np.cos(2.0 * half), power))
 
 
 def g_factor(total_spin, u):
@@ -95,8 +93,10 @@ def g_factor(total_spin, u):
     exact moments use both); raman.modified_min_variance is what refuses
     Q_eff / S past the domain.  G(0) = 1, and G == 1 identically at S = 1/2.
     """
-    s = np.asarray(total_spin, dtype=float)[()]
-    return _scalar(_cos_power(u / s, twice_spin(s) - 1.0))
+    two_s = twice_spin(total_spin)
+    half = u / two_s
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _scalar(_cos_power(half, np.sin(half), two_s - 1.0))
 
 
 def correlation_integrals(r):
@@ -134,8 +134,10 @@ def _series(r):
     x = _scalar(-2.0 * r)
     sq_series, fin_series = _SERIES[0]
     for sq_coef, fin_coef in _SERIES[1:]:
-        sq_series = sq_series * x + sq_coef
-        fin_series = fin_series * x + fin_coef
+        sq_series *= x  # in place once the series are arrays
+        sq_series += sq_coef
+        fin_series *= x
+        fin_series += fin_coef
     return sq_series, fin_series
 
 
@@ -165,35 +167,38 @@ def raman_modified_moments(total_spin, q, r):
     construction.  var_z stays S/2 (the telegraph process is stationary on
     the CSS ensemble).  Q, then r, then S are checked, in that order.
     """
-    # 0-d inputs become numpy scalars, whose arithmetic costs less than 0-d arrays'
-    s, q = np.asarray(total_spin, dtype=float)[()], nonnegative("shearing strength", q)
-    return _moment_set(s, q, nonnegative("r", r))
+    q, r = nonnegative("shearing strength", q), nonnegative("r", r)
+    return _moment_set(twice_spin(total_spin), q, r)
 
 
-def _moment_set(s, q, r):
-    """raman_modified_moments at a float S, a checked Q and a checked r: only S is checked here."""
+def _moment_set(two_s, q, r):
+    """raman_modified_moments at a checked 2S (params.twice_spin), Q and r: only the dephasing is refused here."""
+    s = two_s / 2.0
     c_sq, c_fin = _integrals(r)
     q_eff = q * c_fin
-    # g_factor is where S is checked (params.twice_spin), so 2S below is exact
-    g_half = g_factor(s, q_eff / 2.0)
-    two_s = 2.0 * s
-    xi_var = np.maximum(c_sq - c_fin * c_fin, 0.0)  # >= 0 by Cauchy-Schwarz
-    # Q^2 past the float range gives an exponent of -inf, the right limit (d1 = 0); inf * 0 where xi_var is 0
-    # as well is refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        exponent = -q * q * xi_var
+    # the mean rotation Q_eff/(2S) is the half angle of cos^{2S-2}(Q_eff/S); its sine also enters <S~_+> and W
+    phase = q_eff / two_s
+    sin_phase = np.sin(phase)
+    quarter = phase / 2.0
+    # Q^2 past the float range gives an exponent of -inf, the right limit (d1 = 0); inf * 0 where c_bar_sq -
+    # c_bar_fin^2 (>= 0 by Cauchy-Schwarz) is 0 as well is refused below.  The G factors' ln cos <= 0 past the
+    # branch is discarded (_cos_power)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        exponent = -q * q * np.maximum(c_sq - c_fin * c_fin, 0.0)
+        g_half = _cos_power(quarter, np.sin(quarter), two_s - 1.0)  # G(Q_eff/2)
+        # the factor 2S - 1 makes <S_+^2> vanish on a single spin-1/2
+        cos_power = _cos_power(phase, sin_phase, np.maximum(two_s - 2.0, 0.0))
     undefined = exponent != exponent
     if undefined.any():
         raise ValueError(f"Q = {float(np.broadcast_to(q, undefined.shape)[undefined][0])!r}: the dephasing "
                          "Q^2 (c_bar_sq - c_bar_fin^2) is inf * 0, Q^2 past the float range where "
                          "c_bar_sq - c_bar_fin^2 is 0 (at r = 0 or below ~5e-17)")
     d1 = np.exp(exponent / (4.0 * s))
-
-    mean_sp = d1 * s * g_half * np.exp(1j * (q_eff / (2.0 * s)))
-    # the factor 2S - 1 makes <S_+^2> vanish on a single spin-1/2
-    cos_power = _cos_power(q_eff / s, np.maximum(two_s - 2.0, 0.0))
+    del c_sq, c_fin, quarter, exponent, undefined  # freed before the moments: a call's memory peaks at the return
+    mean_sp = _polar(d1 * s * g_half, np.cos(phase), sin_phase)
     mag = np.power(d1, 4.0) * (s * (two_s - 1.0) / 2.0) * cos_power * np.exp(-q / s)
-    mean_sp2 = mag * np.exp(1j * ((2.0 * q_eff - q) / s))
+    phase_2 = (2.0 * q_eff - q) / s
+    mean_sp2 = _polar(mag, np.cos(phase_2), np.sin(phase_2))
     second_y = (2.0 * s * s + s) / 4.0 - mean_sp2.real / 2.0
     return MomentSet(
         total_spin=_scalar(s),
@@ -201,8 +206,16 @@ def _moment_set(s, q, r):
         mean_sp2=_scalar(mean_sp2),
         var_y=_scalar(second_y - np.square(mean_sp.imag)),
         var_z=_scalar(s / 2.0),
-        cov_w=_scalar(d1 * (2.0 * s * s - s) * np.sin(q_eff / (2.0 * s)) * g_half),
+        cov_w=_scalar(d1 * (2.0 * s * s - s) * sin_phase * g_half),
     )
+
+
+def _polar(mag, cos, sin):
+    """mag (cos + i sin), each part one real product into one complex array: mag e^{ix} but for a zero's sign."""
+    z = np.empty(cos.shape, complex)
+    np.multiply(mag, cos, out=z.real)
+    np.multiply(mag, sin, out=z.imag)
+    return z
 
 
 def analytic_moments(total_spin, q):

@@ -65,12 +65,13 @@ def oracle_moments_sum(total_spin, q):
     a, first_k = a[cut:len(a) - cut], first_k + cut
     k = np.arange(first_k, first_k + len(a), dtype=float)
     m = k - s
-    # first coherence: a_{m+1} a_m sqrt((S-m)(S+m+1)) e^{iQ(m+1)/S}
-    w1 = a[1:] * a[:-1] * np.sqrt((two_s - k[:-1]) * (k[:-1] + 1.0))
+    # first coherence: a_{m+1} a_m sqrt(P_k) e^{iQ(m+1)/S}, P_k = (S-m)(S+m+1) = (2S-k)(k+1) an exact integer
+    p_k = (two_s - k[:-1]) * (k[:-1] + 1.0)
+    w1 = a[1:] * a[:-1] * np.sqrt(p_k)
     w1_cov = w1 * (2.0 * m[:-1] + 1.0)
-    # second coherence: a_{m+2} a_m c_m c_{m+1} e^{2iQ(m+2)/S}
-    k2 = k[:-2]
-    w2 = a[2:] * a[:-2] * np.sqrt((two_s - k2) * (k2 + 1.0) * (two_s - k2 - 1.0) * (k2 + 2.0))
+    # second coherence: a_{m+2} a_m sqrt(P_k P_{k+1}) e^{2iQ(m+2)/S}; P_k P_{k+1} rounds the exact product once,
+    # as (2S-k)(k+1)(2S-k-1)(k+2) taken in order does while its first three factors are exact: (2S)^3 < 2^53
+    w2 = a[2:] * a[:-2] * np.sqrt(p_k[:-1] * p_k[1:])
     # Re, Im <S_+>, cov_w, Re, Im of the raw <S_+^2>: each row of the (Q, window) phases summed on its own
     u = qs[:, None] / s
     ph1 = u * (m[:-1] + 1.0)

@@ -81,9 +81,10 @@ def modified_min_variance(total_spin, eta, q):
 
 
 def _modified_moments(total_spin, eta, q):
-    """The MomentSet behind modified_min_variance, with its checks: the body takes Q and r as checked here."""
+    """The MomentSet behind modified_min_variance, with its checks: the body takes 2S, Q and r as checked here."""
     # S first, so a non-spin gets the spin message before r is formed
-    s = twice_spin(total_spin) / 2.0
+    two_s = twice_spin(total_spin)
+    s = two_s / 2.0
     eta, q = positive("eta", eta), positive("shearing strength", q)
     with np.errstate(over="ignore"):
         r = nonnegative("Q / (4 S eta)", q / (4.0 * s * eta))
@@ -92,7 +93,7 @@ def _modified_moments(total_spin, eta, q):
     if outside.any():
         raise ValueError(f"Q_eff / S = {float(np.asarray(x)[outside][0])!r}: outside the principal branch "
                          "|Q_eff / S| < pi/2 of the G factor")
-    return _moment_set(s, q, r)
+    return _moment_set(two_s, q, r)
 
 
 def fig2_curve(total_spin, etas, q_grid):

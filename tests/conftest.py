@@ -4,9 +4,9 @@ import math
 import numpy as np
 
 from cavsqueeze.dicke import m_values, make_css, raising_coefficients
-from cavsqueeze.feedback import MomentSet, correlation_integrals
+from cavsqueeze.feedback import MomentSet, _scalar, correlation_integrals
 from cavsqueeze.oracle import channel_factors, oracle_moments_sum
-from cavsqueeze.params import EnsembleSpec, twice_spin
+from cavsqueeze.params import EnsembleSpec, nonnegative, twice_spin
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -225,6 +225,57 @@ def gaussian_per_step_reference(rng, process, s, lag_times, samples, sbar):
         z = z * d + sd * x1
         samples[:, i] = z
     return 0
+
+
+def _cos_power_reference(x, power):
+    """cos(x)**power as the complex-exponential body below takes it: its own sin(x / 2) and its own warnings."""
+    half_sin = np.sin(x / 2.0)
+    inside = np.abs(x) < np.pi / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_form = np.exp(power * np.log1p(-2.0 * half_sin * half_sin))
+    if inside.all():
+        return log_form
+    return np.where(inside, log_form, np.power(np.cos(x), power))
+
+
+def complex_moment_reference(total_spin, q, r):
+    """feedback.raman_modified_moments through complex exponentials, with the same checks and return value.
+
+    The tests' bit-for-bit reference for feedback._moment_set, which takes
+    each sine and cosine once and writes the real and imaginary parts of
+    <S~_+> and <S~_+^2> as real products: the same expressions with
+    e^{i phase} as numpy's complex exp, sin(Q_eff/(2S)) taken three times
+    and the G factor checking S, so var_y, var_z, cov_w and their minimum
+    variance agree to the bit and the complex moments up to the sign of a
+    zero part.
+    """
+    s, q = np.asarray(total_spin, dtype=float)[()], nonnegative("shearing strength", q)
+    c_sq, c_fin = correlation_integrals(r)
+    q_eff = q * c_fin
+    g_half = _cos_power_reference(q_eff / 2.0 / s, twice_spin(s) - 1.0)
+    two_s = 2.0 * s
+    xi_var = np.maximum(c_sq - c_fin * c_fin, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = -q * q * xi_var
+    undefined = exponent != exponent
+    if undefined.any():
+        raise ValueError(f"Q = {float(np.broadcast_to(q, undefined.shape)[undefined][0])!r}: the dephasing "
+                         "Q^2 (c_bar_sq - c_bar_fin^2) is inf * 0, Q^2 past the float range where "
+                         "c_bar_sq - c_bar_fin^2 is 0 (at r = 0 or below ~5e-17)")
+    d1 = np.exp(exponent / (4.0 * s))
+    mean_sp = d1 * s * g_half * np.exp(1j * (q_eff / (2.0 * s)))
+    cos_power = _cos_power_reference(q_eff / s, np.maximum(two_s - 2.0, 0.0))
+    mag = np.power(d1, 4.0) * (s * (two_s - 1.0) / 2.0) * cos_power * np.exp(-q / s)
+    mean_sp2 = mag * np.exp(1j * ((2.0 * q_eff - q) / s))
+    second_y = (2.0 * s * s + s) / 4.0 - mean_sp2.real / 2.0
+    return MomentSet(
+        total_spin=_scalar(s),
+        mean_sp=_scalar(mean_sp),
+        mean_sp2=_scalar(mean_sp2),
+        var_y=_scalar(second_y - np.square(mean_sp.imag)),
+        var_z=_scalar(s / 2.0),
+        cov_w=_scalar(d1 * (2.0 * s * s - s) * np.sin(q_eff / (2.0 * s)) * g_half),
+    )
 
 
 def ou_step_moments_reference(var_st, theta, h):

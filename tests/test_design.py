@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import golden_section_min, rel_err
 
-from cavsqueeze import design, feedback
+from cavsqueeze import design, raman
 from cavsqueeze.design import design_report, full_curve_minimum, operating_point
 from cavsqueeze.feedback import min_variance, raman_modified_moments
-from cavsqueeze.params import cavity_params
-from cavsqueeze.raman import modified_min_variance
+from cavsqueeze.params import cavity_params, nearest_spin
+from cavsqueeze.raman import fig2_curve, modified_min_variance
 
 WORKED = dict(g_hz=0.4e6, kappa_hz=1e6, gamma_hz=6.07e6, delta_over_gamma=500.0)
 
@@ -283,6 +284,27 @@ class TestFullCurveMinimum:
         assert abs(q_full - q_scatt) / q_scatt <= 0.15
 
 
+# the default sweep grid's 99 points, and a fig2 file's 3 x 200 curve; the bounds are the peaks of the complex-
+# exponential closed forms (one preceding call, then one under tracemalloc): 1,142,968 B and 102,448 B on a 2-vCPU
+# Linux host, Python 3.11.7, numpy 2.4.6
+SWEEP_S, SWEEP_ETA = (g.ravel() for g in np.meshgrid(nearest_spin(np.geomspace(1e2, 1e6, 9)),
+                                                     np.geomspace(1e-4, 10.0, 11), indexing="ij"))
+
+
+@pytest.mark.parametrize("call, bound", [
+    (lambda: full_curve_minimum(SWEEP_S, SWEEP_ETA), 1_142_968),
+    (lambda: fig2_curve(1e4, [0.01, 0.1, 1.0], np.geomspace(1.0, 1000.0, 200)), 102_448)], ids=["sweep", "fig2"])
+def test_the_closed_forms_peak_no_higher_than_the_complex_exponential_forms(call, bound):
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, peak
+
+
 class TestDesignReport:
     def _system(self, s=1e4):
         return s, cavity_params(WORKED)
@@ -339,11 +361,11 @@ class TestDesignReport:
 
     @pytest.mark.parametrize("q_target, evaluations", [(20.0, 1), (None, 6)])
     def test_the_recommended_point_is_evaluated_once(self, monkeypatch, q_target, evaluations):
-        # the closed-form body calls g_factor once an evaluation: full_curve_minimum's five rounds, then one
-        # MomentSet at the recommended Q for both sigma^2 and C^2
+        # the closed-form body runs once an evaluation: full_curve_minimum's five rounds, then one MomentSet at
+        # the recommended Q for both sigma^2 and C^2
         calls = []
-        g_factor = feedback.g_factor
-        monkeypatch.setattr(feedback, "g_factor", lambda *args: calls.append(args) or g_factor(*args))
+        body = raman._moment_set
+        monkeypatch.setattr(raman, "_moment_set", lambda *args: calls.append(args) or body(*args))
         s, params = self._system()
         design_report(s, params, 400e-6, 1e-5, q_target=q_target)
         assert len(calls) == evaluations

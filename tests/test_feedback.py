@@ -3,8 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import floored_rel_err, golden_section_min, rel_err
+from conftest import complex_moment_reference, floored_rel_err, golden_section_min, rel_err
 
 from cavsqueeze.feedback import analytic_moments, correlation_integrals, g_factor, min_variance, raman_modified_moments
 from cavsqueeze.oracle import oracle_moments_sum
@@ -304,3 +305,40 @@ class TestResidualMeanRotation:
             m = analytic_moments(0.5, q)
             assert abs(m.mean_sp) == pytest.approx(0.5, rel=1e-14)
             assert m.var_y == pytest.approx(0.25 - 0.25 * math.sin(q) ** 2, rel=1e-12)
+
+
+def _hexes(values):
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def _same_moments(got, want):
+    """float.hex equality on the real moments and their minimum variance, == (signed zeros alike) on the complex."""
+    for name in ("var_y", "var_z", "cov_w"):
+        assert _hexes(getattr(got, name)) == _hexes(getattr(want, name)), name
+    assert _hexes(min_variance(got)) == _hexes(min_variance(want))
+    for name in ("mean_sp", "mean_sp2"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert type(getattr(got, name)) is type(getattr(want, name)), name
+
+
+# r at 0, where the dephasing vanishes, at 1e-17, where c_bar_sq - c_bar_fin^2 rounds to 0, at the series/closed-form
+# switch 0.25 and one ulp either side, deep in the closed form, and at 1e154, where (2r)^2 would overflow
+R_EDGES = [0.0, 1e-17, math.nextafter(0.25, 0.0), 0.25, math.nextafter(0.25, 1.0), 1e3, 1e154]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(points=st.lists(st.tuples(st.integers(1, 2 ** 53), st.floats(1e-300, 1e160), st.sampled_from(R_EDGES)),
+                       min_size=1, max_size=6))
+def test_the_closed_form_body_is_the_complex_exponential_form_to_the_bit(points):
+    # Q up to 1e160 reaches the Q^2 overflow, which the r = 0 and r = 1e-17 rows refuse as inf * 0 in both forms;
+    # one array call over the points, then one scalar call per point
+    twice, qs, rs = (np.array(column) for column in zip(*points))
+    for s, q, r in [(twice / 2.0, qs, rs)] + [(n / 2.0, q, r) for n, q, r in points]:
+        try:
+            want = complex_moment_reference(s, q, r)
+        except ValueError as refused:
+            with pytest.raises(ValueError) as raised:
+                raman_modified_moments(s, q, r)
+            assert str(raised.value) == str(refused)
+            continue
+        _same_moments(raman_modified_moments(s, q, r), want)

@@ -173,12 +173,20 @@ def test_oracle_sum_drops_only_products_that_are_exactly_zero(s, kept):
         assert moments_disagreement(oracle_moments_sum(s, q), dicke_sums_reference(s, q), s) <= tol, (s, q)
 
 
-@pytest.mark.parametrize("s", [542.5, 1e3, 1e4, 1e5])
+# every 2S below 400, where the window is the full range, the windows of four spins, 12 drawn 2S up to the cap and the
+# cap's 2S = 199,999 and 200,000: the weights' sqrt(P_k P_{k+1}) (oracle) rounds the reference's four factors
+# (2S - k)(k + 1)(2S - k - 1)(k + 2), exact until the last while (2S)^3 < 2^53, to the same bits
+WINDOW_SPINS = sorted({n / 2.0 for n in range(1, 400)} | {542.5, 1e3, 1e4, 99_999.5, 1e5}
+                      | {n / 2.0 for n in np.random.default_rng(3).integers(400, 200_000, 12).tolist()})
+
+
+@pytest.mark.parametrize("s", WINDOW_SPINS)
 def test_oracle_sum_runs_over_exactly_the_product_window(monkeypatch, s):
     # on the full-range amplitudes the sums are the reference summed over lo..2S-lo to the bit: a window one term
     # wider or narrower at each end, or none at all, regroups the pairwise sums or drops nonzero terms
+    assert oracle.ORACLE_SUM_CAP == 2 * WINDOW_SPINS[-1] + 1
     a = css_amplitudes_reference(s)
-    lo = int(np.argmax(a[:-2] * a[2:] > 0.0))
+    lo = int(np.argmax(a[:-2] * a[2:] > 0.0)) if len(a) > 2 else 0
     monkeypatch.setattr(oracle, "css_support", lambda s: (0, css_amplitudes_reference(s)))
     qs = [1.0, math.sqrt(s), 2.0 * math.sqrt(s), s / 2.0]
     row = oracle_moments_sum(s, np.array(qs))
