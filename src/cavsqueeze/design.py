@@ -154,14 +154,14 @@ def full_curve_minimum(total_spin, eta):
     with np.errstate(divide="ignore"):
         q_edge = -2.0 * s * eta * np.log1p(-np.minimum((1.0 - 1e-12) * _G_DOMAIN / (2.0 * eta), 1.0))
     hi = np.minimum(4.0 * np.maximum(q_curv, q_scatt), q_edge)
-    rows = _SCAN_POINTS * np.arange(hi.size).reshape(hi.shape)  # the flat index of each scan's first point
     for _ in range(_REFINE_ROUNDS + 1):
         grid = lo * np.power(hi / lo, _SCAN_STEPS)
         values = modified_min_variance(s, eta, grid)
         best = np.argmin(values, axis=-1)[..., None]
-        lo = grid.ravel()[rows + np.maximum(best - 1, 0)]
-        hi = grid.ravel()[rows + np.minimum(best + 1, _SCAN_POINTS - 1)]
-    return _scalar(grid.ravel()[rows + best][..., 0]), _scalar(values.ravel()[rows + best][..., 0])
+        lo = np.take_along_axis(grid, np.maximum(best - 1, 0), axis=-1)
+        hi = np.take_along_axis(grid, np.minimum(best + 1, _SCAN_POINTS - 1), axis=-1)
+    return (_scalar(np.take_along_axis(grid, best, axis=-1)[..., 0]),
+            _scalar(np.take_along_axis(values, best, axis=-1)[..., 0]))
 
 
 def design_report(total_spin, params, pulse_time, max_excited_pop, q_target=None):

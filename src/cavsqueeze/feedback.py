@@ -9,13 +9,13 @@ shift, the coherence moments of the sheared spin on a CSS along +x are
     <S~_y^2> =  S^2/2 + S/4 - (S^2/2 - S/4) e^{-Q/S} G(Q)
     W = <{S~_y, S_z}> = (2S^2 - S) sin(Q/(2S)) G(Q/2)
 
-with G(u) = cos^{2S-1}(u/S) (g_factor) and Q the dimensionless shearing
-strength.  The e^{-Q/S} damping is photon shot noise on the second
-coherence; the G factors carry the Bloch-sphere curvature.  The residual
-mean rotation Q/(2S) makes <S~_y> = S G(Q/2) sin(Q/(2S)) slightly
-nonzero, and the variance proper subtracts it:  Delta S~_y^2 = <S~_y^2> -
-<S~_y>^2.  The subtraction is O(1/S) relative at large S but matters for
-exact-oracle agreement at small S.
+with G(u) = cos^{2S-1}(u/S) and Q the dimensionless shearing strength.
+The e^{-Q/S} damping is photon shot noise on the second coherence; the
+G factors carry the Bloch-sphere curvature.  The residual mean rotation
+Q/(2S) makes <S~_y> = S G(Q/2) sin(Q/(2S)) slightly nonzero, and the
+variance proper subtracts it:  Delta S~_y^2 = <S~_y^2> - <S~_y>^2.  The
+subtraction is O(1/S) relative at large S but matters for exact-oracle
+agreement at small S.
 
 raman_modified_moments evaluates these forms, broadcast over (S, Q, r), with
 the Raman-scattering substitution below; analytic_moments is its r = 0 case.
@@ -85,20 +85,6 @@ def _cos_power(half, half_sin, power):
     return np.where(inside, log_form, np.power(np.cos(2.0 * half), power))
 
 
-def g_factor(total_spin, u):
-    """Binomial coherence factor G(u) = cos^{2S-1}(u/S), elementwise, at half-integer S (params.twice_spin).
-
-    Finite for every finite argument: exp((2S-1) ln cos(u/S)) inside the
-    G-factor domain |u/S| < pi/2, the signed integer power past it (the
-    exact moments use both); raman.modified_min_variance is what refuses
-    Q_eff / S past the domain.  G(0) = 1, and G == 1 identically at S = 1/2.
-    """
-    two_s = twice_spin(total_spin)
-    half = u / two_s
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _scalar(_cos_power(half, np.sin(half), two_s - 1.0))
-
-
 def correlation_integrals(r):
     """Normalized moments (c_bar_sq, c_bar_final) of the time-averaged S_z, elementwise.
 
@@ -134,10 +120,8 @@ def _series(r):
     x = _scalar(-2.0 * r)
     sq_series, fin_series = _SERIES[0]
     for sq_coef, fin_coef in _SERIES[1:]:
-        sq_series *= x  # in place once the series are arrays
-        sq_series += sq_coef
-        fin_series *= x
-        fin_series += fin_coef
+        sq_series = sq_series * x + sq_coef
+        fin_series = fin_series * x + fin_coef
     return sq_series, fin_series
 
 

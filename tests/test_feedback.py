@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import complex_moment_reference, floored_rel_err, golden_section_min, rel_err
 
-from cavsqueeze.feedback import analytic_moments, correlation_integrals, g_factor, min_variance, raman_modified_moments
+from cavsqueeze.feedback import analytic_moments, correlation_integrals, min_variance, raman_modified_moments
 from cavsqueeze.oracle import oracle_moments_sum
 from cavsqueeze.params import cavity_params
 
@@ -40,6 +40,17 @@ def curvature_corrected_min(total_spin, q):
     if q <= 0.0:
         raise ValueError("shearing strength must be positive")
     return 1.0 / q + q ** 4 / (24.0 * total_spin * total_spin)
+
+
+def g_factor(total_spin, u):
+    """G(u) = cos^{2S-1}(u/S), read off the closed-form body: <S~_+> = S G(Q/2) e^{iQ/(2S)} at r = 0 and Q = 2|u|.
+
+    G is even in u.  The body forms Re <S~_+> as the product (S G) cos(Q/(2S)),
+    so the quotient is G itself wherever S cos(u/S) is exact, as at u = 0 or
+    S = 1/2.
+    """
+    phase = abs(u) / total_spin  # Q/(2S), as the body forms it: (2|u|)/(2S) is exact
+    return analytic_moments(total_spin, 2.0 * abs(u)).mean_sp.real / (total_spin * np.cos(phase))
 
 
 class TestGFactor:

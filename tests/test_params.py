@@ -6,7 +6,7 @@ import pytest
 from cavsqueeze import cli
 from cavsqueeze.design import design_report, full_curve_minimum, operating_point
 from cavsqueeze.dicke import css_amplitudes, css_support, m_values
-from cavsqueeze.feedback import analytic_moments, correlation_integrals, g_factor, raman_modified_moments
+from cavsqueeze.feedback import analytic_moments, correlation_integrals, raman_modified_moments
 from cavsqueeze.oracle import channel_moments, oracle_moments_sum
 from cavsqueeze.params import TWO_PI, EnsembleSpec, cavity_params, load_config, nearest_spin, twice_spin
 from cavsqueeze.raman import RamanProcess, fig2_curve, modified_min_variance
@@ -31,7 +31,6 @@ PARAMS = cavity_params({"g_hz": 1.0, "kappa_hz": 1.0, "gamma_hz": 1.0, "delta_ov
 READS_S = {
     "twice_spin": lambda s: twice_spin(s),
     "EnsembleSpec": lambda s: EnsembleSpec(total_spin=s),
-    "g_factor": lambda s: g_factor(s, 0.1),
     "raman_modified_moments": lambda s: raman_modified_moments(s, 1.0, 0.1),
     "analytic_moments": lambda s: analytic_moments(s, 1.0),
     "modified_min_variance": lambda s: modified_min_variance(s, 0.1, 1.0),
@@ -44,7 +43,7 @@ READS_S = {
     "css_support": lambda s: css_support(s),
     "design_report": lambda s: design_report(s, PARAMS, 1.0, 1e-5),
 }
-ARRAY_VALUED = ("twice_spin", "g_factor", "raman_modified_moments", "analytic_moments", "modified_min_variance",
+ARRAY_VALUED = ("twice_spin", "raman_modified_moments", "analytic_moments", "modified_min_variance",
                 "full_curve_minimum")
 
 
