@@ -1,6 +1,7 @@
 """Operating-point calculator: squeezing limits, optima and design reports.
 
-Two mechanisms floor the attainable normalized variance:
+Two mechanisms floor the attainable normalized variance (feedback's
+_curvature_optimum forms the first, which fig2 also prints):
 
   * Bloch-sphere curvature (no scattering):
       sigma_curv^2 = (5/4) 6^{-1/5} S^{-2/5}  at  Q_curv = 6^{1/5} S^{2/5},
@@ -48,7 +49,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .feedback import _G_DOMAIN, _scalar, min_variance
+from .feedback import _G_DOMAIN, _curvature_optimum, _scalar, min_variance
 from .params import nonnegative, population, positive, twice_spin
 from .raman import _modified_moments, modified_min_variance
 from .serialize import SCHEMA_VERSION
@@ -78,11 +79,6 @@ MAX_LINEARITY_RATIO = 0.1  # Omega sqrt(S/2) / kappa small
 MIN_DETUNING_MARGIN = 10.0  # |Delta| >> kappa, Gamma, g
 
 
-def _q_curv(s):
-    """Q_curv = 6^{1/5} S^{2/5}, the minimizer of 1/Q + Q^4/(24 S^2), at a checked S."""
-    return 6.0 ** 0.2 * np.power(s, 0.4)
-
-
 def operating_point(total_spin, eta):
     """The closed-form floors, optima and regime of (S, eta), elementwise: the dict sweep writes after S and eta.
 
@@ -103,12 +99,13 @@ def operating_point(total_spin, eta):
                       "optimum is unreliable", RuntimeWarning, stacklevel=2)
     curvature = s_eta5 >= _REGIME_BOUNDARY * (1.0 - _BOUNDARY_RTOL)
     band = _BOUNDARY_BAND ** 5
+    q_curv, sigma_curv_sq = _curvature_optimum(s)
     return {
         "s_eta5": _scalar(s_eta5),
         "regime": _scalar(np.where(curvature, "curvature", "scattering")),
         "near_boundary": _scalar((_REGIME_BOUNDARY / band <= s_eta5) & (s_eta5 <= _REGIME_BOUNDARY * band)),
-        "q_curv": _scalar(_q_curv(s)),
-        "sigma_curv_sq": _scalar(1.25 * 6.0 ** (-0.2) * np.power(s, -0.4)),
+        "q_curv": _scalar(q_curv),
+        "sigma_curv_sq": _scalar(sigma_curv_sq),
         "q_scatt": _scalar(np.sqrt(3.0 * s_eta)),
         "r_opt": _scalar(r_opt),
         "sigma_scatt_sq": _scalar(2.0 / np.sqrt(3.0 * s_eta)),
@@ -147,7 +144,7 @@ def full_curve_minimum(total_spin, eta):
     (S, eta) = (1e3, 0.1)), and the xi^2 minimizer lies 5-15% lower in Q.
     """
     s, eta = (twice_spin(total_spin) / 2.0)[..., None], positive("eta", eta)[..., None]  # both before np.sqrt
-    q_curv, q_scatt = _q_curv(s), np.sqrt(3.0 * s * eta)
+    (q_curv, _), q_scatt = _curvature_optimum(s), np.sqrt(3.0 * s * eta)
     lo = 0.05 * np.minimum(q_curv, q_scatt)
     # Q_edge at Q_eff / S = (1 - 1e-12) pi/2, inf where never reached; a margin on Q
     # instead would vanish in Q_eff / S as eta -> pi/4, and the edge point be refused

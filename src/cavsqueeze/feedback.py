@@ -23,7 +23,8 @@ Inputs are checked once, where they enter: raman_modified_moments checks Q,
 then r, then S, and its body _moment_set takes them and the 2S of
 params.twice_spin as checked; correlation_integrals checks r around the same
 unchecked _integrals.  raman.modified_min_variance checks S, eta, Q and r
-itself and calls the body directly.
+itself and calls the body directly.  _curvature_optimum forms the paper's
+curvature limit, Q_curv and sigma_curv^2, for design and raman.fig2_curve.
 
 Substitution recipe: Raman flips make the spin precess with the time
 average Sbar_z (the raman module has the telegraph model), whose normalized
@@ -68,6 +69,12 @@ def _scalar(value):
     """A 0-d result as a Python scalar, so scalar calls keep returning float, complex or bool."""
     value = np.asarray(value)
     return value.item() if value.ndim == 0 else value
+
+
+def _curvature_optimum(s):
+    """(Q_curv, sigma_curv^2) = (6^{1/5} S^{2/5}, (5/4) 6^{-1/5} S^{-2/5}) at a checked S, elementwise: the minimizer
+    and minimum of the two-term form 1/Q + Q^4/(24 S^2), the paper's curvature limit."""
+    return 6.0 ** 0.2 * np.power(s, 0.4), 1.25 * 6.0 ** (-0.2) * np.power(s, -0.4)
 
 
 def _cos_power(half, half_sin, power):

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feedback import _G_DOMAIN, _moment_set, correlation_integrals, min_variance
+from .feedback import _G_DOMAIN, _curvature_optimum, _moment_set, correlation_integrals, min_variance
 from .params import nonnegative, positive, twice_spin
 
 # Trajectories per chunk: one kernel call and one PCG64 stream each, ~0.5 MiB a block buffer; exact
@@ -101,21 +101,16 @@ def fig2_curve(total_spin, etas, q_grid):
 
     Returns one block of CSV columns per eta, (eta, q, sigma_min_sq,
     sigma_curv_sq, sigma_ideal_sq): the scattering-degraded minimum, the
-    flat curvature floor (5/4) 6^{-1/5} S^{-2/5}, and the ideal 1/Q line.
-    The q and 1/Q lists are the same objects in every block.  A refused
-    input raises the ValueError that one curve per eta, in order, meets
-    first.
+    flat curvature floor (5/4) 6^{-1/5} S^{-2/5} of feedback's
+    _curvature_optimum, the one design and sweep print, and the ideal 1/Q
+    line.  The q and 1/Q lists are the same objects in every block.  A
+    refused input raises modified_min_variance's ValueError.
     """
     s = float(total_spin)
-    sigma_curv_sq = 1.25 * 6.0 ** (-0.2) * s ** (-0.4)
     eta = np.asarray(etas, dtype=float).ravel()
     q = np.asarray(q_grid, dtype=float).ravel()
-    try:
-        sigma = modified_min_variance(s, eta[:, None], q)
-    except ValueError:
-        for e in eta:
-            modified_min_variance(s, e, q)
-        raise
+    sigma = modified_min_variance(s, eta[:, None], q)
+    sigma_curv_sq = float(_curvature_optimum(s)[1])  # after the call has checked S: np.power warns on a bad one
     with np.errstate(over="ignore"):  # past the float range at a subnormal Q: refused
         ideal = nonnegative("sigma_ideal_sq = 1 / Q (--qmin)", 1.0 / q)
     q_list, ideal = q.tolist(), ideal.tolist()

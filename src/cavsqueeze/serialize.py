@@ -33,8 +33,6 @@ SCHEMA_VERSION = "1.0"
 
 def format_value(value):
     """Shortest round-trip text for one CSV cell; None (undefined) is an empty cell, a nan or inf raises ValueError."""
-    if type(value) is float and value - value == 0.0:  # most cells, a finite float: skip the isinstance chain
-        return repr(value)
     if value is None:
         return ""
     if isinstance(value, bool):

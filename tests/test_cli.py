@@ -20,9 +20,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cavsqueeze
-from cavsqueeze import cli
-from cavsqueeze.design import design_report
+from cavsqueeze import cli, raman
+from cavsqueeze.design import design_report, operating_point
 from cavsqueeze.params import cavity_params
+from cavsqueeze.raman import fig2_curve, modified_min_variance
 from cavsqueeze.serialize import _numpy_dispatch, write_json
 
 MC_ARGV = ["raman-mc", "--S", "20", "--r", "0.5", "--traj", "600", "--steps", "4",
@@ -245,16 +246,29 @@ def test_design_prints_the_limits_of_the_sweep_row_at_its_s_and_eta(tmp_path):
         assert (report["limiting_regime"], report["near_boundary"]) == (row["regime"], row["near_boundary"] == "true")
 
 
+def test_fig2_prints_the_curvature_floor_of_sweep_and_design_at_every_half_integer_s():
+    # under numpy's X86_V4 power, Python's float ** differs from np.power by 1-2 ulp at 194 of the half-integer S
+    # in [100, 2000], 101.5, 121 and 131.5 among them; fig2, sweep (an array call) and design (a scalar one) share one
+    spins = np.arange(1, 4001) / 2.0
+    floors = operating_point(spins, 10.0)["sigma_curv_sq"]  # eta = 10 keeps r_opt under its warning at every S
+    for s, floor in zip(spins.tolist(), floors.tolist()):
+        (block,) = fig2_curve(s, 0.1, [1.0])
+        assert block[3].hex() == floor.hex() == operating_point(s, 10.0)["sigma_curv_sq"].hex(), s
+
+
+_OUTSIDE = "outside the principal branch |Q_eff / S| < pi/2 of the G factor"
+
+
 @pytest.mark.parametrize("etas, message", [
     # eta = 100 leaves the domain at a lower Q than eta = 3, so only the eta-major order names eta = 3's value
-    (["0.1", "3", "100"], "Q_eff / S = 1.5737079693215268: outside the principal branch |Q_eff / S| < pi/2 "
-                          "of the G factor"),
-    # one curve per eta refuses the out-of-domain eta before it reaches the non-positive one, and the reverse
-    (["100", "-1"], "Q_eff / S = 1.5822729517463208: outside the principal branch |Q_eff / S| < pi/2 "
-                    "of the G factor"),
+    (["0.1", "3", "100"], f"Q_eff / S = 1.5737079693215268: {_OUTSIDE}"),
+    # every eta is checked before any Q_eff / S, so a non-positive eta is named wherever it stands
+    (["100", "-1"], "eta must be positive and finite"),
     (["-1", "100"], "eta must be positive and finite"),
+    # the benchmark's refused shape, three eta in [3, 10] at qmax >= 10 S: one kind of refusal, one message
+    (["7.5", "3.2", "9.1"], f"Q_eff / S = 1.6096773428518647: {_OUTSIDE}"),
 ])
-def test_fig2_refuses_the_first_bad_eta_in_order(tmp_path, capsys, etas, message):
+def test_fig2_checks_s_then_eta_then_q_then_the_domain(tmp_path, capsys, etas, message):
     out = tmp_path / "out"
     argv = ["fig2", "--S", "100", "--qmax", "1000"]
     for eta in etas:
@@ -262,6 +276,22 @@ def test_fig2_refuses_the_first_bad_eta_in_order(tmp_path, capsys, etas, message
     assert _run(argv, out) == 1
     assert capsys.readouterr().err == f"fig2: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("etas, code", [(["0.01", "0.1"], 0), (["100", "-1"], 1), (["0.1", "3", "100"], 1)])
+def test_fig2_calls_modified_min_variance_once_whether_or_not_it_refuses(tmp_path, monkeypatch, etas, code):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return modified_min_variance(*args)
+
+    monkeypatch.setattr(raman, "modified_min_variance", counted)
+    argv = ["fig2", "--S", "100", "--qmax", "1000"]
+    for eta in etas:
+        argv += ["--eta", eta]
+    assert _run(argv, tmp_path) == code
+    assert len(calls) == 1
 
 
 def test_fig2_outside_g_factor_domain_exits_1_with_message(tmp_path, capsys):

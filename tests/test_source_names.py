@@ -10,6 +10,8 @@ spin, and what its 2S is, is decided there (params.twice_spin) and nowhere else.
 Likewise only params raises a ValueError whose text says an input "must be
 positive" or "must be nonnegative" (params.positive and params.nonnegative),
 design_report's "no shearing requested" apart.
+Only feedback forms the curvature optimum from 6 ** 0.2 or 6 ** (-0.2)
+(feedback._curvature_optimum), so fig2, sweep and design print one floor.
 In cli, only run writes: no other code there calls write_csv, write_json,
 write_manifest or mkdir, so a subcommand handler only returns its files.
 Only raman._run_chunks builds a random stream (a bit generator, a
@@ -137,6 +139,28 @@ def spin_roundings(package=PACKAGE):
 
 def test_only_params_rounds_a_spin():
     assert spin_roundings() == []
+
+
+def _is_curvature_factor(node):
+    """Whether node is 6 ** 0.2 or 6 ** (-0.2) (6 or 6.0), a factor of Q_curv or sigma_curv^2."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+            and isinstance(node.left, ast.Constant) and node.left.value == 6):
+        return False
+    power = node.right
+    if isinstance(power, ast.UnaryOp) and isinstance(power.op, ast.USub):
+        power = power.operand
+    return isinstance(power, ast.Constant) and power.value == 0.2
+
+
+def curvature_forms(package=PACKAGE):
+    """module:line of each 6 ** 0.2 or 6 ** (-0.2) in package."""
+    return [f"{path.stem}:{node.lineno}" for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if _is_curvature_factor(node)]
+
+
+def test_only_feedback_forms_the_curvature_optimum():
+    # and it does form it, so a moved helper fails here instead of passing unseen
+    assert {where.partition(":")[0] for where in curvature_forms()} == {"feedback"}
 
 
 _DOMAIN_WORDS = re.compile(r"must be (finite and )?(positive|nonnegative)")
