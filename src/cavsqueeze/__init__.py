@@ -9,5 +9,5 @@ through the ``cavsqueeze`` command line tool.
 
 __version__ = "0.1.0"
 
-# loads every module but cli, so cavsqueeze.<module> works after a plain import
-from . import design, oracle
+# loads every module but cli, so cavsqueeze.<module> works after a plain import; only cli imports raman
+from . import design, oracle, raman

@@ -13,7 +13,7 @@ _curvature_optimum forms the first, which fig2 also prints):
 Both floors are large-S limits of the contrast-normalized squeezing
 parameter xi^2 = sigma^2 / C^2, with C = |<S~_+>| / S the mean-spin
 contrast (Wineland et al., PRA 50, 67 (1994)).  The raw sigma^2 that
-full_curve_minimum and raman.modified_min_variance return and minimize is
+full_curve_minimum and feedback.modified_min_variance return and minimize is
 normalized to S/2 only, so it can fall below a floor by about the factor
 C^2: at (S, eta) = (1e3, 0.1) the raw minimum is 7% under the scattering
 floor, while xi^2 stays above it.
@@ -49,9 +49,8 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .feedback import _G_DOMAIN, _curvature_optimum, _scalar, min_variance
+from .feedback import _G_DOMAIN, _curvature_optimum, _modified_moments, _scalar, min_variance, modified_min_variance
 from .params import nonnegative, population, positive, twice_spin
-from .raman import _modified_moments, modified_min_variance
 from .serialize import SCHEMA_VERSION
 
 # full_curve_minimum: points of each logarithmic scan, and the rescans of

@@ -22,8 +22,9 @@ the Raman-scattering substitution below; analytic_moments is its r = 0 case.
 Inputs are checked once, where they enter: raman_modified_moments checks Q,
 then r, then S, and its body _moment_set takes them and the 2S of
 params.twice_spin as checked; correlation_integrals checks r around the same
-unchecked _integrals.  raman.modified_min_variance checks S, eta, Q and r
-itself and calls the body directly.  _curvature_optimum forms the paper's
+unchecked _integrals.  modified_min_variance, the entry at (S, eta, Q),
+checks S, eta, Q and r = Q/(4 S eta) itself, refuses a Q_eff / S past the G
+factors' principal branch and calls the body.  _curvature_optimum forms the
 curvature limit, Q_curv and sigma_curv^2, for design and raman.fig2_curve.
 
 Substitution recipe: Raman flips make the spin precess with the time
@@ -44,7 +45,9 @@ x by -alpha is
                    = (V+ - sqrt(V-^2 + W^2) cos[2(alpha - alpha_0)]) / 2,
 
 V+- = Delta S~_y^2 +- Delta S_z^2, tan(2 alpha_0) = W / V-; the measured
-quadrature at angle alpha is cos(alpha) S_z - sin(alpha) S~_y.
+quadrature at angle alpha is cos(alpha) S_z - sin(alpha) S~_y.  Delta S_z^2
+is S/2 on every route, formed from total_spin: the map leaves the
+populations alone, and the telegraph process is stationary on the CSS.
 """
 
 import math
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import nonnegative, twice_spin
+from .params import nonnegative, positive, twice_spin
 
 # The G-factor domain |Q_eff / S| < pi/2: the principal branch, on which
 # every cosine behind the G factors stays positive.
@@ -136,18 +139,17 @@ def _series(r):
 class MomentSet:
     """Second moments of one sheared state, in raw spin units.
 
-    var_y is the mean-subtracted Delta S~_y^2, var_z = S/2, cov_w the
-    symmetrized <{S~_y, S_z}>.  mean_sp / mean_sp2 are the complex coherence
-    moments behind them.  Scalar inputs give Python scalars; array inputs give
-    arrays that broadcast against each other (total_spin and var_z keep
-    the shape of their own input).
+    var_y is the mean-subtracted Delta S~_y^2, cov_w the symmetrized
+    <{S~_y, S_z}>; Delta S_z^2 is S/2, from total_spin.  mean_sp / mean_sp2
+    are the complex coherence moments behind them.  Scalar inputs give Python
+    scalars; array inputs give arrays that broadcast against each other
+    (total_spin keeps the shape of its own input).
     """
 
     total_spin: float
     mean_sp: complex
     mean_sp2: complex
     var_y: float
-    var_z: float
     cov_w: float
 
 
@@ -155,8 +157,7 @@ def raman_modified_moments(total_spin, q, r):
     """Closed-form MomentSet with the time-averaged-S_z substitution, broadcast over (S, Q, r).
 
     This is the one closed-form body: analytic_moments is its r = 0 case by
-    construction.  var_z stays S/2 (the telegraph process is stationary on
-    the CSS ensemble).  Q, then r, then S are checked, in that order.
+    construction.  Q, then r, then S are checked, in that order.
     """
     q, r = nonnegative("shearing strength", q), nonnegative("r", r)
     return _moment_set(twice_spin(total_spin), q, r)
@@ -196,7 +197,6 @@ def _moment_set(two_s, q, r):
         mean_sp=_scalar(mean_sp),
         mean_sp2=_scalar(mean_sp2),
         var_y=_scalar(second_y - np.square(mean_sp.imag)),
-        var_z=_scalar(s / 2.0),
         cov_w=_scalar(d1 * (2.0 * s * s - s) * sin_phase * g_half),
     )
 
@@ -216,6 +216,42 @@ def analytic_moments(total_spin, q):
 
 def min_variance(moments):
     """Minimum over alpha of sigma^2(alpha) / (S/2), elementwise: the short axis (V+ - sqrt(V-^2 + W^2)) / 2."""
-    v_plus = moments.var_y + moments.var_z
-    radius = np.hypot(moments.var_y - moments.var_z, moments.cov_w)
-    return _scalar(0.5 * (v_plus - radius) / (moments.total_spin / 2.0))
+    var_z = moments.total_spin / 2.0
+    radius = np.hypot(moments.var_y - var_z, moments.cov_w)
+    return _scalar(0.5 * (moments.var_y + var_z - radius) / var_z)
+
+
+def modified_min_variance(total_spin, eta, q):
+    """Normalized minimum variance at shearing Q including Raman scattering, elementwise.
+
+    The scattered-photon number follows from Q = 4 S eta r; the full
+    G-factor forms keep shot noise, feedback and curvature, and the
+    correlation integrals carry the decorrelation.
+
+    The value is normalized to the CSS variance S/2 and not divided by the
+    squared contrast C^2 = |<S~_+>|^2 / S^2, so it can fall below the
+    closed-form floors of the design module, which are large-S limits of
+    xi^2 = sigma^2 / C^2, by about C^2.
+
+    Q must keep Q_eff / S = 2 eta (1 - e^{-2r}) inside the G-factor domain
+    (below pi/2, so every Q is allowed for eta <= pi/4); any element outside
+    it raises ValueError before the moments are evaluated, for every S, as
+    does an r = Q / (4 S eta) that overflows.
+    """
+    return min_variance(_modified_moments(total_spin, eta, q))
+
+
+def _modified_moments(total_spin, eta, q):
+    """The MomentSet behind modified_min_variance, with its checks: the body takes 2S, Q and r as checked here."""
+    # S first, so a non-spin gets the spin message before r is formed
+    two_s = twice_spin(total_spin)
+    s = two_s / 2.0
+    eta, q = positive("eta", eta), positive("shearing strength", q)
+    with np.errstate(over="ignore"):
+        r = nonnegative("Q / (4 S eta)", q / (4.0 * s * eta))
+    x = -2.0 * eta * np.expm1(-2.0 * r)  # Q_eff / S
+    outside = np.abs(x) >= _G_DOMAIN
+    if outside.any():
+        raise ValueError(f"Q_eff / S = {float(np.asarray(x)[outside][0])!r}: outside the principal branch "
+                         "|Q_eff / S| < pi/2 of the G factor")
+    return _moment_set(two_s, q, r)

@@ -43,7 +43,7 @@ def oracle_moments_sum(total_spin, q):
     anticommutator sum behind the y-z covariance term by term; assembles
     Delta S~_y^2 = <S~_y^2> - <S~_y>^2 through the conserved
     S_+S_- + S_-S_+ = 2(S(S+1) - S_z^2), with conjugate moments taken as
-    Hermitian conjugates.  var_z = S/2 (S_z is a constant of motion).  The
+    Hermitian conjugates; Delta S_z^2 is S/2, S_z a constant of motion.  The
     sums index ascending m = k - S against the m = +S..-S order of
     css_support, valid only because CSS amplitudes are symmetric in m, and
     run over the product window k = first_k+cut..2S-first_k-cut alone, cut
@@ -88,7 +88,7 @@ def oracle_moments_sum(total_spin, q):
     var_y = [ladder - sp2.real / 2.0 - sp.imag ** 2 for sp, sp2 in zip(mean_sp, mean_sp2)]
     scalar = np.ndim(q) == 0
     mean_sp, mean_sp2, var_y, cov_w = (c[0] if scalar else np.array(c) for c in (mean_sp, mean_sp2, var_y, cov_w))
-    return MomentSet(total_spin=s, mean_sp=mean_sp, mean_sp2=mean_sp2, var_y=var_y, var_z=s / 2.0, cov_w=cov_w)
+    return MomentSet(total_spin=s, mean_sp=mean_sp, mean_sp2=mean_sp2, var_y=var_y, cov_w=cov_w)
 
 
 def channel_factors(total_spin, q, m, m_prime):
@@ -140,12 +140,8 @@ def channel_moments(total_spin, q):
     mean_sp2 = complex(np.sum(diagonal(-2) * c[:-1] * c[1:]))
     # rho_{i+1,i} <i|S_y|i+1> + rho_{i,i+1} <i+1|S_y|i>, term by term
     sy_terms = (below - diagonal(1)) * c / 2j
-    mean_y = float(np.sum(sy_terms).real)
     ladder = float(np.sum((pop[:-1] + pop[1:]) * c * c))  # <S_+S_- + S_-S_+>
-    var_y = (ladder - 2.0 * mean_sp2.real) / 4.0 - mean_y * mean_y
-    mean_z = float(np.sum(pop * m))
-    var_z = float(np.sum(pop * m * m)) - mean_z * mean_z
+    var_y = (ladder - 2.0 * mean_sp2.real) / 4.0 - mean_sp.imag * mean_sp.imag  # <S_y> = Im <S_+>
     # {S_y, S_z} has the S_y bands times m_i + m_{i+1}
     cov_w = float(np.sum(sy_terms * (m[:-1] + m[1:])).real)
-    return MomentSet(total_spin=float(total_spin), mean_sp=mean_sp, mean_sp2=mean_sp2, var_y=var_y, var_z=var_z,
-                     cov_w=cov_w)
+    return MomentSet(total_spin=float(total_spin), mean_sp=mean_sp, mean_sp2=mean_sp2, var_y=var_y, cov_w=cov_w)

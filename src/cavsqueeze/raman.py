@@ -1,4 +1,4 @@
-"""Raman-scattering degradation of cavity-feedback squeezing.
+"""Raman-scattering degradation of cavity-feedback squeezing: the telegraph Monte Carlo and fig2.
 
 Raman scattering flips atoms between the two ground states during the
 pulse, so the spin precession is driven by the time average Sbar_z rather
@@ -16,9 +16,9 @@ which fixes the two normalized moments used by the modified variance:
 (double / single time integrals of the exponential kernel; both -> 1 as
 r -> 0, and to first order 1 - 2r/3 and 1 - r).
 
-feedback.correlation_integrals evaluates them and
-feedback.raman_modified_moments substitutes them into the closed forms;
-modified_min_variance and fig2_curve give the resulting squeezing curve.
+feedback.correlation_integrals evaluates them, and feedback's closed forms
+take them: feedback.modified_min_variance gives the resulting squeezing
+curve at (S, eta, Q), and fig2_curve lays it out for fig2.
 
 The Monte Carlo model simulates the telegraph process directly: exact
 per-event jumps Delta S_z = +-1 for modest atom numbers, or an
@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .feedback import _G_DOMAIN, _curvature_optimum, _moment_set, correlation_integrals, min_variance
-from .params import nonnegative, positive, twice_spin
+from .feedback import _curvature_optimum, correlation_integrals, modified_min_variance
+from .params import nonnegative
 
 # Trajectories per chunk: one kernel call and one PCG64 stream each, ~0.5 MiB a block buffer; exact
 # mode draws the events of a chunk in blocks of _BLOCK per trajectory.  Both values are part of the
@@ -58,42 +58,6 @@ _PROBES = [_BLOCK >> i for i in range(1, _BLOCK.bit_length())]  # its search ste
 MAX_LOCKSTEP = 500_000  # ceil(n_traj / _PASS_ROWS) * (r N exact, time_steps gaussian)
 _PASS_ROWS = 512  # trajectories a lockstep pass counts: a cost unit, not the stream chunk
 MAX_SAMPLE_ELEMENTS = 2 ** 25  # n_traj * (time_steps + 1)
-
-
-def modified_min_variance(total_spin, eta, q):
-    """Normalized minimum variance at shearing Q including Raman scattering, elementwise.
-
-    The scattered-photon number follows from Q = 4 S eta r; the full
-    G-factor forms keep shot noise, feedback and curvature, and the
-    correlation integrals carry the decorrelation.
-
-    The value is normalized to the CSS variance S/2 and not divided by the
-    squared contrast C^2 = |<S~_+>|^2 / S^2, so it can fall below the
-    closed-form floors of the design module, which are large-S limits of
-    xi^2 = sigma^2 / C^2, by about C^2.
-
-    Q must keep Q_eff / S = 2 eta (1 - e^{-2r}) inside the G-factor domain
-    (below pi/2, so every Q is allowed for eta <= pi/4); any element outside
-    it raises ValueError before the moments are evaluated, for every S, as
-    does an r = Q / (4 S eta) that overflows.
-    """
-    return min_variance(_modified_moments(total_spin, eta, q))
-
-
-def _modified_moments(total_spin, eta, q):
-    """The MomentSet behind modified_min_variance, with its checks: the body takes 2S, Q and r as checked here."""
-    # S first, so a non-spin gets the spin message before r is formed
-    two_s = twice_spin(total_spin)
-    s = two_s / 2.0
-    eta, q = positive("eta", eta), positive("shearing strength", q)
-    with np.errstate(over="ignore"):
-        r = nonnegative("Q / (4 S eta)", q / (4.0 * s * eta))
-    x = -2.0 * eta * np.expm1(-2.0 * r)  # Q_eff / S
-    outside = np.abs(x) >= _G_DOMAIN
-    if outside.any():
-        raise ValueError(f"Q_eff / S = {float(np.asarray(x)[outside][0])!r}: outside the principal branch "
-                         "|Q_eff / S| < pi/2 of the G factor")
-    return _moment_set(two_s, q, r)
 
 
 def fig2_curve(total_spin, etas, q_grid):

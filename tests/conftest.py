@@ -82,7 +82,7 @@ def dicke_sums_reference(total_spin, q, cut=0):
     mean_sp2 = complex(np.sum(w2 * np.cos(ph2)), np.sum(w2 * np.sin(ph2))) * shot
     ladder = (s * (s + 1.0) - float(np.sum(a * a * m * m))) / 2.0
     return MomentSet(total_spin=s, mean_sp=mean_sp, mean_sp2=mean_sp2,
-                     var_y=ladder - mean_sp2.real / 2.0 - mean_sp.imag ** 2, var_z=s / 2.0, cov_w=cov_w)
+                     var_y=ladder - mean_sp2.real / 2.0 - mean_sp.imag ** 2, cov_w=cov_w)
 
 
 def floored_rel_err(a, b, floor):
@@ -133,7 +133,9 @@ def dense_channel_moments(total_spin, q):
     Every operator is banded, so each trace tr(rho A) takes the populations
     and the -2..+1 diagonals of rho times the ladder coefficients c_m of
     dicke.raising_coefficients, on m from dicke.m_values; <S_y^2> goes
-    through the diagonal S_+S_- + S_-S_+.
+    through the diagonal S_+S_- + S_-S_+.  <S_y> is traced on its own bands,
+    where channel_moments reads Im <S_+>, so the two agree to the bit only
+    if the map's coherences are Hermitian to the bit.
     """
     rho = apply_feedback_channel(css_density_matrix(total_spin), total_spin, q)
     c = raising_coefficients(total_spin)
@@ -148,12 +150,9 @@ def dense_channel_moments(total_spin, q):
     mean_y = float(np.sum(sy_terms).real)
     ladder = float(np.sum((pop[:-1] + pop[1:]) * c * c))  # <S_+S_- + S_-S_+>
     var_y = (ladder - 2.0 * mean_sp2.real) / 4.0 - mean_y * mean_y
-    mean_z = float(np.sum(pop * m))
-    var_z = float(np.sum(pop * m * m)) - mean_z * mean_z
     # {S_y, S_z} has the S_y bands times m_i + m_{i+1}
     cov_w = float(np.sum(sy_terms * (m[:-1] + m[1:])).real)
-    return MomentSet(total_spin=float(total_spin), mean_sp=mean_sp, mean_sp2=mean_sp2, var_y=var_y, var_z=var_z,
-                     cov_w=cov_w)
+    return MomentSet(total_spin=float(total_spin), mean_sp=mean_sp, mean_sp2=mean_sp2, var_y=var_y, cov_w=cov_w)
 
 
 def lockstep_exact_reference(rng, process, s, lag_times, m):
@@ -245,7 +244,7 @@ def complex_moment_reference(total_spin, q, r):
     each sine and cosine once and writes the real and imaginary parts of
     <S~_+> and <S~_+^2> as real products: the same expressions with
     e^{i phase} as numpy's complex exp, sin(Q_eff/(2S)) taken three times
-    and the G factor checking S, so var_y, var_z, cov_w and their minimum
+    and the G factor checking S, so var_y, cov_w and their minimum
     variance agree to the bit and the complex moments up to the sign of a
     zero part.
     """
@@ -273,7 +272,6 @@ def complex_moment_reference(total_spin, q, r):
         mean_sp=_scalar(mean_sp),
         mean_sp2=_scalar(mean_sp2),
         var_y=_scalar(second_y - np.square(mean_sp.imag)),
-        var_z=_scalar(s / 2.0),
         cov_w=_scalar(d1 * (2.0 * s * s - s) * np.sin(q_eff / (2.0 * s)) * g_half),
     )
 
@@ -317,7 +315,7 @@ def fsum_mean_se_reference(values):
 def _quadrature_variance(moments, alpha):
     """Var(cos(a) S_z - sin(a) S~_y) from oracle moments."""
     sa, ca = math.sin(alpha), math.cos(alpha)
-    return ca * ca * moments.var_z + sa * sa * moments.var_y - sa * ca * moments.cov_w
+    return ca * ca * moments.total_spin / 2.0 + sa * sa * moments.var_y - sa * ca * moments.cov_w
 
 
 def brute_force_min_variance(total_spin, q, grid_points=720):

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import complex_moment_reference, golden_section_min, rel_err
 
-from cavsqueeze import design, raman
+from cavsqueeze import design, feedback
 from cavsqueeze.design import design_report, full_curve_minimum, operating_point
 from cavsqueeze.feedback import min_variance, raman_modified_moments
 from cavsqueeze.params import cavity_params, nearest_spin
@@ -306,7 +306,7 @@ def _traced_peak(call):
 def test_the_closed_forms_peak_no_higher_than_the_complex_exponential_forms(call, monkeypatch):
     peak = _traced_peak(call)
     # the same call through the complex-exponential body, in this process
-    monkeypatch.setattr(raman, "_moment_set", lambda two_s, q, r: complex_moment_reference(two_s / 2.0, q, r))
+    monkeypatch.setattr(feedback, "_moment_set", lambda two_s, q, r: complex_moment_reference(two_s / 2.0, q, r))
     bound = _traced_peak(call)
     assert peak <= bound, (peak, bound)
 
@@ -370,8 +370,8 @@ class TestDesignReport:
         # the closed-form body runs once an evaluation: full_curve_minimum's five rounds, then one MomentSet at
         # the recommended Q for both sigma^2 and C^2
         calls = []
-        body = raman._moment_set
-        monkeypatch.setattr(raman, "_moment_set", lambda *args: calls.append(args) or body(*args))
+        body = feedback._moment_set
+        monkeypatch.setattr(feedback, "_moment_set", lambda *args: calls.append(args) or body(*args))
         s, params = self._system()
         design_report(s, params, 400e-6, 1e-5, q_target=q_target)
         assert len(calls) == evaluations

@@ -30,8 +30,9 @@ def large_s_variance(total_spin, q):
 
 def rotated_variance(moments, alpha):
     """sigma^2(alpha) = (V+ - V- cos 2alpha - W sin 2alpha) / 2 in raw spin units; period pi in alpha."""
-    v_plus = moments.var_y + moments.var_z
-    v_minus = moments.var_y - moments.var_z
+    var_z = moments.total_spin / 2.0
+    v_plus = moments.var_y + var_z
+    v_minus = moments.var_y - var_z
     return 0.5 * (v_plus - v_minus * math.cos(2.0 * alpha) - moments.cov_w * math.sin(2.0 * alpha))
 
 
@@ -134,7 +135,6 @@ class TestAnalyticMoments:
             m = analytic_moments(s, 0.0)
             assert m.var_y == s / 2.0
             assert m.cov_w == 0.0
-            assert m.var_z == s / 2.0
             assert m.mean_sp == pytest.approx(s, abs=0.0)
 
     def test_matches_oracle_small_grid(self):
@@ -215,7 +215,7 @@ class TestLargeSVariance:
 
 def max_variance(moments):
     """Maximum of sigma^2(alpha) over alpha, normalized to S/2: V+ less the minimum, since the two axes sum to V+."""
-    return (moments.var_y + moments.var_z) / (moments.total_spin / 2.0) - min_variance(moments)
+    return (moments.var_y + moments.total_spin / 2.0) / (moments.total_spin / 2.0) - min_variance(moments)
 
 
 class TestRotatedVariance:
@@ -223,7 +223,7 @@ class TestRotatedVariance:
         # the minimum sits at alpha_0 = atan2(W, V-)/2 (tan 2 alpha_0 = W / V-), the maximum pi/2 away
         m = analytic_moments(40.0, 3.0)
         half = m.total_spin / 2.0
-        alpha0 = 0.5 * math.atan2(m.cov_w, m.var_y - m.var_z)
+        alpha0 = 0.5 * math.atan2(m.cov_w, m.var_y - half)
         assert rotated_variance(m, alpha0) == pytest.approx(min_variance(m) * half, rel=1e-12)
         assert rotated_variance(m, alpha0 + math.pi / 2) == pytest.approx(max_variance(m) * half, rel=1e-12)
         # period pi
@@ -260,11 +260,11 @@ class TestAsymptoticExtremes:
 
     def test_heisenberg_bound_on_oracle_states(self):
         # Robertson-Schroedinger for S~_y, S_z with [S~_y, S_z] = i S~_x and <S_z> = 0:
-        # var_y var_z - (cov_w / 2)^2 >= (<S~_x> / 2)^2, <S~_x> = Re <S~_+>
+        # var_y (S/2) - (cov_w / 2)^2 >= (<S~_x> / 2)^2, Delta S_z^2 = S/2, <S~_x> = Re <S~_+>
         for s in (2.0, 10.0, 60.0):
             for q in (0.2, 1.0, 0.3 * s):
                 for m in (oracle_moments_sum(s, q), analytic_moments(s, q)):
-                    det = m.var_y * m.var_z - (m.cov_w / 2.0) ** 2
+                    det = m.var_y * (s / 2.0) - (m.cov_w / 2.0) ** 2
                     assert det >= (m.mean_sp.real / 2.0) ** 2 * (1 - 1e-12), (s, q)
 
 
@@ -324,7 +324,7 @@ def _hexes(values):
 
 def _same_moments(got, want):
     """float.hex equality on the real moments and their minimum variance, == (signed zeros alike) on the complex."""
-    for name in ("var_y", "var_z", "cov_w"):
+    for name in ("var_y", "cov_w"):
         assert _hexes(getattr(got, name)) == _hexes(getattr(want, name)), name
     assert _hexes(min_variance(got)) == _hexes(min_variance(want))
     for name in ("mean_sp", "mean_sp2"):

@@ -27,7 +27,6 @@ def test_css_moments_at_zero_shearing():
         assert o.mean_sp == pytest.approx(s, rel=1e-13)
         assert o.var_y == pytest.approx(s / 2.0, rel=1e-11)
         assert o.cov_w == 0.0
-        assert o.var_z == s / 2.0
 
 
 def test_var_y_is_css_variance_at_zero_shearing_for_every_accepted_spin():
@@ -134,7 +133,7 @@ def test_bad_shearing_is_refused_by_both_routes(route, q):
 def test_oracle_sum_equals_the_full_range_sum_on_the_grid(monkeypatch):
     # on the validate-oracle grid the window of nonzero amplitudes is the
     # whole range, so the sums are the full-range sums to the bit
-    fields = ("mean_sp", "mean_sp2", "var_y", "var_z", "cov_w")
+    fields = ("mean_sp", "mean_sp2", "var_y", "cov_w")
     windowed = {(s, q): oracle_moments_sum(s, q) for s in GRID_S for q in q_grid(s)}
     monkeypatch.setattr(oracle, "css_support", lambda s: (0, css_amplitudes_reference(s)))
     for (s, q), got in windowed.items():
@@ -206,7 +205,6 @@ def test_one_call_over_q_repeats_the_call_per_q_bit_for_bit(s, fracs):
     each = [oracle_moments_sum(s, q) for q in qs.tolist()]
     for name in ("mean_sp", "mean_sp2", "var_y", "cov_w"):
         assert getattr(row, name).tobytes() == np.array([getattr(m, name) for m in each]).tobytes(), name
-    assert [m.var_z for m in each] == [row.var_z] * len(qs)
 
 
 @pytest.mark.parametrize("s", [1e4, 1e5])
@@ -225,7 +223,7 @@ BIT_S = (0.5, 1.0, 2.5, 10.0, 37.5, 50.0, 100.0, 200.0)
 
 def moment_bits(moments):
     """The float64 bit patterns of every moment, real and imaginary parts apart."""
-    values = [moments.mean_sp, moments.mean_sp2, moments.var_y, moments.var_z, moments.cov_w]
+    values = [moments.mean_sp, moments.mean_sp2, moments.var_y, moments.cov_w]
     return np.array([[complex(v).real, complex(v).imag] for v in values]).tobytes()
 
 
@@ -287,7 +285,6 @@ class TestChannel:
         assert rel_err(direct.cov_w, chained.cov_w) < 1e-10
         assert rel_err(direct.mean_sp, chained.mean_sp) < 1e-10
         assert rel_err(direct.mean_sp2, chained.mean_sp2) < 1e-10
-        assert chained.var_z == pytest.approx(25.0, abs=1e-9)
 
     def test_diagonal_traces_match_dense_traces(self):
         # reference: dense operators assembled from m and c_m, tr(rho A) of products
@@ -304,7 +301,7 @@ class TestChannel:
                 assert abs(got.mean_sp - tr(sp)) < 1e-13 * s, (s, q)
                 assert abs(got.mean_sp2 - tr(sp @ sp)) < 1e-13 * s * s, (s, q)
                 assert abs(got.var_y - (tr(sy @ sy).real - mean_y ** 2)) < 1e-13 * s, (s, q)
-                assert abs(got.var_z - (tr(sz @ sz).real - mean_z ** 2)) < 1e-13 * s, (s, q)
+                assert abs(s / 2.0 - (tr(sz @ sz).real - mean_z ** 2)) < 1e-13 * s, (s, q)  # Delta S_z^2 = S/2
                 assert abs(got.cov_w - tr(sy @ sz + sz @ sy).real) < 1e-13 * s, (s, q)
 
     def test_two_oracle_paths_agree_on_grid(self):
@@ -328,6 +325,15 @@ class TestChannel:
                     rows, cols = m[max(0, -d):len(m) - max(0, d)], m[max(0, d):len(m) - max(0, -d)]
                     band = channel_factors(s, q, rows, cols)
                     assert band.tobytes() == np.diagonal(full, d).tobytes(), (s, q, d)
+
+    def test_the_map_leaves_the_populations_untouched(self):
+        # F(m, m) is exactly 1 at every m of every spin the channel runs, so Delta S_z^2 stays the CSS's S/2
+        # and no route needs to trace it
+        for two_s in range(1, 401):
+            s = two_s / 2.0
+            m = m_values(s)
+            for q in q_grid(s):
+                assert np.all(channel_factors(s, q, m, m) == 1.0), (s, q)
 
     def test_memory_peak_is_banded_at_the_cap(self):
         # the dense route peaks at ~14 MB here: a 401 x 401 complex matrix is 2.6 MB
@@ -366,7 +372,7 @@ class TestDensityMatrixValidation:
         for s, dim in [(500.0, 1001), (200.5, 402)]:
             with pytest.raises(ValueError, match=f"^Dicke dimension {dim} exceeds cap 401$"):
                 channel_moments(s, 1.0)
-        assert channel_moments(200.0, 1.0).var_z == pytest.approx(100.0, rel=1e-12)
+        assert channel_moments(200.0, 0.0).var_y == pytest.approx(100.0, rel=1e-12)
 
 
 class TestBruteForceMinimum:

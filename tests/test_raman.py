@@ -86,10 +86,6 @@ class TestModifiedMoments:
             for name in ("var_y", "cov_w", "mean_sp", "mean_sp2"):
                 assert rel_err(getattr(near_zero, name), getattr(at_zero, name)) < 1e-13, (s, q, name)
 
-    def test_var_z_stationary(self):
-        m = raman_modified_moments(100.0, 5.0, 0.3)
-        assert m.var_z == 50.0
-
     def test_eq13_consistency_large_s(self):
         # plugging the correlation integrals into the ellipse minimum must
         # reproduce 1/Q + 4r/3 in the large-S, small-r, large-Q regime

@@ -12,6 +12,10 @@ positive" or "must be nonnegative" (params.positive and params.nonnegative),
 design_report's "no shearing requested" apart.
 Only feedback forms the curvature optimum from 6 ** 0.2 or 6 ** (-0.2)
 (feedback._curvature_optimum), so fig2, sweep and design print one floor.
+The closed forms have one home: design imports nothing from raman, and only
+feedback raises the G-factor refusal "outside the principal branch", beside
+the body it guards (feedback.modified_min_variance, the checked entry at
+(S, eta, Q)).
 In cli, only run writes: no other code there calls write_csv, write_json,
 write_manifest or mkdir, so a subcommand handler only returns its files.
 Only raman._run_chunks builds a random stream (a bit generator, a
@@ -176,26 +180,45 @@ def _literal_text(node):
     return ""
 
 
-def domain_refusals(package=PACKAGE):
-    """module.definition:line of each ValueError outside params whose text says an input must be positive or
-    nonnegative, by top-level definition, the kept refusals apart."""
-    found = []
+def value_errors(package=PACKAGE):
+    """(module, module.definition, line, literal text) of each ValueError raised in package, by top-level
+    definition."""
     for path in sorted(package.glob("*.py")):
-        if path.stem == "params":
-            continue
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             where = f"{path.stem}.{getattr(node, 'name', '<module>')}"
             for raised in ast.walk(node):
                 exc = raised.exc if isinstance(raised, ast.Raise) else None
                 if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "ValueError":
-                    text = "".join(map(_literal_text, exc.args))
-                    if _DOMAIN_WORDS.search(text) and (where, text) not in _KEPT_REFUSALS:
-                        found.append(f"{where}:{raised.lineno}")
-    return found
+                    yield path.stem, where, raised.lineno, "".join(map(_literal_text, exc.args))
+
+
+def domain_refusals(package=PACKAGE):
+    """module.definition:line of each ValueError outside params whose text says an input must be positive or
+    nonnegative, the kept refusals apart."""
+    return [f"{where}:{line}" for module, where, line, text in value_errors(package)
+            if module != "params" and _DOMAIN_WORDS.search(text) and (where, text) not in _KEPT_REFUSALS]
 
 
 def test_only_params_refuses_an_input_out_of_domain():
     assert domain_refusals() == []
+
+
+def test_design_imports_nothing_from_raman():
+    # the checked entry design calls sits in feedback, beside the body; raman holds the Monte Carlo and fig2
+    assert "raman" not in set(_relative_imports(ast.parse((PACKAGE / "design.py").read_text(encoding="utf-8"))))
+
+
+_BRANCH_REFUSAL = "outside the principal branch"
+
+
+def branch_refusals(package=PACKAGE):
+    """module:line of each ValueError in package whose text holds the G-factor refusal."""
+    return [f"{module}:{line}" for module, _, line, text in value_errors(package) if _BRANCH_REFUSAL in text]
+
+
+def test_only_feedback_refuses_outside_the_principal_branch():
+    # and it does refuse there, so a moved check fails here instead of passing unseen
+    assert {where.partition(":")[0] for where in branch_refusals()} == {"feedback"}
 
 
 _WRITERS = {"write_csv", "write_json", "write_manifest", "mkdir"}
