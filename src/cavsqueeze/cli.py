@@ -14,12 +14,15 @@ Only callers that run more than once in a process (the tests, the
 benchmark worker) skip a build; the console script runs once.
 
 A handler (cmd_*) validates its options and computes; it writes nothing
-and returns a Result.  run alone writes, once the handler has returned:
-the files, then the manifest, with each warning raised during the run as a
-{"category", "message"} entry, then the "wrote" line.  The writers create
---out only once a file's text is built, so a run refused at write time
-creates no --out either: raman-mc writes first its JSON, which holds every
-number of its CSV but the finite target.
+and returns plain data: its files by name in write order, (header, blocks)
+for a .csv name and a JSON object otherwise, and a dict of its manifest
+fields, in which validate-oracle's exit code and the stdout text before
+"wrote" ride as code and prefix.  run alone writes, once the handler has
+returned: the files, then the manifest, with each warning raised during the
+run as a {"category", "message"} entry, then the "wrote" line.  The writers
+create --out only once a file's text is built, so a run refused at write
+time creates no --out either: raman-mc writes first its JSON, which holds
+every number of its CSV but the finite target.
 
 validate-oracle writes one long table, a row per (S, Q, moment): the value
 of a route (the Dicke sums, at r = 0), its reference route (the closed
@@ -45,7 +48,6 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -122,19 +124,6 @@ def build_parser():
     return parser
 
 
-@dataclass(frozen=True)
-class Result:
-    """What a handler produced: files by name in write order, (header, blocks) for a .csv name and a JSON
-    object otherwise; its manifest fields; its exit code; and the stdout text before "wrote <first file>"."""
-
-    files: dict
-    code: int = 0
-    prefix: str = ""
-    seed: int = None
-    config: dict = None
-    mc_health: dict = None
-
-
 def cmd_fig2(args):
     twice_spin(args.S)
     if args.qmin <= 0 or args.qmax <= args.qmin or args.qpoints < 2:
@@ -145,7 +134,7 @@ def cmd_fig2(args):
     q_grid = (np.linspace if args.linear_grid else np.geomspace)(args.qmin, args.qmax, args.qpoints)
     # raises ValueError where Q_eff / S passes the G-factor branch
     blocks = fig2_curve(args.S, args.eta, q_grid)
-    return Result({"fig2.csv": (("eta", "Q", "sigma_min_sq", "sigma_curv_sq", "sigma_ideal_sq"), blocks)})
+    return {"fig2.csv": (("eta", "Q", "sigma_min_sq", "sigma_curv_sq", "sigma_ideal_sq"), blocks)}, {}
 
 
 def cmd_validate_oracle(args):
@@ -165,8 +154,8 @@ def cmd_validate_oracle(args):
                            error.tolist(), ORACLE_TOL, (error <= ORACLE_TOL).tolist()))
     passed = [ok for block in blocks for ok in block[-1]]
     header = "S,Q,r,moment,route,value,reference,reference_value,metric,error,bound,pass".split(",")
-    return Result({"validate_oracle.csv": (header, blocks)}, code=0 if all(passed) else 2,
-                  prefix=f"{sum(passed)}/{len(passed)} rows within their bounds; ")
+    return {"validate_oracle.csv": (header, blocks)}, {
+        "code": 0 if all(passed) else 2, "prefix": f"{sum(passed)}/{len(passed)} rows within their bounds; "}
 
 
 def _mc_health(stats, total_spin, r, corr_target, elapsed_s):
@@ -213,14 +202,13 @@ def cmd_raman_mc(args):
         # an undefined standard error (one trajectory) is an empty cell
         columns = (stats["lags"], stats["corr"], stats["corr_se"], target)
         files["raman_corr.csv"] = (("lag", "corr", "corr_se", "target"), [columns])
-    return Result(files, seed=args.seed,
-                  mc_health=_mc_health(stats, args.S, args.r, target, elapsed_s))
+    return files, {"seed": args.seed, "mc_health": _mc_health(stats, args.S, args.r, target, elapsed_s)}
 
 
 def cmd_design(args):
     cfg = load_config(args.config)
     report = design_report(cfg["S"], cavity_params(cfg), cfg["t_s"], args.eps_max, args.q_target)
-    return Result({"design_report.json": report}, config=cfg)
+    return {"design_report.json": report}, {"config": cfg}
 
 
 def cmd_sweep(args):
@@ -238,7 +226,7 @@ def cmd_sweep(args):
     if args.full_minimum:
         header += ["q_full", "sigma_full_sq"]
         columns += full_curve_minimum(s, eta)
-    return Result({"sweep.csv": (header, [[np.asarray(c).tolist() for c in columns]])})
+    return {"sweep.csv": (header, [[np.asarray(c).tolist() for c in columns]])}, {}
 
 
 def _refuse_non_finite(args):
@@ -264,21 +252,21 @@ def run(argv=None):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             _refuse_non_finite(args)
-            result = args.handler(args)
+            files, fields = args.handler(args)
+        code, prefix = fields.pop("code", 0), fields.pop("prefix", "")
         out = Path(args.out)
-        for name, content in result.files.items():
+        for name, content in files.items():
             if name.endswith(".csv"):
                 write_csv(out / name, *content)
             else:
                 write_json(out / name, content)
-        write_manifest(out / "manifest.json", argv, list(result.files), started, seed=result.seed,
-                       config=result.config, mc_health=result.mc_health,
+        write_manifest(out / "manifest.json", argv, list(files), started, fields,
                        warnings=[{"category": w.category.__name__, "message": str(w.message)} for w in caught])
     except (ValueError, OSError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
-    print(f"{result.prefix}wrote {out / next(iter(result.files))}")
-    return result.code
+    print(f"{prefix}wrote {out / next(iter(files))}")
+    return code
 
 
 def main():

@@ -19,9 +19,9 @@ even the widest pair a_k a_{k+2} underflows to 0.0, so every term dropped
 is exactly 0.  That is O(sqrt(S)) terms: 17,183 of css_support's 25,987 at
 S = 1e5, and all 2S+1 below 2S = 1085.  They are elementwise over Q: one
 call builds the weights once, the phases of all Q form one array and each
-row is summed on its own.  The channel's traces read only the populations
-and the -2..+1 diagonals of the sheared density matrix, so it forms those
-four diagonals alone: O(S) work and memory, up to DENSITY_DIM_CAP.
+row is summed on its own.  The channel forms only the -1 and -2 diagonals
+of the sheared density matrix (the populations are a * a, the +1 diagonal
+the -1's conjugate): O(S) work and memory, up to DENSITY_DIM_CAP.
 """
 
 import math
@@ -116,9 +116,10 @@ def channel_moments(total_spin, q):
     Every operator is banded, so each trace tr(rho A) takes the populations
     and the -2..+1 diagonals of rho times dicke.raising_coefficients' c_m,
     on dicke.m_values' m; <S_y^2> goes through the diagonal S_+S_- + S_-S_+.
-    Only those four diagonals are formed, entry (i, i+d) as
-    a_i a_{i+d} F(m_i, m_{i+d}) on the CSS amplitudes a, so this route
-    shares no arithmetic with oracle_moments_sum beyond the amplitudes.
+    Only the -1 and -2 diagonals are formed, entry (i+d, i) as
+    a_{i+d} a_i F(m_{i+d}, m_i) on the CSS amplitudes a: the populations are
+    a * a (F(m, m) = 1) and the +1 diagonal is the conjugate of the -1.  So
+    this route shares no arithmetic with oracle_moments_sum beyond the amplitudes.
     """
     dim = int(twice_spin(total_spin)) + 1
     if dim > DENSITY_DIM_CAP:
@@ -128,18 +129,16 @@ def channel_moments(total_spin, q):
     m = m_values(total_spin)
     a = css_amplitudes(total_spin)
 
-    def diagonal(d):
-        """Diagonal d of the sheared CSS density matrix, in np.diagonal's order."""
-        rows = slice(max(0, -d), len(a) - max(0, d))
-        cols = slice(max(0, d), len(a) - max(0, -d))
-        return channel_factors(total_spin, q, m[rows], m[cols]) * (a[rows] * a[cols])
+    def lower(d):
+        """Diagonal -d of the sheared CSS density matrix, entry (i+d, i), in np.diagonal's order."""
+        return channel_factors(total_spin, q, m[d:], m[:-d]) * (a[d:] * a[:-d])
 
-    pop = diagonal(0).real
-    below = diagonal(-1)
+    pop = a * a
+    below = lower(1)
     mean_sp = complex(np.sum(below * c))
-    mean_sp2 = complex(np.sum(diagonal(-2) * c[:-1] * c[1:]))
+    mean_sp2 = complex(np.sum(lower(2) * c[:-1] * c[1:]))
     # rho_{i+1,i} <i|S_y|i+1> + rho_{i,i+1} <i+1|S_y|i>, term by term
-    sy_terms = (below - diagonal(1)) * c / 2j
+    sy_terms = (below - below.conj()) * c / 2j
     ladder = float(np.sum((pop[:-1] + pop[1:]) * c * c))  # <S_+S_- + S_-S_+>
     var_y = (ladder - 2.0 * mean_sp2.real) / 4.0 - mean_sp.imag * mean_sp.imag  # <S_y> = Im <S_+>
     # {S_y, S_z} has the S_y bands times m_i + m_{i+1}

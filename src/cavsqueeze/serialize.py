@@ -104,16 +104,16 @@ def _numpy_dispatch():
     return {name: next(iter(info.get(name, {}).values()), {}).get("current") for name in ufuncs}
 
 
-def write_manifest(path, command, outputs, started, seed=None, config=None, mc_health=None, warnings=()):
+def write_manifest(path, command, outputs, started, fields, warnings=()):
     """Write the record of one CLI run: its argv, the files it wrote in order, and the warnings it raised.
 
-    started is the time.perf_counter() reading at the start of the run;
-    mc_health is written only when given.
+    started is the time.perf_counter() reading at the start of the run; the
+    handler's fields are merged over a record whose seed and config are None.
     """
     record = {
         "command": list(command),
-        "seed": seed,
-        "config": config,
+        "seed": None,
+        "config": None,
         "environment": {"python": sys.version, "numpy": np.__version__, "numpy_dispatch": _numpy_dispatch(),
                         "platform": sys.platform},
         "outputs": list(outputs),
@@ -122,6 +122,4 @@ def write_manifest(path, command, outputs, started, seed=None, config=None, mc_h
         "wall_time_s": time.perf_counter() - started,
         "warnings": list(warnings),
     }
-    if mc_health is not None:
-        record["mc_health"] = dict(mc_health)
-    write_json(path, record)
+    write_json(path, record | fields)

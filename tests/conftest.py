@@ -9,6 +9,9 @@ from cavsqueeze.oracle import channel_factors, oracle_moments_sum
 from cavsqueeze.params import EnsembleSpec, nonnegative, twice_spin
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the keys of every CLI manifest; raman-mc's adds mc_health
+MANIFEST_KEYS = {"command", "seed", "config", "environment", "outputs", "schema_version", "tool_version",
+                 "wall_time_s", "warnings"}
 
 
 def rel_err(a, b):

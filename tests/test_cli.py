@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import MANIFEST_KEYS
+
 import cavsqueeze
 from cavsqueeze import cli, raman
 from cavsqueeze.design import design_report, operating_point
@@ -930,8 +932,6 @@ def test_workers_flag_is_gone(tmp_path):
 
 
 _SYSTEM_CFG = "S = {S}\ng_hz = 4e5\nkappa_hz = 1e6\ndelta_over_gamma = 500.0\np0 = 100.0\nt_s = 4e-4\n"
-_MANIFEST_KEYS = {"command", "seed", "config", "environment", "outputs", "schema_version", "tool_version",
-                  "wall_time_s", "warnings"}
 _OUTPUTS = {"raman-mc": ["raman_stats.json", "raman_corr.csv"], "fig2": ["fig2.csv"],
             "validate-oracle": ["validate_oracle.csv"], "sweep": ["sweep.csv"], "design": ["design_report.json"]}
 
@@ -951,7 +951,7 @@ def test_manifest_records_argv_once(tmp_path, argv):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["command"] == full
     # seed for raman-mc and config for design only; mc_health only for raman-mc
-    assert set(manifest) == _MANIFEST_KEYS | ({"mc_health"} if argv[0] == "raman-mc" else set())
+    assert set(manifest) == MANIFEST_KEYS | ({"mc_health"} if argv[0] == "raman-mc" else set())
     assert manifest["seed"] == (5 if argv[0] == "raman-mc" else None)
     assert (manifest["config"] is not None) == (argv[0] == "design")
     outputs = _OUTPUTS[argv[0]]

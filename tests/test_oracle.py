@@ -335,6 +335,15 @@ class TestChannel:
             for q in q_grid(s):
                 assert np.all(channel_factors(s, q, m, m) == 1.0), (s, q)
 
+    def test_the_upper_coherences_are_the_conjugates_of_the_lower(self):
+        # channel_moments takes the +1 diagonal as the -1's conjugate; == since the sides differ in signs of zeros
+        for two_s in range(1, 401):
+            s = two_s / 2.0
+            m = m_values(s)
+            for q in q_grid(s):
+                upper, lower = channel_factors(s, q, m[:-1], m[1:]), channel_factors(s, q, m[1:], m[:-1])
+                assert np.array_equal(upper, lower.conj()), (s, q)
+
     def test_memory_peak_is_banded_at_the_cap(self):
         # the dense route peaks at ~14 MB here: a 401 x 401 complex matrix is 2.6 MB
         tracemalloc.start()

@@ -1,11 +1,15 @@
+import json
 import math
 import random
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cavsqueeze.serialize import format_value, write_csv, write_json
+from conftest import MANIFEST_KEYS
+
+from cavsqueeze.serialize import format_value, write_csv, write_json, write_manifest
 
 HEADER = ("a", "b", "c", "d")
 # one column of cells that repr, str and the empty cell all write; -0.0 and 0.0 compare equal but write apart
@@ -112,3 +116,37 @@ def test_the_directory_is_made_once_and_only_when_missing(tmp_path, monkeypatch)
     write_csv(out / "three.csv", ("x",), [([0.5],)])
     assert made == []
     assert sorted(p.name for p in out.iterdir()) == ["one.csv", "three.csv", "two.json"]
+
+
+def test_a_manifest_without_fields_records_seed_and_config_as_none(tmp_path):
+    path = tmp_path / "manifest.json"
+    write_manifest(path, ["fig2", "--S", "1"], ["fig2.csv"], time.perf_counter(), {})
+    manifest = json.loads(path.read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["seed"] is None and manifest["config"] is None
+    assert manifest["command"] == ["fig2", "--S", "1"] and manifest["outputs"] == ["fig2.csv"]
+    assert manifest["warnings"] == [] and manifest["wall_time_s"] >= 0.0
+
+
+def test_a_manifest_takes_the_fields_it_is_given(tmp_path):
+    path = tmp_path / "manifest.json"
+    health = {"n_events": 3, "trajectories_per_s": 2.5, "worst_z": None}
+    warned = [{"category": "RuntimeWarning", "message": "m"}]
+    write_manifest(path, ["raman-mc"], ["raman_stats.json"], time.perf_counter(), {"seed": 5, "mc_health": health},
+                   warnings=warned)
+    manifest = json.loads(path.read_text())
+    assert set(manifest) == MANIFEST_KEYS | {"mc_health"}
+    assert (manifest["seed"], manifest["config"], manifest["mc_health"]) == (5, None, health)
+    assert manifest["warnings"] == warned
+    write_manifest(path, ["design"], ["design_report.json"], time.perf_counter(), {"config": {"S": 1e4}})
+    manifest = json.loads(path.read_text())
+    assert set(manifest) == MANIFEST_KEYS
+    assert (manifest["seed"], manifest["config"]) == (None, {"S": 1e4})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_manifest_field_is_refused_before_its_directory_exists(tmp_path, bad):
+    path = tmp_path / "new" / "manifest.json"
+    with pytest.raises(ValueError):
+        write_manifest(path, ["raman-mc"], [], time.perf_counter(), {"mc_health": {"worst_z": bad}})
+    assert not path.parent.exists()
