@@ -12,11 +12,12 @@ as e^{-m^2/2S} and are exactly 0.0 in float64 past |m| ~ 38.6 sqrt(S), so
 css_support builds only the window around m = 0 that holds the nonzero ones
 (O(sqrt(S)) work; the whole range while 2S < 5980).  raising_coefficients
 holds the formula of S_+'s ladder coefficients c_m, which the channel reads
-beside m_values; S_z and S_x are stored as bands, so applying one is O(S).
+beside m_values; S_z and S_x are stored as bands, so applying one is O(S),
+in plain NamedTuples (Tridiagonal's bands, SpinOperators' pair).
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,7 @@ def m_values(total_spin):
     return float(total_spin) - np.arange(int(twice_spin(total_spin)) + 1)
 
 
-@dataclass(frozen=True)
-class Tridiagonal:
+class Tridiagonal(NamedTuple):
     """Tridiagonal operator; upper[i] is element (i, i+1), lower[i] is (i+1, i)."""
 
     lower: np.ndarray
@@ -52,8 +52,7 @@ class Tridiagonal:
         return out
 
 
-@dataclass(frozen=True)
-class SpinOperators:
+class SpinOperators(NamedTuple):
     """S_z and S_x as complex tridiagonal bands of length ~2S+1."""
 
     sz: Tridiagonal

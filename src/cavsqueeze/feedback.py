@@ -51,7 +51,7 @@ populations alone, and the telegraph process is stationary on the CSS.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -135,8 +135,7 @@ def _series(r):
     return sq_series, fin_series
 
 
-@dataclass(frozen=True)
-class MomentSet:
+class MomentSet(NamedTuple):
     """Second moments of one sheared state, in raw spin units.
 
     var_y is the mean-subtracted Delta S~_y^2, cov_w the symmetrized

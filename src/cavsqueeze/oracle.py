@@ -21,14 +21,15 @@ S = 1e5, and all 2S+1 below 2S = 1085.  They are elementwise over Q: one
 call builds the weights once, the phases of all Q form one array and each
 row is summed on its own.  The channel forms only the -1 and -2 diagonals
 of the sheared density matrix (the populations are a * a, the +1 diagonal
-the -1's conjugate): O(S) work and memory, up to DENSITY_DIM_CAP.
+the -1's conjugate): O(S) work and memory, up to DENSITY_DIM_CAP, on the
+same css_support form as the sums, whose window is the whole range there.
 """
 
 import math
 
 import numpy as np
 
-from .dicke import DENSITY_DIM_CAP, css_amplitudes, css_support, m_values, raising_coefficients
+from .dicke import DENSITY_DIM_CAP, css_support, m_values, raising_coefficients
 from .feedback import MomentSet
 from .params import nonnegative, twice_spin
 
@@ -127,7 +128,7 @@ def channel_moments(total_spin, q):
     nonnegative("shearing strength", q)
     c = raising_coefficients(total_spin)
     m = m_values(total_spin)
-    a = css_amplitudes(total_spin)
+    _, a = css_support(total_spin)  # the whole range: below DENSITY_DIM_CAP the window starts at k = 0
 
     def lower(d):
         """Diagonal -d of the sheared CSS density matrix, entry (i+d, i), in np.diagonal's order."""

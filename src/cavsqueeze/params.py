@@ -24,11 +24,12 @@ Conventions used throughout the package:
     telegraph flip rate r = Q / (4 S eta): the factor 2 holds by algebra,
     from eta = 4 g^2 / (kappa Gamma) and p0 = Q / (S (2 Omega / kappa)^2).
     Which of the two is the model's photon count per atom is still open
-    (ROADMAP item 24).
+    (ROADMAP item 24),
+  * EnsembleSpec, a plain record, derives dicke_dim = 2S + 1 through
+    twice_spin (refusing a non-spin), then stores total_spin as a float.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,16 +94,12 @@ def nearest_spin(x):
     return twice_spin(np.rint(2.0 * x) / 2.0) / 2.0
 
 
-@dataclass(frozen=True)
 class EnsembleSpec:
-    """Collective spin S of an ensemble of N = 2S identical two-level atoms."""
+    """Collective spin S of an ensemble of N = 2S identical two-level atoms, and its Dicke dimension 2S + 1."""
 
-    total_spin: float
-    dicke_dim: int = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "dicke_dim", int(twice_spin(self.total_spin)) + 1)
-        object.__setattr__(self, "total_spin", float(self.total_spin))
+    def __init__(self, total_spin):
+        self.dicke_dim = int(twice_spin(total_spin)) + 1
+        self.total_spin = float(total_spin)
 
 
 # Config file schema: flat "key = value" lines, '#' comments.  Frequencies in

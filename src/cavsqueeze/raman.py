@@ -30,12 +30,13 @@ blocks of _BLOCK per trajectory still in the pulse: the waiting times and
 atom picks of a block are arrays drawn straight into the block buffers, and
 only the +-1 chain of the up-atom count steps event by event.  _CHUNK,
 _BLOCK and the draw order fix the stream layout, so a seed and a trajectory
-count fix the output bits.  sample_trajectories returns its estimates as the
-plain dict that raman-mc writes under "stats".
+count fix the output bits.  RamanProcess is a plain NamedTuple (r, n_atoms)
+and sample_trajectories checks every input of a run in one block, r and N
+first; it returns its estimates as the plain dict raman-mc writes under "stats".
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,17 +82,11 @@ def fig2_curve(total_spin, etas, q_grid):
     return [(e, q_list, row, sigma_curv_sq, ideal) for e, row in zip(eta.tolist(), sigma.tolist())]
 
 
-@dataclass(frozen=True)
-class RamanProcess:
-    """Telegraph flip process: r scattered photons per atom over the pulse, the unit of time."""
+class RamanProcess(NamedTuple):
+    """Telegraph flip process of n_atoms atoms: r scattered photons per atom over the pulse, the unit of time."""
 
     r: float
     n_atoms: int
-
-    def __post_init__(self):
-        nonnegative("r", self.r)
-        if self.n_atoms < 1:
-            raise ValueError("need at least one atom")
 
 
 def _defined(x):
@@ -268,6 +263,7 @@ def sample_trajectories(process, n_traj, time_steps, seed, mode="exact"):
     Parameters
     ----------
     process : RamanProcess
+        Refused first (ValueError): an r that is negative or not finite, then N = n_atoms < 1.
     n_traj, time_steps : int
         Trajectory count (>= 1) and number of lag intervals (>= 1); S_z is
         sampled at time_steps + 1 uniform times spanning the pulse [0, 1].
@@ -289,6 +285,9 @@ def sample_trajectories(process, n_traj, time_steps, seed, mode="exact"):
     c_bar_*); n_events counts the jumps simulated (0 in gaussian mode).  A
     standard error is None where it is undefined (one trajectory).
     """
+    nonnegative("r", process.r)
+    if process.n_atoms < 1:
+        raise ValueError("need at least one atom")
     if seed is None:
         raise ValueError("seed is required for reproducible Monte Carlo")
     if not 0 <= seed < 2 ** 128:

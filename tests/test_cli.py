@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import hashlib
 import inspect
 import io
@@ -63,6 +62,9 @@ def test_raman_mc_same_seed_same_bytes(tmp_path):
     # the seed range is [0, 2**128); 0 is a valid seed
     (["raman-mc", "--S", "20", "--r", "0.5", "--seed", "-1"], "[0, 2**128)"),
     (["raman-mc", "--S", "20", "--r", "0.5", "--seed", str(2 ** 128)], "[0, 2**128)"),
+    # r is refused first among the Monte Carlo's inputs, ahead of a bad trajectory count, step count and seed
+    (["raman-mc", "--S", "50", "--r", "-1", "--traj", "0", "--steps", "0", "--seed", "-1"],
+     "raman-mc: r must be nonnegative and finite\n"),
 ])
 def test_raman_mc_bad_input_exits_1_with_message(tmp_path, capsys, argv, message):
     out = tmp_path / "out"
@@ -991,7 +993,7 @@ def test_validate_oracle_failure_exits_2_and_writes_everything(tmp_path, capsys,
         moments = oracle(total_spin, q)
         if total_spin == 5.0:
             value = getattr(moments, moment)
-            return dataclasses.replace(moments, **{moment: np.where(q == 1.0, value * (1.0 + 1e-6), value)})
+            return moments._replace(**{moment: np.where(q == 1.0, value * (1.0 + 1e-6), value)})
         return moments
 
     monkeypatch.setattr(cli, "oracle_moments_sum", perturbed)

@@ -9,13 +9,20 @@ from cavsqueeze.dicke import css_amplitudes, css_support, m_values
 from cavsqueeze.feedback import analytic_moments, correlation_integrals, raman_modified_moments
 from cavsqueeze.oracle import channel_moments, oracle_moments_sum
 from cavsqueeze.params import TWO_PI, EnsembleSpec, cavity_params, load_config, nearest_spin, twice_spin
-from cavsqueeze.raman import RamanProcess, fig2_curve, modified_min_variance
+from cavsqueeze.raman import RamanProcess, fig2_curve, modified_min_variance, sample_trajectories
 
 
 def test_ensemble_derived_quantities():
     spec = EnsembleSpec(total_spin=7.5)
     assert spec.total_spin == 7.5
     assert spec.dicke_dim == 16
+
+
+def test_ensemble_coerces_an_int_spin_in_both_constructor_forms():
+    # the benchmark builds EnsembleSpec by keyword and reads both attributes
+    for spec in (EnsembleSpec(3), EnsembleSpec(total_spin=3)):
+        assert type(spec.total_spin) is float and spec.total_spin == 3.0
+        assert type(spec.dicke_dim) is int and spec.dicke_dim == 7
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, 0.3, 1.25, 0.49, math.inf, math.nan])
@@ -79,7 +86,8 @@ TAKES_AN_INPUT = {
     "modified_min_variance(Q)": (Q, "positive", 1.0, lambda x: modified_min_variance(10.0, 0.1, x)),
     "fig2_curve(eta)": ("eta", "positive", 0.1, lambda x: fig2_curve(10.0, x, [1.0, 2.0])),
     "fig2_curve(Q)": (Q, "positive", 2.0, lambda x: fig2_curve(10.0, 0.1, [1.0, x])),
-    "RamanProcess(r)": ("r", "nonnegative", 0.1, lambda x: RamanProcess(r=x, n_atoms=10)),
+    "sample_trajectories(r)": ("r", "nonnegative", 0.1,
+                               lambda x: sample_trajectories(RamanProcess(r=x, n_atoms=10), 1, 1, seed=1)),
     "operating_point(S)": ("S", "positive", 1e4, lambda x: operating_point(x, 0.1)),
     "operating_point(eta)": ("eta", "positive", 0.1, lambda x: operating_point(1e4, x)),
     "full_curve_minimum(eta)": ("eta", "positive", 0.1, lambda x: full_curve_minimum(10.0, x)),

@@ -245,13 +245,12 @@ class TestRamanProcess:
             RamanProcess(r=0.25, n_atoms=100, flip_rate=99.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RamanProcess(r=-1.0, n_atoms=10)
-        for r in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="finite"):
-                RamanProcess(r=r, n_atoms=10)
-        with pytest.raises(ValueError):
-            RamanProcess(r=0.1, n_atoms=0)
+        # r, then N, is refused ahead of the seed, trajectory and step counts, which are bad here too
+        for r in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^r must be nonnegative and finite$"):
+                sample_trajectories(RamanProcess(r=r, n_atoms=0), 0, 0, seed=None)
+        with pytest.raises(ValueError, match="^need at least one atom$"):
+            sample_trajectories(RamanProcess(r=0.1, n_atoms=0), 0, 0, seed=None)
 
 
 class TestMonteCarlo:

@@ -18,8 +18,9 @@ the body it guards (feedback.modified_min_variance, the checked entry at
 (S, eta, Q)).
 In cli, only run writes: no other code there calls write_csv, write_json,
 write_manifest or mkdir, so a subcommand handler only returns its files and
-manifest fields.  cli defines no class and imports nothing from dataclasses,
-so a handler returns plain data (dicts), not a record type.
+manifest fields.  cli defines no class, so a handler returns plain data
+(dicts), not a record type, and no module imports dataclasses: the package's
+records are NamedTuples or a plain class.
 Only raman._run_chunks builds a random stream (a bit generator, a
 SeedSequence or a default_rng), so the Monte Carlo's stream layout has one
 owner.  Outside dicke, the program takes from dicke only the CSS amplitudes,
@@ -244,16 +245,21 @@ def test_only_run_writes_in_cli():
     assert cli_writers() == []
 
 
-def cli_records(path=PACKAGE / "cli.py"):
-    """line of each class definition in cli and of each import from dataclasses there."""
-    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.ClassDef)
-            or isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "dataclasses"
-            or isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "dataclasses" for a in node.names)]
+def record_types(package=PACKAGE):
+    """module:line of each class definition in cli and of each import of dataclasses in package."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ClassDef) and path.name == "cli.py"
+                    or isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "dataclasses"
+                    or isinstance(node, ast.Import)
+                    and any(a.name.partition(".")[0] == "dataclasses" for a in node.names)):
+                found.append(f"{path.stem}:{node.lineno}")
+    return found
 
 
 def test_cli_handlers_return_plain_data():
-    assert cli_records() == []
+    assert record_types() == []
 
 
 _STREAM_BUILDERS = {"SeedSequence", "default_rng", "RandomState", "PCG64", "PCG64DXSM", "Philox", "SFC64",
