@@ -10,10 +10,10 @@ Coherent-spin-state amplitudes are binomial, sqrt(C(2S, S+m)) 2^-S, built in
 log space so ensembles up to S ~ 1e6 construct without overflow.  They fall
 as e^{-m^2/2S} and are exactly 0.0 in float64 past |m| ~ 38.6 sqrt(S), so
 css_support builds only the window around m = 0 that holds the nonzero ones
-(O(sqrt(S)) work; the whole range while 2S < 5980).  raising_coefficients
-holds the formula of S_+'s ladder coefficients c_m, which the channel reads
-beside m_values; S_z and S_x are stored as bands, so applying one is O(S),
-in plain NamedTuples (Tridiagonal's bands, SpinOperators' pair).
+(O(sqrt(S)) work; the whole range while 2S < 5980); make_css pads it with
+0.0.  It, m_values and raising_coefficients (S_+'s ladder coefficients c_m)
+are all that the oracle module reads.  S_z and S_x are stored as bands, so
+applying one is O(S), in plain NamedTuples (Tridiagonal, SpinOperators).
 """
 
 import math
@@ -23,11 +23,8 @@ import numpy as np
 
 from .params import twice_spin
 
-# 4001 (S <= 2000) caps state-vector work for memory.  401 (S <= 200) caps
-# the density-matrix channel, whose banded traces would fit far past it: it
-# is the range over which that route is validated against the sums.
+# 4001 (S <= 2000) caps state-vector work for memory
 STATE_DIM_CAP = 4001
-DENSITY_DIM_CAP = 401
 
 # exp(x / 2) is exactly 0.0 in float64 for x < -1490.27; 1494 leaves a margin
 _LOG_UNDERFLOW = 1494.0
@@ -83,7 +80,7 @@ def build_operators(spec):
 
 
 def css_support(total_spin):
-    """(first_k, a): entries first_k..2S-first_k of css_amplitudes; every other entry is 0.0.
+    """(first_k, a): entries first_k..2S-first_k of the 2S+1 CSS amplitudes; every other entry is 0.0.
 
     log C(2S, k) is a cumulative sum of log((2S-k)/(k+1)) from the centre
     out, mirrored by k <-> 2S-k, so either order of m reads the same.  After
@@ -101,17 +98,12 @@ def css_support(total_spin):
     return first_k, a / np.sqrt(np.sum(a * a))
 
 
-def css_amplitudes(total_spin):
-    """All 2S+1 normalised float64 CSS(+x) amplitudes sqrt(C(2S, S+m)) 2^-S: css_support padded with 0.0."""
-    first_k, a = css_support(total_spin)
-    full = np.zeros(len(a) + 2 * first_k)  # the window is symmetric
+def make_css(spec):
+    """Coherent spin state along +x, <S_x> = S: amplitudes sqrt(C(2S, S+m)) 2^-S as complex, m = +S..-S."""
+    first_k, a = css_support(spec.total_spin)
+    full = np.zeros(spec.dicke_dim, dtype=complex)
     full[first_k:first_k + len(a)] = a
     return full
-
-
-def make_css(spec):
-    """Coherent spin state along +x, satisfying <S_x> = S: the complex amplitude vector, m = +S..-S."""
-    return css_amplitudes(spec.total_spin).astype(complex)
 
 
 def expectation(v, op):

@@ -21,20 +21,23 @@ S = 1e5, and all 2S+1 below 2S = 1085.  They are elementwise over Q: one
 call builds the weights once, the phases of all Q form one array and each
 row is summed on its own.  The channel forms only the -1 and -2 diagonals
 of the sheared density matrix (the populations are a * a, the +1 diagonal
-the -1's conjugate): O(S) work and memory, up to DENSITY_DIM_CAP, on the
-same css_support form as the sums, whose window is the whole range there.
+the -1's conjugate): O(S) work and memory on the same css_support form as
+the sums.  Both caps live here: ORACLE_SUM_CAP on the sums, DENSITY_DIM_CAP
+on the channel, below which css_support's window is the whole range.
 """
 
 import math
 
 import numpy as np
 
-from .dicke import DENSITY_DIM_CAP, css_support, m_values, raising_coefficients
-from .feedback import MomentSet
+from .dicke import css_support, m_values, raising_coefficients
+from .feedback import MomentSet, _scalar
 from .params import nonnegative, twice_spin
 
 # Largest Dicke dimension 2S+1 the sums accept (S <= 1e5), not their length.
 ORACLE_SUM_CAP = 200_001
+# Largest 2S+1 the channel accepts (S <= 200): the range it is validated over, far below what its bands allow.
+DENSITY_DIM_CAP = 401
 
 
 def oracle_moments_sum(total_spin, q):
@@ -52,7 +55,7 @@ def oracle_moments_sum(total_spin, q):
     below 2S = 1085, so there the sums are the full-range sums to the bit).
     The phases of all Q form one (Q, window) array and each row is summed
     on its own, bit for bit as a call at its Q alone.  A scalar Q gives
-    Python scalars, an array Q arrays, as the closed forms do.
+    Python scalars, an array Q arrays, through the closed forms' _scalar.
     """
     s = float(total_spin)
     two_s = int(twice_spin(s))
@@ -87,8 +90,8 @@ def oracle_moments_sum(total_spin, q):
     mean_sp, mean_sp2 = list(map(complex, re1, im1)), [z * f for z, f in zip(map(complex, re2, im2), shot)]
     ladder = (s * (s + 1.0) - float(np.sum(a * a * m * m))) / 2.0  # <S_+S_- + S_-S_+> / 4
     var_y = [ladder - sp2.real / 2.0 - sp.imag ** 2 for sp, sp2 in zip(mean_sp, mean_sp2)]
-    scalar = np.ndim(q) == 0
-    mean_sp, mean_sp2, var_y, cov_w = (c[0] if scalar else np.array(c) for c in (mean_sp, mean_sp2, var_y, cov_w))
+    shape = np.shape(q)
+    mean_sp, mean_sp2, var_y, cov_w = (_scalar(np.array(c).reshape(shape)) for c in (mean_sp, mean_sp2, var_y, cov_w))
     return MomentSet(total_spin=s, mean_sp=mean_sp, mean_sp2=mean_sp2, var_y=var_y, cov_w=cov_w)
 
 
@@ -98,9 +101,9 @@ def channel_factors(total_spin, q, m, m_prime):
     <m|rho|m'> with n = m' - m > 0 picks up exp(-(n^2-n)(1+i)Q/(2S)) times
     exp(i n Q m'/S); the n < 0 elements are the Hermitian mirror and the
     populations (n = 0) get 1.  All magnitudes are <= 1; anything larger is
-    a sign/ordering bug and raises.
+    a sign/ordering bug and raises.  S must be a spin (params.twice_spin).
     """
-    s = float(total_spin)
+    s = twice_spin(total_spin) / 2.0
     n = m_prime - m
     n_abs = np.abs(n)
     damp = np.exp(-(n_abs * n_abs - n_abs) * q / (2.0 * s))

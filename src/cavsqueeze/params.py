@@ -6,8 +6,9 @@ Conventions used throughout the package:
     plain Hz, and cavity_params applies the 2*pi at that boundary,
   * the collective spin S describes N = 2S two-level atoms, so S is a positive
     half-integer: twice_spin alone decides which S is a spin and gives its 2S,
-    for every function that evaluates a spin state (design's optima take S > 0),
-    and refuses 2S > MAX_TWICE_SPIN = 2**53, past which every float is an integer,
+    for every function that evaluates a spin state, channel_factors and the
+    Monte Carlo's N = 2S included (design's optima take S > 0), and refuses
+    2S > MAX_TWICE_SPIN = 2**53, past which every float is an integer,
   * nonnegative and positive alone decide the other physical inputs (Q, r,
     eta, pulse time, g, kappa, Gamma, design's S), and population decides
     max_excited_pop, an excited-state population epsilon in (0, 1]; two

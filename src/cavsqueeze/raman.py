@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .feedback import _curvature_optimum, correlation_integrals, modified_min_variance
-from .params import nonnegative
+from .params import nonnegative, twice_spin
 
 # Trajectories per chunk: one kernel call and one PCG64 stream each, ~0.5 MiB a block buffer; exact
 # mode draws the events of a chunk in blocks of _BLOCK per trajectory.  Both values are part of the
@@ -263,7 +263,7 @@ def sample_trajectories(process, n_traj, time_steps, seed, mode="exact"):
     Parameters
     ----------
     process : RamanProcess
-        Refused first (ValueError): an r that is negative or not finite, then N = n_atoms < 1.
+        Refused first (ValueError): a negative or non-finite r, then N = n_atoms < 1, then a fractional N or N > 2**53.
     n_traj, time_steps : int
         Trajectory count (>= 1) and number of lag intervals (>= 1); S_z is
         sampled at time_steps + 1 uniform times spanning the pulse [0, 1].
@@ -288,6 +288,7 @@ def sample_trajectories(process, n_traj, time_steps, seed, mode="exact"):
     nonnegative("r", process.r)
     if process.n_atoms < 1:
         raise ValueError("need at least one atom")
+    twice_spin(process.n_atoms / 2.0)
     if seed is None:
         raise ValueError("seed is required for reproducible Monte Carlo")
     if not 0 <= seed < 2 ** 128:

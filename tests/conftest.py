@@ -48,8 +48,8 @@ def golden_section_min(f, lo, hi, tol=1e-12, max_iter=300):
 def css_amplitudes_reference(total_spin):
     """All 2S+1 normalised CSS amplitudes, built over the full range of k.
 
-    The tests' reference for dicke.css_amplitudes, which builds only the
-    window of nonzero amplitudes: the same centre-out cumulative sum of
+    The tests' reference for the real part of dicke.make_css, which builds
+    only the window of nonzero amplitudes: the same centre-out cumulative sum of
     log((2S-k)/(k+1)), mirrored by k <-> 2S-k, exponentiated and normalised.
     """
     two_s = int(twice_spin(total_spin))

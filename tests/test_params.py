@@ -1,13 +1,16 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cavsqueeze
 from cavsqueeze import cli
 from cavsqueeze.design import design_report, full_curve_minimum, operating_point
-from cavsqueeze.dicke import css_amplitudes, css_support, m_values
+from cavsqueeze.dicke import css_support, m_values, raising_coefficients
 from cavsqueeze.feedback import analytic_moments, correlation_integrals, raman_modified_moments
-from cavsqueeze.oracle import channel_moments, oracle_moments_sum
+from cavsqueeze.oracle import channel_factors, channel_moments, oracle_moments_sum
 from cavsqueeze.params import TWO_PI, EnsembleSpec, cavity_params, load_config, nearest_spin, twice_spin
 from cavsqueeze.raman import RamanProcess, fig2_curve, modified_min_variance, sample_trajectories
 
@@ -45,8 +48,9 @@ READS_S = {
     "fig2_curve": lambda s: fig2_curve(s, 0.1, [1.0, 2.0]),
     "oracle_moments_sum": lambda s: oracle_moments_sum(s, 1.0),
     "channel_moments": lambda s: channel_moments(s, 1.0),
+    "channel_factors": lambda s: channel_factors(s, 1.0, np.array([1.5]), np.array([0.5])),
     "m_values": lambda s: m_values(s),
-    "css_amplitudes": lambda s: css_amplitudes(s),
+    "raising_coefficients": lambda s: raising_coefficients(s),
     "css_support": lambda s: css_support(s),
     "design_report": lambda s: design_report(s, PARAMS, 1.0, 1e-5),
 }
@@ -68,6 +72,26 @@ def test_every_function_that_reads_s_refuses_a_non_spin():
     accepted = [name for name, call in READS_S.items() if not _refuses(call, 2.3)]
     accepted += [f"{name}([1.5, 2.3])" for name in ARRAY_VALUED if not _refuses(READS_S[name], np.array([1.5, 2.3]))]
     assert accepted == []
+
+
+def spin_parameters(package=Path(cavsqueeze.__file__).parent):
+    """Name of each public top-level function, and each public class whose __init__, takes a total_spin parameter."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                init = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == "__init__"]
+                func = init[0] if init else None
+            else:
+                func = node if isinstance(node, ast.FunctionDef) else None
+            if func and not node.name.startswith("_") and "total_spin" in [a.arg for a in func.args.args]:
+                found.add(node.name)
+    return found
+
+
+def test_reads_s_lists_every_public_function_of_total_spin():
+    # operating_point's optima take any S > 0: TAKES_AN_INPUT holds it as operating_point(S)
+    assert sorted(spin_parameters() ^ set(READS_S)) == ["operating_point"]
 
 
 Q = "shearing strength"

@@ -251,6 +251,9 @@ class TestRamanProcess:
                 sample_trajectories(RamanProcess(r=r, n_atoms=0), 0, 0, seed=None)
         with pytest.raises(ValueError, match="^need at least one atom$"):
             sample_trajectories(RamanProcess(r=0.1, n_atoms=0), 0, 0, seed=None)
+        # N = 2S: a fractional atom count is no spin, refused through twice_spin
+        with pytest.raises(ValueError, match=r"^total spin must be a positive half-integer, got 5\.25$"):
+            sample_trajectories(RamanProcess(r=0.1, n_atoms=10.5), 2, 1, seed=1)
 
 
 class TestMonteCarlo:

@@ -284,7 +284,7 @@ def test_only_run_chunks_builds_a_random_stream():
     assert {where.partition(":")[0] for where in stream_builders()} == {"raman._run_chunks"}
 
 
-_DICKE_EXPORTS = {"css_support", "css_amplitudes", "m_values", "raising_coefficients", "DENSITY_DIM_CAP"}
+_DICKE_EXPORTS = {"css_support", "m_values", "raising_coefficients"}
 
 
 def dicke_imports(package=PACKAGE):
